@@ -294,8 +294,8 @@ func BenchmarkForwardSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkVmax measures the exact block-cut-tree V_max computation
-// (Lemma 7).
+// BenchmarkVmax measures the exact V_max computation (Lemma 7): one
+// masked Hopcroft–Tarjan DFS over the instance graph.
 func BenchmarkVmax(b *testing.B) {
 	in := benchInstance(b)
 	b.ResetTimer()

@@ -18,12 +18,13 @@ import (
 
 // Session runs repeated RAF solves on one instance while reusing the
 // expensive cross-solve state: the realization pool (grown incrementally,
-// never resampled), the exact V_max computation, and the Algorithm 2
-// p_max draw ledger (engine.PmaxEstimator — a solve needing a tighter ε₀
-// or a bigger budget extends the existing draw sequence instead of
-// re-running the stopping rule from scratch). An α-sweep through a
-// Session samples the pool exactly once and the p_max stream at most up
-// to the tightest ε₀ requested.
+// never resampled) and the Algorithm 2 p_max draw ledger
+// (engine.PmaxEstimator — a solve needing a tighter ε₀ or a bigger budget
+// extends the existing draw sequence instead of re-running the stopping
+// rule from scratch). An α-sweep through a Session samples the pool
+// exactly once and the p_max stream at most up to the tightest ε₀
+// requested. The exact V_max is cached too, though it is only one
+// O(V+E) DFS (see Vmax), cheap next to sampling.
 //
 // The session's seed and worker count govern every solve; Config.Seed and
 // Config.Workers are ignored by Session.RAF. Safe for concurrent use.
@@ -67,8 +68,8 @@ func (s *Session) Engine() *engine.Engine { return s.eng }
 // engine.Session.RepairTo). The new session's engine is bound to lin and
 // graphFP (both may be zero when the caller keeps no lineage), so stale
 // spill blobs restored into it later are adopted and repaired too. The
-// receiver is not mutated; the cached V_max is dropped — it is cheap to
-// recompute and the delta may have changed it.
+// receiver is not mutated; the cached V_max is dropped — the delta may
+// have changed it, and recomputing it is one O(V+E) DFS.
 func (s *Session) RepairTo(ctx context.Context, in2 *ltm.Instance, lin *engine.Lineage, graphFP uint64, dirty []graph.Node) (*Session, engine.RepairStats, error) {
 	ne := engine.New(in2)
 	if lin != nil {
@@ -117,7 +118,7 @@ func (s *Session) Pool(ctx context.Context, l int64) (*engine.Pool, error) {
 // engine.PmaxEstimator.Snapshot), so a restored session reuses both the
 // pooled draws and the stopping-rule draws instead of resampling them.
 // The cached V_max is not written: it is deterministic in the instance
-// and recomputed on demand with identical results.
+// and recomputed on demand, by one O(V+E) DFS, with identical results.
 func (s *Session) Snapshot(w io.Writer) error {
 	if err := s.pools.Snapshot(w); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -261,5 +262,195 @@ func TestVmaxMinimality(t *testing.T) {
 	// And no node outside V_max ∪ {s} ∪ N_s ever appears.
 	if !vm.ContainsAll(appeared) {
 		t.Error("sampled paths escaped V_max")
+	}
+}
+
+// vmaxByEnumeration is the brute-force oracle for Vmax: it enumerates
+// every simple z–t path in G′ + z, where z is a virtual source adjacent
+// to each boundary node, and returns the union of their vertices.
+// Exponential; for graphs of a few nodes only.
+func vmaxByEnumeration(in *ltm.Instance) *graph.NodeSet {
+	g := in.Graph()
+	n := g.NumNodes()
+	s, tt := in.S(), in.T()
+	nsSet := in.InitialFriendSet()
+	blocked := func(v graph.Node) bool { return v == s || nsSet.Contains(v) }
+	out := graph.NewNodeSet(n)
+	visited := make([]bool, n)
+	var path []graph.Node
+	var walk func(v graph.Node)
+	walk = func(v graph.Node) {
+		visited[v] = true
+		path = append(path, v)
+		if v == tt {
+			for _, p := range path {
+				out.Add(p)
+			}
+		} else {
+			for _, u := range g.Neighbors(v) {
+				if !visited[u] && !blocked(u) {
+					walk(u)
+				}
+			}
+		}
+		path = path[:len(path)-1]
+		visited[v] = false
+	}
+	// z's neighbors: the boundary nodes. The path z, b, … visits z once,
+	// so each z–t path is a simple G′ path from one boundary node to t.
+	for v := graph.Node(0); v < graph.Node(n); v++ {
+		if blocked(v) {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if nsSet.Contains(u) {
+				walk(v)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// checkVmaxExact requires Vmax to equal both want and the enumeration
+// oracle on the instance (s, tt) of g.
+func checkVmaxExact(t *testing.T, g *graph.Graph, s, tt graph.Node, want ...graph.Node) {
+	t.Helper()
+	in := mustInstance(t, g, s, tt)
+	vm, err := Vmax(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(vm.Members(), want) {
+		t.Errorf("Vmax = %v, want %v", vm.Members(), want)
+	}
+	if oracle := vmaxByEnumeration(in); !slices.Equal(vm.Members(), oracle.Members()) {
+		t.Errorf("Vmax = %v, enumeration = %v", vm.Members(), oracle.Members())
+	}
+}
+
+func buildGraph(n int, edges ...[2]graph.Node) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Build()
+}
+
+// TestVmaxAgainstEnumeration compares Vmax with the simple-path oracle on
+// random graphs of at most 10 nodes, every valid (s, t) pair.
+func TestVmaxAgainstEnumeration(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(8) // keep tiny: path enumeration is exponential
+		b := graph.NewBuilder(n)
+		for i := 0; i < 2*n; i++ {
+			b.AddEdge(graph.Node(r.Intn(n)), graph.Node(r.Intn(n)))
+		}
+		g := b.Build()
+		w := weights.NewDegree(g)
+		for s := graph.Node(0); s < graph.Node(n); s++ {
+			for tt := graph.Node(0); tt < graph.Node(n); tt++ {
+				in, err := ltm.NewInstance(g, w, s, tt)
+				if err != nil {
+					continue // s = t or adjacent
+				}
+				vm, err := Vmax(in)
+				if err != nil {
+					return false
+				}
+				if !slices.Equal(vm.Members(), vmaxByEnumeration(in).Members()) {
+					t.Logf("seed %d (s,t)=(%d,%d): Vmax %v, enumeration %v",
+						seed, s, tt, vm.Members(), vmaxByEnumeration(in).Members())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestVmaxTargetIsBoundary(t *testing.T) {
+	// s=0, N_s={1}; t=2 hangs off N_s directly and also via 1-3-4-2. The
+	// cycle 2-5-6 off t is on no simple z–t path.
+	g := buildGraph(7,
+		[2]graph.Node{0, 1}, [2]graph.Node{1, 2}, [2]graph.Node{1, 3},
+		[2]graph.Node{3, 4}, [2]graph.Node{4, 2},
+		[2]graph.Node{2, 5}, [2]graph.Node{5, 6}, [2]graph.Node{6, 2})
+	checkVmaxExact(t, g, 0, 2, 2, 3, 4)
+}
+
+func TestVmaxBoundaryReachedThroughNonRootParent(t *testing.T) {
+	// s=0, N_s={1}, boundary {2,4}. The DFS enters 2 from z and reaches
+	// the boundary node 4 through 3; only 4's back edge to z puts 3 and 4
+	// in the block of z–2, on the path to t=5 (z-4-3-2-5).
+	g := buildGraph(6,
+		[2]graph.Node{0, 1}, [2]graph.Node{1, 2}, [2]graph.Node{1, 4},
+		[2]graph.Node{2, 3}, [2]graph.Node{3, 4}, [2]graph.Node{2, 5})
+	checkVmaxExact(t, g, 0, 5, 2, 3, 4, 5)
+}
+
+func TestVmaxTwoBoundaryComponents(t *testing.T) {
+	// s=0, N_s={1,2}: 1 leads to t=4 via 3; 2 leads into the component
+	// {5,6}, which never reaches t.
+	g := buildGraph(7,
+		[2]graph.Node{0, 1}, [2]graph.Node{0, 2},
+		[2]graph.Node{1, 3}, [2]graph.Node{3, 4},
+		[2]graph.Node{2, 5}, [2]graph.Node{5, 6})
+	checkVmaxExact(t, g, 0, 4, 3, 4)
+}
+
+func TestVmaxBowtieCutVertex(t *testing.T) {
+	// s=0, N_s={1}, boundary {2}. Triangles {2,3,4} and {4,5,6} share the
+	// cut vertex 4 on the way to t=6; a third triangle {4,7,8} at the same
+	// cut vertex is off the path.
+	g := buildGraph(9,
+		[2]graph.Node{0, 1}, [2]graph.Node{1, 2},
+		[2]graph.Node{2, 3}, [2]graph.Node{3, 4}, [2]graph.Node{4, 2},
+		[2]graph.Node{4, 5}, [2]graph.Node{5, 6}, [2]graph.Node{6, 4},
+		[2]graph.Node{4, 7}, [2]graph.Node{7, 8}, [2]graph.Node{8, 4})
+	checkVmaxExact(t, g, 0, 6, 2, 3, 4, 5, 6)
+}
+
+func TestVmaxPendantBranch(t *testing.T) {
+	// s=0, N_s={1}; path 1-2-3 to t=3 with a branch 2-4 ending in the
+	// cycle 4-5-6: reachable from both sides, on no simple path.
+	g := buildGraph(7,
+		[2]graph.Node{0, 1}, [2]graph.Node{1, 2}, [2]graph.Node{2, 3},
+		[2]graph.Node{2, 4}, [2]graph.Node{4, 5}, [2]graph.Node{5, 6},
+		[2]graph.Node{6, 4})
+	checkVmaxExact(t, g, 0, 3, 2, 3)
+}
+
+func TestVmaxNoBoundary(t *testing.T) {
+	// s=0, N_s={1,2} linked only to s and each other: no G′ node borders
+	// N_s, so V_max is empty although t=3 has neighbors.
+	g := buildGraph(5,
+		[2]graph.Node{0, 1}, [2]graph.Node{0, 2}, [2]graph.Node{1, 2},
+		[2]graph.Node{3, 4})
+	checkVmaxExact(t, g, 0, 3)
+}
+
+// TestVmaxAllocs pins Vmax to a handful of O(n) scratch allocations, so
+// a rebuild of G′ (or any per-edge allocation) cannot creep back in.
+func TestVmaxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	g := randomConnected(5, 400, 800)
+	in := mustInstance(t, g, 0, 399)
+	if vm, err := Vmax(in); err != nil || vm.Len() == 0 {
+		t.Fatalf("Vmax = %v, %v: want a non-empty set", vm, err)
+	}
+	const maxAllocs = 8
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Vmax(in); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > maxAllocs {
+		t.Errorf("Vmax allocates %v per call, want ≤ %d", allocs, maxAllocs)
 	}
 }

@@ -1,8 +1,7 @@
 // Package graph provides the compact undirected-graph substrate used by the
 // active-friending library: a CSR (compressed sparse row) adjacency
-// representation, an incremental builder, traversals, connected and
-// biconnected components, a block-cut tree, and successive disjoint
-// shortest-path extraction.
+// representation, an incremental builder, traversals, connected
+// components, and successive disjoint shortest-path extraction.
 //
 // Graphs are simple (no self-loops, no parallel edges) and undirected;
 // influence weights are directional but derived from the structure by the

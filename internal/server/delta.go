@@ -177,6 +177,15 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 		return nil
 	}
 	sv.lruMu.Lock()
+	// e2 takes over e's LRU slot: a migration is not a use, and the
+	// walk's map-iteration order must not decide the eviction order. An
+	// entry not (or no longer) listed goes to the front, as acquire would
+	// have put it.
+	if e.elem != nil {
+		e2.elem = sv.lru.InsertBefore(e2, e.elem)
+	} else {
+		e2.elem = sv.lru.PushFront(e2)
+	}
 	if !e.evicted {
 		e.evicted = true
 		sv.bytes -= e.bytes
@@ -188,7 +197,6 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 	}
 	e2.bytes = e2.sess.MemBytes() + e2.eval.MemBytes()
 	sv.bytes += e2.bytes
-	e2.elem = sv.lru.PushFront(e2)
 	sv.lruMu.Unlock()
 
 	sv.poolsRepaired.Add(1)

@@ -120,6 +120,81 @@ func TestApplyDeltaNoOp(t *testing.T) {
 	}
 }
 
+// lruKeys lists the cached pairs from most to least recently used.
+func lruKeys(sv *Server) []pairKey {
+	sv.lruMu.Lock()
+	defer sv.lruMu.Unlock()
+	var out []pairKey
+	for el := sv.lru.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry).key)
+	}
+	return out
+}
+
+// TestApplyDeltaKeepsLRUOrder: a migrated pair takes over its old
+// entry's LRU slot, so a delta neither counts as a use nor lets the
+// pair walk's map-iteration order reshuffle eviction order. Servers fed
+// one query and delta sequence under an eviction budget therefore end
+// with identical counters.
+func TestApplyDeltaKeepsLRUOrder(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 10)
+	if len(pairs) < 10 {
+		t.Fatalf("only %d valid pairs", len(pairs))
+	}
+	d := testDelta(t, g, pairs, 2, 2)
+	query := func(sv *Server, pk pairKey) {
+		if _, err := sv.Pmax(ctx, pk.s, pk.t, 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Size the budget to hold about six of the ten pairs. One shard puts
+	// every pair in the map the delta walk iterates.
+	probe := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1})
+	query(probe, pairs[0])
+	budget := 6 * probe.Stats().BytesHeld
+
+	run := func() Stats {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, Shards: 1, MaxPoolBytes: budget})
+		for _, pk := range pairs {
+			query(sv, pk)
+		}
+		before := lruKeys(sv)
+		if len(before) < 3 || len(before) == len(pairs) {
+			t.Fatalf("budget keeps %d of %d pairs; want some evicted, several cached", len(before), len(pairs))
+		}
+		res, err := sv.ApplyDelta(ctx, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PairsMigrated != len(before) {
+			t.Fatalf("delta migrated %d of %d cached pairs", res.PairsMigrated, len(before))
+		}
+		if after := lruKeys(sv); !reflect.DeepEqual(after, before) {
+			t.Fatalf("LRU order changed across the delta:\n got %v\nwant %v", after, before)
+		}
+		// Replay the warm-up order: it starts with uncached pairs, so its
+		// first misses evict by the post-delta LRU order.
+		for _, pk := range pairs {
+			query(sv, pk)
+		}
+		for i := len(pairs) - 1; i >= 0; i-- {
+			query(sv, pairs[i])
+		}
+		return sv.Stats()
+	}
+	first := run()
+	if first.SessionsEvicted == 0 {
+		t.Fatal("no evictions: the budget does not bind")
+	}
+	for i := 0; i < 4; i++ {
+		if got := run(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d stats differ:\n got %+v\nwant %+v", i+1, got, first)
+		}
+	}
+}
+
 // TestApplyDeltaDissolvesPair: a delta that makes a served pair's (s,t)
 // adjacent drops the pair — its problem is solved — and later queries
 // for it fail cleanly at instance validation.
