@@ -99,6 +99,12 @@
 //	go http.ListenAndServe(":8080", nil)
 //	// curl -d '{"op":"solvemax","s":3,"t":91,"budget":5}' localhost:8080/v1/query
 //
+// The result types (Solution, MaxSolution, TopKResult, DeltaSummary,
+// ServerStats, …) are the protocol's own wire types, declared once in
+// internal/proto and aliased here: a facade answer marshals to exactly
+// the bytes of the matching protocol reply's result, and request
+// defaults are applied by the same code on both paths.
+//
 // cmd/afserve exposes the same protocol over line-delimited JSON on
 // stdin/stdout and (with -metrics-addr) over HTTP at /v1/query, with
 // graceful drain on SIGTERM.
@@ -137,7 +143,6 @@ package activefriending
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -271,51 +276,16 @@ type Options struct {
 	Unbounded bool
 }
 
-func (o Options) normalized() Options {
-	out := o
-	if out.Alpha == 0 {
-		out.Alpha = 0.1
-	}
-	if out.Eps == 0 {
-		out.Eps = 0.01
-	}
-	if out.N == 0 {
-		out.N = 100000
-	}
-	if out.MaxRealizations == 0 {
-		out.MaxRealizations = 200000
-	}
-	if out.MaxPmaxDraws == 0 {
-		out.MaxPmaxDraws = 2000000
-	}
-	if out.Unbounded {
-		out.MaxRealizations = 0
-		out.MaxPmaxDraws = 0
-	}
-	return out
-}
-
-// Solution is the output of Solve.
-type Solution struct {
-	// Invited is the invitation set I*, ascending, always containing the
-	// target.
-	Invited []Node
-	// PStar is the algorithm's estimate of p_max.
-	PStar float64
-	// VmaxSize is |V_max| (the α = 1 optimum size).
-	VmaxSize int
-	// Realizations is the pool size used; Covered of PoolType1 sampled
-	// type-1 realizations are covered by Invited.
-	Realizations int64
-	PoolType1    int
-	Covered      int
-}
+// Solution is the output of Solve. It is the wire type of the serving
+// protocol: a protocol reply's result marshals from the same value.
+type Solution = proto.Solution
 
 // ErrTargetUnreachable reports p_max ≈ 0: no invitation strategy works.
 var ErrTargetUnreachable = core.ErrTargetUnreachable
 
+// coreConfig is the RAF configuration of o with the defaults applied.
 func (o Options) coreConfig() core.Config {
-	return core.Config{
+	return server.SolveDefaults(core.Config{
 		Alpha:           o.Alpha,
 		Eps:             o.Eps,
 		N:               o.N,
@@ -324,46 +294,22 @@ func (o Options) coreConfig() core.Config {
 		MaxRealizations: o.MaxRealizations,
 		MaxPmaxDraws:    o.MaxPmaxDraws,
 		OverrideL:       o.Realizations,
-	}
-}
-
-func solutionFromResult(res *core.Result) *Solution {
-	return &Solution{
-		Invited:      res.Invited.Members(),
-		PStar:        res.PStar,
-		VmaxSize:     res.VmaxSize,
-		Realizations: res.LUsed,
-		PoolType1:    res.PoolType1,
-		Covered:      res.Covered,
-	}
+	}, o.Unbounded)
 }
 
 // Solve runs the RAF algorithm (Algorithm 4 of the paper). The result is
 // deterministic for a fixed Options.Seed regardless of Options.Workers.
 func (p *Problem) Solve(ctx context.Context, opts Options) (*Solution, error) {
-	o := opts.normalized()
-	res, err := core.RAF(ctx, p.in, o.coreConfig())
+	res, err := core.RAF(ctx, p.in, opts.coreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return solutionFromResult(res), nil
+	return proto.SolutionFrom(res), nil
 }
 
-// MaxSolution is the output of SolveMax.
-type MaxSolution struct {
-	// Invited is the chosen invitation set (size ≤ the budget).
-	Invited []Node
-	// EstimatedF estimates f(Invited) on draws decorrelated from the pool
-	// the greedy optimized over (the same stream family
-	// AcceptanceProbability uses), so it is an unbiased measurement of the
-	// returned set.
-	EstimatedF float64
-	// TrainF is the covered fraction of the solve pool itself — the
-	// quantity the greedy maximized. It is optimistically biased (the set
-	// was chosen to cover exactly these draws); the TrainF−EstimatedF gap
-	// is the overfit margin.
-	TrainF float64
-}
+// MaxSolution is the output of SolveMax; like Solution, it is the
+// protocol's wire type.
+type MaxSolution = proto.MaxSolution
 
 // SolveMax solves the *maximum* active friending variant (the problem of
 // Yang et al. that the paper's related work targets): maximize f(I)
@@ -390,11 +336,7 @@ func (p *Problem) SolveMax(ctx context.Context, budget int, realizations int64, 
 	if err != nil {
 		return nil, err
 	}
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}, nil
+	return proto.MaxSolutionFrom(res, f), nil
 }
 
 // Vmax returns the unique minimum invitation set achieving p_max
@@ -411,7 +353,7 @@ func (p *Problem) Vmax() ([]Node, error) {
 // Monte-Carlo samples (Corollary 1 of the paper). Deterministic per seed,
 // independent of the worker count.
 func (p *Problem) AcceptanceProbability(ctx context.Context, invited []Node, trials int64, seed int64) (float64, error) {
-	set, err := p.toSet(invited)
+	set, err := server.InvitedSet(p.in.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
@@ -422,7 +364,7 @@ func (p *Problem) AcceptanceProbability(ctx context.Context, invited []Node, tri
 // friending process (Process 1) directly — slower, used to cross-check the
 // reverse estimator (Lemma 1 guarantees agreement).
 func (p *Problem) AcceptanceProbabilityForward(ctx context.Context, invited []Node, trials int64, seed int64) (float64, error) {
-	set, err := p.toSet(invited)
+	set, err := server.InvitedSet(p.in.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
@@ -446,21 +388,6 @@ func (p *Problem) HighDegreeSet(k int) []Node {
 func (p *Problem) ShortestPathSet(k int) []Node {
 	order := baselines.ShortestPath{}.Rank(p.in)
 	return baselines.PrefixSet(p.in.Graph().NumNodes(), order, k).Members()
-}
-
-func (p *Problem) toSet(invited []Node) (*graph.NodeSet, error) {
-	return nodeSetOf(p.in.Graph(), invited)
-}
-
-func nodeSetOf(g *Graph, invited []Node) (*graph.NodeSet, error) {
-	set := graph.NewNodeSet(g.NumNodes())
-	for _, v := range invited {
-		if err := g.CheckNode(v); err != nil {
-			return nil, fmt.Errorf("activefriending: invited set: %w", err)
-		}
-		set.Add(v)
-	}
-	return set, nil
 }
 
 // IsUnreachable reports whether err indicates a pair with p_max ≈ 0.
@@ -492,12 +419,11 @@ func (p *Problem) NewSession(seed int64, workers int) *Session {
 
 // Solve runs the RAF algorithm against the session's cached pool.
 func (s *Session) Solve(ctx context.Context, opts Options) (*Solution, error) {
-	o := opts.normalized()
-	res, err := s.core.RAF(ctx, o.coreConfig())
+	res, err := s.core.RAF(ctx, opts.coreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return solutionFromResult(res), nil
+	return proto.SolutionFrom(res), nil
 }
 
 // SolveMax solves the budgeted maximum variant against the session's
@@ -505,41 +431,11 @@ func (s *Session) Solve(ctx context.Context, opts Options) (*Solution, error) {
 // pool size. EstimatedF is measured against the session's decorrelated
 // evaluation pool; the in-pool fraction the greedy optimized is TrainF.
 func (s *Session) SolveMax(ctx context.Context, budget int, realizations int64) (*MaxSolution, error) {
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := s.core.Pool(ctx, l)
+	res, f, err := server.SolveMaxOn(ctx, s.core, s.eval, budget, realizations)
 	if err != nil {
 		return nil, err
 	}
-	res, err := maxaf.SolveFromPool(ctx, s.p.in, budget, pool)
-	if err != nil {
-		return nil, err
-	}
-	f, err := s.eval.EstimateF(ctx, res.Invited, l)
-	if err != nil {
-		return nil, err
-	}
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}, nil
-}
-
-// maxSolutions pairs a budget sweep's solver results with their
-// decorrelated estimates.
-func maxSolutions(results []*maxaf.Result, fs []float64) []*MaxSolution {
-	out := make([]*MaxSolution, len(results))
-	for i, r := range results {
-		out[i] = &MaxSolution{
-			Invited:    r.Invited.Members(),
-			EstimatedF: fs[i],
-			TrainF:     r.CoveredFraction,
-		}
-	}
-	return out
+	return proto.MaxSolutionFrom(res, f), nil
 }
 
 // SolveMaxBudgets answers SolveMax for every budget in one shot against
@@ -549,34 +445,18 @@ func maxSolutions(results []*maxaf.Result, fs []float64) []*MaxSolution {
 // traversal per pool for the whole sweep. Results are identical to
 // calling SolveMax per budget.
 func (s *Session) SolveMaxBudgets(ctx context.Context, budgets []int, realizations int64) ([]*MaxSolution, error) {
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := s.core.Pool(ctx, l)
+	results, fs, err := server.SolveMaxBudgetsOn(ctx, s.core, s.eval, budgets, realizations)
 	if err != nil {
 		return nil, err
 	}
-	results, err := maxaf.SolveBudgetsFromPool(ctx, s.p.in, budgets, pool)
-	if err != nil {
-		return nil, err
-	}
-	sets := make([]*graph.NodeSet, len(results))
-	for i, r := range results {
-		sets[i] = r.Invited
-	}
-	fs, err := s.eval.EstimateFMany(ctx, sets, l)
-	if err != nil {
-		return nil, err
-	}
-	return maxSolutions(results, fs), nil
+	return proto.MaxSolutionsFrom(results, fs), nil
 }
 
 // AcceptanceProbability estimates f(invited) as a coverage query against
 // the session's evaluation pool (grown to at least trials draws), so
 // repeated measurements share draws and the pool's coverage index.
 func (s *Session) AcceptanceProbability(ctx context.Context, invited []Node, trials int64) (float64, error) {
-	set, err := s.p.toSet(invited)
+	set, err := server.InvitedSet(s.p.in.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
@@ -619,27 +499,12 @@ type PmaxEstimate struct {
 // the tighter accuracy. Deterministic per seed, independent of the
 // worker count. Solve's internal p_max step shares the same ledger.
 func (s *Session) EstimatePmax(ctx context.Context, eps0, n float64, maxDraws int64) (*PmaxEstimate, error) {
-	e0, bigN, budget := pmaxDefaults(eps0, n, maxDraws)
+	e0, bigN, budget := server.PmaxDefaults(eps0, n, maxDraws)
 	res, err := s.core.EstimatePmax(ctx, e0, bigN, budget)
 	if err != nil {
 		return nil, err
 	}
 	return pmaxEstimateFrom(res), nil
-}
-
-// pmaxDefaults normalizes EstimatePmax parameters (shared by Session and
-// Server).
-func pmaxDefaults(eps0, n float64, maxDraws int64) (float64, float64, int64) {
-	if eps0 == 0 {
-		eps0 = 0.1
-	}
-	if n == 0 {
-		n = 100000
-	}
-	if maxDraws <= 0 {
-		maxDraws = 2000000
-	}
-	return eps0, n, maxDraws
 }
 
 func pmaxEstimateFrom(res engine.PmaxResult) *PmaxEstimate {
@@ -853,12 +718,11 @@ func (sv *Server) Warm() (int, error) { return sv.sv.Warm() }
 // streams govern, so the result is a pure function of (ServerConfig.Seed,
 // s, t) and the solve parameters.
 func (sv *Server) Solve(ctx context.Context, s, t Node, opts Options) (*Solution, error) {
-	o := opts.normalized()
-	res, err := sv.sv.Solve(ctx, s, t, o.coreConfig())
+	res, err := sv.sv.Solve(ctx, s, t, opts.coreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return solutionFromResult(res), nil
+	return proto.SolutionFrom(res), nil
 }
 
 // SolveMax solves the budgeted maximum variant for (s, t) against the
@@ -869,11 +733,7 @@ func (sv *Server) SolveMax(ctx context.Context, s, t Node, budget int, realizati
 	if err != nil {
 		return nil, err
 	}
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}, nil
+	return proto.MaxSolutionFrom(res, f), nil
 }
 
 // SolveMaxBudgets answers a whole SolveMax budget sweep for (s, t) in one
@@ -886,7 +746,7 @@ func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t Node, budgets []int,
 	if err != nil {
 		return nil, err
 	}
-	return maxSolutions(results, fs), nil
+	return proto.MaxSolutionsFrom(results, fs), nil
 }
 
 // TopKOptions parameterizes one batched ranking request.
@@ -905,88 +765,12 @@ type TopKOptions struct {
 }
 
 // TopKCandidate is one candidate target's standing after a TopK run.
-type TopKCandidate struct {
-	Target Node
-	// Score is the decorrelated estimate of the acceptance probability
-	// of Invited at Effort draws — what candidates are ranked on.
-	// TrainF is the biased in-pool fraction of the same solve.
-	Score  float64
-	TrainF float64
-	// Invited is the candidate's last chosen invitation set (nil if it
-	// never scored).
-	Invited []Node
-	// Effort is the pool size the candidate was last scored at — its
-	// confidence; Rounds its scheduling rounds; Frozen marks
-	// candidates eliminated before the final round.
-	Effort int64
-	Rounds int
-	Frozen bool
-	// Err is the scoring failure that froze the candidate, if any
-	// (e.g. the target is the source, or already adjacent to it).
-	Err string
-}
+type TopKCandidate = proto.TopKCandidate
 
-// TopKResult is a finished batched ranking.
-type TopKResult struct {
-	Source Node
-	K      int
-	// Winners are the top min(K, scored) candidates, best first, each
-	// scored at the schedule's final effort. Candidates holds every
-	// target's standing in input order; Ranked lists input indices
-	// best-first.
-	Winners    []TopKCandidate
-	Candidates []TopKCandidate
-	Ranked     []int
-	// Rounds is the number of halving rounds run. DrawsSpent is the
-	// measured draw bill; PlannedDraws the schedule's a-priori bill;
-	// ExhaustiveDraws what independent full-effort SolveMax calls
-	// would have planned. Truncated reports that MaxDraws forced even
-	// the winners below full effort — TopKRefine can finish the job.
-	Rounds          int
-	DrawsSpent      int64
-	PlannedDraws    int64
-	ExhaustiveDraws int64
-	Truncated       bool
-
-	inner *server.TopKResult // retained so TopKRefine can resume
-}
-
-func topKResultFrom(source Node, k int, res *server.TopKResult) *TopKResult {
-	conv := func(c server.TopKCandidate) TopKCandidate {
-		out := TopKCandidate{
-			Target: c.Target,
-			Score:  c.Score,
-			TrainF: c.TrainF,
-			Effort: c.Effort,
-			Rounds: c.Rounds,
-			Frozen: c.Frozen,
-			Err:    c.Err,
-		}
-		if c.Invited != nil {
-			out.Invited = c.Invited.Members()
-		}
-		return out
-	}
-	r := &TopKResult{
-		Source:          source,
-		K:               k,
-		Candidates:      make([]TopKCandidate, len(res.Candidates)),
-		Ranked:          res.Ranked,
-		Rounds:          res.Rounds,
-		DrawsSpent:      res.DrawsSpent,
-		PlannedDraws:    res.PlannedDraws,
-		ExhaustiveDraws: res.ExhaustiveDraws,
-		Truncated:       res.Truncated,
-		inner:           res,
-	}
-	for i, c := range res.Candidates {
-		r.Candidates[i] = conv(c)
-	}
-	for _, wi := range res.Winners() {
-		r.Winners = append(r.Winners, r.Candidates[wi])
-	}
-	return r
-}
+// TopKResult is a finished batched ranking (the protocol's topk wire
+// type). It retains the schedule it ran, so TopKRefine can resume it;
+// the retained state is unexported and never marshaled.
+type TopKResult = proto.TopKResult
 
 // TopK ranks candidate targets for one source as a single scheduled
 // batch and returns the best k, spending at most opts.MaxDraws
@@ -1001,22 +785,18 @@ func topKResultFrom(source Node, k int, res *server.TopKResult) *TopKResult {
 // what full effort would conclude, only how cheaply the batch gets
 // there.
 func (sv *Server) TopK(ctx context.Context, source Node, targets []Node, k int, opts TopKOptions) (*TopKResult, error) {
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = 10
-	}
-	res, err := sv.sv.TopK(ctx, server.TopKQuery{
+	res, err := sv.sv.TopK(ctx, server.TopKDefaults(server.TopKQuery{
 		S:            source,
 		Targets:      targets,
 		K:            k,
-		Budget:       budget,
+		Budget:       opts.Budget,
 		Realizations: opts.Realizations,
 		MaxDraws:     opts.MaxDraws,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
-	return topKResultFrom(source, k, res), nil
+	return proto.TopKResultFrom(res), nil
 }
 
 // TopKRefine resumes a finished TopK run with extraDraws more budget:
@@ -1025,20 +805,21 @@ func (sv *Server) TopK(ctx context.Context, source Node, targets []Node, k int, 
 // anytime contract. The refined result equals what a cold TopK at the
 // combined budget would return.
 func (sv *Server) TopKRefine(ctx context.Context, prev *TopKResult, extraDraws int64) (*TopKResult, error) {
-	if prev == nil || prev.inner == nil {
+	inner := proto.TopKState(prev)
+	if inner == nil {
 		return nil, errors.New("activefriending: TopKRefine needs a result returned by TopK")
 	}
-	res, err := sv.sv.TopKRefine(ctx, prev.inner, extraDraws)
+	res, err := sv.sv.TopKRefine(ctx, inner, extraDraws)
 	if err != nil {
 		return nil, err
 	}
-	return topKResultFrom(prev.Source, prev.K, res), nil
+	return proto.TopKResultFrom(res), nil
 }
 
 // AcceptanceProbability estimates f(invited) for the pair (s, t) against
 // its cached evaluation pool.
 func (sv *Server) AcceptanceProbability(ctx context.Context, s, t Node, invited []Node, trials int64) (float64, error) {
-	set, err := nodeSetOf(sv.sv.Graph(), invited)
+	set, err := server.InvitedSet(sv.sv.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
@@ -1063,26 +844,7 @@ type Edge = graph.Edge
 type Delta = graph.Delta
 
 // DeltaSummary reports what one ApplyDelta did.
-type DeltaSummary struct {
-	// Dirty is the sorted set of nodes whose edges actually changed;
-	// empty for a no-op delta, which advances no epoch.
-	Dirty []Node
-	// NumNodes and NumEdges describe the new epoch's graph.
-	NumNodes int
-	NumEdges int64
-	// PairsMigrated counts cached pairs carried across the epoch by
-	// repair; PairsDropped those dissolved because s and t became
-	// adjacent (their friending problem is solved).
-	PairsMigrated int
-	PairsDropped  int
-	// RepairChunksResampled and RepairDrawsResampled are the pool chunks
-	// and draws the migration re-drew; RepairDrawsSaved the draws
-	// adopted verbatim — what discarding every pool would have cost on
-	// top.
-	RepairChunksResampled int
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-}
+type DeltaSummary = proto.DeltaSummary
 
 // ApplyDelta mutates the served graph: the delta's edges are added and
 // removed atomically, producing the next epoch, and every cached pair
@@ -1109,16 +871,7 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *Delta) (*DeltaSummary, erro
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaSummary{
-		Dirty:                 res.Dirty,
-		NumNodes:              res.NumNodes,
-		NumEdges:              res.NumEdges,
-		PairsMigrated:         res.PairsMigrated,
-		PairsDropped:          res.PairsDropped,
-		RepairChunksResampled: res.Repair.Resampled,
-		RepairDrawsResampled:  res.Repair.DrawsResampled,
-		RepairDrawsSaved:      res.Repair.DrawsSaved,
-	}, nil
+	return proto.DeltaSummaryFrom(res), nil
 }
 
 // Pmax estimates p_max for the pair (s, t) from its evaluation pool (the
@@ -1135,7 +888,7 @@ func (sv *Server) Pmax(ctx context.Context, s, t Node, trials int64) (float64, e
 // process paid for; the cumulative reuse is ledgered in
 // ServerStats.PmaxDrawsReused.
 func (sv *Server) EstimatePmax(ctx context.Context, s, t Node, eps0, n float64, maxDraws int64) (*PmaxEstimate, error) {
-	e0, bigN, budget := pmaxDefaults(eps0, n, maxDraws)
+	e0, bigN, budget := server.PmaxDefaults(eps0, n, maxDraws)
 	res, err := sv.sv.PmaxEstimate(ctx, s, t, e0, bigN, budget)
 	if err != nil {
 		return nil, err
@@ -1146,133 +899,14 @@ func (sv *Server) EstimatePmax(ctx context.Context, s, t Node, eps0, n float64, 
 // ServerKindStats is the hit/miss tally for one query kind: a hit found
 // the pair's session cached; a miss created it (including re-creation
 // after eviction).
-type ServerKindStats struct {
-	Hits   int64
-	Misses int64
-}
+type ServerKindStats = proto.KindStats
 
-// ServerStats is the server's observability ledger.
-type ServerStats struct {
-	// SessionsLive counts currently cached pair sessions;
-	// SessionsCreated and SessionsEvicted are lifetime counters (a pair
-	// recreated after eviction counts as created again). An eviction is
-	// counted exactly when its pair leaves the cache, so at quiescence
-	// SessionsLive == SessionsCreated − SessionsEvicted.
-	SessionsLive    int
-	SessionsCreated int64
-	SessionsEvicted int64
-	// BytesHeld is the accounted size of all cached pair state; after an
-	// eviction pass it never exceeds ServerConfig.MaxPoolBytes.
-	BytesHeld int64
-	// Spills counts evictions (and SpillAll flushes) that wrote a pair's
-	// pools to ServerConfig.SpillDir, totalling SpillBytes on disk;
-	// SpillLoads counts re-admissions restored from a spill file
-	// (SpillLoadBytes read) instead of resampled, and SpillDrawsSaved
-	// totals the pool draws those loads avoided — the load-vs-resample
-	// win. SpillLoadErrors counts rejected or unreadable spill files,
-	// split by cause — checksum failures, format-version skew,
-	// stream-identity mismatches (wrong Seed), instance mismatches (a
-	// graph the epoch lineage doesn't know), and everything else —
-	// SpillWriteErrors failed snapshot writes (the previous file, if
-	// any, survives); the affected pairs resampled, which changes no
-	// answer.
-	Spills               int64
-	SpillBytes           int64
-	SpillLoads           int64
-	SpillLoadBytes       int64
-	SpillDrawsSaved      int64
-	SpillLoadErrors      int64
-	SpillLoadErrChecksum int64
-	SpillLoadErrVersion  int64
-	SpillLoadErrStream   int64
-	SpillLoadErrInstance int64
-	SpillLoadErrOther    int64
-	SpillWriteErrors     int64
-	// SpillFilesExpired counts spill files deleted by the TTL sweep
-	// (ServerConfig.SpillTTL); the affected pairs resample on their next
-	// query, which changes no answer.
-	SpillFilesExpired int64
-	// DeltasApplied counts effective ApplyDelta calls; PairsDropped the
-	// pairs deltas dissolved. PoolsRepaired counts pair migrations and
-	// stale-spill loads carried across epochs by repair, re-drawing
-	// RepairChunksResampled chunks (RepairDrawsResampled draws) while
-	// adopting RepairDrawsSaved draws verbatim — the repair-vs-discard
-	// win.
-	DeltasApplied         int64
-	PairsDropped          int64
-	PoolsRepaired         int64
-	RepairChunksResampled int64
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
-	// Solve and EstimatePmax answered from retained estimator ledgers
-	// instead of resampling — the p_max refinement win.
-	PmaxDrawsReused int64
-	// Coalesced counts queries that joined an identical concurrent
-	// in-flight query (same pair, parameters and graph epoch) and
-	// shared its answer instead of paying their own computation.
-	Coalesced int64
-	// Inflight and Queued are the admission gate's current occupancy
-	// (queries executing / waiting for a slot); Admitted and Rejected
-	// are lifetime counters. All zero without ServerConfig.MaxInflight.
-	Inflight int
-	Queued   int
-	Admitted int64
-	Rejected int64
-	// Per-query-kind hit/miss tallies. TopK counts per-candidate
-	// session acquisitions of batched ranking rounds.
-	Solve                 ServerKindStats
-	SolveMax              ServerKindStats
-	AcceptanceProbability ServerKindStats
-	Pmax                  ServerKindStats
-	EstimatePmax          ServerKindStats
-	TopK                  ServerKindStats
-}
+// ServerStats is the server's observability ledger — the payload of the
+// protocol's stats op.
+type ServerStats = proto.Stats
 
 // Stats returns a snapshot of the server's ledger.
-func (sv *Server) Stats() ServerStats {
-	st := sv.sv.Stats()
-	conv := func(k server.Kind) ServerKindStats {
-		return ServerKindStats{Hits: st.ByKind[k].Hits, Misses: st.ByKind[k].Misses}
-	}
-	return ServerStats{
-		SessionsLive:          st.SessionsLive,
-		SessionsCreated:       st.SessionsCreated,
-		SessionsEvicted:       st.SessionsEvicted,
-		BytesHeld:             st.BytesHeld,
-		Spills:                st.Spills,
-		SpillBytes:            st.SpillBytes,
-		SpillLoads:            st.SpillLoads,
-		SpillLoadBytes:        st.SpillLoadBytes,
-		SpillDrawsSaved:       st.SpillDrawsSaved,
-		SpillLoadErrors:       st.SpillLoadErrors,
-		SpillLoadErrChecksum:  st.SpillLoadErrChecksum,
-		SpillLoadErrVersion:   st.SpillLoadErrVersion,
-		SpillLoadErrStream:    st.SpillLoadErrStream,
-		SpillLoadErrInstance:  st.SpillLoadErrInstance,
-		SpillLoadErrOther:     st.SpillLoadErrOther,
-		SpillWriteErrors:      st.SpillWriteErrors,
-		SpillFilesExpired:     st.SpillFilesExpired,
-		PmaxDrawsReused:       st.PmaxDrawsReused,
-		Coalesced:             st.Coalesced,
-		Inflight:              st.Inflight,
-		Queued:                st.Queued,
-		Admitted:              st.Admitted,
-		Rejected:              st.Rejected,
-		DeltasApplied:         st.DeltasApplied,
-		PairsDropped:          st.PairsDropped,
-		PoolsRepaired:         st.PoolsRepaired,
-		RepairChunksResampled: st.RepairChunksResampled,
-		RepairDrawsResampled:  st.RepairDrawsResampled,
-		RepairDrawsSaved:      st.RepairDrawsSaved,
-		Solve:                 conv(server.KindSolve),
-		SolveMax:              conv(server.KindSolveMax),
-		AcceptanceProbability: conv(server.KindEstimateF),
-		Pmax:                  conv(server.KindPmax),
-		EstimatePmax:          conv(server.KindPmaxEst),
-		TopK:                  conv(server.KindTopK),
-	}
-}
+func (sv *Server) Stats() ServerStats { return proto.StatsFrom(sv.sv.Stats()) }
 
 // SessionStats exposes the session's sampling ledger, making pool reuse
 // observable: after an α-sweep, PoolDraws equals the pool size rather

@@ -17,10 +17,12 @@ import (
 // (internal/proto/httpapi) drive the same Dispatcher, so a request
 // produces the same reply bytes on either.
 //
-// Parameter defaulting (solve's α/ε/N, acceptance's trials, topk's
-// budget, pmaxest's stopping-rule knobs) replicates the public facade's
-// normalization exactly — the dispatcher must answer what the facade
-// would, since both are views of the same server.
+// Parameter defaulting (solve's α/ε/N and caps, topk's budget,
+// pmaxest's stopping-rule knobs) and invited-set validation call the
+// same internal/server functions the public facade calls, and replies
+// carry the facade's own result types, so the dispatcher answers what
+// the facade would: both are views of the same server. Only the
+// trials default of "acceptance" and "pmax" is the protocol's own.
 type Dispatcher struct {
 	sv *server.Server
 
@@ -47,71 +49,16 @@ func NewDispatcher(sv *server.Server) *Dispatcher {
 // request omits trials.
 const defaultTrials = 20000
 
-// solveConfig replicates activefriending.Options.normalized() +
-// coreConfig() for the wire's (alpha, eps, n, realizations) fields.
-func solveConfig(req Request) core.Config {
-	cfg := core.Config{
-		Alpha:           req.Alpha,
-		Eps:             req.Eps,
-		N:               req.N,
-		MaxRealizations: 200000,
-		MaxPmaxDraws:    2000000,
-		OverrideL:       req.Realizations,
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
-	}
-	if cfg.Eps == 0 {
-		cfg.Eps = 0.01
-	}
-	if cfg.N == 0 {
-		cfg.N = 100000
-	}
-	return cfg
-}
-
-// pmaxDefaults replicates the facade's EstimatePmax normalization.
-func pmaxDefaults(eps0, n float64, maxDraws int64) (float64, float64, int64) {
-	if eps0 == 0 {
-		eps0 = 0.1
-	}
-	if n == 0 {
-		n = 100000
-	}
-	if maxDraws <= 0 {
-		maxDraws = 2000000
-	}
-	return eps0, n, maxDraws
-}
-
-// nodeSetOf replicates the facade's invited-set validation, including
-// its error prefix: the reply string is wire format.
-func nodeSetOf(g *graph.Graph, invited []graph.Node) (*graph.NodeSet, error) {
-	set := graph.NewNodeSet(g.NumNodes())
-	for _, v := range invited {
-		if err := g.CheckNode(v); err != nil {
-			return nil, fmt.Errorf("activefriending: invited set: %w", err)
-		}
-		set.Add(v)
-	}
-	return set, nil
-}
-
-// topkQuery builds the server query for a "topk"/"topkrefine" request,
-// applying the facade's budget default.
+// topkQuery builds the server query for a "topk"/"topkrefine" request.
 func topkQuery(req Request) server.TopKQuery {
-	budget := req.Budget
-	if budget <= 0 {
-		budget = 10
-	}
-	return server.TopKQuery{
+	return server.TopKDefaults(server.TopKQuery{
 		S:            req.S,
 		Targets:      req.Targets,
 		K:            req.K,
-		Budget:       budget,
+		Budget:       req.Budget,
 		Realizations: req.Realizations,
 		MaxDraws:     req.MaxDraws,
-	}
+	})
 }
 
 // topkKey is the refine-cache signature of a topk query; MaxDraws is
@@ -161,9 +108,10 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 	switch req.Op {
 	case "solve":
 		var res *core.Result
-		res, err = d.sv.Solve(ctx, req.S, req.T, solveConfig(req))
+		cfg := core.Config{Alpha: req.Alpha, Eps: req.Eps, N: req.N, OverrideL: req.Realizations}
+		res, err = d.sv.Solve(ctx, req.S, req.T, server.SolveDefaults(cfg, false))
 		if err == nil {
-			result = solutionFrom(res)
+			result = SolutionFrom(res)
 		}
 	case "solvemax":
 		// A "budgets" list answers the whole sweep from one pool fold and
@@ -172,18 +120,18 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 			rs, fs, err2 := d.sv.SolveMaxBudgets(ctx, req.S, req.T, req.Budgets, req.Realizations)
 			err = err2
 			if err == nil {
-				result = maxSolutionsFrom(rs, fs)
+				result = MaxSolutionsFrom(rs, fs)
 			}
 		} else {
 			res, f, err2 := d.sv.SolveMax(ctx, req.S, req.T, req.Budget, req.Realizations)
 			err = err2
 			if err == nil {
-				result = maxSolutionFrom(res, f)
+				result = MaxSolutionFrom(res, f)
 			}
 		}
 	case "acceptance":
 		var set *graph.NodeSet
-		set, err = nodeSetOf(d.sv.Graph(), req.Invited)
+		set, err = server.InvitedSet(d.sv.Graph(), req.Invited)
 		if err == nil {
 			var f float64
 			f, err = d.sv.EstimateF(ctx, req.S, req.T, set, trials)
@@ -194,7 +142,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		f, err = d.sv.Pmax(ctx, req.S, req.T, trials)
 		result = map[string]float64{"pmax": f}
 	case "pmaxest":
-		e0, n, budget := pmaxDefaults(req.Eps, req.N, req.Trials)
+		e0, n, budget := server.PmaxDefaults(req.Eps, req.N, req.Trials)
 		est, err2 := d.sv.PmaxEstimate(ctx, req.S, req.T, e0, n, budget)
 		err = err2
 		if err == nil {
@@ -209,7 +157,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		res, err = d.sv.TopK(ctx, q)
 		if err == nil {
 			d.retainTopK(topkKey(q), res)
-			result = topKResultFrom(res)
+			result = TopKResultFrom(res)
 		}
 	case "topkrefine":
 		q := topkQuery(req)
@@ -222,7 +170,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		res, err = d.sv.TopKRefine(ctx, prev, req.ExtraDraws)
 		if err == nil {
 			d.retainTopK(topkKey(q), res)
-			result = topKResultFrom(res)
+			result = TopKResultFrom(res)
 		}
 	case "delta":
 		// Mutate the served graph in place: cached pairs are migrated
@@ -238,10 +186,10 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		var res *server.DeltaResult
 		res, err = d.sv.ApplyDelta(ctx, gd, nil)
 		if err == nil {
-			result = deltaSummaryFrom(res)
+			result = DeltaSummaryFrom(res)
 		}
 	case "stats":
-		st := statsFrom(d.sv)
+		st := StatsFrom(d.sv.Stats())
 		if o := d.sv.Obs(); o != nil {
 			result = StatsWithMetrics{Stats: st, Metrics: o.Registry.Snapshot()}
 		} else {

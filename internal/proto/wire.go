@@ -8,26 +8,32 @@ import (
 	"repro/internal/server"
 )
 
-// The result shapes below mirror the public facade's types (package
-// activefriending: Solution, MaxSolution, TopKCandidate/TopKResult,
-// DeltaSummary, ServerStats) field for field, in declaration order —
-// the wire format is their JSON marshaling, and the facade cannot be
-// imported here (it imports internal/proto/httpapi for Server.Handler,
-// which imports this package). TestWireMirrorsFacade in the repo root
-// pins every pair byte-identical, so a facade field added without its
-// mirror fails there, not on a client.
+// The result shapes below are the only declaration of the serving
+// layer's answers: the wire format is their JSON marshaling, and the
+// public facade (package activefriending) re-exports them as type
+// aliases (Solution, MaxSolution, TopKCandidate, TopKResult,
+// DeltaSummary, ServerKindStats, ServerStats). The converters below
+// serve both the Dispatcher and the facade, so a library caller and a
+// protocol client receive the same values — and the same bytes.
 
-// Solution mirrors activefriending.Solution.
+// Solution is the output of a RAF solve (Algorithm 4).
 type Solution struct {
-	Invited      []graph.Node
-	PStar        float64
-	VmaxSize     int
+	// Invited is the invitation set I*, ascending, always containing the
+	// target.
+	Invited []graph.Node
+	// PStar is the algorithm's estimate of p_max.
+	PStar float64
+	// VmaxSize is |V_max| (the α = 1 optimum size).
+	VmaxSize int
+	// Realizations is the pool size used; Covered of PoolType1 sampled
+	// type-1 realizations are covered by Invited.
 	Realizations int64
 	PoolType1    int
 	Covered      int
 }
 
-func solutionFrom(res *core.Result) *Solution {
+// SolutionFrom shapes a RAF result.
+func SolutionFrom(res *core.Result) *Solution {
 	return &Solution{
 		Invited:      res.Invited.Members(),
 		PStar:        res.PStar,
@@ -38,14 +44,24 @@ func solutionFrom(res *core.Result) *Solution {
 	}
 }
 
-// MaxSolution mirrors activefriending.MaxSolution.
+// MaxSolution is the output of a budgeted maximum solve.
 type MaxSolution struct {
-	Invited    []graph.Node
+	// Invited is the chosen invitation set (size ≤ the budget).
+	Invited []graph.Node
+	// EstimatedF estimates f(Invited) on draws decorrelated from the pool
+	// the greedy optimized over (the same stream family acceptance
+	// measurements use), so it is an unbiased measurement of the
+	// returned set.
 	EstimatedF float64
-	TrainF     float64
+	// TrainF is the covered fraction of the solve pool itself — the
+	// quantity the greedy maximized. It is optimistically biased (the set
+	// was chosen to cover exactly these draws); the TrainF−EstimatedF gap
+	// is the overfit margin.
+	TrainF float64
 }
 
-func maxSolutionFrom(res *maxaf.Result, f float64) *MaxSolution {
+// MaxSolutionFrom pairs a budgeted solve with its decorrelated estimate f.
+func MaxSolutionFrom(res *maxaf.Result, f float64) *MaxSolution {
 	return &MaxSolution{
 		Invited:    res.Invited.Members(),
 		EstimatedF: f,
@@ -53,41 +69,66 @@ func maxSolutionFrom(res *maxaf.Result, f float64) *MaxSolution {
 	}
 }
 
-func maxSolutionsFrom(results []*maxaf.Result, fs []float64) []*MaxSolution {
+// MaxSolutionsFrom shapes a budget sweep: results[i] with estimate fs[i].
+func MaxSolutionsFrom(results []*maxaf.Result, fs []float64) []*MaxSolution {
 	out := make([]*MaxSolution, len(results))
 	for i, r := range results {
-		out[i] = maxSolutionFrom(r, fs[i])
+		out[i] = MaxSolutionFrom(r, fs[i])
 	}
 	return out
 }
 
-// TopKCandidate mirrors activefriending.TopKCandidate.
+// TopKCandidate is one candidate target's standing after a TopK run.
 type TopKCandidate struct {
-	Target  graph.Node
-	Score   float64
-	TrainF  float64
+	Target graph.Node
+	// Score is the decorrelated estimate of the acceptance probability
+	// of Invited at Effort draws — what candidates are ranked on.
+	// TrainF is the biased in-pool fraction of the same solve.
+	Score  float64
+	TrainF float64
+	// Invited is the candidate's last chosen invitation set (nil if it
+	// never scored).
 	Invited []graph.Node
-	Effort  int64
-	Rounds  int
-	Frozen  bool
-	Err     string
+	// Effort is the pool size the candidate was last scored at — its
+	// confidence; Rounds its scheduling rounds; Frozen marks
+	// candidates eliminated before the final round.
+	Effort int64
+	Rounds int
+	Frozen bool
+	// Err is the scoring failure that froze the candidate, if any
+	// (e.g. the target is the source, or already adjacent to it).
+	Err string
 }
 
-// TopKResult mirrors activefriending.TopKResult.
+// TopKResult is a finished batched ranking.
 type TopKResult struct {
-	Source          graph.Node
-	K               int
-	Winners         []TopKCandidate
-	Candidates      []TopKCandidate
-	Ranked          []int
+	Source graph.Node
+	K      int
+	// Winners are the top min(K, scored) candidates, best first, each
+	// scored at the schedule's final effort. Candidates holds every
+	// target's standing in input order; Ranked lists input indices
+	// best-first.
+	Winners    []TopKCandidate
+	Candidates []TopKCandidate
+	Ranked     []int
+	// Rounds is the number of halving rounds run. DrawsSpent is the
+	// measured draw bill; PlannedDraws the schedule's a-priori bill;
+	// ExhaustiveDraws what independent full-effort SolveMax calls
+	// would have planned. Truncated reports that MaxDraws forced even
+	// the winners below full effort — a refinement can finish the job.
 	Rounds          int
 	DrawsSpent      int64
 	PlannedDraws    int64
 	ExhaustiveDraws int64
 	Truncated       bool
+
+	// server is the result this one was shaped from, retained so a
+	// refinement can resume its schedule; unexported, so off the wire.
+	server *server.TopKResult
 }
 
-func topKResultFrom(res *server.TopKResult) *TopKResult {
+// TopKResultFrom shapes a server ranking, retaining it for TopKState.
+func TopKResultFrom(res *server.TopKResult) *TopKResult {
 	conv := func(c server.TopKCandidate) TopKCandidate {
 		out := TopKCandidate{
 			Target: c.Target,
@@ -113,6 +154,7 @@ func topKResultFrom(res *server.TopKResult) *TopKResult {
 		PlannedDraws:    res.PlannedDraws,
 		ExhaustiveDraws: res.ExhaustiveDraws,
 		Truncated:       res.Truncated,
+		server:          res,
 	}
 	for i, c := range res.Candidates {
 		r.Candidates[i] = conv(c)
@@ -123,19 +165,40 @@ func topKResultFrom(res *server.TopKResult) *TopKResult {
 	return r
 }
 
-// DeltaSummary mirrors activefriending.DeltaSummary.
+// TopKState returns the server ranking r was shaped from — what
+// Server.TopKRefine resumes — or nil when r is nil or was not built by
+// TopKResultFrom.
+func TopKState(r *TopKResult) *server.TopKResult {
+	if r == nil {
+		return nil
+	}
+	return r.server
+}
+
+// DeltaSummary reports what one graph delta did.
 type DeltaSummary struct {
-	Dirty                 []graph.Node
-	NumNodes              int
-	NumEdges              int64
-	PairsMigrated         int
-	PairsDropped          int
+	// Dirty is the sorted set of nodes whose edges actually changed;
+	// empty for a no-op delta, which advances no epoch.
+	Dirty []graph.Node
+	// NumNodes and NumEdges describe the new epoch's graph.
+	NumNodes int
+	NumEdges int64
+	// PairsMigrated counts cached pairs carried across the epoch by
+	// repair; PairsDropped those dissolved because s and t became
+	// adjacent (their friending problem is solved).
+	PairsMigrated int
+	PairsDropped  int
+	// RepairChunksResampled and RepairDrawsResampled are the pool chunks
+	// and draws the migration re-drew; RepairDrawsSaved the draws
+	// adopted verbatim — what discarding every pool would have cost on
+	// top.
 	RepairChunksResampled int
 	RepairDrawsResampled  int64
 	RepairDrawsSaved      int64
 }
 
-func deltaSummaryFrom(res *server.DeltaResult) *DeltaSummary {
+// DeltaSummaryFrom shapes a server delta result.
+func DeltaSummaryFrom(res *server.DeltaResult) *DeltaSummary {
 	return &DeltaSummary{
 		Dirty:                 res.Dirty,
 		NumNodes:              res.NumNodes,
@@ -148,43 +211,85 @@ func deltaSummaryFrom(res *server.DeltaResult) *DeltaSummary {
 	}
 }
 
-// KindStats mirrors activefriending.ServerKindStats.
+// KindStats is the hit/miss tally for one query kind: a hit found the
+// pair's session cached; a miss created it (including re-creation
+// after eviction).
 type KindStats struct {
 	Hits   int64
 	Misses int64
 }
 
-// Stats mirrors activefriending.ServerStats.
+// Stats is the server's observability ledger.
 type Stats struct {
-	SessionsLive          int
-	SessionsCreated       int64
-	SessionsEvicted       int64
-	BytesHeld             int64
-	Spills                int64
-	SpillBytes            int64
-	SpillLoads            int64
-	SpillLoadBytes        int64
-	SpillDrawsSaved       int64
-	SpillLoadErrors       int64
-	SpillLoadErrChecksum  int64
-	SpillLoadErrVersion   int64
-	SpillLoadErrStream    int64
-	SpillLoadErrInstance  int64
-	SpillLoadErrOther     int64
-	SpillWriteErrors      int64
-	SpillFilesExpired     int64
+	// SessionsLive counts currently cached pair sessions;
+	// SessionsCreated and SessionsEvicted are lifetime counters (a pair
+	// recreated after eviction counts as created again). An eviction is
+	// counted exactly when its pair leaves the cache, so at quiescence
+	// SessionsLive == SessionsCreated − SessionsEvicted.
+	SessionsLive    int
+	SessionsCreated int64
+	SessionsEvicted int64
+	// BytesHeld is the accounted size of all cached pair state; after an
+	// eviction pass it never exceeds the configured pool byte budget.
+	BytesHeld int64
+	// Spills counts evictions (and SpillAll flushes) that wrote a pair's
+	// pools to the spill directory, totalling SpillBytes on disk;
+	// SpillLoads counts re-admissions restored from a spill file
+	// (SpillLoadBytes read) instead of resampled, and SpillDrawsSaved
+	// totals the pool draws those loads avoided — the load-vs-resample
+	// win. SpillLoadErrors counts rejected or unreadable spill files,
+	// split by cause — checksum failures, format-version skew,
+	// stream-identity mismatches (wrong seed), instance mismatches (a
+	// graph the epoch lineage doesn't know), and everything else —
+	// SpillWriteErrors failed snapshot writes (the previous file, if
+	// any, survives); the affected pairs resampled, which changes no
+	// answer.
+	Spills               int64
+	SpillBytes           int64
+	SpillLoads           int64
+	SpillLoadBytes       int64
+	SpillDrawsSaved      int64
+	SpillLoadErrors      int64
+	SpillLoadErrChecksum int64
+	SpillLoadErrVersion  int64
+	SpillLoadErrStream   int64
+	SpillLoadErrInstance int64
+	SpillLoadErrOther    int64
+	SpillWriteErrors     int64
+	// SpillFilesExpired counts spill files deleted by the TTL sweep; the
+	// affected pairs resample on their next query, which changes no
+	// answer.
+	SpillFilesExpired int64
+	// DeltasApplied counts effective graph deltas; PairsDropped the
+	// pairs deltas dissolved. PoolsRepaired counts pair migrations and
+	// stale-spill loads carried across epochs by repair, re-drawing
+	// RepairChunksResampled chunks (RepairDrawsResampled draws) while
+	// adopting RepairDrawsSaved draws verbatim — the repair-vs-discard
+	// win.
 	DeltasApplied         int64
 	PairsDropped          int64
 	PoolsRepaired         int64
 	RepairChunksResampled int64
 	RepairDrawsResampled  int64
 	RepairDrawsSaved      int64
-	PmaxDrawsReused       int64
-	Coalesced             int64
-	Inflight              int
-	Queued                int
-	Admitted              int64
-	Rejected              int64
+	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
+	// solves and stopping-rule estimates answered from retained
+	// estimator ledgers instead of resampling — the p_max refinement
+	// win.
+	PmaxDrawsReused int64
+	// Coalesced counts queries that joined an identical concurrent
+	// in-flight query (same pair, parameters and graph epoch) and
+	// shared its answer instead of paying their own computation.
+	Coalesced int64
+	// Inflight and Queued are the admission gate's current occupancy
+	// (queries executing / waiting for a slot); Admitted and Rejected
+	// are lifetime counters. All zero with admission control off.
+	Inflight int
+	Queued   int
+	Admitted int64
+	Rejected int64
+	// Per-query-kind hit/miss tallies. TopK counts per-candidate
+	// session acquisitions of batched ranking rounds.
 	Solve                 KindStats
 	SolveMax              KindStats
 	AcceptanceProbability KindStats
@@ -193,8 +298,8 @@ type Stats struct {
 	TopK                  KindStats
 }
 
-func statsFrom(sv *server.Server) Stats {
-	st := sv.Stats()
+// StatsFrom shapes a server ledger snapshot.
+func StatsFrom(st server.Stats) Stats {
 	conv := func(k server.Kind) KindStats {
 		return KindStats{Hits: st.ByKind[k].Hits, Misses: st.ByKind[k].Misses}
 	}

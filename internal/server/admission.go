@@ -18,11 +18,12 @@ var ErrOverloaded = errors.New("server: overloaded (in-flight limit reached and 
 // beyond that is rejected immediately with ErrOverloaded. A nil
 // *admission (Config.MaxInflight ≤ 0) disables the gate at zero cost.
 //
-// The gate sits at the outermost query entry points — Solve, SolveMax,
-// SolveMaxBudgets, EstimateF, Pmax, PmaxEstimate, TopK (and through it
-// TopKRefine, which delegates and must not hold two slots) — so
-// "in flight" counts client requests, including ones that will coalesce
-// onto an identical leader. Internal traffic (PairHandle acquisitions,
+// The gate is the first step of the query pipeline (run), which every
+// public query entry point passes through — Solve, SolveMax,
+// SolveMaxBudgets, EstimateF, Pmax, PmaxEstimate and TopK (and through
+// it TopKRefine, which delegates ungated and must not hold two slots) —
+// and it admits before coalescing, so "in flight" counts client
+// requests, including ones that will join an identical leader. Internal traffic (PairHandle acquisitions,
 // Warm, ApplyDelta migrations) is never gated: admission protects the
 // server from clients, not from itself.
 type admission struct {

@@ -1,62 +1,171 @@
 package server
 
 import (
-	"fmt"
+	"context"
+	"math"
 	"sync"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
-// flightKey identifies one coalescable query: kind, pair, a rendered
-// parameter string — and the graph generation the query started on.
-// Keying on the generation pointer is what keeps coalescing delta-epoch
-// safe: a query that begins after ApplyDelta returns reads the new
-// generation, so it can never adopt an answer computed (or still being
-// computed) at the previous epoch, while in-flight queries of the old
-// epoch keep coalescing among themselves.
-type flightKey struct {
+// flightKey identifies one coalescable query within its kind's flight
+// table: the kind's comparable parameter value (pair included) and the
+// graph generation the query started on. Keying on the generation
+// pointer is what keeps coalescing delta-epoch safe: a query that
+// begins after ApplyDelta returns reads the new generation, so it can
+// never adopt an answer computed (or still being computed) at the
+// previous epoch, while in-flight queries of the old epoch keep
+// coalescing among themselves.
+type flightKey[P comparable] struct {
 	gen    *generation
-	kind   Kind
-	s, t   graph.Node
-	params string
+	params P
 }
 
-// flightCall is one in-flight computation; duplicates block on the Once
-// (the per-entry pattern spill restore uses) and share the result.
-type flightCall struct {
-	once sync.Once
-	val  any
+// flight is one in-flight computation; joiners wait on done and share
+// its result.
+type flight[T any] struct {
+	done sync.WaitGroup
+	val  T
 	err  error
 }
 
-// coalesce funnels concurrent identical queries into a single execution.
-// The first caller computes fn; every caller that arrives while the
-// flight is open blocks on the call's Once and shares the result —
-// ledgered in Stats().Coalesced — so two racing clients no longer both
-// pay a cold pool. Sharing is sound because every answer is a pure
-// function of (Seed, s, t, params) at a fixed graph epoch: the joiner
-// receives exactly the bytes it would have computed. The entry is
-// removed when the computation finishes, so a later non-overlapping
-// duplicate recomputes — cheaply, against the now-warm pools.
+// flights is one query kind's table of open flights, keyed by that
+// kind's parameter type P and carrying its result type T.
+type flights[P comparable, T any] struct {
+	mu sync.Mutex
+	m  map[flightKey[P]]*flight[T]
+}
+
+// do funnels concurrent identical queries into a single execution. The
+// first caller runs fn; every caller that arrives while the flight is
+// open waits for it and shares the result — ledgered in
+// Stats().Coalesced — so two racing clients no longer both pay a cold
+// pool. Sharing is sound because every answer is a pure function of
+// (Seed, s, t, params) at a fixed graph epoch: the joiner receives
+// exactly the bytes it would have computed. The flight is removed when
+// the computation finishes, so a later non-overlapping duplicate
+// recomputes — cheaply, against the now-warm pools.
 //
 // One sharp edge is inherited from every singleflight: joiners share the
 // winning caller's execution, including its context. A joiner whose own
 // context is live can therefore see the winner's cancellation error;
 // retrying is always sound (purity), and the retried query reuses the
 // pools the aborted flight already grew.
-func (sv *Server) coalesce(kind Kind, s, t graph.Node, params string, fn func() (any, error)) (any, error) {
-	key := flightKey{gen: sv.gen.Load(), kind: kind, s: s, t: t, params: params}
-	v, joined := sv.flights.LoadOrStore(key, &flightCall{})
-	c := v.(*flightCall)
-	if joined {
+func (fs *flights[P, T]) do(sv *Server, params P, fn func() (T, error)) (T, error) {
+	key := flightKey[P]{gen: sv.gen.Load(), params: params}
+	fs.mu.Lock()
+	if c, ok := fs.m[key]; ok {
+		fs.mu.Unlock()
 		sv.coalesced.Add(1)
+		c.done.Wait()
+		return c.val, c.err
 	}
-	c.once.Do(func() {
-		defer sv.flights.Delete(key)
-		c.val, c.err = fn()
-	})
+	if fs.m == nil {
+		fs.m = make(map[flightKey[P]]*flight[T])
+	}
+	c := &flight[T]{}
+	c.done.Add(1)
+	fs.m[key] = c
+	fs.mu.Unlock()
+	defer func() {
+		fs.mu.Lock()
+		delete(fs.m, key)
+		fs.mu.Unlock()
+		c.done.Done()
+	}()
+	c.val, c.err = fn()
 	return c.val, c.err
 }
 
-// pairParams renders a parameter list into a flight key component.
-func pairParams(args ...any) string { return fmt.Sprint(args...) }
+// Flight parameters, one comparable type per coalesced kind. Floats are
+// keyed by their bit patterns so that a NaN parameter still equals
+// itself and its flight can be deleted; slice parameters are rendered
+// exactly with fmt.Sprint.
+type (
+	solveParams struct {
+		s, t          graph.Node
+		alpha, eps, n uint64
+		cfg           core.Config // Alpha, Eps and N zeroed: keyed as bits above
+	}
+	maxParams struct {
+		s, t         graph.Node
+		budget       int
+		realizations int64
+	}
+	sweepParams struct {
+		s, t         graph.Node
+		budgets      string
+		realizations int64
+	}
+	pmaxParams struct {
+		s, t   graph.Node
+		trials int64
+	}
+	pmaxEstParams struct {
+		s, t     graph.Node
+		eps0, n  uint64
+		maxDraws int64
+	}
+	topKParams struct {
+		s                      graph.Node
+		targets                string
+		k, budget              int
+		realizations, maxDraws int64
+	}
+)
+
+func solveParamsOf(s, t graph.Node, cfg core.Config) solveParams {
+	p := solveParams{s: s, t: t, alpha: math.Float64bits(cfg.Alpha), eps: math.Float64bits(cfg.Eps), n: math.Float64bits(cfg.N)}
+	cfg.Alpha, cfg.Eps, cfg.N = 0, 0, 0
+	p.cfg = cfg
+	return p
+}
+
+// run is the one pipeline every gated query passes through. It times
+// the request from entry, admits it through the gate, then joins an
+// identical open flight in fl or opens one that executes fn under a
+// trace (fl nil: the kind is never coalesced). Every request — leader,
+// joiner or rejected — records exactly one latency sample and, on
+// error, one error count; the stage histograms see only the execution.
+func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *flights[P, T], params P, fn func(context.Context) (T, error)) (v T, err error) {
+	if so := sv.obs; so != nil {
+		defer so.observeRequest(kind, time.Now(), &err)
+	}
+	if err = sv.admit(ctx); err != nil {
+		return v, err
+	}
+	defer sv.admitDone()
+	exec := func() (T, error) { return traced(ctx, sv, kind, fn) }
+	if fl == nil {
+		return exec()
+	}
+	return fl.do(sv, params, exec)
+}
+
+// traced runs one execution of fn, under a trace of kind when
+// observability is on; the finished trace feeds the stage histograms.
+func traced[T any](ctx context.Context, sv *Server, kind Kind, fn func(context.Context) (T, error)) (T, error) {
+	so := sv.obs
+	if so == nil {
+		return fn(ctx)
+	}
+	tr := so.o.Tracer.Start(kind.String())
+	defer so.finishTrace(tr)
+	return fn(obs.WithTrace(ctx, tr))
+}
+
+// withPair brackets fn with the (s,t) pair's acquire, ledgered under
+// kind, and its release, which settles the byte ledger and evicts once
+// fn has grown the pools to their final size.
+func withPair[T any](ctx context.Context, sv *Server, kind Kind, s, t graph.Node, fn func(*entry) (T, error)) (T, error) {
+	e, err := sv.acquire(ctx, kind, s, t)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer sv.release(e)
+	return fn(e)
+}

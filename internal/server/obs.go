@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -14,8 +13,9 @@ import (
 // histograms, per-stage histograms fed from finished traces, and
 // scrape-time mirrors of every Stats counter. All mirrors are
 // CounterFunc/GaugeFunc reads of the server's existing atomics, so the
-// query hot path pays nothing for them; only an enabled trace and the
-// two Observe calls per finished query are new work.
+// query hot path pays nothing for them; only an enabled trace, one
+// request Observe per request and the stage Observes per execution are
+// new work.
 //
 // Metric names follow the package obs convention (af_ prefix, _total
 // counters, _seconds summaries); they are a stable scrape API.
@@ -116,31 +116,22 @@ func newServerObs(sv *Server, o *obs.Obs) *serverObs {
 	return so
 }
 
-// obsNoopEnd is the pre-allocated end callback of the disabled path, so
-// obsBegin allocates nothing when observability is off.
-var obsNoopEnd = func(error) {}
+// observeRequest records one finished request of kind into the
+// request histogram, timed from start, and counts *err if it is set.
+func (so *serverObs) observeRequest(kind Kind, start time.Time, err *error) {
+	so.reqHist[kind].Observe(time.Since(start).Nanoseconds())
+	if *err != nil {
+		so.reqErrs[kind].Inc()
+	}
+}
 
-// obsBegin opens one query's trace and returns the (possibly wrapped)
-// context plus the end callback the query must invoke with its final
-// error. With observability disabled both returns are free: the original
-// context and a shared no-op.
-func (sv *Server) obsBegin(ctx context.Context, kind Kind) (context.Context, func(err error)) {
-	so := sv.obs
-	if so == nil {
-		return ctx, obsNoopEnd
-	}
-	tr := so.o.Tracer.Start(kind.String())
-	start := time.Now()
-	return obs.WithTrace(ctx, tr), func(err error) {
-		tr.Finish()
-		so.reqHist[kind].Observe(time.Since(start).Nanoseconds())
-		if err != nil {
-			so.reqErrs[kind].Inc()
-		}
-		tr.EachSpan(func(st obs.Stage, d time.Duration) {
-			so.stage[st].Observe(d.Nanoseconds())
-		})
-	}
+// finishTrace closes one execution's trace and feeds its spans into the
+// stage histograms.
+func (so *serverObs) finishTrace(tr *obs.Trace) {
+	tr.Finish()
+	tr.EachSpan(func(st obs.Stage, d time.Duration) {
+		so.stage[st].Observe(d.Nanoseconds())
+	})
 }
 
 // Obs returns the server's observability bundle (nil when disabled) —

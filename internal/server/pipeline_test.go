@@ -1,0 +1,228 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/weights"
+)
+
+// holdShards locks every shard of the pair map, so any query that
+// reaches acquire blocks there — inside its flight, after admission —
+// until the returned release runs. It lets a test hold a query open
+// without relying on scheduler luck. Nothing that locks a shard (Stats
+// included) may run while the shards are held.
+func holdShards(sv *Server) (release func()) {
+	for i := range sv.shards {
+		sv.shards[i].mu.Lock()
+	}
+	return func() {
+		for i := range sv.shards {
+			sv.shards[i].mu.Unlock()
+		}
+	}
+}
+
+// gatedEntry is one public query entry point of the server.
+type gatedEntry struct {
+	name      string
+	kind      Kind
+	coalesces bool
+	call      func(ctx context.Context, sv *Server, p pairKey, targets []graph.Node) error
+}
+
+var gatedEntries = []gatedEntry{
+	{"Solve", KindSolve, true, func(ctx context.Context, sv *Server, p pairKey, _ []graph.Node) error {
+		_, err := sv.Solve(ctx, p.s, p.t, solveCfg)
+		return err
+	}},
+	{"SolveMax", KindSolveMax, true, func(ctx context.Context, sv *Server, p pairKey, _ []graph.Node) error {
+		_, _, err := sv.SolveMax(ctx, p.s, p.t, 3, 2000)
+		return err
+	}},
+	{"SolveMaxBudgets", KindSolveMax, true, func(ctx context.Context, sv *Server, p pairKey, _ []graph.Node) error {
+		_, _, err := sv.SolveMaxBudgets(ctx, p.s, p.t, []int{1, 3}, 2000)
+		return err
+	}},
+	{"EstimateF", KindEstimateF, false, func(ctx context.Context, sv *Server, p pairKey, _ []graph.Node) error {
+		_, err := sv.EstimateF(ctx, p.s, p.t, graph.NewNodeSetOf(sv.Graph().NumNodes(), p.t), 2000)
+		return err
+	}},
+	{"Pmax", KindPmax, true, func(ctx context.Context, sv *Server, p pairKey, _ []graph.Node) error {
+		_, err := sv.Pmax(ctx, p.s, p.t, 2000)
+		return err
+	}},
+	{"PmaxEstimate", KindPmaxEst, true, func(ctx context.Context, sv *Server, p pairKey, _ []graph.Node) error {
+		_, err := sv.PmaxEstimate(ctx, p.s, p.t, 0.25, 50, 20000)
+		return err
+	}},
+	{"TopK", KindTopK, true, func(ctx context.Context, sv *Server, p pairKey, targets []graph.Node) error {
+		_, err := sv.TopK(ctx, TopKQuery{S: p.s, Targets: targets, K: 1, Budget: 2, Realizations: 2000})
+		return err
+	}},
+}
+
+// TestGatedEntryPoints checks every gated query entry point for three
+// behaviours: it fast-rejects with ErrOverloaded when the gate is
+// saturated; two concurrent identical calls coalesce into one execution
+// (except EstimateF, which is never coalesced); and the execution is
+// ledgered under the entry point's own kind.
+func TestGatedEntryPoints(t *testing.T) {
+	g := testGraph(40, 60)
+	p := validPairs(g, 1)[0]
+	targets := []graph.Node{}
+	for _, q := range validPairs(g, 40) {
+		if q.s == p.s && len(targets) < 2 {
+			targets = append(targets, q.t)
+		}
+	}
+	other := validPairs(g, 2)[1]
+	ctx := context.Background()
+	for _, e := range gatedEntries {
+		t.Run(e.name, func(t *testing.T) {
+			// Saturated gate: the only slot is held by a query blocked
+			// inside its flight, and the queue has no seat.
+			sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2, MaxInflight: 1, MaxQueue: 0})
+			release := holdShards(sv)
+			holder := make(chan error, 1)
+			go func() {
+				_, err := sv.Pmax(ctx, other.s, other.t, 1000)
+				holder <- err
+			}()
+			waitFor(t, func() bool { return sv.adm.inflight.Load() == 1 })
+			err := e.call(ctx, sv, p, targets)
+			release()
+			if !errors.Is(err, ErrOverloaded) {
+				t.Errorf("saturated gate: err = %v, want ErrOverloaded", err)
+			}
+			if err := <-holder; err != nil {
+				t.Fatalf("holder: %v", err)
+			}
+
+			// Two identical calls overlapping in time.
+			sv = New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2, MaxInflight: 8, MaxQueue: 8})
+			release = holdShards(sv)
+			errs := make(chan error, 2)
+			go func() { errs <- e.call(ctx, sv, p, targets) }()
+			waitFor(t, func() bool { return sv.adm.inflight.Load() == 1 })
+			go func() { errs <- e.call(ctx, sv, p, targets) }()
+			if e.coalesces {
+				waitFor(t, func() bool { return sv.coalesced.Load() == 1 })
+			} else {
+				waitFor(t, func() bool { return sv.adm.inflight.Load() == 2 })
+			}
+			release()
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			st := sv.Stats()
+			want := int64(0)
+			if e.coalesces {
+				want = 1
+			}
+			if st.Coalesced != want {
+				t.Errorf("Coalesced = %d, want %d", st.Coalesced, want)
+			}
+			for k, c := range st.ByKind {
+				n := c.Hits + c.Misses
+				switch {
+				case Kind(k) == e.kind && n == 0:
+					t.Errorf("kind %v: no acquisitions ledgered", Kind(k))
+				case Kind(k) != e.kind && n != 0:
+					t.Errorf("kind %v: %d acquisitions ledgered for a %s call", Kind(k), n, e.name)
+				}
+			}
+		})
+	}
+}
+
+// TestRequestHistogramCountsRequests: af_request_seconds and
+// af_request_errors_total count requests, not executions — a query
+// rejected by the admission gate and a joiner that shares an identical
+// query's flight each record their own sample.
+func TestRequestHistogramCountsRequests(t *testing.T) {
+	g := testGraph(40, 60)
+	pairs := validPairs(g, 2)
+	ctx := context.Background()
+	samples := func(sv *Server) (n int64, errs int64) {
+		return sv.obs.reqHist[KindPmax].Snapshot().Count(), sv.obs.reqErrs[KindPmax].Value()
+	}
+
+	t.Run("rejected", func(t *testing.T) {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2, MaxInflight: 1, MaxQueue: 0, Obs: obs.New()})
+		release := holdShards(sv)
+		holder := make(chan error, 1)
+		go func() {
+			_, err := sv.EstimateF(ctx, pairs[1].s, pairs[1].t, graph.NewNodeSetOf(g.NumNodes(), pairs[1].t), 1000)
+			holder <- err
+		}()
+		waitFor(t, func() bool { return sv.adm.inflight.Load() == 1 })
+		_, err := sv.Pmax(ctx, pairs[0].s, pairs[0].t, 1000)
+		release()
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("err = %v, want ErrOverloaded", err)
+		}
+		if err := <-holder; err != nil {
+			t.Fatal(err)
+		}
+		if n, errs := samples(sv); n != 1 || errs != 1 {
+			t.Errorf("pmax request samples = %d, errors = %d; want 1, 1", n, errs)
+		}
+	})
+
+	t.Run("joiner", func(t *testing.T) {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2, Obs: obs.New()})
+		release := holdShards(sv)
+		errs := make(chan error, 2)
+		call := func() {
+			_, err := sv.Pmax(ctx, pairs[0].s, pairs[0].t, 1000)
+			errs <- err
+		}
+		go call()
+		go call()
+		waitFor(t, func() bool { return sv.coalesced.Load() == 1 })
+		release()
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, errs := samples(sv); n != 2 || errs != 0 {
+			t.Errorf("pmax request samples = %d, errors = %d; want 2, 0", n, errs)
+		}
+		// Stages are fed by the one execution only.
+		if n := sv.obs.stage[obs.StageAcquire].Snapshot().Count(); n != 1 {
+			t.Errorf("acquire stage samples = %d, want 1", n)
+		}
+	})
+}
+
+// TestWarmPmaxAllocs bounds the allocations of a warm (cached) Pmax on
+// an uninstrumented server: the pipeline keys flights by typed
+// parameter values and carries typed results, so neither a rendered
+// key string nor a boxed answer is paid per request.
+func TestWarmPmaxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	g := testGraph(40, 60)
+	p := validPairs(g, 1)[0]
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	ctx := context.Background()
+	if _, err := sv.Pmax(ctx, p.s, p.t, 2000); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := sv.Pmax(ctx, p.s, p.t, 2000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("warm Pmax allocates %v times per call, want ≤ 4", allocs)
+	}
+}

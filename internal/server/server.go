@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -247,7 +248,7 @@ type Stats struct {
 	// Coalesced counts queries that joined an identical in-flight query
 	// (same kind, pair, parameters and graph epoch) instead of paying
 	// their own computation — two racing clients previously both paid a
-	// cold pool. See Server.coalesce.
+	// cold pool. See flights.do.
 	Coalesced int64
 	// ByKind indexes hit/miss tallies by Kind.
 	ByKind [numKinds]KindCounts
@@ -339,8 +340,14 @@ type Server struct {
 	adm       *admission
 	lastSweep atomic.Int64
 
-	// flights holds in-flight coalescable queries; see coalesce.
-	flights sync.Map // flightKey -> *flightCall
+	// Open flights of each coalesced query kind; see run. EstimateF is
+	// never coalesced and has no table.
+	solveFlights   flights[solveParams, *core.Result]
+	maxFlights     flights[maxParams, maxAnswer]
+	sweepFlights   flights[sweepParams, sweepAnswer]
+	pmaxFlights    flights[pmaxParams, float64]
+	pmaxEstFlights flights[pmaxEstParams, engine.PmaxResult]
+	topKFlights    flights[topKParams, *TopKResult]
 
 	deltasApplied atomic.Int64
 	pairsDropped  atomic.Int64
@@ -734,142 +741,107 @@ func (sv *Server) Warm() (int, error) {
 
 // Solve runs RAF for (s,t) against the pair's cached session. cfg.Seed
 // and cfg.Workers are ignored in favor of the server's per-pair streams.
-// Concurrent identical calls coalesce into one execution (see coalesce).
-// Subject to admission control (Config.MaxInflight), like every public
-// query method.
+// Like every public query method it runs through the query pipeline (see
+// run): admission control (Config.MaxInflight), and coalescing of
+// concurrent identical calls into one execution.
 func (sv *Server) Solve(ctx context.Context, s, t graph.Node, cfg core.Config) (*core.Result, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindSolve, s, t, pairParams(fmt.Sprintf("%+v", cfg)), func() (any, error) {
-		return sv.solve(ctx, s, t, cfg)
+	return run(ctx, sv, KindSolve, &sv.solveFlights, solveParamsOf(s, t, cfg), func(ctx context.Context) (*core.Result, error) {
+		return withPair(ctx, sv, KindSolve, s, t, func(e *entry) (*core.Result, error) {
+			res, err := e.sess.RAF(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			sv.pmaxDrawsReused.Add(res.PmaxReused)
+			return res, nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Result), nil
 }
 
-func (sv *Server) solve(ctx context.Context, s, t graph.Node, cfg core.Config) (res *core.Result, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindSolve)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindSolve, s, t)
-	if err != nil {
-		return nil, err
-	}
-	defer sv.release(e)
-	res, err = e.sess.RAF(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sv.pmaxDrawsReused.Add(res.PmaxReused)
-	return res, nil
+// maxAnswer is one SolveMax answer: the solver result and the
+// decorrelated estimate of its set.
+type maxAnswer struct {
+	res *maxaf.Result
+	f   float64
 }
 
 // SolveMax runs the budgeted maximum variant for (s,t) against the
 // pair's cached solve pool (realizations ≤ 0 selects the default size)
 // and re-measures the chosen set on the pair's decorrelated evaluation
-// pool. It returns the solver result (whose CoveredFraction is the
-// biased in-pool fraction) together with the decorrelated estimate.
-// Concurrent identical calls coalesce into one execution (see coalesce).
+// pool; see SolveMaxOn. Concurrent identical calls coalesce.
 func (sv *Server) SolveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (*maxaf.Result, float64, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, 0, err
-	}
-	defer sv.admitDone()
-	type out struct {
-		res *maxaf.Result
-		f   float64
-	}
-	v, err := sv.coalesce(KindSolveMax, s, t, pairParams("max", budget, realizations), func() (any, error) {
-		res, f, err := sv.solveMax(ctx, s, t, budget, realizations)
-		if err != nil {
-			return nil, err
-		}
-		return out{res, f}, nil
+	a, err := run(ctx, sv, KindSolveMax, &sv.maxFlights, maxParams{s, t, budget, realizations}, func(ctx context.Context) (maxAnswer, error) {
+		return withPair(ctx, sv, KindSolveMax, s, t, func(e *entry) (maxAnswer, error) {
+			res, f, err := SolveMaxOn(ctx, e.sess, e.eval, budget, realizations)
+			return maxAnswer{res, f}, err
+		})
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	o := v.(out)
-	return o.res, o.f, nil
+	return a.res, a.f, err
 }
 
-func (sv *Server) solveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (_ *maxaf.Result, _ float64, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindSolveMax)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindSolveMax, s, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sv.release(e)
+// sweepAnswer is one SolveMaxBudgets answer: the solver results and the
+// decorrelated estimates of their sets, by budget.
+type sweepAnswer struct {
+	res []*maxaf.Result
+	fs  []float64
+}
+
+// SolveMaxBudgets answers a whole budget sweep for (s,t) in one shot
+// against the pair's cached pools; see SolveMaxBudgetsOn. Results are
+// identical to calling SolveMax per budget. Concurrent identical calls
+// coalesce.
+func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) ([]*maxaf.Result, []float64, error) {
+	p := sweepParams{s, t, fmt.Sprint(budgets), realizations}
+	a, err := run(ctx, sv, KindSolveMax, &sv.sweepFlights, p, func(ctx context.Context) (sweepAnswer, error) {
+		return withPair(ctx, sv, KindSolveMax, s, t, func(e *entry) (sweepAnswer, error) {
+			res, fs, err := SolveMaxBudgetsOn(ctx, e.sess, e.eval, budgets, realizations)
+			return sweepAnswer{res, fs}, err
+		})
+	})
+	return a.res, a.fs, err
+}
+
+// SolveMaxOn runs the budgeted maximum variant against one pair's
+// sessions: the greedy runs on sess's pool of exactly realizations
+// draws (≤ 0 selects maxaf.DefaultRealizations), and the chosen set is
+// re-measured on eval's decorrelated draws. It returns the solver result
+// (whose CoveredFraction is the biased in-pool fraction) together with
+// the decorrelated estimate. Server.SolveMax and the public facade's
+// Session.SolveMax both answer through it.
+func SolveMaxOn(ctx context.Context, sess *core.Session, eval *engine.Session, budget int, realizations int64) (*maxaf.Result, float64, error) {
 	l := realizations
 	if l <= 0 {
 		l = maxaf.DefaultRealizations
 	}
-	pool, err := e.sess.Pool(ctx, l)
+	pool, err := sess.Pool(ctx, l)
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := maxaf.SolveFromPool(ctx, e.sess.Instance(), budget, pool)
+	res, err := maxaf.SolveFromPool(ctx, sess.Instance(), budget, pool)
 	if err != nil {
 		return nil, 0, err
 	}
-	f, err := e.eval.EstimateF(ctx, res.Invited, l)
+	f, err := eval.EstimateF(ctx, res.Invited, l)
 	if err != nil {
 		return nil, 0, err
 	}
 	return res, f, nil
 }
 
-// SolveMaxBudgets answers a whole budget sweep for (s,t) in one shot: the
-// budgeted greedy runs against the pair's cached pool with one reused
-// solver (the pool's set-cover family is folded once), and both the
-// in-pool fractions and the decorrelated estimates come from batched
-// coverage queries — one postings traversal per pool for the entire
-// sweep. Results are identical to calling SolveMax per budget.
-// Concurrent identical calls coalesce into one execution (see coalesce).
-func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) ([]*maxaf.Result, []float64, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, nil, err
-	}
-	defer sv.admitDone()
-	type out struct {
-		res []*maxaf.Result
-		fs  []float64
-	}
-	v, err := sv.coalesce(KindSolveMax, s, t, pairParams("sweep", budgets, realizations), func() (any, error) {
-		res, fs, err := sv.solveMaxBudgets(ctx, s, t, budgets, realizations)
-		if err != nil {
-			return nil, err
-		}
-		return out{res, fs}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	o := v.(out)
-	return o.res, o.fs, nil
-}
-
-func (sv *Server) solveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) (_ []*maxaf.Result, _ []float64, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindSolveMax)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindSolveMax, s, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sv.release(e)
+// SolveMaxBudgetsOn is SolveMaxOn for a whole budget sweep: the budgeted
+// greedy runs against sess's pool with one reused solver (the pool's
+// set-cover family is folded once), and both the in-pool fractions and
+// the decorrelated estimates come from batched coverage queries — one
+// postings traversal per pool for the entire sweep.
+func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, eval *engine.Session, budgets []int, realizations int64) ([]*maxaf.Result, []float64, error) {
 	l := realizations
 	if l <= 0 {
 		l = maxaf.DefaultRealizations
 	}
-	pool, err := e.sess.Pool(ctx, l)
+	pool, err := sess.Pool(ctx, l)
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := maxaf.SolveBudgetsFromPool(ctx, e.sess.Instance(), budgets, pool)
+	results, err := maxaf.SolveBudgetsFromPool(ctx, sess.Instance(), budgets, pool)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -877,7 +849,7 @@ func (sv *Server) solveMaxBudgets(ctx context.Context, s, t graph.Node, budgets 
 	for i, r := range results {
 		sets[i] = r.Invited
 	}
-	fs, err := e.eval.EstimateFMany(ctx, sets, l)
+	fs, err := eval.EstimateFMany(ctx, sets, l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -886,49 +858,25 @@ func (sv *Server) solveMaxBudgets(ctx context.Context, s, t graph.Node, budgets 
 
 // EstimateF estimates f(invited) for (s,t) as a coverage query against
 // the pair's cached evaluation pool, grown to at least trials draws.
-func (sv *Server) EstimateF(ctx context.Context, s, t graph.Node, invited *graph.NodeSet, trials int64) (_ float64, err error) {
-	if err := sv.admit(ctx); err != nil {
-		return 0, err
-	}
-	defer sv.admitDone()
-	ctx, obsEnd := sv.obsBegin(ctx, KindEstimateF)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindEstimateF, s, t)
-	if err != nil {
-		return 0, err
-	}
-	defer sv.release(e)
-	return e.eval.EstimateF(ctx, invited, trials)
+// EstimateF is gated but never coalesced.
+func (sv *Server) EstimateF(ctx context.Context, s, t graph.Node, invited *graph.NodeSet, trials int64) (float64, error) {
+	return run(ctx, sv, KindEstimateF, nil, struct{}{}, func(ctx context.Context) (float64, error) {
+		return withPair(ctx, sv, KindEstimateF, s, t, func(e *entry) (float64, error) {
+			return e.eval.EstimateF(ctx, invited, trials)
+		})
+	})
 }
 
 // Pmax estimates p_max for (s,t) from the pair's evaluation pool — the
 // cheap fixed-budget estimate (the pool's type-1 fraction over exactly
 // trials draws). For an estimate with the paper's (ε₀, 1/N) stopping-rule
-// guarantee, use PmaxEstimate. Concurrent identical calls coalesce into
-// one execution (see coalesce).
+// guarantee, use PmaxEstimate. Concurrent identical calls coalesce.
 func (sv *Server) Pmax(ctx context.Context, s, t graph.Node, trials int64) (float64, error) {
-	if err := sv.admit(ctx); err != nil {
-		return 0, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindPmax, s, t, pairParams(trials), func() (any, error) {
-		return sv.pmaxQuery(ctx, s, t, trials)
+	return run(ctx, sv, KindPmax, &sv.pmaxFlights, pmaxParams{s, t, trials}, func(ctx context.Context) (float64, error) {
+		return withPair(ctx, sv, KindPmax, s, t, func(e *entry) (float64, error) {
+			return e.eval.FractionType1(ctx, trials)
+		})
 	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-func (sv *Server) pmaxQuery(ctx context.Context, s, t graph.Node, trials int64) (_ float64, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindPmax)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindPmax, s, t)
-	if err != nil {
-		return 0, err
-	}
-	defer sv.release(e)
-	return e.eval.FractionType1(ctx, trials)
 }
 
 // PmaxEstimate runs the Algorithm 2 stopping rule for (s,t) at relative
@@ -938,32 +886,16 @@ func (sv *Server) pmaxQuery(ctx context.Context, s, t graph.Node, trials int64) 
 // reuse is ledgered in Stats().PmaxDrawsReused), and the estimator state
 // rides the spill tier across eviction and restarts. The result is a
 // pure function of (Seed, s, t, eps0, n, maxDraws). Concurrent identical
-// calls coalesce into one execution (see coalesce).
+// calls coalesce.
 func (sv *Server) PmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (engine.PmaxResult, error) {
-	if err := sv.admit(ctx); err != nil {
-		return engine.PmaxResult{}, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindPmaxEst, s, t, pairParams(eps0, n, maxDraws), func() (any, error) {
-		return sv.pmaxEstimate(ctx, s, t, eps0, n, maxDraws)
+	p := pmaxEstParams{s, t, math.Float64bits(eps0), math.Float64bits(n), maxDraws}
+	return run(ctx, sv, KindPmaxEst, &sv.pmaxEstFlights, p, func(ctx context.Context) (engine.PmaxResult, error) {
+		return withPair(ctx, sv, KindPmaxEst, s, t, func(e *entry) (engine.PmaxResult, error) {
+			res, err := e.sess.EstimatePmax(ctx, eps0, n, maxDraws)
+			sv.pmaxDrawsReused.Add(res.Reused)
+			return res, err
+		})
 	})
-	if err != nil {
-		return engine.PmaxResult{}, err
-	}
-	return v.(engine.PmaxResult), nil
-}
-
-func (sv *Server) pmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (_ engine.PmaxResult, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindPmaxEst)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindPmaxEst, s, t)
-	if err != nil {
-		return engine.PmaxResult{}, err
-	}
-	defer sv.release(e)
-	res, err := e.sess.EstimatePmax(ctx, eps0, n, maxDraws)
-	sv.pmaxDrawsReused.Add(res.Reused)
-	return res, err
 }
 
 // PairHandle exposes a pair's cached sessions for harness use (the eval

@@ -99,24 +99,16 @@ func (r *TopKResult) Winners() []int {
 // budget run returns byte-identical winners, scores and invitation sets
 // to len(Targets) independent SolveMax calls, for any worker count and
 // any eviction schedule. Concurrent identical calls coalesce into one
-// execution (see coalesce).
+// execution (see run).
 func (sv *Server) TopK(ctx context.Context, q TopKQuery) (*TopKResult, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindTopK, q.S, q.S, pairParams(q.Targets, q.K, q.Budget, q.Realizations, q.MaxDraws), func() (any, error) {
-		return sv.topK(ctx, q)
+	p := topKParams{q.S, fmt.Sprint(q.Targets), q.K, q.Budget, q.Realizations, q.MaxDraws}
+	return run(ctx, sv, KindTopK, &sv.topKFlights, p, func(ctx context.Context) (*TopKResult, error) {
+		return sv.rankTopK(ctx, q)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*TopKResult), nil
 }
 
-func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindTopK)
-	defer func() { obsEnd(err) }()
+// rankTopK is one execution of a TopK query.
+func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error) {
 	n := len(q.Targets)
 	if n == 0 {
 		return nil, fmt.Errorf("server: topk with no targets")
@@ -138,39 +130,36 @@ func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err err
 	var spent atomic.Int64
 	var solvers sync.Pool // *setcover.Solver scratch shared across the batch
 	score := func(ctx context.Context, i int, effort int64) (float64, error) {
-		e, err := sv.acquire(ctx, KindTopK, q.S, q.Targets[i])
-		if err != nil {
-			return 0, err
-		}
-		defer sv.release(e)
-		eng := e.sess.Engine()
-		before := eng.PoolDraws()
-		defer func() { spent.Add(eng.PoolDraws() - before) }()
-		pool, err := e.sess.Pool(ctx, effort)
-		if err != nil {
-			return 0, err
-		}
-		var solver *setcover.Solver
-		if s, ok := solvers.Get().(*setcover.Solver); ok {
-			solver = s
-		}
-		mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.sess.Instance(), q.Budget, pool, solver)
-		if solver != nil {
-			solvers.Put(solver)
-		}
-		if err != nil {
-			return 0, err
-		}
-		f, err := e.eval.EstimateF(ctx, mres.Invited, effort)
-		if err != nil {
-			return 0, err
-		}
-		// Index-disjoint writes: the scheduler scores each candidate at
-		// most once per round, so no two goroutines touch slot i.
-		c := &res.Candidates[i]
-		c.TrainF = mres.CoveredFraction
-		c.Invited = mres.Invited
-		return f, nil
+		return withPair(ctx, sv, KindTopK, q.S, q.Targets[i], func(e *entry) (float64, error) {
+			eng := e.sess.Engine()
+			before := eng.PoolDraws()
+			defer func() { spent.Add(eng.PoolDraws() - before) }()
+			pool, err := e.sess.Pool(ctx, effort)
+			if err != nil {
+				return 0, err
+			}
+			var solver *setcover.Solver
+			if s, ok := solvers.Get().(*setcover.Solver); ok {
+				solver = s
+			}
+			mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.sess.Instance(), q.Budget, pool, solver)
+			if solver != nil {
+				solvers.Put(solver)
+			}
+			if err != nil {
+				return 0, err
+			}
+			f, err := e.eval.EstimateF(ctx, mres.Invited, effort)
+			if err != nil {
+				return 0, err
+			}
+			// Index-disjoint writes: the scheduler scores each candidate at
+			// most once per round, so no two goroutines touch slot i.
+			c := &res.Candidates[i]
+			c.TrainF = mres.CoveredFraction
+			c.Invited = mres.Invited
+			return f, nil
+		})
 	}
 	rr, err := rank.Run(ctx, rank.Config{
 		Candidates: n,

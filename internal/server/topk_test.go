@@ -279,27 +279,31 @@ func TestTopKValidation(t *testing.T) {
 
 // TestCoalesceJoinsFlight pins the singleflight mechanics without
 // relying on scheduler luck: the winner blocks inside the flight until
-// the test has observed a second caller join it.
+// the test has observed a second caller join it. The flight carries its
+// kind's result type, so both callers read a typed answer.
 func TestCoalesceJoinsFlight(t *testing.T) {
 	sv, _ := topkServer(1, 0)
 	release := make(chan struct{})
 	computed := 0
-	key := func() (any, error) { computed++; <-release; return 42, nil }
-	done := make(chan int, 2)
+	key := pmaxParams{s: 0, t: 5, trials: 1000}
+	fn := func() (float64, error) { computed++; <-release; return 42, nil }
+	done := make(chan float64, 2)
 	go func() {
-		v, _ := sv.coalesce(KindPmax, 0, 5, "x", key)
-		done <- v.(int)
+		v, _ := sv.pmaxFlights.do(sv, key, fn)
+		done <- v
 	}()
 	// Wait for the winner to open the flight.
-	for {
-		if _, ok := sv.flights.Load(flightKey{gen: sv.gen.Load(), kind: KindPmax, s: 0, t: 5, params: "x"}); ok {
-			break
-		}
+	open := func() bool {
+		sv.pmaxFlights.mu.Lock()
+		defer sv.pmaxFlights.mu.Unlock()
+		return sv.pmaxFlights.m[flightKey[pmaxParams]{gen: sv.gen.Load(), params: key}] != nil
+	}
+	for !open() {
 		runtime.Gosched()
 	}
 	go func() {
-		v, _ := sv.coalesce(KindPmax, 0, 5, "x", key)
-		done <- v.(int)
+		v, _ := sv.pmaxFlights.do(sv, key, fn)
+		done <- v
 	}()
 	// Wait for the joiner to be counted, then let the flight finish.
 	for sv.coalesced.Load() == 0 {
@@ -307,7 +311,7 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 	}
 	close(release)
 	if a, b := <-done, <-done; a != 42 || b != 42 {
-		t.Fatalf("flight answers %d, %d", a, b)
+		t.Fatalf("flight answers %v, %v", a, b)
 	}
 	if computed != 1 {
 		t.Fatalf("fn computed %d times", computed)
@@ -315,10 +319,20 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 	if got := sv.Stats().Coalesced; got != 1 {
 		t.Fatalf("Coalesced = %d, want 1", got)
 	}
+	if open() {
+		t.Fatal("finished flight left in the table")
+	}
 	// A later, non-overlapping duplicate opens a fresh flight.
-	v, err := sv.coalesce(KindPmax, 0, 5, "x", func() (any, error) { return 43, nil })
-	if err != nil || v.(int) != 43 {
+	v, err := sv.pmaxFlights.do(sv, key, func() (float64, error) { return 43, nil })
+	if err != nil || v != 43 {
 		t.Fatalf("post-flight call: %v %v", v, err)
+	}
+	// A different parameter value never joins: distinct queries never
+	// share a key.
+	other := key
+	other.trials++
+	if v, _ := sv.pmaxFlights.do(sv, other, func() (float64, error) { return 44, nil }); v != 44 {
+		t.Fatalf("distinct params answered %v", v)
 	}
 }
 
@@ -350,9 +364,7 @@ func TestCoalesceConcurrentQueries(t *testing.T) {
 			t.Fatalf("caller %d got %q, caller 0 got %q", i, answers[i], answers[0])
 		}
 	}
-	open := 0
-	sv.flights.Range(func(_, _ any) bool { open++; return true })
-	if open != 0 {
+	if open := len(sv.maxFlights.m); open != 0 {
 		t.Fatalf("%d flights left open", open)
 	}
 }
@@ -362,19 +374,20 @@ func TestCoalesceConcurrentQueries(t *testing.T) {
 func TestCoalesceEpochKeying(t *testing.T) {
 	sv, _ := topkServer(1, 0)
 	genBefore := sv.gen.Load()
-	k1 := flightKey{gen: genBefore, kind: KindPmax, s: 1, t: 9, params: "p"}
+	p := pmaxParams{s: 1, t: 9, trials: 2000}
+	k1 := flightKey[pmaxParams]{gen: genBefore, params: p}
 	// Simulate an in-flight query at the old epoch.
-	sv.flights.Store(k1, &flightCall{})
+	sv.pmaxFlights.m = map[flightKey[pmaxParams]]*flight[float64]{k1: {}}
 	g := sv.Graph()
 	free := validPairs(g, 1)[0]
 	if _, err := sv.ApplyDelta(context.Background(), &graph.Delta{Add: []graph.Edge{{U: free.s, V: free.t}}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	k2 := flightKey{gen: sv.gen.Load(), kind: KindPmax, s: 1, t: 9, params: "p"}
+	k2 := flightKey[pmaxParams]{gen: sv.gen.Load(), params: p}
 	if k1 == k2 {
 		t.Fatal("flight keys identical across epochs")
 	}
-	if _, ok := sv.flights.Load(k2); ok {
+	if _, ok := sv.pmaxFlights.m[k2]; ok {
 		t.Fatal("new-epoch query would join the old epoch's flight")
 	}
 }

@@ -3,7 +3,7 @@
 # readable perf trajectory point.
 #
 # Usage:
-#   scripts/bench.sh [output.json]     # default: BENCH_pr13.json
+#   scripts/bench.sh [output.json]     # default: BENCH_pr14.json
 #   BENCHTIME=3x scripts/bench.sh      # override -benchtime
 #
 # The JSON is a flat array of {name, ns_per_op, allocs_per_op} so future
@@ -12,9 +12,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr13.json}"
+out="${1:-BENCH_pr14.json}"
 benchtime="${BENCHTIME:-1s}"
-pattern='RepeatedSolves|CoverageBatch|CoverageScan|CoverageIndexed|SetcoverGreedy|SamplePool|Snapshot|Spill|Pmax|Delta|TopK|Obs|Proto|Admission|Vmax'
+pattern='RepeatedSolves|CoverageBatch|CoverageScan|CoverageIndexed|SetcoverGreedy|SamplePool|Snapshot|Spill|Pmax|Delta|TopK|Obs|Proto|Admission|Vmax|ServerManyPairs'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -1,75 +1,71 @@
 package activefriending
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/proto"
+	"repro/internal/server"
+	"repro/internal/weights"
 )
 
-// jsonShape renders the JSON-visible structure of a type — exported
-// field names, tags and kinds, in declaration order, recursively — so
-// two mirror structs can be compared for wire compatibility without
-// being the same Go type.
-func jsonShape(t reflect.Type) string {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return "[" + jsonShape(t.Elem()) + "]"
-	case reflect.Map:
-		return "map[" + jsonShape(t.Key()) + "]" + jsonShape(t.Elem())
-	case reflect.Struct:
-		var b strings.Builder
-		b.WriteString("{")
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			fmt.Fprintf(&b, "%s tag=%q %s;", f.Name, f.Tag.Get("json"), jsonShape(f.Type))
-		}
-		b.WriteString("}")
-		return b.String()
-	default:
-		return t.Kind().String()
-	}
-}
-
-// TestWireMirrorsFacade pins internal/proto's wire structs to the
-// facade result types they mirror (wire.go documents this test by
-// name): same exported fields, same declaration order, same kinds and
-// tags — so the JSON the HTTP and pipe transports emit is exactly the
-// JSON a facade user would marshal, and a field added to one side
-// without the other fails here instead of on a client.
-func TestWireMirrorsFacade(t *testing.T) {
-	pairs := []struct {
-		name           string
-		facade, mirror any
+// TestFacadeMatchesProtocol: the public facade and the protocol
+// dispatcher, each over its own server with the same graph and seed,
+// answer the same query sequence with the same values — the facade's
+// result marshals to exactly the bytes of the protocol reply's result.
+// Zero-valued parameters (solve's α/ε/N, topk's budget) exercise the
+// shared defaults; the delta and the final stats check that both paths
+// carry the same state forward.
+func TestFacadeMatchesProtocol(t *testing.T) {
+	g := diamondChain()
+	ctx := context.Background()
+	sv := NewServer(g, ServerConfig{Seed: 9})
+	d := proto.NewDispatcher(server.New(g, weights.NewDegree(g), server.Config{Seed: 9}))
+	targets := []Node{5, 8, 9, 3}
+	steps := []struct {
+		req    proto.Request
+		facade func() (any, error)
 	}{
-		{"Solution", Solution{}, proto.Solution{}},
-		{"MaxSolution", MaxSolution{}, proto.MaxSolution{}},
-		{"TopKCandidate", TopKCandidate{}, proto.TopKCandidate{}},
-		{"TopKResult", TopKResult{}, proto.TopKResult{}},
-		{"DeltaSummary", DeltaSummary{}, proto.DeltaSummary{}},
-		{"ServerKindStats", ServerKindStats{}, proto.KindStats{}},
-		{"ServerStats", ServerStats{}, proto.Stats{}},
+		{proto.Request{Op: "solve", S: 0, T: 5},
+			func() (any, error) { return sv.Solve(ctx, 0, 5, Options{}) }},
+		{proto.Request{Op: "solvemax", S: 0, T: 5, Budget: 2, Realizations: 2000},
+			func() (any, error) { return sv.SolveMax(ctx, 0, 5, 2, 2000) }},
+		{proto.Request{Op: "solvemax", S: 0, T: 3, Budgets: []int{1, 2, 3}, Realizations: 2000},
+			func() (any, error) { return sv.SolveMaxBudgets(ctx, 0, 3, []int{1, 2, 3}, 2000) }},
+		{proto.Request{Op: "topk", S: 0, Targets: targets, K: 2, Realizations: 2000},
+			func() (any, error) { return sv.TopK(ctx, 0, targets, 2, TopKOptions{Realizations: 2000}) }},
+		{proto.Request{Op: "delta", Add: [][2]Node{{6, 7}}},
+			func() (any, error) { return sv.ApplyDelta(ctx, &Delta{Add: []Edge{{U: 6, V: 7}}}) }},
+		{proto.Request{Op: "solvemax", S: 0, T: 5, Budget: 2, Realizations: 2000},
+			func() (any, error) { return sv.SolveMax(ctx, 0, 5, 2, 2000) }},
+		{proto.Request{Op: "stats"},
+			func() (any, error) { return sv.Stats(), nil }},
 	}
-	for _, p := range pairs {
-		want := jsonShape(reflect.TypeOf(p.facade))
-		got := jsonShape(reflect.TypeOf(p.mirror))
-		if got != want {
-			t.Errorf("%s: proto mirror diverged from facade\nfacade %s\nmirror %s", p.name, want, got)
+	for i, st := range steps {
+		want, err := st.facade()
+		if err != nil {
+			t.Fatalf("step %d (%s): facade: %v", i, st.req.Op, err)
 		}
-		// Belt and suspenders: the zero values marshal to identical bytes.
-		fb, err1 := json.Marshal(p.facade)
-		mb, err2 := json.Marshal(p.mirror)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: marshal: %v / %v", p.name, err1, err2)
+		resp := d.Dispatch(ctx, st.req)
+		if !resp.OK {
+			t.Fatalf("step %d (%s): dispatch: %s", i, st.req.Op, resp.Error)
 		}
-		if string(fb) != string(mb) {
-			t.Errorf("%s: zero-value JSON diverged\nfacade %s\nmirror %s", p.name, fb, mb)
+		wb, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct{ Result json.RawMessage }
+		if err := json.Unmarshal(rb, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wb, reply.Result) {
+			t.Errorf("step %d (%s): facade and protocol diverged\nfacade   %s\nprotocol %s", i, st.req.Op, wb, reply.Result)
 		}
 	}
 }
