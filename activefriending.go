@@ -532,7 +532,8 @@ type ServerConfig struct {
 	Shards int
 	// Seed roots every pair's randomness: all results are pure functions
 	// of (Seed, s, t). Workers bounds sampling parallelism per query
-	// (0 = all CPUs) without affecting any result.
+	// and the number of pairs ApplyDelta migrates at once (0 = all
+	// CPUs), without affecting any result.
 	Seed    int64
 	Workers int
 	// SpillDir, when non-empty, gives eviction a disk tier: instead of
@@ -856,7 +857,9 @@ type DeltaSummary = proto.DeltaSummary
 // become adjacent are dropped; spill files from earlier epochs are
 // adopted and repaired when loaded. In-flight queries finish at the
 // epoch they started on; queries issued after ApplyDelta returns see
-// the new epoch.
+// the new epoch. Up to ServerConfig.Workers pairs migrate at once. A
+// context cancelled before the new epoch is committed returns its error
+// with nothing changed; once committed, the migration runs to the end.
 //
 //	sv := activefriending.NewServer(g, activefriending.ServerConfig{Seed: 1})
 //	sol, _ := sv.Solve(ctx, s, t, activefriending.Options{Alpha: 0.3})

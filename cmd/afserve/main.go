@@ -147,7 +147,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	dataset := fs.String("dataset", "", "Table I dataset analog to generate instead of -file")
 	scale := fs.Float64("scale", 0.05, "dataset scale")
 	seed := fs.Int64("seed", 1, "root seed; every answer is a pure function of (seed, s, t)")
-	workers := fs.Int("workers", 0, "sampling workers per query (0 = CPUs)")
+	workers := fs.Int("workers", 0, "sampling workers per query, and pairs migrated at once by a delta (0 = CPUs)")
 	shards := fs.Int("shards", 0, "pair-map lock shards (0 = default)")
 	maxBytes := fs.Int64("maxbytes", 0, "pool memory budget in bytes (0 = unlimited)")
 	spillDir := fs.String("spill-dir", "", "spill evicted pools to snapshots in this directory and flush all pools on shutdown")

@@ -39,13 +39,11 @@ func (in *Instance) RebindTo(g *graph.Graph, w weights.Scheme, dirty []graph.Nod
 	// Reuse compiled sampling state when it exists: rebuild only the
 	// dirty nodes' rows. Untouched rows stay byte-identical, which is
 	// what keeps undamaged pool chunks adoptable across the delta.
-	var compiled *weights.Plan
-	in.planOnce.Do(func() {}) // settle the once so reading in.plan is safe
-	if in.plan != nil {
-		compiled = in.plan.Rebuild(g, w, dirty)
-	}
-	if compiled != nil {
-		next.planOnce.Do(func() { next.plan = compiled })
+	// A plan not compiled yet is left alone: an in-flight query on the
+	// receiver may still need to compile it.
+	if p := in.plan.Load(); p != nil {
+		compiled := p.Rebuild(g, w, dirty)
+		next.planOnce.Do(func() { next.plan.Store(compiled) })
 	}
 	return next, nil
 }

@@ -57,6 +57,34 @@ func TestInstanceApplyDelta(t *testing.T) {
 	}
 }
 
+// TestRebindToBeforePlan: rebinding an instance whose plan was never
+// compiled must leave it compilable. A query still running on the old
+// epoch may sample through it after a delta rebinds its pair.
+func TestRebindToBeforePlan(t *testing.T) {
+	b := graph.NewBuilder(5)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 4)
+	g := b.Build()
+	in, err := NewInstance(g, weights.NewDegree(g), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &graph.Delta{Add: []graph.Edge{{U: 1, V: 3}}}
+	g2, dirty, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := in.RebindTo(g2, weights.NewDegree(g2), dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Plan() == nil || next.Plan() == nil {
+		t.Fatalf("plan missing after RebindTo: old %v, new %v", in.Plan() != nil, next.Plan() != nil)
+	}
+}
+
 func TestInstanceApplyDeltaDissolves(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)

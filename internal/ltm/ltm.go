@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -39,8 +40,10 @@ type Instance struct {
 	ns    []graph.Node
 	nsSet *graph.NodeSet
 
+	// plan is compiled once, on first use; RebindTo reads it without
+	// triggering (or, worse, settling) the compile.
 	planOnce sync.Once
-	plan     *weights.Plan
+	plan     atomic.Pointer[weights.Plan]
 }
 
 // NewInstance validates and builds an instance. The target must differ
@@ -82,9 +85,9 @@ func (in *Instance) Weights() weights.Scheme { return in.w }
 // every sampling hot path.
 func (in *Instance) Plan() *weights.Plan {
 	in.planOnce.Do(func() {
-		in.plan = weights.NewPlan(in.g, in.w)
+		in.plan.Store(weights.NewPlan(in.g, in.w))
 	})
-	return in.plan
+	return in.plan.Load()
 }
 
 // S returns the initiator.

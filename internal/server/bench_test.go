@@ -47,6 +47,63 @@ func BenchmarkServerManyPairs(b *testing.B) {
 	b.ReportMetric(float64(sv.Stats().SessionsEvicted), "evictions")
 }
 
+// BenchmarkServerApplyDelta measures the delta migration walk: each
+// iteration applies a one-edge delta, alternately adding and removing
+// the same edge, and repairs ~64 warmed pairs across it. Each pair holds
+// a one-chunk pool, as budgeted top-k candidates do, so a single repair
+// has no chunks to split across workers and any speed-up comes from
+// migrating pairs concurrently. Run with -race in CI, it also exercises
+// those concurrent migrations.
+func BenchmarkServerApplyDelta(b *testing.B) {
+	g := testGraph(200, 300)
+	pairs := validPairs(g, 64)
+	if len(pairs) < 32 {
+		b.Fatalf("only %d valid pairs", len(pairs))
+	}
+	isPair := make(map[pairKey]bool, 2*len(pairs))
+	for _, pk := range pairs {
+		isPair[pk] = true
+		isPair[pairKey{pk.t, pk.s}] = true
+	}
+	var edge graph.Edge
+	for u := graph.Node(1); int(u) < g.NumNodes(); u++ {
+		if !g.HasEdge(0, u) && !isPair[pairKey{0, u}] {
+			edge = graph.Edge{U: 0, V: u}
+			break
+		}
+	}
+	if edge.V == 0 {
+		b.Fatal("no free edge at node 0")
+	}
+	sv := New(g, weights.NewDegree(g), Config{Seed: 1})
+	ctx := context.Background()
+	for _, pk := range pairs {
+		if _, err := sv.Pmax(ctx, pk.s, pk.t, 2048); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var migrated int
+	var resampled int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := &graph.Delta{Add: []graph.Edge{edge}}
+		if i%2 == 1 {
+			d = &graph.Delta{Remove: []graph.Edge{edge}}
+		}
+		res, err := sv.ApplyDelta(ctx, d, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Dirty) == 0 {
+			b.Fatal("delta changed nothing")
+		}
+		migrated += res.PairsMigrated
+		resampled += res.Repair.DrawsResampled
+	}
+	b.ReportMetric(float64(migrated)/float64(b.N), "pairs/op")
+	b.ReportMetric(float64(resampled)/float64(b.N), "draws_resampled/op")
+}
+
 // BenchmarkAdmissionAdmit measures the gate's uncontended fast path —
 // the per-query overhead every admitted request pays.
 func BenchmarkAdmissionAdmit(b *testing.B) {

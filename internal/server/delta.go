@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/weights"
 )
 
@@ -44,12 +45,22 @@ type DeltaResult struct {
 // non-live pairs are otherwise left in place and adopted-and-repaired
 // through the lineage on their next load.
 //
+// The migration walk runs up to Config.Workers pairs at once; its
+// result, the Stats ledger and the LRU order do not depend on the
+// worker count.
+//
 // Queries that begin after ApplyDelta returns are answered at the new
 // epoch; queries in flight during the call finish at the epoch they
 // started on (the same contract eviction has: correctness per epoch,
 // never a torn answer). A delta that changes nothing returns an empty
 // Dirty set and advances no epoch. Concurrent ApplyDelta calls are
 // serialized.
+//
+// A context cancelled before the new epoch is stored returns its error
+// with nothing changed. Once stored, the epoch is committed: the walk
+// ignores cancellation and runs to completion, and a pair whose repair
+// still fails is dropped, to be rebuilt cold at the new epoch on its
+// next query. No cached pair is ever left behind at the old epoch.
 func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weights.EdgeWeight) (*DeltaResult, error) {
 	sv.deltaMu.Lock()
 	defer sv.deltaMu.Unlock()
@@ -84,33 +95,50 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 	}
 
 	next := &generation{g: g2, scheme: scheme2, graphFP: engine.GraphFingerprint(g2, scheme2)}
+	// A cancelled caller gets its error only while nothing has changed.
+	// Once the generation is stored the delta is committed, and the walk
+	// below must reach every stale pair, so it ignores cancellation
+	// (keeping the context's trace).
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// Store the generation BEFORE walking any shard: an acquire miss
 	// reads sv.gen inside its shard critical section, so every entry the
 	// walk below does not see was created at (or after) the new epoch.
 	sv.gen.Store(next)
 	sv.lineage.Advance(next.graphFP, dirty)
 	sv.deltasApplied.Add(1)
+	ctx = context.WithoutCancel(ctx)
 
-	res := &DeltaResult{
-		Dirty:    dirty,
-		NumNodes: g2.NumNodes(),
-		NumEdges: g2.NumEdges(),
-	}
+	var stale []*entry
 	for i := range sv.shards {
 		sh := &sv.shards[i]
 		sh.mu.Lock()
-		stale := make([]*entry, 0, len(sh.m))
 		for _, e := range sh.m {
 			if e.gen != next {
 				stale = append(stale, e)
 			}
 		}
 		sh.mu.Unlock()
-		for _, e := range stale {
-			if err := sv.migratePair(ctx, sh, e, next, dirty, res); err != nil {
-				return res, err
-			}
-		}
+	}
+	// Each migration fills its own slot, summed after the walk. Slots
+	// release their entry as soon as it is migrated, so the old epoch's
+	// pools become garbage during the walk rather than after it.
+	outs := make([]DeltaResult, len(stale))
+	// For fails only on cancellation, which ctx no longer carries.
+	_ = parallel.For(ctx, len(stale), sv.cfg.Workers, func(i int) {
+		sv.migratePair(ctx, stale[i], next, dirty, &outs[i])
+		stale[i] = nil
+	})
+	res := &DeltaResult{
+		Dirty:    dirty,
+		NumNodes: g2.NumNodes(),
+		NumEdges: g2.NumEdges(),
+	}
+	for _, o := range outs {
+		res.PairsMigrated += o.PairsMigrated
+		res.PairsDropped += o.PairsDropped
+		res.Repair.Add(o.Repair)
 	}
 	sv.sweepDissolvedSpills(g2, res)
 	sv.sweepExpiredSpillsLocked()
@@ -130,10 +158,11 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 // swaps it into the shard map — unless a newer entry took its place
 // meanwhile, in which case the migrated state is discarded (the newer
 // entry is already at the head epoch). Dissolved pairs are dropped.
-// Repair errors (context cancellation, mid-walk failures) drop the
-// entry instead: its next acquire recreates it cold at the new epoch,
-// with identical answers.
-func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *generation, dirty []graph.Node, res *DeltaResult) error {
+// A pair whose repair fails is dropped too: its next acquire recreates
+// it cold at the new epoch, with identical answers. res is this
+// migration's own slot; the walk sums the slots afterwards.
+func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, dirty []graph.Node, res *DeltaResult) {
+	sh := sv.shardFor(e.key)
 	// Settle any pending spill restore first so the migration sees the
 	// entry's real state and restoreOnce never races the swap.
 	sv.ensureRestored(e)
@@ -148,17 +177,17 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 		}
 		sv.pairsDropped.Add(1)
 		res.PairsDropped++
-		return nil
+		return
 	}
 	cs2, st, err := e.sess.RepairTo(ctx, in2, sv.lineage, next.graphFP, dirty)
 	if err != nil {
 		sv.dropEntry(sh, e)
-		return err
+		return
 	}
 	eval2, est, err := e.eval.RepairTo(ctx, cs2.Engine(), dirty)
 	if err != nil {
 		sv.dropEntry(sh, e)
-		return err
+		return
 	}
 	st.Add(est)
 	e2 := &entry{key: e.key, sess: cs2, eval: eval2, gen: next}
@@ -174,7 +203,7 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 		// A concurrent eviction (or a racing future migration) replaced
 		// or removed the entry; whatever is in the map now is already at
 		// the head epoch, so the migrated state is simply dropped.
-		return nil
+		return
 	}
 	sv.lruMu.Lock()
 	// e2 takes over e's LRU slot: a migration is not a use, and the
@@ -204,8 +233,7 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 	sv.repairDraws.Add(st.DrawsResampled)
 	sv.repairSaved.Add(st.DrawsSaved)
 	res.PairsMigrated++
-	res.Repair.Add(st)
-	return nil
+	res.Repair = st
 }
 
 // dropEntry removes e from its shard map and writes off its bytes; a

@@ -135,7 +135,8 @@ func lruKeys(sv *Server) []pairKey {
 // entry's LRU slot, so a delta neither counts as a use nor lets the
 // pair walk's map-iteration order reshuffle eviction order. Servers fed
 // one query and delta sequence under an eviction budget therefore end
-// with identical counters.
+// with identical counters, whether the walk migrates one pair at a time
+// or many at once.
 func TestApplyDeltaKeepsLRUOrder(t *testing.T) {
 	ctx := context.Background()
 	g := testGraph(40, 50)
@@ -155,8 +156,8 @@ func TestApplyDeltaKeepsLRUOrder(t *testing.T) {
 	query(probe, pairs[0])
 	budget := 6 * probe.Stats().BytesHeld
 
-	run := func() Stats {
-		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, Shards: 1, MaxPoolBytes: budget})
+	run := func(workers int) Stats {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: workers, Shards: 1, MaxPoolBytes: budget})
 		for _, pk := range pairs {
 			query(sv, pk)
 		}
@@ -184,13 +185,129 @@ func TestApplyDeltaKeepsLRUOrder(t *testing.T) {
 		}
 		return sv.Stats()
 	}
-	first := run()
+	first := run(1)
 	if first.SessionsEvicted == 0 {
 		t.Fatal("no evictions: the budget does not bind")
 	}
-	for i := 0; i < 4; i++ {
-		if got := run(); !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d stats differ:\n got %+v\nwant %+v", i+1, got, first)
+	for i, workers := range []int{1, 8, 1, 8} {
+		if got := run(workers); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d (Workers %d) stats differ:\n got %+v\nwant %+v", i+1, workers, got, first)
+		}
+	}
+}
+
+// staleEntries counts cached pairs not at the server's current epoch.
+// After ApplyDelta returns it must be zero: a stale entry would be
+// served as a hit with pre-delta answers.
+func staleEntries(sv *Server) int {
+	head := sv.gen.Load()
+	n := 0
+	for i := range sv.shards {
+		sh := &sv.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.m {
+			if e.gen != head {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestApplyDeltaCancelledContext: a delta under an already-cancelled
+// context either changes nothing or completes. It must never commit the
+// epoch and then leave pairs cached at the old one, answering as hits
+// with pre-delta results.
+func TestApplyDeltaCancelledContext(t *testing.T) {
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 8)
+	if len(pairs) < 6 {
+		t.Fatalf("only %d valid pairs", len(pairs))
+	}
+	d := testDelta(t, g, pairs, 2, 2)
+	g2, _, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	queryAll(t, sv, pairs, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = sv.ApplyDelta(ctx, d, nil)
+	if n := staleEntries(sv); n != 0 {
+		t.Fatalf("%d pairs left at the old epoch (ApplyDelta err %v)", n, err)
+	}
+	want := g2
+	if sv.Epochs() == 1 {
+		if err == nil {
+			t.Fatal("cancelled delta neither advanced the epoch nor failed")
+		}
+		want = g
+	}
+	cold := New(want, weights.NewDegree(want), Config{Seed: 7, Workers: 2})
+	if got, exp := queryAll(t, sv, pairs, 2), queryAll(t, cold, pairs, 2); !reflect.DeepEqual(got, exp) {
+		for i := range exp {
+			if got[i] != exp[i] {
+				t.Fatalf("answer %d differs from a cold server at epoch %d:\n got %s\nwant %s", i, sv.Epochs(), got[i], exp[i])
+			}
+		}
+	}
+}
+
+// TestApplyDeltaWorkerIdentity: the migration walk's outcome does not
+// depend on how many pairs it migrates at once. For every worker count
+// the same warmed server, including a spilled pair the delta dissolves,
+// reports the same DeltaResult and Stats, keeps the same LRU order, and
+// then answers like a cold server at the new epoch.
+func TestApplyDeltaWorkerIdentity(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 8)
+	if len(pairs) < 6 {
+		t.Fatalf("only %d valid pairs", len(pairs))
+	}
+	victim := pairs[0]
+	d := testDelta(t, g, pairs, 2, 2)
+	d.Add = append(d.Add, graph.Edge{U: victim.s, V: victim.t})
+	g2, _, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2})
+	want := queryAll(t, cold, pairs, 1)
+
+	type outcome struct {
+		res   DeltaResult
+		stats Stats
+		lru   []pairKey
+	}
+	var first outcome
+	for i, workers := range []int{1, 2, 8} {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: workers, SpillDir: t.TempDir()})
+		queryAll(t, sv, pairs, 1)
+		if err := sv.SpillAll(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sv.ApplyDelta(ctx, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PairsDropped != 1 || res.PairsMigrated != len(pairs)-1 {
+			t.Fatalf("Workers %d: migrated %d, dropped %d of %d pairs", workers, res.PairsMigrated, res.PairsDropped, len(pairs))
+		}
+		if n := staleEntries(sv); n != 0 {
+			t.Fatalf("Workers %d: %d pairs left at the old epoch", workers, n)
+		}
+		got := outcome{res: *res, stats: sv.Stats(), lru: lruKeys(sv)}
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("Workers %d differs from Workers 1:\n got %+v\nwant %+v", workers, got, first)
+		}
+		if answers := queryAll(t, sv, pairs, 1); !reflect.DeepEqual(answers, want) {
+			t.Fatalf("Workers %d: post-delta answers differ from a cold server", workers)
 		}
 	}
 }

@@ -89,7 +89,8 @@ type Config struct {
 	Shards int
 	// Seed roots every pair's derived streams; results are pure functions
 	// of (Seed, s, t). Workers bounds sampling parallelism per query
-	// (0 = all CPUs) without affecting any result.
+	// and the number of pairs ApplyDelta migrates at once (0 = all
+	// CPUs), without affecting any result.
 	Seed    int64
 	Workers int
 	// SpillDir, when non-empty, turns eviction into a spill: a victim

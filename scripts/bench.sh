@@ -3,7 +3,7 @@
 # readable perf trajectory point.
 #
 # Usage:
-#   scripts/bench.sh [output.json]     # default: BENCH_pr14.json
+#   scripts/bench.sh [output.json]     # default: BENCH_pr15.json
 #   BENCHTIME=3x scripts/bench.sh      # override -benchtime
 #
 # The JSON is a flat array of {name, ns_per_op, allocs_per_op} so future
@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr14.json}"
+out="${1:-BENCH_pr15.json}"
 benchtime="${BENCHTIME:-1s}"
 pattern='RepeatedSolves|CoverageBatch|CoverageScan|CoverageIndexed|SetcoverGreedy|SamplePool|Snapshot|Spill|Pmax|Delta|TopK|Obs|Proto|Admission|Vmax|ServerManyPairs'
 
