@@ -902,14 +902,14 @@ func (sv *Server) EstimatePmax(ctx context.Context, s, t Node, eps0, n float64, 
 // ServerKindStats is the hit/miss tally for one query kind: a hit found
 // the pair's session cached; a miss created it (including re-creation
 // after eviction).
-type ServerKindStats = proto.KindStats
+type ServerKindStats = server.KindStats
 
 // ServerStats is the server's observability ledger — the payload of the
 // protocol's stats op.
-type ServerStats = proto.Stats
+type ServerStats = server.Stats
 
 // Stats returns a snapshot of the server's ledger.
-func (sv *Server) Stats() ServerStats { return proto.StatsFrom(sv.sv.Stats()) }
+func (sv *Server) Stats() ServerStats { return sv.sv.Stats() }
 
 // SessionStats exposes the session's sampling ledger, making pool reuse
 // observable: after an α-sweep, PoolDraws equals the pool size rather

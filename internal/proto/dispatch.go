@@ -189,7 +189,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 			result = DeltaSummaryFrom(res)
 		}
 	case "stats":
-		st := StatsFrom(d.sv.Stats())
+		st := d.sv.Stats()
 		if o := d.sv.Obs(); o != nil {
 			result = StatsWithMetrics{Stats: st, Metrics: o.Registry.Snapshot()}
 		} else {

@@ -12,9 +12,11 @@ import (
 // layer's answers: the wire format is their JSON marshaling, and the
 // public facade (package activefriending) re-exports them as type
 // aliases (Solution, MaxSolution, TopKCandidate, TopKResult,
-// DeltaSummary, ServerKindStats, ServerStats). The converters below
-// serve both the Dispatcher and the facade, so a library caller and a
-// protocol client receive the same values — and the same bytes.
+// DeltaSummary). The converters below serve both the Dispatcher and the
+// facade, so a library caller and a protocol client receive the same
+// values — and the same bytes. The stats ledger (Stats, KindStats) is
+// the exception: it is declared in package server, next to the counter
+// table that fills it, and aliased here and in the facade.
 
 // Solution is the output of a RAF solve (Algorithm 4).
 type Solution struct {
@@ -211,136 +213,12 @@ func DeltaSummaryFrom(res *server.DeltaResult) *DeltaSummary {
 	}
 }
 
-// KindStats is the hit/miss tally for one query kind: a hit found the
-// pair's session cached; a miss created it (including re-creation
-// after eviction).
-type KindStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// Stats is the server's observability ledger.
-type Stats struct {
-	// SessionsLive counts currently cached pair sessions;
-	// SessionsCreated and SessionsEvicted are lifetime counters (a pair
-	// recreated after eviction counts as created again). An eviction is
-	// counted exactly when its pair leaves the cache, so at quiescence
-	// SessionsLive == SessionsCreated − SessionsEvicted.
-	SessionsLive    int
-	SessionsCreated int64
-	SessionsEvicted int64
-	// BytesHeld is the accounted size of all cached pair state; after an
-	// eviction pass it never exceeds the configured pool byte budget.
-	BytesHeld int64
-	// Spills counts evictions (and SpillAll flushes) that wrote a pair's
-	// pools to the spill directory, totalling SpillBytes on disk;
-	// SpillLoads counts re-admissions restored from a spill file
-	// (SpillLoadBytes read) instead of resampled, and SpillDrawsSaved
-	// totals the pool draws those loads avoided — the load-vs-resample
-	// win. SpillLoadErrors counts rejected or unreadable spill files,
-	// split by cause — checksum failures, format-version skew,
-	// stream-identity mismatches (wrong seed), instance mismatches (a
-	// graph the epoch lineage doesn't know), and everything else —
-	// SpillWriteErrors failed snapshot writes (the previous file, if
-	// any, survives); the affected pairs resampled, which changes no
-	// answer.
-	Spills               int64
-	SpillBytes           int64
-	SpillLoads           int64
-	SpillLoadBytes       int64
-	SpillDrawsSaved      int64
-	SpillLoadErrors      int64
-	SpillLoadErrChecksum int64
-	SpillLoadErrVersion  int64
-	SpillLoadErrStream   int64
-	SpillLoadErrInstance int64
-	SpillLoadErrOther    int64
-	SpillWriteErrors     int64
-	// SpillFilesExpired counts spill files deleted by the TTL sweep; the
-	// affected pairs resample on their next query, which changes no
-	// answer.
-	SpillFilesExpired int64
-	// DeltasApplied counts effective graph deltas; PairsDropped the
-	// pairs deltas dissolved. PoolsRepaired counts pair migrations and
-	// stale-spill loads carried across epochs by repair, re-drawing
-	// RepairChunksResampled chunks (RepairDrawsResampled draws) while
-	// adopting RepairDrawsSaved draws verbatim — the repair-vs-discard
-	// win.
-	DeltasApplied         int64
-	PairsDropped          int64
-	PoolsRepaired         int64
-	RepairChunksResampled int64
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
-	// solves and stopping-rule estimates answered from retained
-	// estimator ledgers instead of resampling — the p_max refinement
-	// win.
-	PmaxDrawsReused int64
-	// Coalesced counts queries that joined an identical concurrent
-	// in-flight query (same pair, parameters and graph epoch) and
-	// shared its answer instead of paying their own computation.
-	Coalesced int64
-	// Inflight and Queued are the admission gate's current occupancy
-	// (queries executing / waiting for a slot); Admitted and Rejected
-	// are lifetime counters. All zero with admission control off.
-	Inflight int
-	Queued   int
-	Admitted int64
-	Rejected int64
-	// Per-query-kind hit/miss tallies. TopK counts per-candidate
-	// session acquisitions of batched ranking rounds.
-	Solve                 KindStats
-	SolveMax              KindStats
-	AcceptanceProbability KindStats
-	Pmax                  KindStats
-	EstimatePmax          KindStats
-	TopK                  KindStats
-}
-
-// StatsFrom shapes a server ledger snapshot.
-func StatsFrom(st server.Stats) Stats {
-	conv := func(k server.Kind) KindStats {
-		return KindStats{Hits: st.ByKind[k].Hits, Misses: st.ByKind[k].Misses}
-	}
-	return Stats{
-		SessionsLive:          st.SessionsLive,
-		SessionsCreated:       st.SessionsCreated,
-		SessionsEvicted:       st.SessionsEvicted,
-		BytesHeld:             st.BytesHeld,
-		Spills:                st.Spills,
-		SpillBytes:            st.SpillBytes,
-		SpillLoads:            st.SpillLoads,
-		SpillLoadBytes:        st.SpillLoadBytes,
-		SpillDrawsSaved:       st.SpillDrawsSaved,
-		SpillLoadErrors:       st.SpillLoadErrors,
-		SpillLoadErrChecksum:  st.SpillLoadErrChecksum,
-		SpillLoadErrVersion:   st.SpillLoadErrVersion,
-		SpillLoadErrStream:    st.SpillLoadErrStream,
-		SpillLoadErrInstance:  st.SpillLoadErrInstance,
-		SpillLoadErrOther:     st.SpillLoadErrOther,
-		SpillWriteErrors:      st.SpillWriteErrors,
-		SpillFilesExpired:     st.SpillFilesExpired,
-		DeltasApplied:         st.DeltasApplied,
-		PairsDropped:          st.PairsDropped,
-		PoolsRepaired:         st.PoolsRepaired,
-		RepairChunksResampled: st.RepairChunksResampled,
-		RepairDrawsResampled:  st.RepairDrawsResampled,
-		RepairDrawsSaved:      st.RepairDrawsSaved,
-		PmaxDrawsReused:       st.PmaxDrawsReused,
-		Coalesced:             st.Coalesced,
-		Inflight:              st.Inflight,
-		Queued:                st.Queued,
-		Admitted:              st.Admitted,
-		Rejected:              st.Rejected,
-		Solve:                 conv(server.KindSolve),
-		SolveMax:              conv(server.KindSolveMax),
-		AcceptanceProbability: conv(server.KindEstimateF),
-		Pmax:                  conv(server.KindPmax),
-		EstimatePmax:          conv(server.KindPmaxEst),
-		TopK:                  conv(server.KindTopK),
-	}
-}
+// KindStats and Stats are the "stats" op's ledger, declared once in
+// package server, where one table fills them.
+type (
+	KindStats = server.KindStats
+	Stats     = server.Stats
+)
 
 // StatsWithMetrics is the "stats" payload when the server runs with
 // metrics: the ledger, flat as before (embedding keeps the field layout

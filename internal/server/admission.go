@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 )
 
 // ErrOverloaded is the typed fast-reject: the in-flight query limit is
@@ -13,84 +12,56 @@ import (
 // state, the query simply did not run.
 var ErrOverloaded = errors.New("server: overloaded (in-flight limit reached and wait queue full)")
 
-// admission is the server's in-flight gate: at most cap(slots) queries
-// execute at once, at most maxQueue more wait for a slot, and everything
-// beyond that is rejected immediately with ErrOverloaded. A nil
-// *admission (Config.MaxInflight ≤ 0) disables the gate at zero cost.
+// admit is the server's in-flight gate: at most cap(sv.slots) queries
+// execute at once, at most sv.maxQueue more wait for a slot, and
+// everything beyond that is rejected immediately with ErrOverloaded. A
+// nil slots channel (Config.MaxInflight ≤ 0) disables the gate at zero
+// cost. It blocks until a slot is free, the queue overflows or ctx is
+// done (its error); every nil return must be paired with admitDone.
 //
 // The gate is the first step of the query pipeline (run), which every
 // public query entry point passes through — Solve, SolveMax,
 // SolveMaxBudgets, EstimateF, Pmax, PmaxEstimate and TopK (and through
 // it TopKRefine, which delegates ungated and must not hold two slots) —
 // and it admits before coalescing, so "in flight" counts client
-// requests, including ones that will join an identical leader. Internal traffic (PairHandle acquisitions,
-// Warm, ApplyDelta migrations) is never gated: admission protects the
-// server from clients, not from itself.
-type admission struct {
-	slots    chan struct{}
-	maxQueue int64
-
-	inflight atomic.Int64 // currently executing (holding a slot)
-	queued   atomic.Int64 // currently waiting for a slot
-	admitted atomic.Int64 // lifetime admits (fast-path + dequeued)
-	rejected atomic.Int64 // lifetime fast-rejects
-}
-
-func newAdmission(maxInflight, maxQueue int) *admission {
-	if maxInflight <= 0 {
-		return nil
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	return &admission{
-		slots:    make(chan struct{}, maxInflight),
-		maxQueue: int64(maxQueue),
-	}
-}
-
-// admit blocks until a slot is free, the queue overflows (ErrOverloaded)
-// or ctx is done (its error). Every nil return must be paired with
-// release.
-func (a *admission) admit(ctx context.Context) error {
-	if a == nil {
+// requests, including ones that will join an identical leader. Internal
+// traffic (PairHandle acquisitions, Warm, ApplyDelta migrations) is
+// never gated: admission protects the server from clients, not from
+// itself.
+func (sv *Server) admit(ctx context.Context) error {
+	if sv.slots == nil {
 		return nil
 	}
 	select {
-	case a.slots <- struct{}{}:
-		a.inflight.Add(1)
-		a.admitted.Add(1)
+	case sv.slots <- struct{}{}:
+		sv.ledger[ctrInflight].Add(1)
+		sv.ledger[ctrAdmitted].Add(1)
 		return nil
 	default:
 	}
 	// Saturated: join the bounded wait queue or fast-reject. The counter
 	// is optimistic — increment, then check — so a burst past the bound
 	// rejects deterministically instead of over-admitting.
-	if a.queued.Add(1) > a.maxQueue {
-		a.queued.Add(-1)
-		a.rejected.Add(1)
+	if sv.ledger[ctrQueued].Add(1) > sv.maxQueue {
+		sv.ledger[ctrQueued].Add(-1)
+		sv.ledger[ctrRejected].Add(1)
 		return ErrOverloaded
 	}
-	defer a.queued.Add(-1)
+	defer sv.ledger[ctrQueued].Add(-1)
 	select {
-	case a.slots <- struct{}{}:
-		a.inflight.Add(1)
-		a.admitted.Add(1)
+	case sv.slots <- struct{}{}:
+		sv.ledger[ctrInflight].Add(1)
+		sv.ledger[ctrAdmitted].Add(1)
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-func (a *admission) release() {
-	if a == nil {
+func (sv *Server) admitDone() {
+	if sv.slots == nil {
 		return
 	}
-	a.inflight.Add(-1)
-	<-a.slots
+	sv.ledger[ctrInflight].Add(-1)
+	<-sv.slots
 }
-
-// admit gates one query on the server's admission limiter; see admission.
-func (sv *Server) admit(ctx context.Context) error { return sv.adm.admit(ctx) }
-
-func (sv *Server) admitDone() { sv.adm.release() }

@@ -120,7 +120,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 func TestAdmissionDisabled(t *testing.T) {
 	g := testGraph(40, 60)
 	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
-	if sv.adm != nil {
+	if sv.slots != nil {
 		t.Fatal("gate constructed with MaxInflight = 0")
 	}
 	if _, err := sv.Pmax(context.Background(), 0, 5, 1000); err != nil {

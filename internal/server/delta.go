@@ -107,7 +107,7 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 	// walk below does not see was created at (or after) the new epoch.
 	sv.gen.Store(next)
 	sv.lineage.Advance(next.graphFP, dirty)
-	sv.deltasApplied.Add(1)
+	sv.ledger[ctrDeltasApplied].Add(1)
 	ctx = context.WithoutCancel(ctx)
 
 	var stale []*entry
@@ -175,7 +175,7 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 		if sv.cfg.SpillDir != "" {
 			os.Remove(sv.spillPath(e.key))
 		}
-		sv.pairsDropped.Add(1)
+		sv.ledger[ctrPairsDropped].Add(1)
 		res.PairsDropped++
 		return
 	}
@@ -228,12 +228,17 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 	sv.bytes += e2.bytes
 	sv.lruMu.Unlock()
 
-	sv.poolsRepaired.Add(1)
-	sv.repairChunks.Add(int64(st.Resampled))
-	sv.repairDraws.Add(st.DrawsResampled)
-	sv.repairSaved.Add(st.DrawsSaved)
+	sv.noteRepair(st)
 	res.PairsMigrated++
 	res.Repair = st
+}
+
+// noteRepair ledgers one pool repair carried across epochs.
+func (sv *Server) noteRepair(st engine.RepairStats) {
+	sv.ledger[ctrPoolsRepaired].Add(1)
+	sv.ledger[ctrRepairChunks].Add(int64(st.Resampled))
+	sv.ledger[ctrRepairDraws].Add(st.DrawsResampled)
+	sv.ledger[ctrRepairSaved].Add(st.DrawsSaved)
 }
 
 // dropEntry removes e from its shard map and writes off its bytes; a
@@ -244,7 +249,7 @@ func (sv *Server) dropEntry(sh *shard, e *entry) {
 	sh.mu.Lock()
 	if sh.m[e.key] == e {
 		delete(sh.m, e.key)
-		sv.evicted.Add(1)
+		sv.ledger[ctrSessionsEvicted].Add(1)
 	}
 	sh.mu.Unlock()
 	sv.lruMu.Lock()
@@ -282,7 +287,7 @@ func (sv *Server) sweepDissolvedSpills(g2 *graph.Graph, res *DeltaResult) {
 			continue
 		}
 		if os.Remove(filepath.Join(sv.cfg.SpillDir, de.Name())) == nil {
-			sv.pairsDropped.Add(1)
+			sv.ledger[ctrPairsDropped].Add(1)
 			res.PairsDropped++
 		}
 	}

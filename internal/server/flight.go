@@ -59,7 +59,7 @@ func (fs *flights[P, T]) do(sv *Server, params P, fn func() (T, error)) (T, erro
 	fs.mu.Lock()
 	if c, ok := fs.m[key]; ok {
 		fs.mu.Unlock()
-		sv.coalesced.Add(1)
+		sv.ledger[ctrCoalesced].Add(1)
 		c.done.Wait()
 		return c.val, c.err
 	}

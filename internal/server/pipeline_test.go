@@ -92,7 +92,7 @@ func TestGatedEntryPoints(t *testing.T) {
 				_, err := sv.Pmax(ctx, other.s, other.t, 1000)
 				holder <- err
 			}()
-			waitFor(t, func() bool { return sv.adm.inflight.Load() == 1 })
+			waitFor(t, func() bool { return sv.ledger[ctrInflight].Load() == 1 })
 			err := e.call(ctx, sv, p, targets)
 			release()
 			if !errors.Is(err, ErrOverloaded) {
@@ -107,12 +107,12 @@ func TestGatedEntryPoints(t *testing.T) {
 			release = holdShards(sv)
 			errs := make(chan error, 2)
 			go func() { errs <- e.call(ctx, sv, p, targets) }()
-			waitFor(t, func() bool { return sv.adm.inflight.Load() == 1 })
+			waitFor(t, func() bool { return sv.ledger[ctrInflight].Load() == 1 })
 			go func() { errs <- e.call(ctx, sv, p, targets) }()
 			if e.coalesces {
-				waitFor(t, func() bool { return sv.coalesced.Load() == 1 })
+				waitFor(t, func() bool { return sv.ledger[ctrCoalesced].Load() == 1 })
 			} else {
-				waitFor(t, func() bool { return sv.adm.inflight.Load() == 2 })
+				waitFor(t, func() bool { return sv.ledger[ctrInflight].Load() == 2 })
 			}
 			release()
 			for i := 0; i < 2; i++ {
@@ -128,13 +128,14 @@ func TestGatedEntryPoints(t *testing.T) {
 			if st.Coalesced != want {
 				t.Errorf("Coalesced = %d, want %d", st.Coalesced, want)
 			}
-			for k, c := range st.ByKind {
-				n := c.Hits + c.Misses
+			for k := KindSolve; k < numKinds; k++ {
+				hits, misses := sv.kindCounts(k)
+				n := hits + misses
 				switch {
-				case Kind(k) == e.kind && n == 0:
-					t.Errorf("kind %v: no acquisitions ledgered", Kind(k))
-				case Kind(k) != e.kind && n != 0:
-					t.Errorf("kind %v: %d acquisitions ledgered for a %s call", Kind(k), n, e.name)
+				case k == e.kind && n == 0:
+					t.Errorf("kind %v: no acquisitions ledgered", k)
+				case k != e.kind && n != 0:
+					t.Errorf("kind %v: %d acquisitions ledgered for a %s call", k, n, e.name)
 				}
 			}
 		})
@@ -161,7 +162,7 @@ func TestRequestHistogramCountsRequests(t *testing.T) {
 			_, err := sv.EstimateF(ctx, pairs[1].s, pairs[1].t, graph.NewNodeSetOf(g.NumNodes(), pairs[1].t), 1000)
 			holder <- err
 		}()
-		waitFor(t, func() bool { return sv.adm.inflight.Load() == 1 })
+		waitFor(t, func() bool { return sv.ledger[ctrInflight].Load() == 1 })
 		_, err := sv.Pmax(ctx, pairs[0].s, pairs[0].t, 1000)
 		release()
 		if !errors.Is(err, ErrOverloaded) {
@@ -185,7 +186,7 @@ func TestRequestHistogramCountsRequests(t *testing.T) {
 		}
 		go call()
 		go call()
-		waitFor(t, func() bool { return sv.coalesced.Load() == 1 })
+		waitFor(t, func() bool { return sv.ledger[ctrCoalesced].Load() == 1 })
 		release()
 		for i := 0; i < 2; i++ {
 			if err := <-errs; err != nil {

@@ -141,118 +141,24 @@ const (
 	numKinds
 )
 
+// kindInfo gives each kind its ledger label and the Stats field of its
+// hit/miss tally; KindAcquire's tally is on /metrics only.
+var kindInfo = [numKinds]struct{ label, field string }{
+	KindSolve:     {"solve", "Solve"},
+	KindSolveMax:  {"solvemax", "SolveMax"},
+	KindEstimateF: {"estimatef", "AcceptanceProbability"},
+	KindPmax:      {"pmax", "Pmax"},
+	KindPmaxEst:   {"pmaxest", "EstimatePmax"},
+	KindAcquire:   {"acquire", ""},
+	KindTopK:      {"topk", "TopK"},
+}
+
 // String returns the ledger label of the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindSolve:
-		return "solve"
-	case KindSolveMax:
-		return "solvemax"
-	case KindEstimateF:
-		return "estimatef"
-	case KindPmax:
-		return "pmax"
-	case KindPmaxEst:
-		return "pmaxest"
-	case KindAcquire:
-		return "acquire"
-	case KindTopK:
-		return "topk"
+	if k < 0 || k >= numKinds {
+		return "unknown"
 	}
-	return "unknown"
-}
-
-// KindCounts is the hit/miss tally for one query kind: a hit found the
-// pair's session cached, a miss created (or re-created, after eviction)
-// it.
-type KindCounts struct {
-	Hits   int64
-	Misses int64
-}
-
-// Stats is the server's observability ledger.
-type Stats struct {
-	// SessionsLive is the number of currently cached pair sessions;
-	// SessionsCreated and SessionsEvicted are lifetime counters (a pair
-	// recreated after eviction counts as created again). An eviction is
-	// counted exactly when its pair leaves the cache, so at quiescence
-	// (no queries in flight) SessionsLive == SessionsCreated −
-	// SessionsEvicted; a snapshot taken mid-eviction may transiently see
-	// the map shrink before the counter settles.
-	SessionsLive    int
-	SessionsCreated int64
-	SessionsEvicted int64
-	// BytesHeld is the accounted size of all cached pair state. After an
-	// eviction pass it never exceeds Config.MaxPoolBytes.
-	BytesHeld int64
-	// Spills counts evictions (and SpillAll flushes) that wrote the
-	// victim's pools to SpillDir, totalling SpillBytes on disk; with no
-	// SpillDir both stay zero and eviction discards.
-	Spills     int64
-	SpillBytes int64
-	// SpillLoads counts pair re-admissions whose pools were restored
-	// from a spill file (SpillLoadBytes read) instead of resampled;
-	// SpillDrawsSaved totals the pool draws those loads avoided — the
-	// load-vs-resample win. SpillLoadErrors counts spill files rejected
-	// or unreadable, split by cause: checksum failures, format-version
-	// skew, stream-identity mismatches (wrong seed or namespace),
-	// instance mismatches (a fingerprint matching neither the current
-	// epoch nor a lineage ancestor), and everything else (I/O errors,
-	// truncation). SpillWriteErrors counts failed snapshot writes (the
-	// previous file, if any, is left intact); the pair then resamples on
-	// its next admission, which changes no answer.
-	SpillLoads           int64
-	SpillLoadBytes       int64
-	SpillDrawsSaved      int64
-	SpillLoadErrors      int64
-	SpillLoadErrChecksum int64
-	SpillLoadErrVersion  int64
-	SpillLoadErrStream   int64
-	SpillLoadErrInstance int64
-	SpillLoadErrOther    int64
-	SpillWriteErrors     int64
-	// SpillFilesExpired counts spill files deleted by the TTL sweep
-	// (Config.SpillTTL): snapshots not rewritten within the TTL. The
-	// affected pairs resample on their next admission — a latency event,
-	// never a correctness event.
-	SpillFilesExpired int64
-	// Inflight and Queued are the admission gate's current occupancy:
-	// queries executing and queries waiting for a slot. Admitted and
-	// Rejected are lifetime counters — every query entering a public
-	// query method either admits (possibly after queueing), rejects with
-	// ErrOverloaded, or gives up waiting (context cancellation; counted
-	// in neither). All zero with admission disabled (MaxInflight ≤ 0).
-	Inflight int
-	Queued   int
-	Admitted int64
-	Rejected int64
-	// DeltasApplied counts ApplyDelta calls that actually changed the
-	// graph or its weights (no-op deltas advance nothing). PairsDropped
-	// counts pairs dissolved by a delta — their (s,t) became adjacent,
-	// the problem is solved — including spill-only pairs whose files
-	// were swept. PoolsRepaired counts pair migrations and spill loads
-	// that carried state across epochs by repair; RepairChunksResampled
-	// / RepairDrawsResampled are the chunks and draws those repairs
-	// re-drew, and RepairDrawsSaved the draws adopted verbatim — what a
-	// discard-and-resample would have paid on top.
-	DeltasApplied         int64
-	PairsDropped          int64
-	PoolsRepaired         int64
-	RepairChunksResampled int64
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
-	// queries (Solve step 2 and PmaxEstimate) answered from a pair's
-	// retained estimator ledger instead of resampling — the refinement
-	// win, the p_max analog of SpillDrawsSaved.
-	PmaxDrawsReused int64
-	// Coalesced counts queries that joined an identical in-flight query
-	// (same kind, pair, parameters and graph epoch) instead of paying
-	// their own computation — two racing clients previously both paid a
-	// cold pool. See flights.do.
-	Coalesced int64
-	// ByKind indexes hit/miss tallies by Kind.
-	ByKind [numKinds]KindCounts
+	return kindInfo[k].label
 }
 
 type pairKey struct{ s, t graph.Node }
@@ -315,30 +221,15 @@ type Server struct {
 	lineage *engine.Lineage
 	deltaMu sync.Mutex
 
-	created atomic.Int64
-	evicted atomic.Int64
-	kinds   [numKinds]struct{ hits, misses atomic.Int64 }
+	// ledger holds every counter of Stats; see ledgerRows.
+	ledger ledger
 
-	spills               atomic.Int64
-	spillBytes           atomic.Int64
-	spillLoads           atomic.Int64
-	spillLoadBytes       atomic.Int64
-	spillDrawsSaved      atomic.Int64
-	spillLoadErrors      atomic.Int64
-	spillLoadErrChecksum atomic.Int64
-	spillLoadErrVersion  atomic.Int64
-	spillLoadErrStream   atomic.Int64
-	spillLoadErrInstance atomic.Int64
-	spillLoadErrOther    atomic.Int64
-	spillWriteErrors     atomic.Int64
-	spillExpired         atomic.Int64
-	pmaxDrawsReused      atomic.Int64
-	coalesced            atomic.Int64
-
-	// adm is the admission gate (nil with MaxInflight ≤ 0); lastSweep is
-	// the unix-nano time of the last spill TTL sweep, CAS-guarded so at
-	// most one goroutine pays for a sweep per interval.
-	adm       *admission
+	// slots and maxQueue are the admission gate (slots nil with
+	// MaxInflight ≤ 0; see admit); lastSweep is the unix-nano time of
+	// the last spill TTL sweep, CAS-guarded so at most one goroutine
+	// pays for a sweep per interval.
+	slots     chan struct{}
+	maxQueue  int64
 	lastSweep atomic.Int64
 
 	// Open flights of each coalesced query kind; see run. EstimateF is
@@ -349,13 +240,6 @@ type Server struct {
 	pmaxFlights    flights[pmaxParams, float64]
 	pmaxEstFlights flights[pmaxEstParams, engine.PmaxResult]
 	topKFlights    flights[topKParams, *TopKResult]
-
-	deltasApplied atomic.Int64
-	pairsDropped  atomic.Int64
-	poolsRepaired atomic.Int64
-	repairChunks  atomic.Int64
-	repairDraws   atomic.Int64
-	repairSaved   atomic.Int64
 
 	// lruMu guards the recency list and the byte ledger. It is only ever
 	// held for O(1) bookkeeping plus eviction passes; pool sampling,
@@ -377,7 +261,10 @@ func New(g *graph.Graph, scheme weights.Scheme, cfg Config) *Server {
 		cfg.Shards = DefaultShards
 	}
 	sv := &Server{cfg: cfg, shards: make([]shard, cfg.Shards), lru: list.New()}
-	sv.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue)
+	if cfg.MaxInflight > 0 {
+		sv.slots = make(chan struct{}, cfg.MaxInflight)
+		sv.maxQueue = max(int64(cfg.MaxQueue), 0)
+	}
 	gfp := engine.GraphFingerprint(g, scheme)
 	sv.gen.Store(&generation{g: g, scheme: scheme, graphFP: gfp})
 	sv.lineage = engine.NewLineage(gfp)
@@ -442,15 +329,15 @@ func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*ent
 		cs.Engine().Bind(sv.lineage, gen.graphFP)
 		e = &entry{key: k, sess: cs, eval: cs.Engine().NewEvalSession(seed, sv.cfg.Workers), gen: gen}
 		sh.m[k] = e
-		sv.created.Add(1)
+		sv.ledger[ctrSessionsCreated].Add(1)
 	}
 	sh.mu.Unlock()
 	sv.ensureRestored(e)
-	if ok {
-		sv.kinds[kind].hits.Add(1)
-	} else {
-		sv.kinds[kind].misses.Add(1)
+	tally := ctrHits
+	if !ok {
+		tally = ctrMisses
 	}
+	sv.ledger[tally+counter(kind)].Add(1)
 	sv.lruMu.Lock()
 	if e.elem != nil {
 		sv.lru.MoveToFront(e.elem)
@@ -513,7 +400,7 @@ func (sv *Server) evictLocked() []*entry {
 		sh.mu.Lock()
 		if sh.m[victim.key] == victim {
 			delete(sh.m, victim.key)
-			sv.evicted.Add(1)
+			sv.ledger[ctrSessionsEvicted].Add(1)
 		}
 		sh.mu.Unlock()
 		if sv.cfg.SpillDir != "" {
@@ -565,11 +452,11 @@ func (sv *Server) writeSpill(e *entry) error {
 		return e.eval.Snapshot(w)
 	})
 	if err != nil {
-		sv.spillWriteErrors.Add(1)
+		sv.ledger[ctrSpillWriteErrors].Add(1)
 		return err
 	}
-	sv.spills.Add(1)
-	sv.spillBytes.Add(n)
+	sv.ledger[ctrSpills].Add(1)
+	sv.ledger[ctrSpillBytes].Add(n)
 	// A write is the natural periodic hook for TTL'd GC: the spill dir
 	// only grows when something is written to it.
 	sv.maybeSweepExpiredSpills()
@@ -581,19 +468,18 @@ func (sv *Server) writeSpill(e *entry) error {
 // (version), misconfiguration (stream identity: wrong seed or
 // namespace), and topology drift past the lineage's memory (instance).
 func (sv *Server) noteLoadError(err error) {
-	sv.spillLoadErrors.Add(1)
+	cause := ctrSpillLoadErrOther
 	switch {
 	case errors.Is(err, snapshot.ErrChecksum):
-		sv.spillLoadErrChecksum.Add(1)
+		cause = ctrSpillLoadErrChecksum
 	case errors.Is(err, snapshot.ErrVersion):
-		sv.spillLoadErrVersion.Add(1)
+		cause = ctrSpillLoadErrVersion
 	case errors.Is(err, engine.ErrStreamMismatch):
-		sv.spillLoadErrStream.Add(1)
+		cause = ctrSpillLoadErrStream
 	case errors.Is(err, engine.ErrInstanceMismatch):
-		sv.spillLoadErrInstance.Add(1)
-	default:
-		sv.spillLoadErrOther.Add(1)
+		cause = ctrSpillLoadErrInstance
 	}
+	sv.ledger[cause].Add(1)
 }
 
 // restoreSpill loads the pair's spill file, if any, into its freshly
@@ -642,22 +528,19 @@ func (sv *Server) restoreSpill(e *entry) {
 	}
 	e.loaded = true
 	e.loadedDraws = e.sess.PoolSize() + e.eval.Size() + e.sess.PmaxEstimator().Draws()
-	sv.spillLoads.Add(1)
+	sv.ledger[ctrSpillLoads].Add(1)
 	if st, err := f.Stat(); err == nil {
-		sv.spillLoadBytes.Add(st.Size())
+		sv.ledger[ctrSpillLoadBytes].Add(st.Size())
 	}
-	sv.spillDrawsSaved.Add(e.loadedDraws)
+	sv.ledger[ctrSpillDrawsSaved].Add(e.loadedDraws)
 	// An ancestor-epoch blob was adopted and repaired on the way in; the
 	// session's engine is fresh (created with the entry), so its repair
 	// ledger is exactly this load's bill.
 	eng := e.sess.Engine()
 	if rd, rs := eng.RepairDrawsResampled(), eng.RepairDrawsSaved(); rd > 0 || rs > 0 {
-		sv.poolsRepaired.Add(1)
-		sv.repairDraws.Add(rd)
-		sv.repairSaved.Add(rs)
-		sv.repairChunks.Add(eng.RepairChunksResampled())
+		sv.noteRepair(engine.RepairStats{Resampled: int(eng.RepairChunksResampled()), DrawsResampled: rd, DrawsSaved: rs})
 		// Draws a repair re-made did not come from disk.
-		sv.spillDrawsSaved.Add(-rd)
+		sv.ledger[ctrSpillDrawsSaved].Add(-rd)
 	}
 }
 
@@ -752,7 +635,7 @@ func (sv *Server) Solve(ctx context.Context, s, t graph.Node, cfg core.Config) (
 			if err != nil {
 				return nil, err
 			}
-			sv.pmaxDrawsReused.Add(res.PmaxReused)
+			sv.ledger[ctrPmaxDrawsReused].Add(res.PmaxReused)
 			return res, nil
 		})
 	})
@@ -893,7 +776,7 @@ func (sv *Server) PmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n flo
 	return run(ctx, sv, KindPmaxEst, &sv.pmaxEstFlights, p, func(ctx context.Context) (engine.PmaxResult, error) {
 		return withPair(ctx, sv, KindPmaxEst, s, t, func(e *entry) (engine.PmaxResult, error) {
 			res, err := e.sess.EstimatePmax(ctx, eps0, n, maxDraws)
-			sv.pmaxDrawsReused.Add(res.Reused)
+			sv.ledger[ctrPmaxDrawsReused].Add(res.Reused)
 			return res, err
 		})
 	})
@@ -929,52 +812,3 @@ func (h *PairHandle) Instance() *ltm.Instance { return h.e.sess.Instance() }
 // stays usable afterwards (an evicted pair keeps working for in-flight
 // holders; the server just stops charging for it).
 func (h *PairHandle) Done() { h.sv.release(h.e) }
-
-// Stats returns a snapshot of the server's ledger.
-func (sv *Server) Stats() Stats {
-	st := Stats{
-		SessionsCreated:      sv.created.Load(),
-		SessionsEvicted:      sv.evicted.Load(),
-		Spills:               sv.spills.Load(),
-		SpillBytes:           sv.spillBytes.Load(),
-		SpillLoads:           sv.spillLoads.Load(),
-		SpillLoadBytes:       sv.spillLoadBytes.Load(),
-		SpillDrawsSaved:      sv.spillDrawsSaved.Load(),
-		SpillLoadErrors:      sv.spillLoadErrors.Load(),
-		SpillLoadErrChecksum: sv.spillLoadErrChecksum.Load(),
-		SpillLoadErrVersion:  sv.spillLoadErrVersion.Load(),
-		SpillLoadErrStream:   sv.spillLoadErrStream.Load(),
-		SpillLoadErrInstance: sv.spillLoadErrInstance.Load(),
-		SpillLoadErrOther:    sv.spillLoadErrOther.Load(),
-		SpillWriteErrors:     sv.spillWriteErrors.Load(),
-		SpillFilesExpired:    sv.spillExpired.Load(),
-		PmaxDrawsReused:      sv.pmaxDrawsReused.Load(),
-		Coalesced:            sv.coalesced.Load(),
-
-		DeltasApplied:         sv.deltasApplied.Load(),
-		PairsDropped:          sv.pairsDropped.Load(),
-		PoolsRepaired:         sv.poolsRepaired.Load(),
-		RepairChunksResampled: sv.repairChunks.Load(),
-		RepairDrawsResampled:  sv.repairDraws.Load(),
-		RepairDrawsSaved:      sv.repairSaved.Load(),
-	}
-	if a := sv.adm; a != nil {
-		st.Inflight = int(a.inflight.Load())
-		st.Queued = int(a.queued.Load())
-		st.Admitted = a.admitted.Load()
-		st.Rejected = a.rejected.Load()
-	}
-	for k := range st.ByKind {
-		st.ByKind[k] = KindCounts{Hits: sv.kinds[k].hits.Load(), Misses: sv.kinds[k].misses.Load()}
-	}
-	for i := range sv.shards {
-		sh := &sv.shards[i]
-		sh.mu.Lock()
-		st.SessionsLive += len(sh.m)
-		sh.mu.Unlock()
-	}
-	sv.lruMu.Lock()
-	st.BytesHeld = sv.bytes
-	sv.lruMu.Unlock()
-	return st
-}

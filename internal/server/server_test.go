@@ -184,7 +184,7 @@ func TestStatsLedger(t *testing.T) {
 	if st.SessionsLive != len(pairs) || st.SessionsCreated != int64(len(pairs)) {
 		t.Errorf("live/created = %d/%d, want %d/%d", st.SessionsLive, st.SessionsCreated, len(pairs), len(pairs))
 	}
-	if c := st.ByKind[KindPmax]; c.Misses != int64(len(pairs)) || c.Hits != int64(len(pairs)) {
+	if c := st.Pmax; c.Misses != int64(len(pairs)) || c.Hits != int64(len(pairs)) {
 		t.Errorf("pmax hit/miss = %d/%d, want %d/%d", c.Hits, c.Misses, len(pairs), len(pairs))
 	}
 	if st.BytesHeld <= 0 {
@@ -251,7 +251,7 @@ func TestPairHandle(t *testing.T) {
 	if _, err := sv.Pmax(ctx, pk.s, pk.t, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if c := sv.Stats().ByKind[KindPmax]; c.Hits != 1 || c.Misses != 0 {
+	if c := sv.Stats().Pmax; c.Hits != 1 || c.Misses != 0 {
 		t.Errorf("pmax hit/miss = %d/%d, want 1/0 (handle session not shared)", c.Hits, c.Misses)
 	}
 }

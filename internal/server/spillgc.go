@@ -51,7 +51,7 @@ func (sv *Server) sweepExpiredSpillsLocked() int {
 		}
 	}
 	if n > 0 {
-		sv.spillExpired.Add(int64(n))
+		sv.ledger[ctrSpillFilesExpired].Add(int64(n))
 	}
 	return n
 }

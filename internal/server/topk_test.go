@@ -306,7 +306,7 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 		done <- v
 	}()
 	// Wait for the joiner to be counted, then let the flight finish.
-	for sv.coalesced.Load() == 0 {
+	for sv.ledger[ctrCoalesced].Load() == 0 {
 		runtime.Gosched()
 	}
 	close(release)
