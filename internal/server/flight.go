@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -124,12 +126,20 @@ func solveParamsOf(s, t graph.Node, cfg core.Config) solveParams {
 	return p
 }
 
+// ErrInternal marks a query whose execution panicked. The panic is
+// contained to that execution: its leader and every coalesced joiner
+// receive an error wrapping ErrInternal and the panic value, the server
+// keeps serving, and Stats.Panics counts it.
+var ErrInternal = errors.New("server: internal error")
+
 // run is the one pipeline every gated query passes through. It times
 // the request from entry, admits it through the gate, then joins an
 // identical open flight in fl or opens one that executes fn under a
 // trace (fl nil: the kind is never coalesced). Every request — leader,
 // joiner or rejected — records exactly one latency sample and, on
 // error, one error count; the stage histograms see only the execution.
+// A panic in fn is recovered inside the execution, so the flight
+// completes with ErrInternal instead of unwinding past its joiners.
 func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *flights[P, T], params P, fn func(context.Context) (T, error)) (v T, err error) {
 	if so := sv.obs; so != nil {
 		defer so.observeRequest(kind, time.Now(), &err)
@@ -138,7 +148,15 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 		return v, err
 	}
 	defer sv.admitDone()
-	exec := func() (T, error) { return traced(ctx, sv, kind, fn) }
+	exec := func() (v T, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				sv.ledger[ctrPanics].Add(1)
+				err = fmt.Errorf("%w: panic: %v", ErrInternal, p)
+			}
+		}()
+		return traced(ctx, sv, kind, fn)
+	}
 	if fl == nil {
 		return exec()
 	}

@@ -94,6 +94,9 @@ type Stats struct {
 	Pmax                  KindStats
 	EstimatePmax          KindStats
 	TopK                  KindStats
+	// Panics counts query executions that panicked and were answered
+	// with ErrInternal (leader and joiners alike; see run).
+	Panics int64
 }
 
 // counter names one atomic slot of the server's ledger. Bumping a
@@ -127,6 +130,7 @@ const (
 	ctrQueued
 	ctrAdmitted
 	ctrRejected
+	ctrPanics
 	ctrHits                                   // kind k's hits are slot ctrHits+k
 	ctrMisses   = ctrHits + counter(numKinds) // and its misses ctrMisses+k
 	numCounters = ctrMisses + counter(numKinds)
@@ -184,6 +188,7 @@ var ledgerRows = append([]ledgerRow{
 	{field: "Queued", name: "af_queue_depth", help: "queries waiting for an admission slot", gauge: true, group: "admission", slot: ctrQueued},
 	{field: "Admitted", name: "af_admitted_total", help: "queries admitted past the in-flight gate", group: "admission", slot: ctrAdmitted},
 	{field: "Rejected", name: "af_rejected_total", help: "queries fast-rejected by admission control", group: "admission", slot: ctrRejected},
+	{field: "Panics", name: "af_panics_total", help: "query executions that panicked (answered with ErrInternal)", group: "faults", slot: ctrPanics},
 }, kindRows()...)
 
 func loadErrRow(field, cause string, slot counter) ledgerRow {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -225,5 +226,50 @@ func TestWarmPmaxAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("warm Pmax allocates %v times per call, want ≤ 4", allocs)
+	}
+}
+
+// TestRunPanicAnswersJoiners: a panic in a flight's execution is
+// contained to that flight. The leader and a coalesced joiner both get
+// ErrInternal carrying the panic value (not a zero value with a nil
+// error), the process survives, and Stats.Panics counts it once.
+func TestRunPanicAnswersJoiners(t *testing.T) {
+	g := testGraph(40, 60)
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1})
+	var fl flights[int, int]
+	ctx := context.Background()
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, err := run(ctx, sv, KindPmax, &fl, 1, func(context.Context) (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		v, err := run(ctx, sv, KindPmax, &fl, 1, func(context.Context) (int, error) { return 1, nil })
+		if err == nil {
+			err = errors.New("joiner got a nil error")
+		} else if v != 0 {
+			err = errors.New("joiner got a value with its error")
+		}
+		errs <- err
+	}()
+	waitFor(t, func() bool { return sv.Stats().Coalesced == 1 })
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("caller %d: err = %v, want ErrInternal wrapping the panic value", i, err)
+		}
+	}
+	if n := sv.Stats().Panics; n != 1 {
+		t.Errorf("Stats.Panics = %d, want 1", n)
+	}
+	// The server keeps answering after the contained panic.
+	if _, err := sv.Pmax(ctx, 0, 5, 1000); err != nil {
+		t.Fatalf("query after a contained panic: %v", err)
 	}
 }
