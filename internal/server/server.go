@@ -509,7 +509,14 @@ func (sv *Server) restoreSpill(e *entry) {
 			so.stage[obs.StageSpillLoad].Observe(time.Since(start).Nanoseconds())
 		}(time.Now())
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
+	fi, err := f.Stat()
+	if err != nil {
+		sv.noteLoadError(err)
+		return
+	}
+	// A buffer sized to the file (capped at 1 MiB) reads a small spill in
+	// one call without paying for a large buffer on every load.
+	br := bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))
 	if err := e.sess.Restore(br); err != nil {
 		sv.noteLoadError(err)
 		return
@@ -529,9 +536,7 @@ func (sv *Server) restoreSpill(e *entry) {
 	e.loaded = true
 	e.loadedDraws = e.sess.PoolSize() + e.eval.Size() + e.sess.PmaxEstimator().Draws()
 	sv.ledger[ctrSpillLoads].Add(1)
-	if st, err := f.Stat(); err == nil {
-		sv.ledger[ctrSpillLoadBytes].Add(st.Size())
-	}
+	sv.ledger[ctrSpillLoadBytes].Add(fi.Size())
 	sv.ledger[ctrSpillDrawsSaved].Add(e.loadedDraws)
 	// An ancestor-epoch blob was adopted and repaired on the way in; the
 	// session's engine is fresh (created with the entry), so its repair

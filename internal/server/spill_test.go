@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -314,5 +315,43 @@ func TestPmaxEstimatorSpillCarry(t *testing.T) {
 	}
 	if st := third.Stats(); st.SpillLoads != 0 {
 		t.Errorf("mismatched-seed server claimed %d spill loads", st.SpillLoads)
+	}
+}
+
+// TestRestoreSpillSmallFileAllocs: restoring a small spill file sizes
+// its read buffer to the file rather than allocating a fixed 1 MiB
+// buffer per load (cold-churn workloads restore on nearly every query).
+func TestRestoreSpillSmallFileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations skew TotalAlloc")
+	}
+	dir := t.TempDir()
+	p := validPairs(testGraph(40, 60), 1)[0]
+	sv := newSpillServer(t, dir, 0)
+	if _, err := sv.Pmax(context.Background(), p.s, p.t, 2048); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(sv.spillPath(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := newSpillServer(t, dir, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := warm.Pair(p.s, p.t)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Done()
+	if !h.e.loaded {
+		t.Fatal("pair was not restored from its spill file")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Errorf("restoring a %d-byte spill file allocated %d bytes, want well under 1 MiB", fi.Size(), got)
 	}
 }
