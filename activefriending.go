@@ -100,10 +100,12 @@
 //	// curl -d '{"op":"solvemax","s":3,"t":91,"budget":5}' localhost:8080/v1/query
 //
 // The result types (Solution, MaxSolution, TopKResult, DeltaSummary,
-// ServerStats, …) are the protocol's own wire types, declared once in
-// internal/proto and aliased here: a facade answer marshals to exactly
-// the bytes of the matching protocol reply's result, and request
-// defaults are applied by the same code on both paths.
+// ServerStats, …) are the protocol's own wire types, declared once —
+// the answers in internal/proto, the stats ledger in internal/server
+// beside the counter table that fills it — and aliased here: a facade
+// answer marshals to exactly the bytes of the matching protocol reply's
+// result, and request defaults are applied by the same code on both
+// paths.
 //
 // cmd/afserve exposes the same protocol over line-delimited JSON on
 // stdin/stdout and (with -metrics-addr) over HTTP at /v1/query, with
@@ -547,9 +549,10 @@ type ServerConfig struct {
 	// Server.SpillAll (shutdown flush) and Server.Warm (startup preload).
 	SpillDir string
 	// Metrics enables the observability layer: per-kind request latency
-	// histograms, per-stage query tracing, and scrape-time mirrors of
-	// every ServerStats counter, reachable via Server.Obs,
-	// Server.WriteMetrics, Server.MetricsSnapshot and Server.WriteStatusz.
+	// histograms, per-stage query tracing, and scrape-time series of
+	// every ServerStats value (registered from the table that fills
+	// ServerStats), reachable via Server.Obs, Server.WriteMetrics,
+	// Server.MetricsSnapshot and Server.WriteStatusz.
 	// Off (the default) the query path pays nothing — the tracer hooks
 	// compile to nil-check no-ops. Instrumentation never changes an
 	// answer: results stay pure functions of (Seed, s, t).
@@ -899,9 +902,7 @@ func (sv *Server) EstimatePmax(ctx context.Context, s, t Node, eps0, n float64, 
 	return pmaxEstimateFrom(res), nil
 }
 
-// ServerKindStats is the hit/miss tally for one query kind: a hit found
-// the pair's session cached; a miss created it (including re-creation
-// after eviction).
+// ServerKindStats is one query kind's hit/miss tally in ServerStats.
 type ServerKindStats = server.KindStats
 
 // ServerStats is the server's observability ledger — the payload of the

@@ -19,12 +19,13 @@
 // Metric names are a stable API: scrapes, dashboards and the CI smoke
 // step key on them, so renaming one is a breaking change. The
 // convention: every series is prefixed "af_", monotonic counters end in
-// "_total", duration histograms end in "_seconds" (recorded in
-// nanoseconds, exposed in seconds as summaries with quantile labels),
-// and point-in-time values are bare gauges (af_bytes_held,
-// af_sessions_live). Label keys in use: kind (query kind), result
-// (hit|miss), cause (spill load error cause), stage (trace stage),
-// quantile (summary quantiles).
+// "_total" (af_spills_total, af_panics_total), duration histograms end
+// in "_seconds" (recorded in nanoseconds, exposed in seconds as
+// summaries with quantile labels), and point-in-time values are bare
+// gauges (af_bytes_held, af_sessions_live). The serving layer's ledger
+// series are declared once, in the internal/server counter table.
+// Label keys in use: kind (query kind), result (hit|miss), cause (spill
+// load error cause), stage (trace stage), quantile (summary quantiles).
 //
 // # Quick start
 //

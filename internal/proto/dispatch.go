@@ -189,12 +189,11 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 			result = DeltaSummaryFrom(res)
 		}
 	case "stats":
-		st := d.sv.Stats()
+		st := StatsWithMetrics{Stats: d.sv.Stats()}
 		if o := d.sv.Obs(); o != nil {
-			result = StatsWithMetrics{Stats: st, Metrics: o.Registry.Snapshot()}
-		} else {
-			result = st
+			st.Metrics = o.Registry.Snapshot()
 		}
+		result = st
 	default:
 		resp.Error = fmt.Sprintf("unknown op %q", req.Op)
 		resp.code = CodeUnknownOp

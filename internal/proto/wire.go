@@ -15,8 +15,7 @@ import (
 // DeltaSummary). The converters below serve both the Dispatcher and the
 // facade, so a library caller and a protocol client receive the same
 // values — and the same bytes. The stats ledger (Stats, KindStats) is
-// the exception: it is declared in package server, next to the counter
-// table that fills it, and aliased here and in the facade.
+// declared in package server, next to the table that fills it.
 
 // Solution is the output of a RAF solve (Algorithm 4).
 type Solution struct {
@@ -220,11 +219,10 @@ type (
 	Stats     = server.Stats
 )
 
-// StatsWithMetrics is the "stats" payload when the server runs with
-// metrics: the ledger, flat as before (embedding keeps the field layout
-// identical for clients that unmarshal the ledger only), plus the
-// registry snapshot.
+// StatsWithMetrics is the "stats" payload: the ledger, flat (embedding
+// keeps the field layout of a plain Stats), plus the registry snapshot
+// when the server runs with metrics.
 type StatsWithMetrics struct {
 	Stats
-	Metrics []obs.Sample `json:"metrics"`
+	Metrics []obs.Sample `json:"metrics,omitempty"`
 }

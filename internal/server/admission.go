@@ -12,22 +12,16 @@ import (
 // state, the query simply did not run.
 var ErrOverloaded = errors.New("server: overloaded (in-flight limit reached and wait queue full)")
 
-// admit is the server's in-flight gate: at most cap(sv.slots) queries
-// execute at once, at most sv.maxQueue more wait for a slot, and
-// everything beyond that is rejected immediately with ErrOverloaded. A
+// admit is the server's in-flight gate and the first step of the query
+// pipeline (run): at most cap(sv.slots) queries execute at once, at
+// most sv.maxQueue more wait for a slot, and the rest fast-reject with
+// ErrOverloaded. It blocks until a slot is free, the queue overflows or
+// ctx ends (its error); a nil return must be paired with admitDone. A
 // nil slots channel (Config.MaxInflight ≤ 0) disables the gate at zero
-// cost. It blocks until a slot is free, the queue overflows or ctx is
-// done (its error); every nil return must be paired with admitDone.
-//
-// The gate is the first step of the query pipeline (run), which every
-// public query entry point passes through — Solve, SolveMax,
-// SolveMaxBudgets, EstimateF, Pmax, PmaxEstimate and TopK (and through
-// it TopKRefine, which delegates ungated and must not hold two slots) —
-// and it admits before coalescing, so "in flight" counts client
-// requests, including ones that will join an identical leader. Internal
-// traffic (PairHandle acquisitions, Warm, ApplyDelta migrations) is
-// never gated: admission protects the server from clients, not from
-// itself.
+// cost. It admits before coalescing, so "in flight" counts client
+// requests, joiners included. Internal traffic (PairHandle, Warm,
+// ApplyDelta migrations) is never gated, and TopKRefine delegates to
+// TopK ungated so it never holds two slots.
 func (sv *Server) admit(ctx context.Context) error {
 	if sv.slots == nil {
 		return nil

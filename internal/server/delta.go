@@ -217,7 +217,7 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 	}
 	if !e.evicted {
 		e.evicted = true
-		sv.bytes -= e.bytes
+		sv.ledger[ctrBytesHeld].Add(-e.bytes)
 		e.bytes = 0
 		if e.elem != nil {
 			sv.lru.Remove(e.elem)
@@ -225,7 +225,7 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 		}
 	}
 	e2.bytes = e2.sess.MemBytes() + e2.eval.MemBytes()
-	sv.bytes += e2.bytes
+	sv.ledger[ctrBytesHeld].Add(e2.bytes)
 	sv.lruMu.Unlock()
 
 	sv.noteRepair(st)
@@ -255,7 +255,7 @@ func (sv *Server) dropEntry(sh *shard, e *entry) {
 	sv.lruMu.Lock()
 	if !e.evicted {
 		e.evicted = true
-		sv.bytes -= e.bytes
+		sv.ledger[ctrBytesHeld].Add(-e.bytes)
 		e.bytes = 0
 		if e.elem != nil {
 			sv.lru.Remove(e.elem)

@@ -148,6 +148,8 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 		return v, err
 	}
 	defer sv.admitDone()
+	// exec is one execution of fn, traced when observability is on (the
+	// finished trace feeds the stage histograms).
 	exec := func() (v T, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -155,24 +157,17 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 				err = fmt.Errorf("%w: panic: %v", ErrInternal, p)
 			}
 		}()
-		return traced(ctx, sv, kind, fn)
+		if so := sv.obs; so != nil {
+			tr := so.o.Tracer.Start(kind.String())
+			defer so.finishTrace(tr)
+			return fn(obs.WithTrace(ctx, tr))
+		}
+		return fn(ctx)
 	}
 	if fl == nil {
 		return exec()
 	}
 	return fl.do(sv, params, exec)
-}
-
-// traced runs one execution of fn, under a trace of kind when
-// observability is on; the finished trace feeds the stage histograms.
-func traced[T any](ctx context.Context, sv *Server, kind Kind, fn func(context.Context) (T, error)) (T, error) {
-	so := sv.obs
-	if so == nil {
-		return fn(ctx)
-	}
-	tr := so.o.Tracer.Start(kind.String())
-	defer so.finishTrace(tr)
-	return fn(obs.WithTrace(ctx, tr))
 }
 
 // withPair brackets fn with the (s,t) pair's acquire, ledgered under

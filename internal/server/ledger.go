@@ -19,33 +19,30 @@ type KindStats struct {
 }
 
 // Stats is the server's observability ledger and, marshaled, the
-// protocol's stats reply (package proto and the public facade alias
-// it): field names, order and types are wire format. Every field is
-// filled by one ledgerRows row; a new value is one field plus one row.
+// protocol's stats reply (proto and the public facade alias it), so
+// field names, order and types are wire format. Each field is filled by
+// one ledgerRows row: a new value is one field plus one row.
 type Stats struct {
 	// SessionsLive counts cached pair sessions; SessionsCreated and
 	// SessionsEvicted are lifetime counters (a pair recreated after
-	// eviction counts as created again). An eviction is counted exactly
-	// when its pair leaves the cache, so at quiescence SessionsLive ==
-	// SessionsCreated − SessionsEvicted. BytesHeld is the accounted size
-	// of all cached pair state; after an eviction pass it never exceeds
-	// Config.MaxPoolBytes.
+	// eviction counts as created again), so at quiescence SessionsLive
+	// == SessionsCreated − SessionsEvicted. BytesHeld is the accounted
+	// size of cached pair state; after an eviction pass it never exceeds
+	// Config.MaxPoolBytes (a snapshot during a pass may see it above).
 	SessionsLive    int
 	SessionsCreated int64
 	SessionsEvicted int64
 	BytesHeld       int64
 	// Spills counts evictions (and SpillAll flushes) that wrote a pair's
 	// pools to Config.SpillDir, totalling SpillBytes; SpillLoads counts
-	// re-admissions restored from a spill file (SpillLoadBytes read)
-	// instead of resampled, and SpillDrawsSaved the pool draws those
-	// loads avoided. SpillLoadErrors is the sum of the rejected or
-	// unreadable files by cause: checksum failures, format-version skew,
-	// stream-identity mismatches (wrong seed), instance mismatches (a
-	// graph the epoch lineage does not know), and everything else.
-	// SpillWriteErrors counts failed snapshot writes (the previous file
-	// survives), SpillFilesExpired files deleted by the TTL sweep
-	// (Config.SpillTTL). Every affected pair resamples, which changes no
-	// answer.
+	// re-admissions restored from a spill file (SpillLoadBytes read), and
+	// SpillDrawsSaved the pool draws those loads did not resample.
+	// SpillLoadErrors sums the files rejected or unreadable, by cause:
+	// checksum, format version, stream identity (wrong seed), instance
+	// (a graph the epoch lineage does not know), and other.
+	// SpillWriteErrors counts failed writes (the previous file survives),
+	// SpillFilesExpired files deleted by the Config.SpillTTL sweep. An
+	// affected pair resamples, which changes no answer.
 	Spills               int64
 	SpillBytes           int64
 	SpillLoads           int64
@@ -59,43 +56,40 @@ type Stats struct {
 	SpillLoadErrOther    int64
 	SpillWriteErrors     int64
 	SpillFilesExpired    int64
-	// DeltasApplied counts deltas that changed the graph or its weights;
-	// PairsDropped the pairs they dissolved (s and t became adjacent),
-	// spill-only pairs included. PoolsRepaired counts pair migrations and
-	// stale-spill loads carried across epochs by repair, re-drawing
-	// RepairChunksResampled chunks (RepairDrawsResampled draws) while
-	// adopting RepairDrawsSaved draws verbatim.
+	// DeltasApplied counts deltas that changed the graph or its weights,
+	// PairsDropped the pairs they dissolved (s and t became adjacent).
+	// PoolsRepaired counts pair migrations and stale-spill loads carried
+	// across epochs by repair, re-drawing RepairChunksResampled chunks
+	// (RepairDrawsResampled draws) and adopting RepairDrawsSaved draws.
 	DeltasApplied         int64
 	PairsDropped          int64
 	PoolsRepaired         int64
 	RepairChunksResampled int64
 	RepairDrawsResampled  int64
 	RepairDrawsSaved      int64
-	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
-	// Solve and PmaxEstimate answered from a pair's retained estimator
-	// ledger instead of resampling. Coalesced counts queries that joined
-	// an identical in-flight query (same kind, pair, parameters and graph
-	// epoch) and shared its answer; see flights.do.
+	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws answered
+	// from a pair's retained estimator ledger instead of resampled.
+	// Coalesced counts queries that joined an identical in-flight query
+	// (same kind, pair, parameters and epoch); see flights.do.
 	PmaxDrawsReused int64
 	Coalesced       int64
-	// Inflight and Queued are the admission gate's occupancy (queries
-	// executing / waiting for a slot); Admitted and Rejected are lifetime
-	// counters. A query that gives up waiting (its context ends) counts
-	// in neither. All zero with admission off (Config.MaxInflight ≤ 0).
+	// Inflight and Queued are the admission gate's occupancy; Admitted
+	// and Rejected are lifetime counters (a query whose context ends
+	// while queued counts in neither). All zero with admission off.
 	Inflight int
 	Queued   int
 	Admitted int64
 	Rejected int64
-	// Per-kind hit/miss tallies; see kindInfo. TopK counts the
-	// per-candidate session acquisitions of batched ranking rounds.
+	// Per-kind hit/miss tallies (kindInfo); TopK counts the candidate
+	// session acquisitions of batched ranking rounds.
 	Solve                 KindStats
 	SolveMax              KindStats
 	AcceptanceProbability KindStats
 	Pmax                  KindStats
 	EstimatePmax          KindStats
 	TopK                  KindStats
-	// Panics counts query executions that panicked and were answered
-	// with ErrInternal (leader and joiners alike; see run).
+	// Panics counts query executions that panicked; their callers got
+	// ErrInternal (see run).
 	Panics int64
 }
 
@@ -106,6 +100,7 @@ type counter int
 const (
 	ctrSessionsCreated counter = iota
 	ctrSessionsEvicted
+	ctrBytesHeld
 	ctrSpills
 	ctrSpillBytes
 	ctrSpillLoads
@@ -139,18 +134,15 @@ const (
 type ledger [numCounters]atomic.Int64
 
 // ledgerRow declares one ledger value for every reader: the Stats field
-// it fills, its metric series, and the /statusz line it is printed on
-// (kind tallies print on the per-kind lines instead). The value is the
-// row's atomic slot, or read when that is set.
+// it fills, its metric series and the /statusz line (group) it prints
+// on — each "" for none; kind tallies print on the per-kind lines. It
+// reads its atomic slot, or read when that is set.
 type ledgerRow struct {
-	field, name, help string // field "" is metric-only, name "" Stats-only
-	labels            []string
-	gauge             bool
-	group             string
-	slot              counter
-	read              func(*Server) int64
-
-	index []int // field's reflect path within Stats
+	field, name, help, group string
+	labels                   []string
+	gauge                    bool
+	slot                     counter
+	read                     func(*Server) int64
 }
 
 // ledgerRows is the single declaration of the ledger: Stats, the
@@ -160,18 +152,23 @@ var ledgerRows = append([]ledgerRow{
 	{field: "SessionsLive", name: "af_sessions_live", help: "currently cached pair sessions", gauge: true, group: "sessions", read: (*Server).sessionsLive},
 	{field: "SessionsCreated", name: "af_sessions_created_total", help: "pair sessions created (recreation after eviction included)", group: "sessions", slot: ctrSessionsCreated},
 	{field: "SessionsEvicted", name: "af_sessions_evicted_total", help: "pair sessions evicted", group: "sessions", slot: ctrSessionsEvicted},
-	{field: "BytesHeld", name: "af_bytes_held", help: "accounted bytes of cached pair state", gauge: true, group: "sessions", read: (*Server).bytesHeld},
+	{field: "BytesHeld", name: "af_bytes_held", help: "accounted bytes of cached pair state", gauge: true, group: "sessions", slot: ctrBytesHeld},
 	{field: "Spills", name: "af_spills_total", help: "evictions and flushes that wrote a spill file", group: "spill", slot: ctrSpills},
 	{field: "SpillBytes", name: "af_spill_bytes_total", help: "bytes written to spill files", group: "spill", slot: ctrSpillBytes},
 	{field: "SpillLoads", name: "af_spill_loads_total", help: "pair admissions restored from a spill file", group: "spill", slot: ctrSpillLoads},
 	{field: "SpillLoadBytes", name: "af_spill_load_bytes_total", help: "bytes read from spill files", group: "spill", slot: ctrSpillLoadBytes},
 	{field: "SpillDrawsSaved", name: "af_spill_draws_saved_total", help: "pool draws spill restores avoided", group: "spill", slot: ctrSpillDrawsSaved},
-	{field: "SpillLoadErrors", read: (*Server).spillLoadErrors},
-	loadErrRow("SpillLoadErrChecksum", "checksum", ctrSpillLoadErrChecksum),
-	loadErrRow("SpillLoadErrVersion", "version", ctrSpillLoadErrVersion),
-	loadErrRow("SpillLoadErrStream", "stream", ctrSpillLoadErrStream),
-	loadErrRow("SpillLoadErrInstance", "instance", ctrSpillLoadErrInstance),
-	loadErrRow("SpillLoadErrOther", "other", ctrSpillLoadErrOther),
+	{field: "SpillLoadErrors", read: func(sv *Server) (n int64) {
+		for c := ctrSpillLoadErrChecksum; c <= ctrSpillLoadErrOther; c++ {
+			n += sv.ledger[c].Load()
+		}
+		return n
+	}},
+	{field: "SpillLoadErrChecksum", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "checksum"}, group: "spill", slot: ctrSpillLoadErrChecksum},
+	{field: "SpillLoadErrVersion", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "version"}, group: "spill", slot: ctrSpillLoadErrVersion},
+	{field: "SpillLoadErrStream", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "stream"}, group: "spill", slot: ctrSpillLoadErrStream},
+	{field: "SpillLoadErrInstance", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "instance"}, group: "spill", slot: ctrSpillLoadErrInstance},
+	{field: "SpillLoadErrOther", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "other"}, group: "spill", slot: ctrSpillLoadErrOther},
 	{field: "SpillWriteErrors", name: "af_spill_write_errors_total", help: "failed spill snapshot writes", group: "spill", slot: ctrSpillWriteErrors},
 	{field: "SpillFilesExpired", name: "af_spill_files_expired_total", help: "spill files removed by TTL GC", group: "spill", slot: ctrSpillFilesExpired},
 	{field: "DeltasApplied", name: "af_deltas_applied_total", help: "graph deltas that changed the graph or weights", group: "deltas", slot: ctrDeltasApplied},
@@ -191,20 +188,16 @@ var ledgerRows = append([]ledgerRow{
 	{field: "Panics", name: "af_panics_total", help: "query executions that panicked (answered with ErrInternal)", group: "faults", slot: ctrPanics},
 }, kindRows()...)
 
-func loadErrRow(field, cause string, slot counter) ledgerRow {
-	return ledgerRow{field: field, name: "af_spill_load_errors_total", help: "spill files rejected or unreadable, by cause",
-		labels: []string{"cause", cause}, group: "spill", slot: slot}
-}
+const loadErrHelp = "spill files rejected or unreadable, by cause"
 
 // kindRows declares every kind's hit and miss rows.
-func kindRows() []ledgerRow {
-	var rows []ledgerRow
+func kindRows() (rows []ledgerRow) {
 	for k := KindSolve; k < numKinds; k++ {
-		for i, res := range [2]struct{ label, field string }{{"hit", ".Hits"}, {"miss", ".Misses"}} {
+		for i, result := range []string{"hit", "miss"} {
 			r := ledgerRow{name: "af_requests_total", help: "session acquisitions by kind and cache outcome",
-				labels: []string{"kind", k.String(), "result", res.label}, slot: [2]counter{ctrHits, ctrMisses}[i] + counter(k)}
+				labels: []string{"kind", k.String(), "result", result}, slot: [2]counter{ctrHits, ctrMisses}[i] + counter(k)}
 			if f := kindInfo[k].field; f != "" {
-				r.field = f + res.field
+				r.field = f + [2]string{".Hits", ".Misses"}[i]
 			}
 			rows = append(rows, r)
 		}
@@ -212,27 +205,24 @@ func kindRows() []ledgerRow {
 	return rows
 }
 
-// init binds every row's field name to its Stats field, so a misspelt
-// name fails at startup.
-func init() {
-	for i := range ledgerRows {
-		r := &ledgerRows[i]
-		t := reflect.TypeOf(Stats{})
-		for _, name := range strings.FieldsFunc(r.field, func(c rune) bool { return c == '.' }) {
-			f, ok := t.FieldByName(name)
-			if !ok {
-				panic("server: ledger row fills unknown Stats field " + r.field)
-			}
-			r.index, t = append(r.index, f.Index...), f.Type
-		}
-	}
-}
-
 func (r *ledgerRow) value(sv *Server) int64 {
 	if r.read != nil {
 		return r.read(sv)
 	}
 	return sv.ledger[r.slot].Load()
+}
+
+// series names the row as /metrics does, without the af_ prefix.
+func (r *ledgerRow) series() string {
+	s := strings.TrimPrefix(r.name, "af_")
+	var kv []string
+	for j := 0; j+1 < len(r.labels); j += 2 {
+		kv = append(kv, fmt.Sprintf("%s=%q", r.labels[j], r.labels[j+1]))
+	}
+	if kv != nil {
+		s += "{" + strings.Join(kv, ",") + "}"
+	}
+	return s
 }
 
 func (sv *Server) sessionsLive() int64 {
@@ -246,20 +236,6 @@ func (sv *Server) sessionsLive() int64 {
 	return int64(n)
 }
 
-func (sv *Server) bytesHeld() int64 {
-	sv.lruMu.Lock()
-	defer sv.lruMu.Unlock()
-	return sv.bytes
-}
-
-func (sv *Server) spillLoadErrors() int64 {
-	var n int64
-	for c := ctrSpillLoadErrChecksum; c <= ctrSpillLoadErrOther; c++ {
-		n += sv.ledger[c].Load()
-	}
-	return n
-}
-
 // kindCounts returns kind's hit and miss tallies.
 func (sv *Server) kindCounts(k Kind) (hits, misses int64) {
 	return sv.ledger[ctrHits+counter(k)].Load(), sv.ledger[ctrMisses+counter(k)].Load()
@@ -268,10 +244,13 @@ func (sv *Server) kindCounts(k Kind) (hits, misses int64) {
 // Stats returns a snapshot of the server's ledger.
 func (sv *Server) Stats() Stats {
 	var st Stats
-	v := reflect.ValueOf(&st).Elem()
 	for i := range ledgerRows {
-		if r := &ledgerRows[i]; r.index != nil {
-			v.FieldByIndex(r.index).SetInt(r.value(sv))
+		if r := &ledgerRows[i]; r.field != "" {
+			f := reflect.ValueOf(&st).Elem()
+			for _, name := range strings.Split(r.field, ".") {
+				f = f.FieldByName(name)
+			}
+			f.SetInt(r.value(sv))
 		}
 	}
 	return st
@@ -293,31 +272,20 @@ func (sv *Server) registerLedger(reg *obs.Registry) {
 	}
 }
 
-// writeLedger prints one /statusz line per row group — "group:
-// series=value ..." — each series named as on /metrics, minus af_.
+// writeLedger prints one /statusz line per row group,
+// "group: series=value ...", each series named as on /metrics.
 func (sv *Server) writeLedger(w io.Writer) {
-	group := ""
+	group, sep := "", ""
 	for i := range ledgerRows {
 		r := &ledgerRows[i]
 		if r.group == "" {
 			continue
 		}
 		if r.group != group {
-			if group != "" {
-				fmt.Fprintln(w)
-			}
-			group = r.group
-			fmt.Fprintf(w, "%s:", group)
+			fmt.Fprintf(w, "%s%s:", sep, r.group)
+			group, sep = r.group, "\n"
 		}
-		var kv []string
-		for j := 0; j+1 < len(r.labels); j += 2 {
-			kv = append(kv, fmt.Sprintf("%s=%q", r.labels[j], r.labels[j+1]))
-		}
-		key := strings.TrimPrefix(r.name, "af_")
-		if kv != nil {
-			key += "{" + strings.Join(kv, ",") + "}"
-		}
-		fmt.Fprintf(w, " %s=%d", key, r.value(sv))
+		fmt.Fprintf(w, " %s=%d", r.series(), r.value(sv))
 	}
 	fmt.Fprintln(w)
 }

@@ -23,20 +23,11 @@ func TestLedgerTableComplete(t *testing.T) {
 			fills[r.field]++
 		}
 	}
-	var walk func(prefix string, typ reflect.Type)
-	walk = func(prefix string, typ reflect.Type) {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			if f.Type.Kind() == reflect.Struct {
-				walk(prefix+f.Name+".", f.Type)
-				continue
-			}
-			if n := fills[prefix+f.Name]; n != 1 {
-				t.Errorf("Stats.%s is filled by %d rows, want 1", prefix+f.Name, n)
-			}
+	for field := range statsLeaves(reflect.ValueOf(Stats{}), "") {
+		if n := fills[field]; n != 1 {
+			t.Errorf("Stats.%s is filled by %d rows, want 1", field, n)
 		}
 	}
-	walk("", reflect.TypeOf(Stats{}))
 
 	// Every slot is read by exactly one row.
 	slots := map[counter]int{}
@@ -57,10 +48,14 @@ func TestLedgerTableComplete(t *testing.T) {
 	for c := counter(0); c < numCounters; c++ {
 		sv.ledger[c].Add(int64(1000 + 7*c))
 	}
-	st := reflect.ValueOf(sv.Stats())
+	st := statsLeaves(reflect.ValueOf(sv.Stats()), "")
 	samples := map[string]float64{}
 	for _, s := range o.Registry.Snapshot() {
-		samples[s.Name+"{"+s.Labels+"}"] = s.Value
+		series := strings.TrimPrefix(s.Name, "af_")
+		if s.Labels != "" {
+			series += "{" + s.Labels + "}"
+		}
+		samples[series] = s.Value
 	}
 	var sz strings.Builder
 	sv.WriteStatusz(&sz)
@@ -71,28 +66,17 @@ func TestLedgerTableComplete(t *testing.T) {
 		if r.read == nil && want != int64(1000+7*r.slot) {
 			t.Errorf("row %q/%q reads %d from its slot, want %d", r.field, r.name, want, 1000+7*r.slot)
 		}
-		if r.field != "" {
-			if got := st.FieldByIndex(r.index).Int(); got != want {
-				t.Errorf("Stats.%s = %d, want %d", r.field, got, want)
-			}
+		if got, ok := st[r.field]; r.field != "" && (!ok || got != want) {
+			t.Errorf("Stats.%s = %d (present %v), want %d", r.field, got, ok, want)
 		}
 		if r.name == "" {
 			continue
 		}
-		var kv []string
-		for j := 0; j < len(r.labels); j += 2 {
-			kv = append(kv, fmt.Sprintf("%s=%q", r.labels[j], r.labels[j+1]))
+		if got, ok := samples[r.series()]; !ok || got != float64(want) {
+			t.Errorf("metric %s = %v (registered %v), want %d", r.series(), got, ok, want)
 		}
-		series := r.name + "{" + strings.Join(kv, ",") + "}"
-		if got, ok := samples[series]; !ok || got != float64(want) {
-			t.Errorf("metric %s = %v (registered %v), want %d", series, got, ok, want)
-		}
-		line := strings.TrimPrefix(r.name, "af_")
-		if kv != nil {
-			line += "{" + strings.Join(kv, ",") + "}"
-		}
-		if r.group != "" && !strings.Contains(statusz, fmt.Sprintf(" %s=%d", line, want)) {
-			t.Errorf("statusz does not report %s=%d:\n%s", line, want, statusz)
+		if r.group != "" && !strings.Contains(statusz, fmt.Sprintf(" %s=%d", r.series(), want)) {
+			t.Errorf("statusz does not report %s=%d:\n%s", r.series(), want, statusz)
 		}
 	}
 	for k := KindSolve; k < numKinds; k++ {
@@ -109,4 +93,21 @@ func TestLedgerTableComplete(t *testing.T) {
 	if got := sv.Stats().SpillLoadErrors; got != causes {
 		t.Errorf("SpillLoadErrors = %d, want the cause sum %d", got, causes)
 	}
+}
+
+// statsLeaves flattens a Stats value to its integer leaves, keyed by
+// dotted field path ("Solve.Hits").
+func statsLeaves(v reflect.Value, prefix string) map[string]int64 {
+	out := map[string]int64{}
+	for i := 0; i < v.NumField(); i++ {
+		name := prefix + v.Type().Field(i).Name
+		if f := v.Field(i); f.Kind() == reflect.Struct {
+			for k, x := range statsLeaves(f, name+".") {
+				out[k] = x
+			}
+		} else {
+			out[name] = f.Int()
+		}
+	}
+	return out
 }

@@ -10,11 +10,8 @@ import (
 
 // serverObs binds a Server to an obs.Obs: per-kind request latency
 // histograms, per-stage histograms fed from finished traces, and
-// scrape-time mirrors of every Stats counter. All mirrors are
-// CounterFunc/GaugeFunc reads of the server's existing atomics, so the
-// query hot path pays nothing for them; only an enabled trace, one
-// request Observe per request and the stage Observes per execution are
-// new work.
+// scrape-time mirrors of every ledger row (see registerLedger), which
+// cost the query hot path nothing.
 //
 // Metric names follow the package obs convention (af_ prefix, _total
 // counters, _seconds summaries); they are a stable scrape API.

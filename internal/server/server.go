@@ -120,7 +120,7 @@ type Config struct {
 	MaxQueue    int
 	// Obs, when non-nil, enables observability: every query records its
 	// latency into a per-kind histogram and a per-stage trace in
-	// Obs.Registry/Obs.Tracer, and every Stats counter is mirrored as a
+	// Obs.Registry/Obs.Tracer, and every ledgerRows row is mirrored as a
 	// scrape-time series. Nil (the default) disables all of it at zero
 	// hot-path cost. An Obs should serve one Server: mirrors registered
 	// by a later server with the same registry replace the earlier ones.
@@ -241,14 +241,14 @@ type Server struct {
 	pmaxEstFlights flights[pmaxEstParams, engine.PmaxResult]
 	topKFlights    flights[topKParams, *TopKResult]
 
-	// lruMu guards the recency list and the byte ledger. It is only ever
+	// lruMu guards the recency list and every write of the byte ledger
+	// (slot ctrBytesHeld; readers load it lock-free). It is only ever
 	// held for O(1) bookkeeping plus eviction passes; pool sampling,
 	// solving and spill I/O run outside it. Lock order: lruMu may acquire
 	// a shard lock (eviction); shard locks may acquire session-internal
 	// locks (spill restore); neither ever acquires lruMu.
 	lruMu sync.Mutex
 	lru   *list.List // front = most recently used; values are *entry
-	bytes int64
 
 	// obs is the server's observability binding; nil when Config.Obs is
 	// nil, and every instrumentation site is a nil-check no-op then.
@@ -364,7 +364,7 @@ func (sv *Server) release(e *entry) {
 		return
 	}
 	mem := e.sess.MemBytes() + e.eval.MemBytes()
-	sv.bytes += mem - e.bytes
+	sv.ledger[ctrBytesHeld].Add(mem - e.bytes)
 	e.bytes = mem
 	victims := sv.evictLocked()
 	sv.lruMu.Unlock()
@@ -388,13 +388,13 @@ func (sv *Server) evictLocked() []*entry {
 		return nil
 	}
 	var victims []*entry
-	for sv.bytes > sv.cfg.MaxPoolBytes && sv.lru.Len() > 0 {
+	for sv.ledger[ctrBytesHeld].Load() > sv.cfg.MaxPoolBytes && sv.lru.Len() > 0 {
 		el := sv.lru.Back()
 		victim := el.Value.(*entry)
 		sv.lru.Remove(el)
 		victim.elem = nil
 		victim.evicted = true
-		sv.bytes -= victim.bytes
+		sv.ledger[ctrBytesHeld].Add(-victim.bytes)
 		victim.bytes = 0
 		sh := sv.shardFor(victim.key)
 		sh.mu.Lock()
@@ -469,15 +469,12 @@ func (sv *Server) writeSpill(e *entry) error {
 // namespace), and topology drift past the lineage's memory (instance).
 func (sv *Server) noteLoadError(err error) {
 	cause := ctrSpillLoadErrOther
-	switch {
-	case errors.Is(err, snapshot.ErrChecksum):
-		cause = ctrSpillLoadErrChecksum
-	case errors.Is(err, snapshot.ErrVersion):
-		cause = ctrSpillLoadErrVersion
-	case errors.Is(err, engine.ErrStreamMismatch):
-		cause = ctrSpillLoadErrStream
-	case errors.Is(err, engine.ErrInstanceMismatch):
-		cause = ctrSpillLoadErrInstance
+	// The sentinels in cause-slot order, checksum first.
+	for i, sentinel := range []error{snapshot.ErrChecksum, snapshot.ErrVersion, engine.ErrStreamMismatch, engine.ErrInstanceMismatch} {
+		if errors.Is(err, sentinel) {
+			cause = ctrSpillLoadErrChecksum + counter(i)
+			break
+		}
 	}
 	sv.ledger[cause].Add(1)
 }
