@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,8 +117,10 @@ func renderLabels(kv []string) string {
 }
 
 // seriesFor returns the (name, labels) series, creating family and
-// series as needed.
-func (r *Registry) seriesFor(name, help string, typ metricType, kv []string) *series {
+// series as needed, and runs init on it before releasing the registry
+// lock: a handle created or a callback stored there is published to
+// every later caller and to the exposition together with the series.
+func (r *Registry) seriesFor(name, help string, typ metricType, kv []string, init func(*series)) *series {
 	labels := renderLabels(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,39 +138,40 @@ func (r *Registry) seriesFor(name, help string, typ metricType, kv []string) *se
 		fam.byLab[labels] = s
 		fam.series = append(fam.series, s)
 	}
+	init(s)
 	return s
 }
 
 // Counter returns the counter named name with the given alternating
 // label key, value arguments, registering it on first use.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	s := r.seriesFor(name, help, typeCounter, kv)
-	if s.c == nil && s.f == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.seriesFor(name, help, typeCounter, kv, func(s *series) {
+		if s.c == nil && s.f == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // CounterFunc registers a counter whose value is read from f at
 // exposition time — the mirror for counters that already live elsewhere
 // (e.g. a server's atomic ledger), costing the hot path nothing.
 func (r *Registry) CounterFunc(name, help string, f func() float64, kv ...string) {
-	r.seriesFor(name, help, typeCounter, kv).f = f
+	r.seriesFor(name, help, typeCounter, kv, func(s *series) { s.f = f })
 }
 
 // Gauge returns the gauge named name, registering it on first use.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	s := r.seriesFor(name, help, typeGauge, kv)
-	if s.g == nil && s.f == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.seriesFor(name, help, typeGauge, kv, func(s *series) {
+		if s.g == nil && s.f == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge whose value is read from f at exposition
 // time.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, kv ...string) {
-	r.seriesFor(name, help, typeGauge, kv).f = f
+	r.seriesFor(name, help, typeGauge, kv, func(s *series) { s.f = f })
 }
 
 // Histogram returns the histogram named name, registering it on first
@@ -175,11 +179,11 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64, kv ...string) 
 // durations and the name ends in _seconds; the exposition divides by
 // 1e9.
 func (r *Registry) Histogram(name, help string, kv ...string) *Histogram {
-	s := r.seriesFor(name, help, typeHistogram, kv)
-	if s.h == nil {
-		s.h = NewHistogram()
-	}
-	return s.h
+	return r.seriesFor(name, help, typeHistogram, kv, func(s *series) {
+		if s.h == nil {
+			s.h = NewHistogram()
+		}
+	}).h
 }
 
 // quantiles every histogram exposes.
@@ -198,12 +202,14 @@ type Sample struct {
 }
 
 // sortedFams returns the families sorted by name; series within a family
-// keep registration order (already stable).
+// keep registration order (already stable). Each returned family is a
+// copy taken under the registry lock, so an exposition never reads a
+// series list that a concurrent registration is appending to.
 func (r *Registry) sortedFams() []*family {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		fams = append(fams, &family{name: f.name, help: f.help, typ: f.typ, series: slices.Clone(f.series)})
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
