@@ -27,6 +27,7 @@ package rank
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -63,6 +64,13 @@ type Config struct {
 	CostPerEffort int64
 	// Workers bounds scoring concurrency within a round (0 = all CPUs).
 	Workers int
+	// OnRound, when set, brackets each round's parallel scoring: it is
+	// called with the round's candidates in ascending index order before
+	// any of them is scored, and the function it returns runs once they
+	// all have been. A serving layer pins per-candidate state there, so
+	// its side effects follow index order rather than the order in which
+	// concurrent scorers happen to finish.
+	OnRound func(candidates []int) (end func())
 }
 
 // Round is one rung of a plan: Survivors candidates scored at Effort.
@@ -238,9 +246,14 @@ func Run(ctx context.Context, cfg Config, score func(ctx context.Context, candid
 		scores := make([]float64, len(alive))
 		errs := make([]error, len(alive))
 		sp := obs.TraceFrom(ctx).StartSpan(obs.StageRankRound)
+		end := func() {}
+		if cfg.OnRound != nil {
+			end = cfg.OnRound(slices.Sorted(slices.Values(alive)))
+		}
 		err := parallel.For(ctx, len(alive), cfg.Workers, func(j int) {
 			scores[j], errs[j] = score(ctx, alive[j], round.Effort)
 		})
+		end()
 		sp.End()
 		if err != nil {
 			return nil, err

@@ -129,37 +129,58 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 	}
 	var spent atomic.Int64
 	var solvers sync.Pool // *setcover.Solver scratch shared across the batch
+	// A round acquires its candidates' pairs in index order before any is
+	// scored and releases them in index order after all are, so LRU
+	// recency and evictions are a function of the query, not of which
+	// concurrent scorer finished first.
+	entries := make([]*entry, n)
+	acqErrs := make([]error, n)
+	onRound := func(cands []int) func() {
+		for _, i := range cands {
+			entries[i], acqErrs[i] = sv.acquire(ctx, KindTopK, q.S, q.Targets[i])
+		}
+		return func() {
+			for _, i := range cands {
+				if entries[i] != nil {
+					sv.release(entries[i])
+					entries[i] = nil
+				}
+			}
+		}
+	}
 	score := func(ctx context.Context, i int, effort int64) (float64, error) {
-		return withPair(ctx, sv, KindTopK, q.S, q.Targets[i], func(e *entry) (float64, error) {
-			eng := e.sess.Engine()
-			before := eng.PoolDraws()
-			defer func() { spent.Add(eng.PoolDraws() - before) }()
-			pool, err := e.sess.Pool(ctx, effort)
-			if err != nil {
-				return 0, err
-			}
-			var solver *setcover.Solver
-			if s, ok := solvers.Get().(*setcover.Solver); ok {
-				solver = s
-			}
-			mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.sess.Instance(), q.Budget, pool, solver)
-			if solver != nil {
-				solvers.Put(solver)
-			}
-			if err != nil {
-				return 0, err
-			}
-			f, err := e.eval.EstimateF(ctx, mres.Invited, effort)
-			if err != nil {
-				return 0, err
-			}
-			// Index-disjoint writes: the scheduler scores each candidate at
-			// most once per round, so no two goroutines touch slot i.
-			c := &res.Candidates[i]
-			c.TrainF = mres.CoveredFraction
-			c.Invited = mres.Invited
-			return f, nil
-		})
+		if acqErrs[i] != nil {
+			return 0, acqErrs[i]
+		}
+		e := entries[i]
+		eng := e.sess.Engine()
+		before := eng.PoolDraws()
+		defer func() { spent.Add(eng.PoolDraws() - before) }()
+		pool, err := e.sess.Pool(ctx, effort)
+		if err != nil {
+			return 0, err
+		}
+		var solver *setcover.Solver
+		if s, ok := solvers.Get().(*setcover.Solver); ok {
+			solver = s
+		}
+		mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.sess.Instance(), q.Budget, pool, solver)
+		if solver != nil {
+			solvers.Put(solver)
+		}
+		if err != nil {
+			return 0, err
+		}
+		f, err := e.eval.EstimateF(ctx, mres.Invited, effort)
+		if err != nil {
+			return 0, err
+		}
+		// Index-disjoint writes: the scheduler scores each candidate at
+		// most once per round, so no two goroutines touch slot i.
+		c := &res.Candidates[i]
+		c.TrainF = mres.CoveredFraction
+		c.Invited = mres.Invited
+		return f, nil
 	}
 	rr, err := rank.Run(ctx, rank.Config{
 		Candidates: n,
@@ -167,6 +188,7 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 		FullEffort: l,
 		MaxDraws:   q.MaxDraws,
 		Workers:    sv.cfg.Workers,
+		OnRound:    onRound,
 	}, score)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -389,5 +390,50 @@ func TestCoalesceEpochKeying(t *testing.T) {
 	}
 	if _, ok := sv.pmaxFlights.m[k2]; ok {
 		t.Fatal("new-epoch query would join the old epoch's flight")
+	}
+}
+
+// TestTopKEvictionOrderAcrossWorkers: under a byte budget that evicts
+// mid-batch, a sequence of TopK queries leaves the same Stats, the same
+// LRU order and the same answers (DrawsSpent included, since the
+// eviction schedule is now deterministic) for every worker count, run
+// after run. A round pins its candidates in index order before scoring
+// and settles them in index order after, so recency never follows the
+// order in which concurrent scorers finish.
+func TestTopKEvictionOrderAcrossWorkers(t *testing.T) {
+	ctx := context.Background()
+	type outcome struct {
+		answers []string
+		spent   []int64
+		stats   Stats
+		lru     []pairKey
+	}
+	run := func(workers int) outcome {
+		sv, g := topkServer(workers, 200_000)
+		var out outcome
+		for _, s := range []graph.Node{0, 3, 0, 7} {
+			targets := validTargetsFor(g, s, 12)
+			res, err := sv.TopK(ctx, TopKQuery{S: s, Targets: targets, K: 3, Budget: 3,
+				Realizations: topkEffort, MaxDraws: int64(len(targets)) * topkEffort})
+			if err != nil {
+				t.Fatalf("workers=%d s=%d: %v", workers, s, err)
+			}
+			out.answers = append(out.answers, renderTopK(res))
+			out.spent = append(out.spent, res.DrawsSpent)
+		}
+		out.stats, out.lru = sv.Stats(), lruKeys(sv)
+		return out
+	}
+	want := run(1)
+	if want.stats.SessionsEvicted == 0 {
+		t.Fatal("budget evicted nothing — test lost its teeth")
+	}
+	for rep := 0; rep < 5; rep++ {
+		for _, workers := range []int{1, 2, 8} {
+			if got := run(workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rep %d workers=%d differs from workers=1:\n got stats %+v lru %v spent %v\nwant stats %+v lru %v spent %v",
+					rep, workers, got.stats, got.lru, got.spent, want.stats, want.lru, want.spent)
+			}
+		}
 	}
 }
