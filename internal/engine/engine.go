@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -199,20 +198,18 @@ func (e *Engine) addPmaxDraws(n int64) {
 // form: path j is arena[offsets[j]:offsets[j+1]] and was produced by the
 // chunk-local draw drawIdx[j]. The draw indices are what let an
 // assembled pool serve truncated prefix views (Pool.Truncate) at any
-// draw count, independent of how large the cache has grown.
+// draw count, independent of how large the cache has grown, and what
+// let repair splice re-drawn groups between adopted ones.
 type chunkPaths struct {
 	draws   int64
 	arena   []graph.Node
 	offsets []int32
 	drawIdx []int32
-	// touched is the sorted distinct set of nodes the chunk's draws
-	// consulted (see realization.Sampler.BeginTouches) — the delta-repair
-	// damage test: a chunk whose touched set is disjoint from a delta's
-	// dirty nodes replays byte-identically on the post-delta graph. nil
-	// means unknown (e.g. restored from a snapshot without a touch
-	// section), which repair treats as damaged — always correct, just
-	// slower.
-	touched []graph.Node
+	// touch records which of the chunk's draw groups consulted each node
+	// (see touchMask) — the delta-repair damage test: a group whose draws
+	// consulted no dirty node replays byte-identically on the post-delta
+	// graph.
+	touch touchMask
 }
 
 // chunkBuf carries the backing arrays a sampled chunk appends into.
@@ -228,7 +225,11 @@ type chunkBuf struct {
 	arena   []graph.Node
 	offsets []int32
 	drawIdx []int32
-	touched []graph.Node
+	// scratch is the dense touch-mask word per node a chunk records
+	// into; nodes and masks receive the sparse form (see sealTouch).
+	scratch []uint32
+	nodes   []graph.Node
+	masks   []uint32
 }
 
 var chunkBufs = sync.Pool{New: func() any { return new(chunkBuf) }}
@@ -237,54 +238,113 @@ var chunkBufs = sync.Pool{New: func() any { return new(chunkBuf) }}
 func (e *Engine) getChunkBuf() *chunkBuf { return chunkBufs.Get().(*chunkBuf) }
 
 // putChunkBuf returns cp's backing arrays to the pool through b (the
-// buffer cp was sampled into). keepTables leaves offsets/drawIdx with the
-// caller — Session retains them for regrowth and recycles only the
-// arena, whose contents it re-aliases into the assembled pool.
+// buffer cp was sampled into). keepTables leaves offsets, drawIdx and
+// the touch mask with the caller — Session retains them for regrowth
+// and repair and recycles only the arena, whose contents it re-aliases
+// into the assembled pool.
 func (e *Engine) putChunkBuf(b *chunkBuf, cp chunkPaths, keepTables bool) {
 	b.arena = cp.arena[:0]
 	if keepTables {
-		b.offsets, b.drawIdx, b.touched = nil, nil, nil
+		b.offsets, b.drawIdx = nil, nil
 	} else {
 		b.offsets = cp.offsets[:0]
 		b.drawIdx = cp.drawIdx[:0]
-		b.touched = cp.touched[:0]
+		b.reclaimTouch(cp.touch)
 	}
 	chunkBufs.Put(b)
 }
 
-// sampleChunk draws n realizations from the stream (seed, ns, chunk) and
-// accumulates the type-1 paths into b's chunk-local arena — no per-path
-// allocation, and none at all once b's arrays are warm. A chunk's result
-// depends only on (seed, ns, chunk, n), and a shorter chunk's paths are
-// a prefix of a longer one's, which is what lets Session grow a partial
-// trailing chunk consistently.
+// sampleChunk draws chunk number chunk, n realizations, into b's
+// chunk-local arena — no per-path allocation, and none at all once b's
+// arrays are warm. Group g of the chunk reads the stream (seed, ns,
+// chunk·groupsPerChunk + g), so a chunk's result depends only on
+// (seed, ns, chunk, n), and a shorter chunk's paths are a prefix of a
+// longer one's, which is what lets Session grow a partial trailing chunk
+// consistently.
 //
 // sampleChunk does not touch the draw ledger: the caller accounts for the
 // draws it is responsible for, so a Session that regrows a partial chunk
 // (re-deriving its already-counted prefix) can charge only the net-new
 // draws and keep PoolDraws equal to the pool size.
 func (e *Engine) sampleChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf) chunkPaths {
-	st := rng.DerivedStream(seed, ns, uint64(chunk))
-	sp := e.samplers.Get().(*realization.Sampler)
-	sp.BeginTouches()
+	return e.drawChunk(seed, ns, chunk, n, b, nil, groupBits(n))
+}
+
+// drawChunk builds chunk number chunk, n draws, into b. Groups set in
+// redraw are drawn from their own streams; every other group is copied
+// from old, the same chunk as sampled before — at an earlier graph epoch
+// (repair, where the damage test guarantees those groups replay
+// identically) or at a smaller size (growth, where old holds them
+// complete). The touch words of copied groups carry over from old, so
+// the result, touch mask included, is exactly what sampling the chunk
+// from scratch would produce. old may be nil only when redraw holds
+// every group.
+func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old *chunkPaths, redraw uint32) chunkPaths {
+	scratch := b.touchScratch(e.in.Graph().NumNodes())
 	cp := chunkPaths{
 		draws:   n,
 		arena:   b.arena[:0],
 		offsets: append(b.offsets[:0], 0),
 		drawIdx: b.drawIdx[:0],
 	}
-	for i := int64(0); i < n; i++ {
-		tg := sp.SampleTGView(&st)
-		if tg.Outcome == realization.Type1 {
-			cp.arena = append(cp.arena, tg.Path...)
-			cp.offsets = append(cp.offsets, int32(len(cp.arena)))
-			cp.drawIdx = append(cp.drawIdx, int32(i))
-		}
+	var from int // old's first path in the current group
+	if old != nil {
+		old.touch.orInto(scratch, ^redraw)
 	}
-	cp.touched = append(b.touched[:0], sp.Touches()...)
-	slices.Sort(cp.touched)
+	sp := e.samplers.Get().(*realization.Sampler)
+	for g := int64(0); g*GroupSize < n; g++ {
+		lo, hi := g*GroupSize, min(g*GroupSize+GroupSize, n)
+		to := from
+		if old != nil {
+			for to < len(old.drawIdx) && int64(old.drawIdx[to]) < hi {
+				to++
+			}
+		}
+		bit := uint32(1) << g
+		if redraw&bit == 0 {
+			cp.appendPaths(old, from, to)
+		} else {
+			st := rng.DerivedStream(seed, ns, groupStream(chunk, g))
+			sp.RecordTouches(scratch, bit)
+			for i := lo; i < hi; i++ {
+				tg := sp.SampleTGView(&st)
+				if tg.Outcome == realization.Type1 {
+					cp.arena = append(cp.arena, tg.Path...)
+					cp.offsets = append(cp.offsets, int32(len(cp.arena)))
+					cp.drawIdx = append(cp.drawIdx, int32(i))
+				}
+			}
+		}
+		from = to
+	}
+	sp.RecordTouches(nil, 0)
 	e.samplers.Put(sp)
+	cp.touch = b.sealTouch(scratch)
 	return cp
+}
+
+// appendPaths copies src's paths [from, to) onto the end of cp.
+func (cp *chunkPaths) appendPaths(src *chunkPaths, from, to int) {
+	if from == to {
+		return
+	}
+	shift := int32(len(cp.arena)) - src.offsets[from]
+	cp.arena = append(cp.arena, src.arena[src.offsets[from]:src.offsets[to]]...)
+	for _, end := range src.offsets[from+1 : to+1] {
+		cp.offsets = append(cp.offsets, end+shift)
+	}
+	cp.drawIdx = append(cp.drawIdx, src.drawIdx[from:to]...)
+}
+
+// regrowGroups returns the groups to draw when a chunk of oldDraws draws
+// with touch mask t grows to n draws: every group, except the complete
+// groups the old chunk already holds — those are prefix-stable and keep
+// their bytes, provided their touch words are known.
+func regrowGroups(t touchMask, oldDraws, n int64) uint32 {
+	if !t.known() {
+		return groupBits(n)
+	}
+	return groupBits(n) &^ groupBits(oldDraws/GroupSize*GroupSize)
 }
 
 // addPoolDraws charges n pool draws to the engine's ledger.

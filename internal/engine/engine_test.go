@@ -127,19 +127,23 @@ func TestPoolWorkerCountIndependence(t *testing.T) {
 }
 
 // perPathPool rebuilds the pre-engine representation — one freshly
-// allocated []graph.Node per type-1 path — from the same chunk streams.
+// allocated []graph.Node per type-1 path — from the documented stream
+// layout: group g (GroupSize draws) of chunk c reads the stream
+// (seed, nsPool, c·ChunkSize/GroupSize + g) from its start.
 func perPathPool(in *ltm.Instance, l, seed int64) [][]graph.Node {
 	var paths [][]graph.Node
+	sp := realization.NewSampler(in)
 	for chunk := int64(0); chunk*ChunkSize < l; chunk++ {
-		n := int64(ChunkSize)
-		if rem := l - chunk*ChunkSize; rem < n {
-			n = rem
-		}
-		st := rng.DerivedStream(seed, nsPool, uint64(chunk))
-		sp := realization.NewSampler(in)
-		for i := int64(0); i < n; i++ {
-			if tg := sp.SampleTG(&st); tg.Outcome == realization.Type1 {
-				paths = append(paths, tg.Path)
+		for g := int64(0); g < ChunkSize/GroupSize; g++ {
+			lo := chunk*ChunkSize + g*GroupSize
+			if lo >= l {
+				break
+			}
+			st := rng.DerivedStream(seed, nsPool, uint64(chunk*(ChunkSize/GroupSize)+g))
+			for i := lo; i < min(lo+GroupSize, l); i++ {
+				if tg := sp.SampleTG(&st); tg.Outcome == realization.Type1 {
+					paths = append(paths, tg.Path)
+				}
 			}
 		}
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -23,20 +21,21 @@ import (
 // for a shared root seed.
 //
 // Draw-stream layout: exactly like pool sampling, the Bernoulli type-1
-// draws are partitioned into fixed ChunkSize chunks, and chunk c consumes
-// the stream rng.DeriveStream(seed, nsPmax, c) from its start. A shorter
-// chunk's draws are therefore a prefix of the regrown chunk's, and the
-// whole draw sequence — hence every estimate computed from it — is a pure
-// function of the seed, for any worker count and any growth schedule.
+// draws are partitioned into fixed ChunkSize chunks of GroupSize groups,
+// and group g of chunk c consumes the stream rng.DeriveStream(seed,
+// nsPmax, c·groupsPerChunk + g) from its start. A shorter chunk's draws
+// are therefore a prefix of the regrown chunk's, and the whole draw
+// sequence — hence every estimate computed from it — is a pure function
+// of the seed, for any worker count and any growth schedule.
 //
-// Epoch semantics: a stream (seed, ns, chunk) names a draw *schedule*,
-// not a result — what each draw produces also depends on the graph
-// epoch the engine is bound to. A graph delta advances the epoch
-// (engine.Lineage) and RepairTo replays exactly the damaged chunks'
-// streams from their start against the new epoch, so chunk c's draws
-// at epoch N+1 are what a cold epoch-N+1 engine would have produced
-// under the same stream; undamaged chunks' outputs are epoch-invariant
-// by the touch-set damage test and are adopted verbatim. Estimates
+// Epoch semantics: a group stream names a draw *schedule*, not a
+// result — what each draw produces also depends on the graph epoch the
+// engine is bound to. A graph delta advances the epoch (engine.Lineage)
+// and RepairTo replays exactly the damaged groups' streams from their
+// start against the new epoch, so a group's draws at epoch N+1 are what
+// a cold epoch-N+1 engine would have produced under the same stream;
+// undamaged groups' outputs are epoch-invariant by the touch-mask damage
+// test and are adopted verbatim. Estimates
 // recomputed after a repair are therefore pure functions of
 // (seed, epoch), still for any worker count.
 const nsPmax uint64 = 0x506D6178 // "Pmax"
@@ -73,11 +72,11 @@ func pmaxNextTarget(draws int64) int64 {
 type pmaxChunk struct {
 	draws int64
 	succ  []int32
-	// touched is the chunk's delta-repair damage-test input (see
-	// chunkPaths.touched); nil when unknown (snapshot-restored ledgers —
-	// touch sets are not persisted for p_max, so ancestor-epoch ledgers
-	// reset to a full re-draw, which is answer-identical).
-	touched []graph.Node
+	// touch is the chunk's delta-repair damage-test input (see
+	// chunkPaths.touch); unknown for snapshot-restored ledgers — touch
+	// masks are not persisted for p_max, so ancestor-epoch ledgers reset
+	// to a full re-draw, which is answer-identical.
+	touch touchMask
 }
 
 // PmaxEstimator is the chunked, resumable form of the paper's Algorithm 2
@@ -140,7 +139,7 @@ func (pe *PmaxEstimator) MemBytes() int64 {
 	defer pe.mu.Unlock()
 	var b int64
 	for _, c := range pe.chunks {
-		b += int64(cap(c.succ))*4 + int64(cap(c.touched))*4
+		b += int64(cap(c.succ))*4 + c.touch.memBytes()
 	}
 	return b + int64(cap(pe.chunks))*56
 }
@@ -283,10 +282,10 @@ func (pe *PmaxEstimator) successesWithinLocked(d int64) int64 {
 
 // growLocked extends the ledger to l draws, sampling the missing chunks
 // in parallel. Like pool growth, full chunks are kept and a trailing
-// partial chunk is resampled at its grown size — its stream restarts, so
-// the draws it already contributed are reproduced as a prefix, and only
-// the net growth is charged to the engine's draw ledger. Caller holds
-// pe.mu.
+// partial chunk is rebuilt at its grown size, keeping its complete groups
+// — group streams restart, so the draws it already contributed are
+// reproduced as a prefix, and only the net growth is charged to the
+// engine's draw ledger. Caller holds pe.mu.
 func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 	if err := checkDraws(l); err != nil {
 		return err
@@ -295,8 +294,10 @@ func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 		return nil
 	}
 	keep := len(pe.chunks)
-	for keep > 0 && pe.chunks[keep-1].draws < ChunkSize {
+	var partial *pmaxChunk
+	if keep > 0 && pe.chunks[keep-1].draws < ChunkSize {
 		keep--
+		partial = &pe.chunks[keep]
 	}
 	nchunks := int((l + ChunkSize - 1) / ChunkSize)
 	chunks := make([]pmaxChunk, nchunks)
@@ -307,7 +308,12 @@ func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 		if start := int64(c) * ChunkSize; start+n > l {
 			n = l - start
 		}
-		chunks[c] = pe.eng.samplePmaxChunk(pe.seed, int64(c), n)
+		if i == 0 && partial != nil {
+			chunks[c] = pe.eng.drawPmaxChunk(pe.seed, int64(c), n, partial,
+				regrowGroups(partial.touch, partial.draws, n))
+		} else {
+			chunks[c] = pe.eng.drawPmaxChunk(pe.seed, int64(c), n, nil, groupBits(n))
+		}
 	})
 	if err != nil {
 		return err
@@ -322,23 +328,49 @@ func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 	return nil
 }
 
-// samplePmaxChunk draws n Bernoulli type-1 samples from the stream
-// (seed, nsPmax, chunk) and records the chunk-local indices of the
-// successes. Like sampleChunk, it does not touch the draw ledger — the
-// caller charges the net-new draws it is responsible for.
-func (e *Engine) samplePmaxChunk(seed int64, chunk, n int64) pmaxChunk {
-	st := rng.DerivedStream(seed, nsPmax, uint64(chunk))
-	sp := e.samplers.Get().(*realization.Sampler)
-	sp.BeginTouches()
+// drawPmaxChunk builds ledger chunk number chunk, n Bernoulli type-1
+// draws, recording the chunk-local indices of the successes. As in
+// drawChunk, groups set in redraw are drawn from their own streams
+// (seed, nsPmax, chunk·groupsPerChunk + g) and every other group's
+// successes and touch words are copied from old. Like sampleChunk, it
+// does not touch the draw ledger — the caller charges the net-new draws
+// it is responsible for.
+func (e *Engine) drawPmaxChunk(seed int64, chunk, n int64, old *pmaxChunk, redraw uint32) pmaxChunk {
+	b := e.getChunkBuf()
+	scratch := b.touchScratch(e.in.Graph().NumNodes())
 	c := pmaxChunk{draws: n}
-	for i := int64(0); i < n; i++ {
-		if sp.SampleTGView(&st).Outcome == realization.Type1 {
-			c.succ = append(c.succ, int32(i))
-		}
+	var from int // old's first success in the current group
+	if old != nil {
+		old.touch.orInto(scratch, ^redraw)
+		c.succ = make([]int32, 0, len(old.succ))
 	}
-	c.touched = append([]graph.Node(nil), sp.Touches()...)
-	slices.Sort(c.touched)
+	sp := e.samplers.Get().(*realization.Sampler)
+	for g := int64(0); g*GroupSize < n; g++ {
+		lo, hi := g*GroupSize, min(g*GroupSize+GroupSize, n)
+		to := from
+		if old != nil {
+			for to < len(old.succ) && int64(old.succ[to]) < hi {
+				to++
+			}
+		}
+		bit := uint32(1) << g
+		if redraw&bit == 0 {
+			c.succ = append(c.succ, old.succ[from:to]...)
+		} else {
+			st := rng.DerivedStream(seed, nsPmax, groupStream(chunk, g))
+			sp.RecordTouches(scratch, bit)
+			for i := lo; i < hi; i++ {
+				if sp.SampleTGView(&st).Outcome == realization.Type1 {
+					c.succ = append(c.succ, int32(i))
+				}
+			}
+		}
+		from = to
+	}
+	sp.RecordTouches(nil, 0)
 	e.samplers.Put(sp)
+	c.touch = b.sealTouch(scratch)
+	chunkBufs.Put(b)
 	return c
 }
 

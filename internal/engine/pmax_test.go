@@ -17,16 +17,22 @@ import (
 
 // TestPmaxEstimatorMatchesSequentialRule: for a request that converges
 // within the first chunk, the chunked estimator must agree exactly with
-// the sequential mc.StoppingRule over the same stream — chunk 0 reads
-// the stream (seed, nsPmax, 0), which is precisely what a sequential
-// estimator drawing one by one would consume.
+// the sequential mc.StoppingRule over the same streams — group g of
+// chunk 0 (GroupSize draws) reads the stream (seed, nsPmax, g), which is
+// precisely what a sequential estimator drawing one by one, switching
+// streams at every group boundary, would consume.
 func TestPmaxEstimatorMatchesSequentialRule(t *testing.T) {
 	in := mustInstance(t, line(4), 0, 3) // p_max = 1/2
 	const eps, n, seed = 0.2, 10.0, 7
 
 	sp := realization.NewSampler(in)
-	st := rng.DerivedStream(seed, nsPmax, 0)
+	var st rng.Stream
+	var drawn uint64
 	want, wantDraws, truncated, err := mc.StoppingRule(context.Background(), eps, n, 0, func() bool {
+		if drawn%GroupSize == 0 {
+			st = rng.DerivedStream(seed, nsPmax, drawn/GroupSize)
+		}
+		drawn++
 		return sp.SampleTG(&st).Outcome == realization.Type1
 	})
 	if err != nil || truncated {

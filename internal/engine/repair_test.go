@@ -142,8 +142,10 @@ func TestRepairToSavesDraws(t *testing.T) {
 	// only the chunks that consulted either endpoint.
 	appears := make([]int, g.NumNodes())
 	for _, c := range old.chunks {
-		for _, v := range c.touched {
-			appears[v]++
+		for v := range appears {
+			if c.touch.damaged([]graph.Node{graph.Node(v)}) != 0 {
+				appears[v]++
+			}
 		}
 	}
 	var u, v graph.Node = -1, -1

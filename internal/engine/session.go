@@ -11,9 +11,9 @@ import (
 
 // Session caches a growable realization pool across solves. Repeated
 // Pool(l) calls with l at or below the cached size are served without any
-// sampling; a larger l grows the pool incrementally, resampling only the
-// trailing partial chunk (whose existing draws are a prefix of the grown
-// chunk's stream) plus the new chunks. Because chunk streams are indexed,
+// sampling; a larger l grows the pool incrementally, drawing only the new
+// chunks and the trailing partial chunk's incomplete group onward (its
+// complete groups' streams are prefix-stable, so their paths are kept). Because chunk streams are indexed,
 // a grown pool is byte-identical to one sampled at the final size in a
 // single shot — for any worker count.
 //
@@ -59,16 +59,16 @@ func (s *Session) Size() int64 {
 }
 
 // MemBytes returns the bytes held by the session's cached pool, the
-// per-chunk tables kept for regrowth (chunk arenas alias the pool arena
-// and are not double-counted), and the coverage indexes of cached prefix
-// views. It is the sizing input for memory-budgeted eviction of cold
+// per-chunk tables kept for regrowth and repair — offsets, draw indices
+// and touch masks (chunk arenas alias the pool arena and are not
+// double-counted) — and the coverage indexes of cached prefix views. It is the sizing input for memory-budgeted eviction of cold
 // sessions.
 func (s *Session) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var b int64
 	for _, c := range s.chunks {
-		b += int64(cap(c.offsets))*4 + int64(cap(c.drawIdx))*4 + int64(cap(c.touched))*4
+		b += int64(cap(c.offsets))*4 + int64(cap(c.drawIdx))*4 + c.touch.memBytes()
 	}
 	if s.pool != nil {
 		b += s.pool.MemBytes()
@@ -97,12 +97,15 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 	sp := obs.TraceFrom(ctx).StartSpan(obs.StagePoolGrow)
 	defer sp.End()
 
-	// Keep full chunks; the trailing partial chunk (if any) is resampled
-	// at its grown size — its stream restarts, so the draws it already
-	// contributed are reproduced as a prefix.
+	// Keep full chunks; the trailing partial chunk (if any) is rebuilt
+	// at its grown size, keeping its complete groups and drawing the
+	// rest — group streams restart, so the draws it already contributed
+	// are reproduced as a prefix.
 	keep := len(s.chunks)
-	for keep > 0 && s.chunks[keep-1].draws < ChunkSize {
+	var partial *chunkPaths
+	if keep > 0 && s.chunks[keep-1].draws < ChunkSize {
 		keep--
+		partial = &s.chunks[keep]
 	}
 	nchunks := int((l + ChunkSize - 1) / ChunkSize)
 	chunks := make([]chunkPaths, nchunks)
@@ -116,7 +119,12 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 			n = l - start
 		}
 		bufs[i] = s.eng.getChunkBuf()
-		chunks[c] = s.eng.sampleChunk(s.seed, s.ns, int64(c), n, bufs[i])
+		if i == 0 && partial != nil {
+			chunks[c] = s.eng.drawChunk(s.seed, s.ns, int64(c), n, bufs[i], partial,
+				regrowGroups(partial.touch, partial.draws, n))
+		} else {
+			chunks[c] = s.eng.sampleChunk(s.seed, s.ns, int64(c), n, bufs[i])
+		}
 	})
 	if err != nil {
 		return nil, err

@@ -33,8 +33,9 @@ var (
 // has not sampled yet writes a valid empty snapshot.
 // When every cached chunk carries touch information, the pool blob is
 // followed by a touch section (snapshot.TouchSet) recording the per-chunk
-// damage-test sets, so a later process can adopt-and-repair the blob
-// across graph deltas instead of resampling it wholesale. The section is
+// group touch masks, so a later process can adopt-and-repair the blob
+// across graph deltas, re-drawing only damaged groups, instead of
+// resampling it wholesale. The section is
 // optional on read; a session restored without one still answers
 // identically, it just repairs more conservatively.
 func (s *Session) Snapshot(w io.Writer) error {
@@ -64,32 +65,47 @@ func (s *Session) Snapshot(w io.Writer) error {
 	return snapshot.WriteTouch(w, ts)
 }
 
-// touchSetLocked flattens the per-chunk touch lists into a serializable
+// touchSetLocked flattens the per-chunk touch masks into a serializable
 // TouchSet, or nil when the session has no chunks or any chunk lacks
 // touch information (all-or-nothing: a partially-informed section could
 // not distinguish "untouched" from "unknown"). Caller holds s.mu.
 func (s *Session) touchSetLocked() *snapshot.TouchSet {
-	if len(s.chunks) == 0 {
+	nodes, masks, ok := s.touchLensLocked()
+	if !ok {
 		return nil
-	}
-	total := 0
-	for _, c := range s.chunks {
-		if c.touched == nil {
-			return nil
-		}
-		total += len(c.touched)
 	}
 	ts := &snapshot.TouchSet{
 		StreamEpoch: rng.StreamEpoch,
 		Universe:    int64(s.eng.in.Graph().NumNodes()),
-		Offsets:     make([]int32, 1, len(s.chunks)+1),
-		Nodes:       make([]int32, 0, total),
+		Total:       s.draws,
+		ChunkSize:   ChunkSize,
+		GroupSize:   GroupSize,
+		NodeOffsets: make([]int32, 1, len(s.chunks)+1),
+		MaskOffsets: make([]int32, 1, len(s.chunks)+1),
+		Nodes:       make([]int32, 0, nodes),
+		Masks:       make([]uint32, 0, masks),
 	}
 	for _, c := range s.chunks {
-		ts.Nodes = append(ts.Nodes, c.touched...)
-		ts.Offsets = append(ts.Offsets, int32(len(ts.Nodes)))
+		ts.Nodes = append(ts.Nodes, c.touch.nodes...)
+		ts.Masks = append(ts.Masks, c.touch.masks...)
+		ts.NodeOffsets = append(ts.NodeOffsets, int32(len(ts.Nodes)))
+		ts.MaskOffsets = append(ts.MaskOffsets, int32(len(ts.Masks)))
 	}
 	return ts
+}
+
+// touchLensLocked returns the total touched-node and mask-word counts
+// over the session's chunks, and whether every chunk carries touch
+// information (false for a session with no chunks). Caller holds s.mu.
+func (s *Session) touchLensLocked() (nodes, masks int64, ok bool) {
+	for _, c := range s.chunks {
+		if !c.touch.known() {
+			return 0, 0, false
+		}
+		nodes += int64(len(c.touch.nodes))
+		masks += int64(len(c.touch.masks))
+	}
+	return nodes, masks, len(s.chunks) > 0
 }
 
 // SnapshotSize returns the exact byte size Snapshot would write now.
@@ -103,17 +119,8 @@ func (s *Session) SnapshotSize() int64 {
 		Offsets: s.pool.offsets,
 		Arena:   s.pool.arena[:s.pool.offsets[s.pool.NumType1()]],
 	})
-	var nodes int64
-	complete := len(s.chunks) > 0
-	for _, c := range s.chunks {
-		if c.touched == nil {
-			complete = false
-			break
-		}
-		nodes += int64(len(c.touched))
-	}
-	if complete {
-		sz += snapshot.EncodedSizeTouchFor(int64(len(s.chunks)), nodes)
+	if nodes, masks, ok := s.touchLensLocked(); ok {
+		sz += snapshot.EncodedSizeTouchFor(int64(len(s.chunks)), nodes, masks)
 	}
 	return sz
 }
@@ -251,20 +258,21 @@ func (s *Session) Restore(r io.Reader) error {
 	return s.adoptSnapshotLocked(sp, ts)
 }
 
-// attachTouch hands each rebuilt chunk its persisted touch list when the
-// touch section matches the pool's stream epoch and geometry; on any
-// mismatch the lists stay nil and a later repair degrades to resampling
-// every chunk (correct, just slower).
+// attachTouch hands each rebuilt chunk its persisted touch masks when the
+// touch section matches the pool's stream epoch and geometry and the
+// engine's chunk and group sizes; on any mismatch the masks stay unknown
+// and a later repair degrades to re-drawing every group (correct, just
+// slower). The masks alias the section's storage.
 func attachTouch(chunks []chunkPaths, ts *snapshot.TouchSet, sp *snapshot.Pool) {
-	if ts == nil || ts.StreamEpoch != sp.StreamEpoch || ts.Universe != sp.Universe || ts.NumChunks() != len(chunks) {
+	if ts == nil || ts.StreamEpoch != sp.StreamEpoch || ts.Universe != sp.Universe || ts.Total != sp.Total ||
+		ts.ChunkSize != ChunkSize || ts.GroupSize != GroupSize || ts.NumChunks() != len(chunks) {
 		return
 	}
 	for c := range chunks {
-		nodes := ts.Nodes[ts.Offsets[c]:ts.Offsets[c+1]]
-		if len(nodes) == 0 {
-			continue // a sampled chunk always touches t; empty means unknown
+		chunks[c].touch = touchMask{
+			nodes: ts.Nodes[ts.NodeOffsets[c]:ts.NodeOffsets[c+1]],
+			masks: ts.Masks[ts.MaskOffsets[c]:ts.MaskOffsets[c+1]],
 		}
-		chunks[c].touched = nodes
 	}
 }
 

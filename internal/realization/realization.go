@@ -45,7 +45,7 @@ type TG struct {
 }
 
 // Sampler draws t(g) paths for one instance. Not safe for concurrent use;
-// derive one per goroutine (NewSampler is cheap: two O(n) arrays; the
+// derive one per goroutine (NewSampler is cheap: one O(n) array; the
 // instance's sampling plan is shared, built once).
 type Sampler struct {
 	in   *ltm.Instance
@@ -56,14 +56,10 @@ type Sampler struct {
 	epoch        uint32
 	buf          []graph.Node
 
-	// Touch accumulation (BeginTouches/Touches): the distinct nodes whose
-	// influencer rows the walks consulted since BeginTouches. touchEpoch is
-	// the same O(1)-reset trick as visitedEpoch, but spanning many draws;
-	// it is allocated lazily so samplers that never collect pay nothing.
-	collecting bool
-	touchEpoch []uint32
-	touchGen   uint32
-	touches    []graph.Node
+	// Touch recording (RecordTouches): while touchMask is non-nil, every
+	// node a draw touches gets touchBit ORed into its word.
+	touchMask []uint32
+	touchBit  uint32
 }
 
 // NewSampler returns a sampler for the instance. Influencer draws go
@@ -77,44 +73,20 @@ func NewSampler(in *ltm.Instance) *Sampler {
 	}
 }
 
-// BeginTouches starts accumulating the distinct nodes the following draws
-// touch. A draw "touches" every node whose influencer selection it reads —
-// each path node starting with t — plus the node the selection returned
-// (including the N_s member that ends a Type1 walk, which is not part of
-// t(g)). Together these are exactly the nodes whose adjacency row, incoming
-// weights, or N_s membership the draw's outcome depends on: a graph delta
-// leaving all of them untouched replays the draw byte-identically, which is
-// the delta-repair damage test. Accumulation spans draws until the next
-// BeginTouches; read the set with Touches.
-func (sp *Sampler) BeginTouches() {
-	if sp.touchEpoch == nil {
-		sp.touchEpoch = make([]uint32, len(sp.visitedEpoch))
-	}
-	sp.collecting = true
-	sp.touches = sp.touches[:0]
-	sp.touchGen++
-	if sp.touchGen == 0 { // wrapped: clear and restart
-		for i := range sp.touchEpoch {
-			sp.touchEpoch[i] = 0
-		}
-		sp.touchGen = 1
-	}
-}
-
-// Touches returns the distinct nodes touched since BeginTouches, in
-// first-touch order, and stops collecting. The slice aliases the sampler's
-// internal buffer and is valid only until the next BeginTouches.
-func (sp *Sampler) Touches() []graph.Node {
-	sp.collecting = false
-	return sp.touches
-}
-
-// touch records one touched node (collecting mode only).
-func (sp *Sampler) touch(v graph.Node) {
-	if sp.touchEpoch[v] != sp.touchGen {
-		sp.touchEpoch[v] = sp.touchGen
-		sp.touches = append(sp.touches, v)
-	}
+// RecordTouches makes the following draws record the nodes they touch:
+// for every touched node v, mask[v] |= bit. A draw "touches" every node
+// whose influencer selection it reads — each path node starting with
+// t — plus the node the selection returned (including the N_s member that
+// ends a Type1 walk, which is not part of t(g)). Together these are
+// exactly the nodes whose adjacency row, incoming weights, or N_s
+// membership the draw's outcome depends on: a graph delta that dirties
+// none of them replays the draw byte-identically, which is the
+// delta-repair damage test. Callers give each group of draws its own bit,
+// so one word per node says which groups consulted it. mask must hold a
+// word for every node of the instance; RecordTouches(nil, 0) stops
+// recording.
+func (sp *Sampler) RecordTouches(mask []uint32, bit uint32) {
+	sp.touchMask, sp.touchBit = mask, bit
 }
 
 // SampleTG draws one realization lazily (only nodes on the backward walk
@@ -150,13 +122,14 @@ func (sp *Sampler) SampleTGView(st *rng.Stream) TG {
 	cur := in.T()
 	sp.buf = append(sp.buf, cur)
 	sp.visitedEpoch[cur] = sp.epoch
-	if sp.collecting {
-		sp.touch(cur)
+	mask, bit := sp.touchMask, sp.touchBit
+	if mask != nil {
+		mask[cur] |= bit
 	}
 	for {
 		u, ok := sp.plan.Sample(cur, st)
-		if sp.collecting && ok {
-			sp.touch(u)
+		if mask != nil && ok {
+			mask[u] |= bit
 		}
 		switch {
 		case !ok:

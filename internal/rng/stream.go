@@ -14,8 +14,13 @@ import "math/bits"
 // Epoch history:
 //
 //	0 — math/rand (Go 1 LCG-based source) streams; retired.
-//	1 — xoshiro256++ value streams (current).
-const StreamEpoch uint32 = 1
+//	1 — xoshiro256++ value streams, one stream per 2048-draw chunk;
+//	    retired.
+//	2 — xoshiro256++ value streams; the touch-recording kernels (pool
+//	    chunks and p_max ledger chunks) read one stream per 64-draw
+//	    group, index chunk·32 + group, so a graph delta re-draws single
+//	    groups instead of whole chunks (current).
+const StreamEpoch uint32 = 2
 
 // Stream is a value-type xoshiro256++ generator: 4 words of state, no
 // heap allocation, methods cheap enough to inline into sampling loops.

@@ -3,15 +3,24 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 )
 
+// testTouchSet is a three-chunk TOUCH v2 section over 10 nodes, chunks
+// of 128 draws in groups of 64: chunk 0 dense, chunks 1 and 2 sparse; the
+// 44-draw trailing chunk holds a single group.
 func testTouchSet() *TouchSet {
 	return &TouchSet{
-		StreamEpoch: 1,
-		Universe:    100,
-		Offsets:     []int32{0, 3, 3, 7},
-		Nodes:       []int32{1, 5, 99, 0, 2, 4, 6},
+		StreamEpoch: 2,
+		Universe:    10,
+		Total:       300,
+		ChunkSize:   128,
+		GroupSize:   64,
+		NodeOffsets: []int32{0, 0, 3, 5},
+		MaskOffsets: []int32{0, 10, 13, 15},
+		Nodes:       []int32{1, 5, 9, 0, 4},
+		Masks:       []uint32{1, 0, 3, 2, 0, 0, 1, 1, 3, 0, 1, 3, 2, 1, 1},
 	}
 }
 
@@ -38,7 +47,11 @@ func TestTouchRoundTrip(t *testing.T) {
 	if got.StreamEpoch != ts.StreamEpoch || got.Universe != ts.Universe {
 		t.Errorf("identity mismatch: %+v", got)
 	}
-	if !equalI32(got.Offsets, ts.Offsets) || !equalI32(got.Nodes, ts.Nodes) {
+	if got.Total != ts.Total || got.ChunkSize != ts.ChunkSize || got.GroupSize != ts.GroupSize {
+		t.Errorf("geometry mismatch: %+v", got)
+	}
+	if !equalI32(got.NodeOffsets, ts.NodeOffsets) || !equalI32(got.MaskOffsets, ts.MaskOffsets) ||
+		!equalI32(got.Nodes, ts.Nodes) || !slices.Equal(got.Masks, ts.Masks) {
 		t.Errorf("payload mismatch: %+v", got)
 	}
 
@@ -51,13 +64,13 @@ func TestTouchRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("DecodeTouchNext size %d, want %d", n, buf.Len())
 	}
-	if !equalI32(dec.Nodes, ts.Nodes) {
+	if !equalI32(dec.Nodes, ts.Nodes) || !slices.Equal(dec.Masks, ts.Masks) {
 		t.Errorf("decoded payload mismatch")
 	}
 }
 
 func TestTouchEmptyChunks(t *testing.T) {
-	ts := &TouchSet{Universe: 10, Offsets: []int32{0}, Nodes: []int32{}}
+	ts := &TouchSet{Universe: 10, ChunkSize: 128, GroupSize: 64, NodeOffsets: []int32{0}, MaskOffsets: []int32{0}}
 	var buf bytes.Buffer
 	if err := WriteTouch(&buf, ts); err != nil {
 		t.Fatal(err)
@@ -101,15 +114,28 @@ func TestTouchCorruption(t *testing.T) {
 		t.Errorf("truncated: err = %v, want ErrFormat", err)
 	}
 
-	// Unsorted nodes within a chunk must be rejected.
-	bad := testTouchSet()
-	bad.Nodes[0], bad.Nodes[1] = bad.Nodes[1], bad.Nodes[0]
-	var bbuf bytes.Buffer
-	if err := WriteTouch(&bbuf, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTouch(bytes.NewReader(bbuf.Bytes())); !errors.Is(err, ErrFormat) {
-		t.Errorf("unsorted chunk: err = %v, want ErrFormat", err)
+	// Structurally valid blobs that break a repair invariant must be
+	// rejected on decode: unsorted sparse nodes, a zero sparse word, a
+	// dense chunk short of the universe, a word naming a group beyond its
+	// chunk's group count (the trailing 44-draw chunk holds one group;
+	// a full chunk two), and a chunk count that disagrees with the draws.
+	for name, mutate := range map[string]func(*TouchSet){
+		"unsorted chunk":     func(ts *TouchSet) { ts.Nodes[0], ts.Nodes[1] = ts.Nodes[1], ts.Nodes[0] },
+		"zero sparse word":   func(ts *TouchSet) { ts.Masks[11] = 0 },
+		"short dense chunk":  func(ts *TouchSet) { ts.MaskOffsets = []int32{0, 9, 12, 14}; ts.Masks = ts.Masks[1:] },
+		"bit beyond partial": func(ts *TouchSet) { ts.Masks[14] = 2 },
+		"bit beyond full":    func(ts *TouchSet) { ts.Masks[2] = 4 },
+		"chunks vs draws":    func(ts *TouchSet) { ts.Total = 500 },
+	} {
+		bad := testTouchSet()
+		mutate(bad)
+		var bbuf bytes.Buffer
+		if err := WriteTouch(&bbuf, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTouch(bytes.NewReader(bbuf.Bytes())); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
+		}
 	}
 }
 
