@@ -99,7 +99,9 @@ func EncodedSizeTouchFor(numChunks, nodesLen, masksLen int64) int64 {
 func IsTouch(b []byte) bool { return touchSection.is(b) }
 
 // u32AsI32 reinterprets mask words as int32s for the shared i32 writer.
-func u32AsI32(s []uint32) []int32 { return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(s))), len(s)) }
+func u32AsI32(s []uint32) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
 
 // WriteTouch serializes ts to w in the snapshot format.
 func WriteTouch(w io.Writer, ts *TouchSet) error {
