@@ -805,11 +805,13 @@ func BenchmarkPmaxRefine(b *testing.B) {
 // --- PR 7: dynamic-graph repair benchmarks -----------------------------------
 
 // benchDeltaSetup builds a sparse instance with a warm 20k-draw session
-// and a sparse delta: one edge added between the two lowest-degree
-// non-adjacent nodes. On a sparse graph such endpoints sit in few
-// chunks' touch sets, which is the regime delta repair is for — most
-// chunks adopt, few resample.
-func benchDeltaSetup(b *testing.B) (*engine.Session, *ltm.Instance, []graph.Node) {
+// and two one-edge deltas. The first adds an edge between the two
+// lowest-degree non-adjacent nodes; on a sparse graph such endpoints are
+// consulted by no draw group at all, so repair adopts everything. The
+// second adds an edge at the least-used node on the pool's paths, so
+// repair must re-draw the groups that walked through it and adopt the
+// rest — the regime per-group repair is for.
+func benchDeltaSetup(b *testing.B) (sess *engine.Session, in *ltm.Instance, offPath, onPath graph.Edge) {
 	b.Helper()
 	g, err := gen.ErdosRenyi(3000, 4500, rand.New(rand.NewSource(17)))
 	if err != nil {
@@ -823,12 +825,13 @@ func benchDeltaSetup(b *testing.B) (*engine.Session, *ltm.Instance, []graph.Node
 		b.Fatal(err)
 	}
 	s, t := pairs[0].S, pairs[0].T
-	in, err := ltm.NewInstance(g, w, s, t)
+	in, err = ltm.NewInstance(g, w, s, t)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := engine.New(in).NewSession(7, 0)
-	if _, err := sess.Pool(context.Background(), 20000); err != nil {
+	sess = engine.New(in).NewSession(7, 0)
+	pool, err := sess.Pool(context.Background(), 20000)
+	if err != nil {
 		b.Fatal(err)
 	}
 	var u, v graph.Node = -1, -1
@@ -849,8 +852,30 @@ func benchDeltaSetup(b *testing.B) (*engine.Session, *ltm.Instance, []graph.Node
 	if v < 0 {
 		b.Fatal("no sparse node pair found")
 	}
-	d := &graph.Delta{Add: []graph.Edge{{U: u, V: v}}}
-	g2, dirty, err := d.Apply(g)
+	uses := make([]int, g.NumNodes())
+	for i := 0; i < pool.NumType1(); i++ {
+		for _, x := range pool.Path(i) {
+			uses[x]++
+		}
+	}
+	p := graph.Node(-1)
+	for x, n := range uses {
+		if n > 0 && graph.Node(x) != t && (p < 0 || n < uses[p]) {
+			p = graph.Node(x)
+		}
+	}
+	q := v
+	if p < 0 || p == q || g.HasEdge(p, q) || (p == s && q == t) {
+		b.Fatal("no on-path delta endpoint found")
+	}
+	return sess, in, graph.Edge{U: u, V: v}, graph.Edge{U: p, V: q}
+}
+
+// benchApplyEdge returns the instance after adding edge e, with the
+// delta's dirty nodes.
+func benchApplyEdge(b *testing.B, in *ltm.Instance, e graph.Edge) (*ltm.Instance, []graph.Node) {
+	b.Helper()
+	g2, dirty, err := (&graph.Delta{Add: []graph.Edge{e}}).Apply(in.Graph())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -858,37 +883,46 @@ func benchDeltaSetup(b *testing.B) (*engine.Session, *ltm.Instance, []graph.Node
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sess, in2, dirty
+	return in2, dirty
 }
 
-// BenchmarkDeltaRepairVsResample compares carrying a warm pool across a
-// sparse graph delta by repair (only damaged chunks resampled under
-// their original streams) against the discard strategy (the full pool
-// redrawn on the new instance). Both produce byte-identical pools; the
-// draws/op metric is the bill. Repair must resample strictly fewer
-// draws than discard — the benchmark fails otherwise.
+// BenchmarkDeltaRepairVsResample times repairing the 20k-draw pool
+// across each delta against discarding and resampling it. draws/op is
+// the re-draw bill and saved_frac the share of draws adopted; every
+// repair must beat discard-and-resample.
 func BenchmarkDeltaRepairVsResample(b *testing.B) {
 	ctx := context.Background()
-	sess, in2, dirty := benchDeltaSetup(b)
+	sess, in, offPath, onPath := benchDeltaSetup(b)
 	const l = 20000
-	b.Run("repair", func(b *testing.B) {
-		b.ReportAllocs()
-		var draws int64
-		for i := 0; i < b.N; i++ {
-			repaired, st, err := sess.RepairTo(ctx, engine.New(in2), dirty)
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		edge graph.Edge
+	}{{"repair", offPath}, {"repair-onpath", onPath}} {
+		in2, dirty := benchApplyEdge(b, in, c.edge)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var st engine.RepairStats
+			for i := 0; i < b.N; i++ {
+				repaired, rst, err := sess.RepairTo(ctx, engine.New(in2), dirty)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rst.DrawsSaved <= 0 || rst.DrawsResampled >= l {
+					b.Fatalf("delta did not beat discard: %+v", rst)
+				}
+				if _, err := repaired.Pool(ctx, l); err != nil {
+					b.Fatal(err)
+				}
+				st = rst
 			}
-			if st.DrawsSaved <= 0 || st.DrawsResampled >= l {
-				b.Fatalf("sparse delta did not beat discard: %+v", st)
+			if c.edge == onPath && st.DrawsResampled == 0 {
+				b.Fatalf("on-path delta re-drew nothing: %+v", st)
 			}
-			if _, err := repaired.Pool(ctx, l); err != nil {
-				b.Fatal(err)
-			}
-			draws = st.DrawsResampled
-		}
-		b.ReportMetric(float64(draws), "draws/op")
-	})
+			b.ReportMetric(float64(st.DrawsResampled), "draws/op")
+			b.ReportMetric(float64(st.DrawsSaved)/l, "saved_frac")
+		})
+	}
+	in2, _ := benchApplyEdge(b, in, onPath)
 	b.Run("resample", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

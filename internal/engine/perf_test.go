@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -120,6 +121,37 @@ func TestSampleChunkZeroAlloc(t *testing.T) {
 	run() // warm the sampler and size the chunk arrays
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("warmed sampleChunk allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestGroupRepairZeroAlloc pins the repair kernel: once warm, rebuilding
+// a chunk — adopting some groups from the old chunk and re-drawing the
+// others under their own streams — allocates nothing. On the same
+// instance the rebuilt chunk must equal the old one exactly.
+func TestGroupRepairZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	in := testInstance(t)
+	e := New(in)
+	old := e.sampleChunk(7, nsPool, 0, ChunkSize, e.getChunkBuf()) // its buffer stays with old
+	const redraw = 1<<31 | 1<<17 | 1<<16 | 1
+	check := e.getChunkBuf()
+	cp := e.drawChunk(7, nsPool, 0, ChunkSize, check, &old, redraw)
+	if !slices.Equal(cp.arena, old.arena) || !slices.Equal(cp.offsets, old.offsets) ||
+		!slices.Equal(cp.drawIdx, old.drawIdx) || !touchEqual(cp.touch, old.touch) {
+		t.Fatal("re-drawing groups on an unchanged instance changed the chunk")
+	}
+	e.putChunkBuf(check, cp, false)
+	run := func() {
+		b := e.getChunkBuf()
+		cp := e.drawChunk(7, nsPool, 0, ChunkSize, b, &old, redraw)
+		sink += int64(len(cp.offsets))
+		e.putChunkBuf(b, cp, false)
+	}
+	run() // warm the sampler and size the chunk arrays
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("warmed group repair allocates %v per run, want 0", allocs)
 	}
 }
 

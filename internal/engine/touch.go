@@ -126,6 +126,12 @@ func (b *chunkBuf) sealTouch(scratch []uint32) touchMask {
 		return touchMask{masks: scratch}
 	}
 	nodes, masks := b.nodes[:0], b.masks[:0]
+	if cap(nodes) < touched {
+		nodes = make([]graph.Node, 0, touched)
+	}
+	if cap(masks) < touched {
+		masks = make([]uint32, 0, touched)
+	}
 	for v, m := range scratch {
 		if m != 0 {
 			nodes = append(nodes, graph.Node(v))

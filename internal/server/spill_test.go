@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"os"
@@ -353,5 +354,78 @@ func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
 		t.Errorf("restoring a %d-byte spill file allocated %d bytes, want well under 1 MiB", fi.Size(), got)
+	}
+}
+
+// restampSpill rewrites every section of a spill file — pool blobs,
+// their touch sections and the p_max ledger — as if written under the
+// given stream epoch, with valid checksums.
+func restampSpill(t *testing.T, path string, epoch uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data)
+	var out bytes.Buffer
+	for r.Len() > 0 {
+		head := data[len(data)-r.Len():]
+		switch {
+		case snapshot.IsTouch(head):
+			ts, err := snapshot.ReadTouch(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts.StreamEpoch = epoch
+			err = snapshot.WriteTouch(&out, ts)
+		case snapshot.IsPmax(head):
+			st, err := snapshot.ReadPmax(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.StreamEpoch = epoch
+			err = snapshot.WritePmax(&out, st)
+		default:
+			p, err := snapshot.Read(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.StreamEpoch = epoch
+			err = snapshot.Write(&out, p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillStaleStreamEpochAnswersCold: spill files written under stream
+// epoch 1 (one stream per 2048-draw chunk, before per-group streams) are
+// rejected on load as stream mismatches, and the pairs then answer
+// exactly like a cold server's.
+func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
+	g := testGraph(40, 60)
+	pairs := validPairs(g, 3)
+	dir := t.TempDir()
+	writer := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
+	queryAll(t, writer, pairs, 1)
+	if err := writer.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range pairs {
+		restampSpill(t, writer.spillPath(pk), 1)
+	}
+	stale := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
+	got := queryAll(t, stale, pairs, 1)
+	want := queryAll(t, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1}), pairs, 1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs restored from epoch-1 spill files answer differently from a cold server:\n got %v\nwant %v", got, want)
+	}
+	st := stale.Stats()
+	if st.SpillLoadErrStream != int64(len(pairs)) || st.SpillLoadErrors != st.SpillLoadErrStream || st.SpillLoads != 0 {
+		t.Fatalf("stats %+v, want %d stream-epoch load errors and no loads", st, len(pairs))
 	}
 }

@@ -6,9 +6,17 @@
 #   scripts/benchcmp.sh old.json new.json
 #   scripts/benchcmp.sh new.json          # old = latest committed BENCH_pr*.json
 #
+# A benchmark is flagged as a regression only when its min–max range
+# over the runs lies entirely above the old one (and as an improvement
+# only when entirely below): overlapping ranges are noise, whatever the
+# ratio of the medians (Kalibera & Jones, "Rigorous Benchmarking in
+# Reasonable Time", ISMM 2013). A point written before bench.sh recorded
+# ranges counts as the single sample min = max = ns_per_op.
+#
 # Exit status is always 0: the trajectory is a review signal, not a hard
-# gate — set BENCHCMP_MAX_RATIO to fail when any benchmark's ns/op ratio
-# (new/old) exceeds it, e.g. BENCHCMP_MAX_RATIO=1.5 in a strict CI lane.
+# gate — set BENCHCMP_MAX_RATIO to fail when a flagged regression's
+# median ratio (new/old) exceeds it, e.g. BENCHCMP_MAX_RATIO=1.5 in a
+# strict CI lane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +37,24 @@ fi
 [ -r "$new" ] || { echo "benchcmp: cannot read $new" >&2; exit 1; }
 echo "benchcmp: $old -> $new" >&2
 
-# The JSON is the flat one-object-per-line array bench.sh emits; pull
-# (name, ns_per_op, allocs_per_op) per line without needing jq.
+# Both formats keep one benchmark object per line; pull
+# (name, median ns/op, allocs/op, min, max) per line without needing jq.
 extract() {
-  sed -n 's/.*"name": *"\([^"]*\)", *"ns_per_op": *\([0-9.eE+-]*\), *"allocs_per_op": *\([0-9]*\|null\).*/\1 \2 \3/p' "$1"
+  awk '
+  function field(key,   re) {
+    re = "\"" key "\": *[^,}]*"
+    if (!match($0, re)) return ""
+    v = substr($0, RSTART, RLENGTH)
+    sub(/^[^:]*: */, "", v)
+    gsub(/"/, "", v)
+    return v
+  }
+  /"name":/ {
+    ns = field("ns_per_op"); lo = field("ns_min"); hi = field("ns_max")
+    if (lo == "") lo = ns
+    if (hi == "") hi = ns
+    print field("name"), ns, field("allocs_per_op"), lo, hi
+  }' "$1"
 }
 
 extract "$old" | sort >/tmp/benchcmp_old.$$
@@ -41,16 +63,20 @@ trap 'rm -f /tmp/benchcmp_old.$$ /tmp/benchcmp_new.$$' EXIT
 
 join /tmp/benchcmp_old.$$ /tmp/benchcmp_new.$$ | awk -v maxratio="${BENCHCMP_MAX_RATIO:-0}" '
 BEGIN {
-  printf "%-50s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs"
+  printf "%-50s %24s %24s %8s %10s %s\n", "benchmark", "old ns/op [min,max]", "new ns/op [min,max]", "ratio", "allocs", "verdict"
   bad = 0
 }
 {
-  name = $1; ons = $2; oal = $3; nns = $4; nal = $5
+  name = $1; ons = $2; oal = $3; olo = $4; ohi = $5; nns = $6; nal = $7; nlo = $8; nhi = $9
   ratio = (ons > 0) ? nns / ons : 0
   alloc = (oal == "null" || nal == "null") ? "-" : sprintf("%s->%s", oal, nal)
-  printf "%-50s %14.1f %14.1f %7.2fx %10s\n", name, ons, nns, ratio, alloc
-  if (maxratio + 0 > 0 && ratio > maxratio + 0) {
-    printf "REGRESSION: %s ns/op ratio %.2f exceeds %.2f\n", name, ratio, maxratio > "/dev/stderr"
+  verdict = "~"
+  if (nlo > ohi) verdict = "REGRESSION"
+  else if (nhi < olo) verdict = "faster"
+  printf "%-50s %24s %24s %7.2fx %10s %s\n", name, sprintf("%.0f [%.0f,%.0f]", ons, olo, ohi),
+    sprintf("%.0f [%.0f,%.0f]", nns, nlo, nhi), ratio, alloc, verdict
+  if (verdict == "REGRESSION" && maxratio + 0 > 0 && ratio > maxratio + 0) {
+    printf "REGRESSION: %s ns/op ratio %.2f exceeds %.2f with disjoint ranges\n", name, ratio, maxratio > "/dev/stderr"
     bad = 1
   }
 }
