@@ -73,8 +73,8 @@
 //
 // The served graph may mutate: Server.ApplyDelta adds and removes edges
 // atomically, producing the next epoch, and migrates every cached pair
-// across it by repair — pool chunks whose sampled walks never consulted
-// a changed node keep their bytes; only damaged chunks are resampled —
+// across it by repair — draw groups whose sampled walks never consulted
+// a changed node keep their bytes; only damaged groups are re-drawn —
 // so a sparse mutation costs a small fraction of rebuilding the cache,
 // and answers afterwards are byte-identical to a server built fresh on
 // the mutated graph:
@@ -852,9 +852,9 @@ type DeltaSummary = proto.DeltaSummary
 
 // ApplyDelta mutates the served graph: the delta's edges are added and
 // removed atomically, producing the next epoch, and every cached pair
-// is migrated across it by repair — pool chunks whose sampled walks
-// never consulted a changed node keep their bytes, only damaged chunks
-// are resampled — so queries after ApplyDelta are byte-identical to a
+// is migrated across it by repair — draw groups whose sampled walks
+// never consulted a changed node keep their bytes, only damaged groups
+// are re-drawn — so queries after ApplyDelta are byte-identical to a
 // server built fresh on the mutated graph, at a fraction of the
 // resampling bill (ServerStats ledgers both sides). Pairs whose (s, t)
 // become adjacent are dropped; spill files from earlier epochs are

@@ -9,9 +9,9 @@
 //     offsets) handed zero-copy to the set-cover solver, with an inverted
 //     node → realization index for repeated coverage queries.
 //   - Sampling is partitioned into fixed-size chunks whose random streams
-//     derive from the chunk index (namespaced per call site), so pool
-//     contents and estimates are pure functions of (seed, l) — identical
-//     for any worker count.
+//     derive from the chunk (and draw-group) index, namespaced per call
+//     site, so pool contents and estimates are pure functions of
+//     (seed, l) — identical for any worker count.
 //   - Per-worker Samplers are recycled through a sync.Pool, and a Session
 //     caches a growable pool so repeated solves (e.g. an α-sweep) sample
 //     each realization exactly once.
@@ -34,15 +34,18 @@ import (
 
 // ChunkSize is the number of realization draws per sampling chunk. It is
 // part of the determinism contract: pool contents depend on how draws are
-// grouped into chunks, so changing it changes pools for a fixed seed.
+// grouped into chunks (and chunks into GroupSize groups, see touch.go),
+// so changing it changes pools for a fixed seed.
 const ChunkSize = 2048
 
 // Stream namespaces (see rng.DeriveStream): every sampling call site gets
 // its own family of indexed streams so phases sharing one root seed never
 // consume identical randomness. The p_max stopping-rule namespace nsPmax
 // lives in pmax.go next to the estimator; its draws follow the same
-// fixed-chunk layout as pools (chunk c reads stream (seed, ns, c) from
-// its start), so every stream family shares one determinism story.
+// fixed layout as pools (group g of chunk c reads stream (seed, ns,
+// c·groupsPerChunk + g) from its start), so every stream family shares
+// one determinism story. One-shot estimation (EstimateF) records no
+// touches and keeps one stream per chunk: (seed, nsEstimate, c).
 const (
 	nsPool     uint64 = 0x506F6F4C // solve pools ("PooL")
 	nsEstimate uint64 = 0x45737446 // one-shot reverse f-estimation ("EstF")

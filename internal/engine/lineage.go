@@ -14,7 +14,7 @@ import (
 // mismatches into repairs: a pool blob written at epoch N and loaded at
 // epoch N+k resolves its fingerprint to the ancestor entry, and the
 // union of the dirty sets of epochs N+1..N+k is exactly the damage test
-// input under which undamaged chunks may be adopted as-is.
+// input under which undamaged draw groups may be adopted as-is.
 //
 // The lineage is deliberately not persisted: it only ever relates epochs
 // one process has itself lived through (or been told about via deltas),

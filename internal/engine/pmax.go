@@ -427,9 +427,10 @@ func (pe *PmaxEstimator) Restore(r io.Reader) error {
 		return fmt.Errorf("%w: pmax snapshot stream (seed %d, ns %#x) does not match estimator (seed %d, ns %#x)",
 			ErrStreamMismatch, st.Seed, st.NS, pe.seed, nsPmax)
 	}
-	// Unlike pools, ancestor-epoch ledgers are not adopted: touch sets are
-	// not persisted for p_max, so every chunk would fail the damage test
-	// anyway — resetting cold re-draws the same chunks, answer-identically.
+	// Unlike pools, ancestor-epoch ledgers are not adopted: touch masks
+	// are not persisted for p_max, so every group would fail the damage
+	// test anyway — resetting cold re-draws the same groups,
+	// answer-identically.
 	if fp := pe.eng.Fingerprint(); st.Fingerprint != fp {
 		return fmt.Errorf("%w: pmax snapshot instance fingerprint %#x does not match %#x", ErrInstanceMismatch, st.Fingerprint, fp)
 	}

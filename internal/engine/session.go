@@ -13,9 +13,9 @@ import (
 // Pool(l) calls with l at or below the cached size are served without any
 // sampling; a larger l grows the pool incrementally, drawing only the new
 // chunks and the trailing partial chunk's incomplete group onward (its
-// complete groups' streams are prefix-stable, so their paths are kept). Because chunk streams are indexed,
-// a grown pool is byte-identical to one sampled at the final size in a
-// single shot — for any worker count.
+// complete groups' streams are prefix-stable, so their paths are kept).
+// Because group streams are indexed, a grown pool is byte-identical to
+// one sampled at the final size in a single shot — for any worker count.
 //
 // Pool(l) always returns the pool of EXACTLY l draws — a truncated
 // prefix view when the cache has grown beyond l — so every result

@@ -284,9 +284,9 @@ func attachTouch(chunks []chunkPaths, ts *snapshot.TouchSet, sp *snapshot.Pool) 
 //
 // A fingerprint (or universe) mismatch is terminal unless the engine's
 // bound lineage resolves the snapshot's fingerprint to an ancestor epoch
-// of this same instance; then the blob is adopted and repaired — chunks
-// untouched by the epochs' accumulated dirty set keep their bytes,
-// damaged chunks are resampled — leaving the session byte-identical to
+// of this same instance; then the blob is adopted and repaired — draw
+// groups untouched by the epochs' accumulated dirty set keep their bytes,
+// damaged groups are re-drawn — leaving the session byte-identical to
 // one sampled cold at the current epoch.
 func (s *Session) adoptSnapshotLocked(sp *snapshot.Pool, ts *snapshot.TouchSet) error {
 	// The stream epoch is part of the pool's identity: bytes sampled

@@ -162,7 +162,7 @@ func randomDelta(r *rand.Rand, g *graph.Graph, tested map[graph.Edge]bool, k int
 	}
 	// Sampling removals uniformly over edges would be degree-biased: an
 	// edge endpoint is a hub with probability proportional to its degree,
-	// and hubs sit in every chunk's touch set, turning every repair into
+	// and hubs are consulted by every draw group, turning every repair into
 	// a full resample. Keep removals on the periphery, where real churn
 	// (and the repair win) lives.
 	edges := g.Edges()

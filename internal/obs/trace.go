@@ -36,8 +36,8 @@ const (
 	StageMeasure
 	// StagePmax is Algorithm 2 stopping-rule chunk sampling.
 	StagePmax
-	// StageRepair is delta repair: resampling damaged chunks after a
-	// graph mutation.
+	// StageRepair is delta repair: re-drawing damaged draw groups after
+	// a graph mutation.
 	StageRepair
 	// StageRankRound is one successive-halving round of a batched top-k
 	// schedule (scoring of every surviving candidate included).

@@ -36,9 +36,9 @@ type DeltaResult struct {
 // (for Explicit weight schemes) re-weighted — producing the next epoch,
 // and migrates every live pair across it: each pair's instance is
 // rebound to the new graph (sampling-plan rows rebuilt only for dirty
-// nodes), and its cached pools and p_max ledger are *repaired* — chunks
-// whose touch sets miss the dirty nodes keep their bytes, damaged
-// chunks are resampled under their original streams — leaving every
+// nodes), and its cached pools and p_max ledger are *repaired* — draw
+// groups whose walks never consulted a dirty node keep their bytes,
+// damaged groups are re-drawn under their original streams — leaving every
 // pair byte-identical to one built cold at the new epoch (see
 // engine.Session.RepairTo). Pairs whose (s,t) the delta makes adjacent
 // are dissolved and dropped, as are their spill files; spill files of

@@ -32,8 +32,8 @@
 // The graph itself may mutate: ApplyDelta applies a batch of edge
 // additions, removals and weight updates, producing the next epoch's
 // graph, and migrates every live pair across it by *repair* instead of
-// discard — pool chunks whose touch sets miss the delta's dirty nodes
-// keep their bytes, only damaged chunks are resampled (see
+// discard — draw groups whose walks never consulted the delta's dirty
+// nodes keep their bytes, only damaged groups are re-drawn (see
 // engine.Session.RepairTo), and a pair whose (s,t) the delta dissolves
 // (the nodes become adjacent) is dropped. The server keeps the epoch
 // lineage (engine.Lineage), so spill files written at an earlier epoch
