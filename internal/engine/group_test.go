@@ -251,3 +251,50 @@ func TestGroupMaskHelpers(t *testing.T) {
 		t.Errorf("regrow 130→200 draws groups %#b, want 0b1100", got)
 	}
 }
+
+// TestTouchMaskDamaged: in either stored form, the damage of a dirty set
+// is exactly the OR of its nodes' recorded words; nodes beyond the
+// recorded universe were never consulted, and an unknown mask damages
+// every group.
+func TestTouchMaskDamaged(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, touchedFrac := range []float64{0.9, 0.1} {
+		const n = 200
+		var b chunkBuf
+		scratch := b.touchScratch(n)
+		for v := range scratch {
+			if r.Float64() < touchedFrac {
+				scratch[v] = r.Uint32() | 1
+			}
+		}
+		words := slices.Clone(scratch)
+		tm := b.sealTouch(scratch)
+		if tm.dense() != (touchedFrac > 0.5) {
+			t.Fatalf("touched fraction %v sealed dense=%v", touchedFrac, tm.dense())
+		}
+		for v := range words {
+			if got := tm.damaged([]graph.Node{graph.Node(v)}); got != words[v] {
+				t.Fatalf("dense=%v node %d: damaged %#x, want %#x", tm.dense(), v, got, words[v])
+			}
+		}
+		dirty := []graph.Node{3, 77, 150, n + 5}
+		if got, want := tm.damaged(dirty), words[3]|words[77]|words[150]; got != want {
+			t.Fatalf("dense=%v: damaged(%v) = %#x, want %#x", tm.dense(), dirty, got, want)
+		}
+		dst := make([]uint32, n+10)
+		tm.orInto(dst, 0xff)
+		for v := range dst {
+			if want := uint32(0); v < n {
+				want = words[v] & 0xff
+				if dst[v] != want {
+					t.Fatalf("dense=%v orInto node %d: %#x, want %#x", tm.dense(), v, dst[v], want)
+				}
+			} else if dst[v] != 0 {
+				t.Fatalf("orInto wrote past the recorded universe at %d", v)
+			}
+		}
+	}
+	if got := (touchMask{}).damaged([]graph.Node{1}); got != ^uint32(0) {
+		t.Fatalf("unknown mask damaged %#x, want every group", got)
+	}
+}
