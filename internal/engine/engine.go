@@ -283,47 +283,67 @@ func (e *Engine) sampleChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf)
 // from scratch would produce. old may be nil only when redraw holds
 // every group.
 func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old *chunkPaths, redraw uint32) chunkPaths {
-	scratch := b.touchScratch(e.in.Graph().NumNodes())
 	cp := chunkPaths{
 		draws:   n,
 		arena:   b.arena[:0],
 		offsets: append(b.offsets[:0], 0),
 		drawIdx: b.drawIdx[:0],
 	}
-	var from int // old's first path in the current group
+	var oldTouch touchMask
+	var from int // old's first path not yet copied or skipped
 	if old != nil {
-		old.touch.orInto(scratch, ^redraw)
+		oldTouch = old.touch
 	}
+	cp.touch = e.drawGroups(seed, ns, chunk, n, b, oldTouch, redraw, func(lo, hi int64) {
+		for from < len(old.drawIdx) && int64(old.drawIdx[from]) < lo {
+			from++
+		}
+		to := from
+		for to < len(old.drawIdx) && int64(old.drawIdx[to]) < hi {
+			to++
+		}
+		cp.appendPaths(old, from, to)
+		from = to
+	}, func(sp *realization.Sampler, st rng.Stream, lo, hi int64) {
+		arena, offsets, drawIdx := cp.arena, cp.offsets, cp.drawIdx // kept in registers
+		for i := lo; i < hi; i++ {
+			tg := sp.SampleTGView(&st)
+			if tg.Outcome == realization.Type1 {
+				arena = append(arena, tg.Path...)
+				offsets = append(offsets, int32(len(arena)))
+				drawIdx = append(drawIdx, int32(i))
+			}
+		}
+		cp.arena, cp.offsets, cp.drawIdx = arena, offsets, drawIdx
+	})
+	return cp
+}
+
+// drawGroups runs the group loop both touch-recording kernels share,
+// over the groups of an n-draw chunk in order. A group set in redraw is
+// drawn by draw from its own stream (seed, ns, chunk·groupsPerChunk + g)
+// while the sampler records its touches under the group's bit; any
+// other group is handed to keep, which copies its results from the old
+// chunk, whose touch words old supplies for it. It returns the chunk's
+// sealed touch mask. draw takes its stream by value: a pointer passed
+// through the func value would move every group's stream to the heap.
+func (e *Engine) drawGroups(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old touchMask, redraw uint32,
+	keep func(lo, hi int64), draw func(sp *realization.Sampler, st rng.Stream, lo, hi int64)) touchMask {
+	scratch := b.touchScratch(e.in.Graph().NumNodes())
+	old.orInto(scratch, ^redraw)
 	sp := e.samplers.Get().(*realization.Sampler)
 	for g := int64(0); g*GroupSize < n; g++ {
 		lo, hi := g*GroupSize, min(g*GroupSize+GroupSize, n)
-		to := from
-		if old != nil {
-			for to < len(old.drawIdx) && int64(old.drawIdx[to]) < hi {
-				to++
-			}
-		}
-		bit := uint32(1) << g
-		if redraw&bit == 0 {
-			cp.appendPaths(old, from, to)
+		if bit := uint32(1) << g; redraw&bit == 0 {
+			keep(lo, hi)
 		} else {
-			st := rng.DerivedStream(seed, ns, groupStream(chunk, g))
 			sp.RecordTouches(scratch, bit)
-			for i := lo; i < hi; i++ {
-				tg := sp.SampleTGView(&st)
-				if tg.Outcome == realization.Type1 {
-					cp.arena = append(cp.arena, tg.Path...)
-					cp.offsets = append(cp.offsets, int32(len(cp.arena)))
-					cp.drawIdx = append(cp.drawIdx, int32(i))
-				}
-			}
+			draw(sp, rng.DerivedStream(seed, ns, groupStream(chunk, g)), lo, hi)
 		}
-		from = to
 	}
 	sp.RecordTouches(nil, 0)
 	e.samplers.Put(sp)
-	cp.touch = b.sealTouch(scratch)
-	return cp
+	return b.sealTouch(scratch)
 }
 
 // appendPaths copies src's paths [from, to) onto the end of cp.

@@ -336,40 +336,31 @@ func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 // does not touch the draw ledger — the caller charges the net-new draws
 // it is responsible for.
 func (e *Engine) drawPmaxChunk(seed int64, chunk, n int64, old *pmaxChunk, redraw uint32) pmaxChunk {
-	b := e.getChunkBuf()
-	scratch := b.touchScratch(e.in.Graph().NumNodes())
 	c := pmaxChunk{draws: n}
-	var from int // old's first success in the current group
+	var oldTouch touchMask
+	var from int // old's first success not yet copied or skipped
 	if old != nil {
-		old.touch.orInto(scratch, ^redraw)
+		oldTouch = old.touch
 		c.succ = make([]int32, 0, len(old.succ))
 	}
-	sp := e.samplers.Get().(*realization.Sampler)
-	for g := int64(0); g*GroupSize < n; g++ {
-		lo, hi := g*GroupSize, min(g*GroupSize+GroupSize, n)
+	b := e.getChunkBuf()
+	c.touch = e.drawGroups(seed, nsPmax, chunk, n, b, oldTouch, redraw, func(lo, hi int64) {
+		for from < len(old.succ) && int64(old.succ[from]) < lo {
+			from++
+		}
 		to := from
-		if old != nil {
-			for to < len(old.succ) && int64(old.succ[to]) < hi {
-				to++
-			}
+		for to < len(old.succ) && int64(old.succ[to]) < hi {
+			to++
 		}
-		bit := uint32(1) << g
-		if redraw&bit == 0 {
-			c.succ = append(c.succ, old.succ[from:to]...)
-		} else {
-			st := rng.DerivedStream(seed, nsPmax, groupStream(chunk, g))
-			sp.RecordTouches(scratch, bit)
-			for i := lo; i < hi; i++ {
-				if sp.SampleTGView(&st).Outcome == realization.Type1 {
-					c.succ = append(c.succ, int32(i))
-				}
-			}
-		}
+		c.succ = append(c.succ, old.succ[from:to]...)
 		from = to
-	}
-	sp.RecordTouches(nil, 0)
-	e.samplers.Put(sp)
-	c.touch = b.sealTouch(scratch)
+	}, func(sp *realization.Sampler, st rng.Stream, lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			if sp.SampleTGView(&st).Outcome == realization.Type1 {
+				c.succ = append(c.succ, int32(i))
+			}
+		}
+	})
 	chunkBufs.Put(b)
 	return c
 }
