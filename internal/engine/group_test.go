@@ -51,7 +51,8 @@ func growLedger(t *testing.T, e *Engine, seed int64, workers int, l int64) *Pmax
 // to cold ones sampled on the post-delta instance. Sizes end in a
 // partial group (2000 = 31·64 + 16) and, at 4048 draws, in a partial
 // second chunk; deltas are random one-edge adds and multi-edge add/remove
-// mixes; every worker count must agree. On a 600-node graph a delta
+// mixes, some with an edge to a new node; every worker count must agree,
+// and the repaired session's snapshot must load back. On a 600-node graph a delta
 // damages some groups of a chunk but not all, so the splice of re-drawn
 // groups between adopted ones is exercised, not just whole-chunk
 // adoption or whole-chunk re-draw.
@@ -72,7 +73,13 @@ func TestGroupRepairMatchesCold(t *testing.T) {
 				if trial%2 == 1 {
 					nAdd, nRemove = 3, 2
 				}
-				in2, dirty := applyDelta(t, in, randomDelta(r, g, s, tt, nAdd, nRemove))
+				d := randomDelta(r, g, s, tt, nAdd, nRemove)
+				if trial%3 == 2 {
+					// An edge to a new node grows the universe: adopted
+					// chunks' masks must be re-sealed for it.
+					d.Add = append(d.Add, graph.Edge{U: graph.Node(r.Intn(600)), V: 600})
+				}
+				in2, dirty := applyDelta(t, in, d)
 
 				old := New(in).NewSession(11, workers)
 				if _, err := old.Pool(ctx, l); err != nil {
@@ -93,8 +100,12 @@ func TestGroupRepairMatchesCold(t *testing.T) {
 				if _, err := cold.Pool(ctx, l); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(snapshotOf(t, repaired), snapshotOf(t, cold)) {
+				snap := snapshotOf(t, repaired)
+				if !bytes.Equal(snap, snapshotOf(t, cold)) {
 					t.Fatalf("l=%d workers=%d trial=%d: repaired pool or touch masks differ from cold", l, workers, trial)
+				}
+				if _, err := OpenSession(ne, bytes.NewReader(snap), workers); err != nil {
+					t.Fatalf("l=%d workers=%d trial=%d: repaired session's snapshot does not load: %v", l, workers, trial, err)
 				}
 
 				pe := growLedger(t, New(in), 31, workers, l)

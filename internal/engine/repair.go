@@ -19,7 +19,8 @@ import (
 // touch words to find a chunk's damaged groups, re-draws only those under
 // their own (seed, ns, chunk·groupsPerChunk + group) streams, and splices
 // them by draw index between the adopted groups' paths (drawChunk); a
-// chunk with no damaged group is adopted whole. A repaired pool is
+// chunk with no damaged group is adopted whole, its touch mask re-sealed
+// for the new universe when the delta added nodes. A repaired pool is
 // therefore byte-identical, touch masks included, to a cold pool sampled
 // at the new epoch, at a fraction of the draw bill: on the Wiki analog a
 // one-edge delta re-draws about 30% of a pool's draws, where whole-chunk
@@ -90,6 +91,11 @@ func repairChunks(ctx context.Context, e *Engine, seed int64, ns uint64, old []c
 		return old[i].draws, old[i].touch
 	}, dirty)
 	chunks := slices.Clone(old)
+	for i := range chunks {
+		if redraw[i] == 0 {
+			chunks[i].touch = chunks[i].touch.widen(e.in.Graph().NumNodes())
+		}
+	}
 	bufs := make([]*chunkBuf, len(old))
 	err := parallel.For(ctx, len(damaged), workers, func(j int) {
 		i := damaged[j]
@@ -168,6 +174,11 @@ func (pe *PmaxEstimator) RepairTo(ctx context.Context, ne *Engine, dirty []graph
 		return old[i].draws, old[i].touch
 	}, dirty)
 	chunks := slices.Clone(old)
+	for i := range chunks {
+		if redraw[i] == 0 {
+			chunks[i].touch = chunks[i].touch.widen(ne.in.Graph().NumNodes())
+		}
+	}
 	err := parallel.For(ctx, len(damaged), pe.workers, func(j int) {
 		i := damaged[j]
 		chunks[i] = ne.drawPmaxChunk(pe.seed, int64(i), old[i].draws, &old[i], redraw[i])

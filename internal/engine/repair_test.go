@@ -324,7 +324,13 @@ func TestSnapshotAdoptAndRepair(t *testing.T) {
 // TestSnapshotAdoptUniverseGrowth: a delta may add nodes; an ancestor
 // snapshot with the smaller universe is still adopted (dirty nodes
 // damage its chunks as usual), while a snapshot from a LARGER universe
-// than the engine's is rejected.
+// than the engine's is rejected. Live repair and adopt-on-load both end
+// byte-identical — touch masks included — to a cold session at the new
+// epoch, and the repaired session's own snapshot loads back. The deltas
+// cover an edge to one new node, and edges between new nodes only, which
+// damage no group: every chunk is adopted whole into a universe that
+// grew by a little (its dense masks gain words) or by a lot (they no
+// longer cover half the nodes and must turn sparse).
 func TestSnapshotAdoptUniverseGrowth(t *testing.T) {
 	ctx := context.Background()
 	g := randomConnected(34, 30, 40)
@@ -335,38 +341,76 @@ func TestSnapshotAdoptUniverseGrowth(t *testing.T) {
 	const l = ChunkSize + 50
 
 	gfp1 := GraphFingerprint(g, in.Weights())
-	lin := NewLineage(gfp1)
 	e1 := New(in)
-	e1.Bind(lin, gfp1)
 	old := e1.NewSession(51, 1)
 	if _, err := old.Pool(ctx, l); err != nil {
 		t.Fatal(err)
 	}
+	if !old.chunks[0].touch.dense() {
+		t.Fatal("30-node chunk touch mask is not dense; the growth cases test nothing")
+	}
+	pe := growLedger(t, e1, 51, 1, l)
 	data := snapshotOf(t, old)
 
-	// Add an edge to a brand-new node 30: universe grows to 31.
-	d := &graph.Delta{Add: []graph.Edge{{U: 5, V: 30}}}
-	in2, dirty := applyDelta(t, in, d)
-	if in2.Graph().NumNodes() != 31 {
-		t.Fatalf("universe = %d, want 31", in2.Graph().NumNodes())
+	for _, tc := range []struct {
+		name string
+		add  graph.Edge
+		n    int
+	}{
+		{"edge to new node", graph.Edge{U: 5, V: 30}, 31},
+		{"new nodes pad dense", graph.Edge{U: 30, V: 31}, 32},
+		{"new nodes turn sparse", graph.Edge{U: 30, V: 99}, 100},
+	} {
+		in2, dirty := applyDelta(t, in, &graph.Delta{Add: []graph.Edge{tc.add}})
+		if in2.Graph().NumNodes() != tc.n {
+			t.Fatalf("%s: universe = %d, want %d", tc.name, in2.Graph().NumNodes(), tc.n)
+		}
+		gfp2 := GraphFingerprint(in2.Graph(), in2.Weights())
+		lin := NewLineage(gfp1)
+		lin.Advance(gfp2, dirty)
+		e2 := New(in2)
+		e2.Bind(lin, gfp2)
+		cold := New(in2).NewSession(51, 1)
+		if _, err := cold.Pool(ctx, l); err != nil {
+			t.Fatal(err)
+		}
+		want := snapshotOf(t, cold)
+
+		loaded, err := OpenSession(e2, bytes.NewReader(data), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, _, err := old.RepairTo(ctx, New(in2), dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Session{loaded, live} {
+			got := snapshotOf(t, s)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: repaired session's snapshot differs from cold", tc.name)
+			}
+			back, err := OpenSession(e2, bytes.NewReader(got), 1)
+			if err != nil {
+				t.Fatalf("%s: repaired session's snapshot does not load: %v", tc.name, err)
+			}
+			if !bytes.Equal(snapshotOf(t, back), want) {
+				t.Fatalf("%s: reloaded snapshot differs from cold", tc.name)
+			}
+		}
+		rpe, _, err := pe.RepairTo(ctx, New(in2), dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustLedgersEqual(t, rpe, growLedger(t, New(in2), 51, 1, l))
 	}
+
+	in2, dirty := applyDelta(t, in, &graph.Delta{Add: []graph.Edge{{U: 5, V: 30}}})
 	gfp2 := GraphFingerprint(in2.Graph(), in2.Weights())
+	lin := NewLineage(gfp1)
 	lin.Advance(gfp2, dirty)
+	e1.Bind(lin, gfp1)
 	e2 := New(in2)
 	e2.Bind(lin, gfp2)
-	loaded, err := OpenSession(e2, bytes.NewReader(data), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(in2).NewSession(51, 1).Pool(ctx, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Pool(ctx, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPoolsEqual(t, got, want)
 
 	// The reverse direction — an epoch-N+1 snapshot into the epoch-N
 	// engine — must be refused even though the fingerprint is in the

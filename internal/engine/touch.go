@@ -99,6 +99,22 @@ func (t touchMask) orInto(dst []uint32, keep uint32) {
 	}
 }
 
+// widen returns t as a chunk that touched the same nodes seals it in a
+// universe of n nodes — how a chunk adopted whole across a delta that
+// added nodes must carry its mask. A dense mask of fewer than n words
+// gains zero words, or turns sparse once its touched nodes no longer
+// exceed half the universe; any other mask carries over as it is. A
+// dense t is copied, never extended in place: the pre-delta chunk may
+// still be read.
+func (t touchMask) widen(n int) touchMask {
+	if !t.known() || !t.dense() || len(t.masks) >= n {
+		return t
+	}
+	b := chunkBuf{scratch: make([]uint32, n)}
+	copy(b.scratch, t.masks)
+	return b.sealTouch(b.scratch)
+}
+
 // touchScratch returns b's dense mask scratch, n zeroed words.
 func (b *chunkBuf) touchScratch(n int) []uint32 {
 	if cap(b.scratch) < n {
