@@ -18,10 +18,10 @@
 // full-effort round.
 //
 // The scheduler is deliberately ignorant of pools, servers and graphs:
-// it sees candidate indices and a scoring callback. Determinism is
-// inherited, not imposed — scores land in an index-addressed slice, and
-// every freeze decision sorts on (score, index), so the result is a pure
-// function of the callback's values for any worker count.
+// it sees candidate indices and a per-round scoring callback. Determinism
+// is inherited, not imposed — every freeze decision sorts on (score,
+// index), so the result is a pure function of the callback's values,
+// however the callback spreads its work over goroutines.
 package rank
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // DefaultMinEffort is the smallest rung a plan starts candidates at, one
@@ -62,15 +61,6 @@ type Config struct {
 	// (default 2: a solve pool and a decorrelated eval pool grow
 	// together).
 	CostPerEffort int64
-	// Workers bounds scoring concurrency within a round (0 = all CPUs).
-	Workers int
-	// OnRound, when set, brackets each round's parallel scoring: it is
-	// called with the round's candidates in ascending index order before
-	// any of them is scored, and the function it returns runs once they
-	// all have been. A serving layer pins per-candidate state there, so
-	// its side effects follow index order rather than the order in which
-	// concurrent scorers happen to finish.
-	OnRound func(candidates []int) (end func())
 }
 
 // Round is one rung of a plan: Survivors candidates scored at Effort.
@@ -217,13 +207,19 @@ type Result struct {
 	Rounds int
 }
 
-// Run executes the plan for cfg, scoring candidates through score.
-// score(ctx, i, effort) must return candidate i's score after effort
-// draws-worth of work; it is called from multiple goroutines on distinct
-// indices and must be deterministic in (i, effort) for the run to be.
+// Scorer scores one round: it returns, position by position, the score
+// of each of cands after effort draws-worth of work, or the error that
+// freezes it. cands lists the round's candidates in ascending index
+// order, so a scorer that orders side effects by it (a serving layer
+// pinning per-candidate state in a recency list) makes them a function
+// of the request, however it spreads the scoring over goroutines. Each
+// score must be deterministic in (candidate, effort) for the run to be.
+type Scorer func(ctx context.Context, cands []int, effort int64) ([]float64, []error)
+
+// Run executes the plan for cfg, scoring each round through score.
 // Context errors abort the run; per-candidate errors freeze only that
 // candidate.
-func Run(ctx context.Context, cfg Config, score func(ctx context.Context, candidate int, effort int64) (float64, error)) (*Result, error) {
+func Run(ctx context.Context, cfg Config, score Scorer) (*Result, error) {
 	plan, err := NewPlan(cfg)
 	if err != nil {
 		return nil, err
@@ -243,27 +239,17 @@ func Run(ctx context.Context, cfg Config, score func(ctx context.Context, candid
 		frozen = append(frozen, ci)
 	}
 	for ri, round := range plan.Rounds {
-		scores := make([]float64, len(alive))
-		errs := make([]error, len(alive))
 		sp := obs.TraceFrom(ctx).StartSpan(obs.StageRankRound)
-		end := func() {}
-		if cfg.OnRound != nil {
-			end = cfg.OnRound(slices.Sorted(slices.Values(alive)))
-		}
-		err := parallel.For(ctx, len(alive), cfg.Workers, func(j int) {
-			scores[j], errs[j] = score(ctx, alive[j], round.Effort)
-		})
-		end()
+		cands := slices.Sorted(slices.Values(alive))
+		scores, errs := score(ctx, cands, round.Effort)
 		sp.End()
-		if err != nil {
-			return nil, err
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		res.Rounds++
 		var next []int
-		for j, ci := range alive {
+		for _, ci := range alive {
+			j, _ := slices.BinarySearch(cands, ci)
 			c := &res.Candidates[ci]
 			c.Rounds++
 			c.Effort = round.Effort

@@ -7,7 +7,21 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/parallel"
 )
+
+// each builds a Scorer that scores a round's candidates one by one
+// through f, spread over workers goroutines.
+func each(workers int, f func(ctx context.Context, i int, effort int64) (float64, error)) Scorer {
+	return func(ctx context.Context, cands []int, effort int64) ([]float64, []error) {
+		scores, errs := make([]float64, len(cands)), make([]error, len(cands))
+		parallel.For(ctx, len(cands), workers, func(j int) {
+			scores[j], errs[j] = f(ctx, cands[j], effort)
+		})
+		return scores, errs
+	}
+}
 
 // deterministicScore is a synthetic pure scorer: monotone in a
 // per-candidate "true" quality, with an effort-dependent wobble so
@@ -113,10 +127,10 @@ func TestPlanValidation(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	var base *Result
 	for _, workers := range []int{1, 2, 8} {
-		cfg := Config{Candidates: 50, K: 5, FullEffort: 8192, MaxDraws: 200_000, Workers: workers}
-		res, err := Run(context.Background(), cfg, func(_ context.Context, i int, effort int64) (float64, error) {
+		cfg := Config{Candidates: 50, K: 5, FullEffort: 8192, MaxDraws: 200_000}
+		res, err := Run(context.Background(), cfg, each(workers, func(_ context.Context, i int, effort int64) (float64, error) {
 			return deterministicScore(i, effort), nil
-		})
+		}))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -133,9 +147,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestRunFindsTopK(t *testing.T) {
 	// With a wide quality gap, the schedule must surface the true top k.
 	cfg := Config{Candidates: 64, K: 4, FullEffort: 16384, MaxDraws: 1 << 20}
-	res, err := Run(context.Background(), cfg, func(_ context.Context, i int, effort int64) (float64, error) {
+	res, err := Run(context.Background(), cfg, each(0, func(_ context.Context, i int, effort int64) (float64, error) {
 		return deterministicScore(i, effort), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +190,9 @@ func TestRunExhaustiveMatchesIndependentCalls(t *testing.T) {
 	// builds on.
 	n := 16
 	cfg := Config{Candidates: n, K: 3, FullEffort: 4096}
-	res, err := Run(context.Background(), cfg, func(_ context.Context, i int, effort int64) (float64, error) {
+	res, err := Run(context.Background(), cfg, each(0, func(_ context.Context, i int, effort int64) (float64, error) {
 		return deterministicScore(i, effort), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +210,12 @@ func TestRunExhaustiveMatchesIndependentCalls(t *testing.T) {
 func TestRunErrorFreezesCandidate(t *testing.T) {
 	boom := errors.New("unreachable target")
 	cfg := Config{Candidates: 8, K: 2, FullEffort: 4096, MaxDraws: 40_000}
-	res, err := Run(context.Background(), cfg, func(_ context.Context, i int, effort int64) (float64, error) {
+	res, err := Run(context.Background(), cfg, each(0, func(_ context.Context, i int, effort int64) (float64, error) {
 		if i == 3 {
 			return 0, fmt.Errorf("candidate 3: %w", boom)
 		}
 		return deterministicScore(i, effort), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +233,9 @@ func TestRunErrorFreezesCandidate(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, Config{Candidates: 4, K: 1, FullEffort: 1024}, func(ctx context.Context, i int, effort int64) (float64, error) {
+	_, err := Run(ctx, Config{Candidates: 4, K: 1, FullEffort: 1024}, each(0, func(ctx context.Context, i int, effort int64) (float64, error) {
 		return 0, ctx.Err()
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context error, got %v", err)
 	}

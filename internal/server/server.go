@@ -308,6 +308,18 @@ func (sv *Server) pairSeed(k pairKey) int64 {
 func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*entry, error) {
 	sp := obs.TraceFrom(ctx).StartSpan(obs.StageAcquire)
 	defer sp.End()
+	e, err := sv.pin(kind, s, t)
+	if err != nil {
+		return nil, err
+	}
+	sv.ensureRestored(e)
+	return e, nil
+}
+
+// pin is acquire without the spill restore: the map lookup or insert,
+// the hit/miss tally and the move to the LRU front, all cheap. The
+// caller must run ensureRestored before reading the entry's sessions.
+func (sv *Server) pin(kind Kind, s, t graph.Node) (*entry, error) {
 	k := pairKey{s, t}
 	sh := sv.shardFor(k)
 	sh.mu.Lock()
@@ -332,7 +344,6 @@ func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*ent
 		sv.ledger[ctrSessionsCreated].Add(1)
 	}
 	sh.mu.Unlock()
-	sv.ensureRestored(e)
 	tally := ctrHits
 	if !ok {
 		tally = ctrMisses
@@ -356,26 +367,30 @@ func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*ent
 // the ledger under-charged. MemBytes only takes session-internal locks,
 // which are never held while acquiring lruMu, so the nesting is safe.
 func (sv *Server) release(e *entry) {
-	sv.lruMu.Lock()
-	if e.evicted {
-		// Evicted while this query was in flight: its bytes were already
-		// written off; the session dies with the last in-flight holder.
-		sv.lruMu.Unlock()
-		return
-	}
-	mem := e.sess.MemBytes() + e.eval.MemBytes()
-	sv.ledger[ctrBytesHeld].Add(mem - e.bytes)
-	e.bytes = mem
-	victims := sv.evictLocked()
-	sv.lruMu.Unlock()
 	// Spill the victims' pools outside lruMu: snapshotting takes only
 	// session-internal locks, and disk writes must not serialize the
 	// whole server. An in-flight holder may still grow a victim while it
 	// is written; Snapshot sees a consistent (possibly larger) pool,
 	// which restores to the same answers.
-	for _, v := range victims {
+	for _, v := range sv.settle(e) {
 		sv.writeSpill(v)
 	}
+}
+
+// settle is release without the spill writes: it settles the entry's
+// bytes and evicts, returning the victims for the caller to spill.
+func (sv *Server) settle(e *entry) []*entry {
+	sv.lruMu.Lock()
+	defer sv.lruMu.Unlock()
+	if e.evicted {
+		// Evicted while this query was in flight: its bytes were already
+		// written off; the session dies with the last in-flight holder.
+		return nil
+	}
+	mem := e.sess.MemBytes() + e.eval.MemBytes()
+	sv.ledger[ctrBytesHeld].Add(mem - e.bytes)
+	e.bytes = mem
+	return sv.evictLocked()
 }
 
 // evictLocked evicts least-recently-used entries until the byte ledger

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/maxaf"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/rank"
 	"repro/internal/setcover"
 )
@@ -129,30 +131,8 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 	}
 	var spent atomic.Int64
 	var solvers sync.Pool // *setcover.Solver scratch shared across the batch
-	// A round acquires its candidates' pairs in index order before any is
-	// scored and releases them in index order after all are, so LRU
-	// recency and evictions are a function of the query, not of which
-	// concurrent scorer finished first.
-	entries := make([]*entry, n)
-	acqErrs := make([]error, n)
-	onRound := func(cands []int) func() {
-		for _, i := range cands {
-			entries[i], acqErrs[i] = sv.acquire(ctx, KindTopK, q.S, q.Targets[i])
-		}
-		return func() {
-			for _, i := range cands {
-				if entries[i] != nil {
-					sv.release(entries[i])
-					entries[i] = nil
-				}
-			}
-		}
-	}
-	score := func(ctx context.Context, i int, effort int64) (float64, error) {
-		if acqErrs[i] != nil {
-			return 0, acqErrs[i]
-		}
-		e := entries[i]
+	scoreOne := func(ctx context.Context, e *entry, i int, effort int64) (float64, error) {
+		sv.ensureRestored(e)
 		eng := e.sess.Engine()
 		before := eng.PoolDraws()
 		defer func() { spent.Add(eng.PoolDraws() - before) }()
@@ -182,13 +162,41 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 		c.Invited = mres.Invited
 		return f, nil
 	}
+	// A round pins its candidates' pairs in index order before any is
+	// scored and settles them in index order after all are, so LRU
+	// recency and evictions are a function of the query, not of which
+	// concurrent scorer finished first. The costly parts run in
+	// parallel: spill restores inside the scorers, victims' spill writes
+	// once the round has settled.
+	score := func(ctx context.Context, cands []int, effort int64) ([]float64, []error) {
+		sp := obs.TraceFrom(ctx).StartSpan(obs.StageAcquire)
+		entries := make([]*entry, len(cands))
+		scores, errs := make([]float64, len(cands)), make([]error, len(cands))
+		for j, i := range cands {
+			entries[j], errs[j] = sv.pin(KindTopK, q.S, q.Targets[i])
+		}
+		sp.End()
+		parallel.For(ctx, len(cands), sv.cfg.Workers, func(j int) {
+			if entries[j] != nil {
+				scores[j], errs[j] = scoreOne(ctx, entries[j], cands[j], effort)
+			}
+		})
+		var victims []*entry
+		for _, e := range entries {
+			if e != nil {
+				victims = append(victims, sv.settle(e)...)
+			}
+		}
+		parallel.For(context.WithoutCancel(ctx), len(victims), sv.cfg.Workers, func(j int) {
+			sv.writeSpill(victims[j])
+		})
+		return scores, errs
+	}
 	rr, err := rank.Run(ctx, rank.Config{
 		Candidates: n,
 		K:          q.K,
 		FullEffort: l,
 		MaxDraws:   q.MaxDraws,
-		Workers:    sv.cfg.Workers,
-		OnRound:    onRound,
 	}, score)
 	if err != nil {
 		return nil, err

@@ -399,8 +399,16 @@ func TestCoalesceEpochKeying(t *testing.T) {
 // eviction schedule is now deterministic) for every worker count, run
 // after run. A round pins its candidates in index order before scoring
 // and settles them in index order after, so recency never follows the
-// order in which concurrent scorers finish.
+// order in which concurrent scorers finish. With a spill directory the
+// victims are written, and restored, by parallel scorers; the ledger
+// must not notice.
 func TestTopKEvictionOrderAcrossWorkers(t *testing.T) {
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill=%v", spill), func(t *testing.T) { testTopKEvictionOrder(t, spill) })
+	}
+}
+
+func testTopKEvictionOrder(t *testing.T, spill bool) {
 	ctx := context.Background()
 	type outcome struct {
 		answers []string
@@ -409,7 +417,12 @@ func TestTopKEvictionOrderAcrossWorkers(t *testing.T) {
 		lru     []pairKey
 	}
 	run := func(workers int) outcome {
-		sv, g := topkServer(workers, 200_000)
+		g := testGraph(40, 50)
+		cfg := Config{Seed: 7, Workers: workers, MaxPoolBytes: 200_000}
+		if spill {
+			cfg.SpillDir = t.TempDir()
+		}
+		sv := New(g, weights.NewDegree(g), cfg)
 		var out outcome
 		for _, s := range []graph.Node{0, 3, 0, 7} {
 			targets := validTargetsFor(g, s, 12)
@@ -427,6 +440,9 @@ func TestTopKEvictionOrderAcrossWorkers(t *testing.T) {
 	want := run(1)
 	if want.stats.SessionsEvicted == 0 {
 		t.Fatal("budget evicted nothing — test lost its teeth")
+	}
+	if spill && (want.stats.Spills == 0 || want.stats.SpillLoads == 0) {
+		t.Fatalf("spills %d, spill loads %d: the spill tier went untested", want.stats.Spills, want.stats.SpillLoads)
 	}
 	for rep := 0; rep < 5; rep++ {
 		for _, workers := range []int{1, 2, 8} {
