@@ -12,6 +12,7 @@ package activefriending_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -362,6 +363,56 @@ func BenchmarkSamplePool(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSamplePoolSparse is BenchmarkSamplePool on the Youtube analog
+// at scale 0.1 (~113K nodes), where every chunk touches under half the
+// graph and keeps the sparse touch form: sealing a chunk must cost what
+// it touched, not the graph's size, even for a 100-draw pool. The
+// session sub-bench reports the bytes a 2000-draw session holds, touch
+// words included (B_held).
+func BenchmarkSamplePoolSparse(b *testing.B) {
+	d, err := gen.DatasetByName("Youtube")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Generate(0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := weights.NewDegree(g)
+	pairs, err := eval.SamplePairs(context.Background(), g, w, eval.PairConfig{
+		Count: 1, MinPmax: 0.001, PreferDistant: true, ScreenTrials: 2000, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := ltm.NewInstance(g, w, pairs[0].S, pairs[0].T)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, l := range []int64{100, 20000} {
+		b.Run(fmt.Sprintf("pool-%d", l), func(b *testing.B) {
+			eng := engine.New(in)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.SamplePool(context.Background(), l, 1, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("session-2000", func(b *testing.B) {
+		var held int64
+		for i := 0; i < b.N; i++ {
+			s := engine.New(in).NewSession(int64(i), 1)
+			if _, err := s.Pool(context.Background(), 2000); err != nil {
+				b.Fatal(err)
+			}
+			held = s.MemBytes()
+		}
+		b.ReportMetric(float64(held), "B_held")
+	})
 }
 
 // benchCoveragePool builds one pool and an invitation set unioning the

@@ -228,11 +228,10 @@ type chunkBuf struct {
 	arena   []graph.Node
 	offsets []int32
 	drawIdx []int32
-	// scratch is the dense touch-mask word per node a chunk records
-	// into; nodes and masks receive the sparse form (see sealTouch).
-	scratch []uint32
-	nodes   []graph.Node
-	masks   []uint32
+	// nodes and masks receive a sealed touch mask's sparse form (see
+	// sealTouch).
+	nodes []graph.Node
+	masks []uint32
 }
 
 var chunkBufs = sync.Pool{New: func() any { return new(chunkBuf) }}
@@ -329,21 +328,21 @@ func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, o
 // through the func value would move every group's stream to the heap.
 func (e *Engine) drawGroups(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old touchMask, redraw uint32,
 	keep func(lo, hi int64), draw func(sp *realization.Sampler, st rng.Stream, lo, hi int64)) touchMask {
-	scratch := b.touchScratch(e.in.Graph().NumNodes())
-	old.orInto(scratch, ^redraw)
+	log := getTouchLog(e.in.Graph().NumNodes())
+	old.orInto(log, ^redraw)
 	sp := e.samplers.Get().(*realization.Sampler)
 	for g := int64(0); g*GroupSize < n; g++ {
 		lo, hi := g*GroupSize, min(g*GroupSize+GroupSize, n)
 		if bit := uint32(1) << g; redraw&bit == 0 {
 			keep(lo, hi)
 		} else {
-			sp.RecordTouches(scratch, bit)
+			sp.RecordTouches(log, bit)
 			draw(sp, rng.DerivedStream(seed, ns, groupStream(chunk, g)), lo, hi)
 		}
 	}
 	sp.RecordTouches(nil, 0)
 	e.samplers.Put(sp)
-	return b.sealTouch(scratch)
+	return b.sealTouch(log)
 }
 
 // appendPaths copies src's paths [from, to) onto the end of cp.

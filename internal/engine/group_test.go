@@ -272,16 +272,19 @@ func TestTouchMaskDamaged(t *testing.T) {
 	for _, touchedFrac := range []float64{0.9, 0.1} {
 		const n = 200
 		var b chunkBuf
-		scratch := b.touchScratch(n)
-		for v := range scratch {
+		log := getTouchLog(n)
+		for v := range log.Mask {
 			if r.Float64() < touchedFrac {
-				scratch[v] = r.Uint32() | 1
+				log.Touch(graph.Node(v), r.Uint32()|1)
 			}
 		}
-		words := slices.Clone(scratch)
-		tm := b.sealTouch(scratch)
+		words := slices.Clone(log.Mask)
+		tm := b.sealTouch(log)
 		if tm.dense() != (touchedFrac > 0.5) {
 			t.Fatalf("touched fraction %v sealed dense=%v", touchedFrac, tm.dense())
+		}
+		if !tm.dense() && slices.ContainsFunc(log.Mask, func(w uint32) bool { return w != 0 }) {
+			t.Fatal("sealing the sparse form left words set in the pooled record")
 		}
 		for v := range words {
 			if got := tm.damaged([]graph.Node{graph.Node(v)}); got != words[v] {
@@ -292,8 +295,9 @@ func TestTouchMaskDamaged(t *testing.T) {
 		if got, want := tm.damaged(dirty), words[3]|words[77]|words[150]; got != want {
 			t.Fatalf("dense=%v: damaged(%v) = %#x, want %#x", tm.dense(), dirty, got, want)
 		}
-		dst := make([]uint32, n+10)
-		tm.orInto(dst, 0xff)
+		log = getTouchLog(n + 10)
+		dst := log.Mask
+		tm.orInto(log, 0xff)
 		for v := range dst {
 			if want := uint32(0); v < n {
 				want = words[v] & 0xff

@@ -3,8 +3,10 @@ package engine
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/realization"
 )
 
 // GroupSize is the number of draws per stream group. The touch-recording
@@ -86,16 +88,23 @@ func (t touchMask) damaged(dirty []graph.Node) uint32 {
 	return m
 }
 
-// orInto ORs the bits of t selected by keep into the dense words dst.
-func (t touchMask) orInto(dst []uint32, keep uint32) {
+// orInto records the bits of t selected by keep into log.
+func (t touchMask) orInto(log *realization.TouchLog, keep uint32) {
+	if keep == 0 {
+		return
+	}
 	if t.dense() {
-		for v, m := range t.masks[:min(len(t.masks), len(dst))] {
-			dst[v] |= m & keep
+		for v, m := range t.masks[:min(len(t.masks), len(log.Mask))] {
+			if m&keep != 0 {
+				log.Touch(graph.Node(v), m&keep)
+			}
 		}
 		return
 	}
 	for i, v := range t.nodes {
-		dst[v] |= t.masks[i] & keep
+		if m := t.masks[i] & keep; m != 0 {
+			log.Touch(v, m)
+		}
 	}
 }
 
@@ -110,60 +119,69 @@ func (t touchMask) widen(n int) touchMask {
 	if !t.known() || !t.dense() || len(t.masks) >= n {
 		return t
 	}
-	b := chunkBuf{scratch: make([]uint32, n)}
-	copy(b.scratch, t.masks)
-	return b.sealTouch(b.scratch)
+	log := getTouchLog(n)
+	t.orInto(log, ^uint32(0))
+	var b chunkBuf
+	return b.sealTouch(log)
 }
 
-// touchScratch returns b's dense mask scratch, n zeroed words.
-func (b *chunkBuf) touchScratch(n int) []uint32 {
-	if cap(b.scratch) < n {
-		b.scratch = make([]uint32, n)
-		return b.scratch
+// touchLogs recycles the touch records chunks are drawn into, one per
+// chunk being drawn at a time; a pooled record's Mask is all zero.
+var touchLogs = sync.Pool{New: func() any { return new(realization.TouchLog) }}
+
+// getTouchLog returns a pooled touch record for a universe of n nodes.
+func getTouchLog(n int) *realization.TouchLog {
+	log := touchLogs.Get().(*realization.TouchLog)
+	if cap(log.Mask) < n {
+		log.Mask = make([]uint32, n)
 	}
-	s := b.scratch[:n]
-	clear(s)
-	return s
+	log.Mask, log.Nodes = log.Mask[:n], log.Nodes[:0]
+	return log
 }
 
-// sealTouch turns the filled dense scratch into the chunk's touchMask —
-// the scratch itself when more than half its nodes were touched, else
-// the (node, mask) pairs a scan of it yields in ascending node order —
-// and detaches the returned arrays from b, so the chunk owns them.
-func (b *chunkBuf) sealTouch(scratch []uint32) touchMask {
-	touched := 0
-	for _, m := range scratch {
-		if m != 0 {
-			touched++
-		}
+// sealTouch turns a filled touch record into the chunk's touchMask and
+// returns the record to its pool. When more than half the nodes were
+// touched the record's Mask itself becomes the dense form; otherwise the
+// touched nodes, sorted, and their words become the sparse form, in
+// arrays detached from b, and the words are re-zeroed. Either way the
+// cost follows the nodes touched, not the universe.
+func (b *chunkBuf) sealTouch(log *realization.TouchLog) touchMask {
+	defer touchLogs.Put(log)
+	touched := log.Nodes
+	if 2*len(touched) > len(log.Mask) {
+		dense := log.Mask
+		log.Mask = nil
+		return touchMask{masks: dense}
 	}
-	if 2*touched > len(scratch) {
-		b.scratch = nil
-		return touchMask{masks: scratch}
-	}
+	slices.Sort(touched)
 	nodes, masks := b.nodes[:0], b.masks[:0]
-	if cap(nodes) < touched {
-		nodes = make([]graph.Node, 0, touched)
+	if cap(nodes) < len(touched) {
+		nodes = make([]graph.Node, 0, len(touched))
 	}
-	if cap(masks) < touched {
-		masks = make([]uint32, 0, touched)
+	if cap(masks) < len(touched) {
+		masks = make([]uint32, 0, len(touched))
 	}
-	for v, m := range scratch {
-		if m != 0 {
-			nodes = append(nodes, graph.Node(v))
-			masks = append(masks, m)
-		}
+	nodes = append(nodes, touched...)
+	for _, v := range touched {
+		masks = append(masks, log.Mask[v])
+		log.Mask[v] = 0
 	}
 	b.nodes, b.masks = nil, nil
 	return touchMask{nodes: nodes, masks: masks}
 }
 
-// reclaimTouch hands a dropped chunk's touch arrays back to b for reuse.
+// reclaimTouch hands a dropped chunk's touch arrays back for reuse: the
+// sparse form's to b, the dense words, zeroed, to a pooled touch record.
 func (b *chunkBuf) reclaimTouch(t touchMask) {
 	switch {
 	case !t.known():
 	case t.dense():
-		b.scratch = t.masks
+		clear(t.masks)
+		log := touchLogs.Get().(*realization.TouchLog)
+		if cap(log.Mask) < len(t.masks) {
+			log.Mask = t.masks
+		}
+		touchLogs.Put(log)
 	default:
 		b.nodes, b.masks = t.nodes[:0], t.masks[:0]
 	}

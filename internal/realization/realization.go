@@ -56,10 +56,28 @@ type Sampler struct {
 	epoch        uint32
 	buf          []graph.Node
 
-	// Touch recording (RecordTouches): while touchMask is non-nil, every
-	// node a draw touches gets touchBit ORed into its word.
-	touchMask []uint32
-	touchBit  uint32
+	// Touch recording (RecordTouches): while touches is non-nil, every
+	// node a draw touches gets touchBit ORed into its word there.
+	touches  *TouchLog
+	touchBit uint32
+}
+
+// TouchLog is where touch recording writes. Mask holds one word per node
+// of the instance; Nodes lists, in first-touch order, every node whose
+// word a Touch turned non-zero, so a reader can visit (and re-zero) the
+// touched words without scanning all of Mask.
+type TouchLog struct {
+	Mask  []uint32
+	Nodes []graph.Node
+}
+
+// Touch ORs bits, which must be non-zero, into v's word, listing v if
+// its word was zero.
+func (l *TouchLog) Touch(v graph.Node, bits uint32) {
+	if l.Mask[v] == 0 {
+		l.Nodes = append(l.Nodes, v)
+	}
+	l.Mask[v] |= bits
 }
 
 // NewSampler returns a sampler for the instance. Influencer draws go
@@ -74,7 +92,7 @@ func NewSampler(in *ltm.Instance) *Sampler {
 }
 
 // RecordTouches makes the following draws record the nodes they touch:
-// for every touched node v, mask[v] |= bit. A draw "touches" every node
+// for every touched node v, log.Touch(v, bit). A draw "touches" every node
 // whose influencer selection it reads — each path node starting with
 // t — plus the node the selection returned (including the N_s member that
 // ends a Type1 walk, which is not part of t(g)). Together these are
@@ -82,11 +100,11 @@ func NewSampler(in *ltm.Instance) *Sampler {
 // membership the draw's outcome depends on: a graph delta that dirties
 // none of them replays the draw byte-identically, which is the
 // delta-repair damage test. Callers give each group of draws its own bit,
-// so one word per node says which groups consulted it. mask must hold a
-// word for every node of the instance; RecordTouches(nil, 0) stops
-// recording.
-func (sp *Sampler) RecordTouches(mask []uint32, bit uint32) {
-	sp.touchMask, sp.touchBit = mask, bit
+// so one word per node says which groups consulted it. log.Mask must
+// hold a word for every node of the instance; RecordTouches(nil, 0)
+// stops recording.
+func (sp *Sampler) RecordTouches(log *TouchLog, bit uint32) {
+	sp.touches, sp.touchBit = log, bit
 }
 
 // SampleTG draws one realization lazily (only nodes on the backward walk
@@ -122,14 +140,14 @@ func (sp *Sampler) SampleTGView(st *rng.Stream) TG {
 	cur := in.T()
 	sp.buf = append(sp.buf, cur)
 	sp.visitedEpoch[cur] = sp.epoch
-	mask, bit := sp.touchMask, sp.touchBit
-	if mask != nil {
-		mask[cur] |= bit
+	log, bit := sp.touches, sp.touchBit
+	if log != nil {
+		log.Touch(cur, bit)
 	}
 	for {
 		u, ok := sp.plan.Sample(cur, st)
-		if mask != nil && ok {
-			mask[u] |= bit
+		if log != nil && ok {
+			log.Touch(u, bit)
 		}
 		switch {
 		case !ok:
