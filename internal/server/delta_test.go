@@ -409,6 +409,43 @@ func TestApplyDeltaAdoptsSpillFiles(t *testing.T) {
 	}
 }
 
+// TestSpillAfterUniverseGrowth: a delta that adds nodes — here an edge
+// between two new nodes, which damages no draw group, so every chunk is
+// adopted whole — leaves repaired pairs whose spill files a successor at
+// the new epoch loads without error, answering exactly like a cold
+// server.
+func TestSpillAfterUniverseGrowth(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 60)
+	pairs := validPairs(g, 4)
+	n := graph.Node(g.NumNodes())
+	d := &graph.Delta{Add: []graph.Edge{{U: n, V: n + 30}}}
+	g2, _, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	first := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2, SpillDir: dir})
+	queryAll(t, first, pairs, 1)
+	if _, err := first.ApplyDelta(ctx, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	sv := New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2, SpillDir: dir})
+	got := queryAll(t, sv, pairs, 2)
+	want := queryAll(t, New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2}), pairs, 2)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("answers from spill files written after the delta differ from cold")
+	}
+	if st := sv.Stats(); st.SpillLoads != int64(len(pairs)) || st.SpillLoadErrors != 0 {
+		t.Fatalf("spill loads %d, load errors %d: want %d loads and no error", st.SpillLoads, st.SpillLoadErrors, len(pairs))
+	}
+}
+
 // TestSpillLoadErrorKinds: each rejection cause lands in its own
 // counter, and the error messages name the mismatch kind via sentinels.
 func TestSpillLoadErrorKinds(t *testing.T) {
