@@ -16,7 +16,8 @@ import (
 func each(workers int, f func(ctx context.Context, i int, effort int64) (float64, error)) Scorer {
 	return func(ctx context.Context, cands []int, effort int64) ([]float64, []error) {
 		scores, errs := make([]float64, len(cands)), make([]error, len(cands))
-		parallel.For(ctx, len(cands), workers, func(j int) {
+		// Run checks ctx itself after each round.
+		_ = parallel.For(ctx, len(cands), workers, func(j int) {
 			scores[j], errs[j] = f(ctx, cands[j], effort)
 		})
 		return scores, errs

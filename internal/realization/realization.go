@@ -63,19 +63,25 @@ type Sampler struct {
 }
 
 // TouchLog is where touch recording writes. Mask holds one word per node
-// of the instance; Nodes lists, in first-touch order, every node whose
-// word a Touch turned non-zero, so a reader can visit (and re-zero) the
-// touched words without scanning all of Mask.
+// of the instance. Nodes lists, in first-touch order, every node whose
+// word recording turned non-zero, so a reader can visit (and re-zero) the
+// touched words without scanning all of Mask — until more than half the
+// nodes are touched. Then Full is set and Nodes stops growing: a reader
+// that keeps a sparse form only while at most half the nodes are touched
+// (the engine) needs the list only below that mark, and recording past it
+// costs no more than ORing the words.
 type TouchLog struct {
 	Mask  []uint32
 	Nodes []graph.Node
+	Full  bool
 }
 
 // Touch ORs bits, which must be non-zero, into v's word, listing v if
-// its word was zero.
+// its word was zero and the log is not Full.
 func (l *TouchLog) Touch(v graph.Node, bits uint32) {
-	if l.Mask[v] == 0 {
+	if !l.Full && l.Mask[v] == 0 {
 		l.Nodes = append(l.Nodes, v)
+		l.Full = 2*len(l.Nodes) > len(l.Mask)
 	}
 	l.Mask[v] |= bits
 }
@@ -140,33 +146,55 @@ func (sp *Sampler) SampleTGView(st *rng.Stream) TG {
 	cur := in.T()
 	sp.buf = append(sp.buf, cur)
 	sp.visitedEpoch[cur] = sp.epoch
-	log, bit := sp.touches, sp.touchBit
-	if log != nil {
-		log.Touch(cur, bit)
-	}
+	var u graph.Node
+	var ok bool
 	for {
-		u, ok := sp.plan.Sample(cur, st)
-		if log != nil && ok {
-			log.Touch(u, bit)
-		}
-		switch {
-		case !ok:
-			// v selected no one: ℵ₀ (line 5 of Alg. 1).
-			return TG{Outcome: Type0}
-		case u == s:
-			// Unreachable in a valid instance (see package doc); kept as a
-			// defensive, model-consistent type-0 classification.
-			return TG{Outcome: Type0}
-		case nsSet.Contains(u):
-			// Reached N_s (line 7): success, u itself is not part of t(g).
-			return TG{Path: sp.buf, Outcome: Type1}
-		case sp.visitedEpoch[u] == sp.epoch:
-			// Cycle (line 6).
-			return TG{Outcome: Type0}
+		u, ok = sp.plan.Sample(cur, st)
+		if !ok || u == s || nsSet.Contains(u) || sp.visitedEpoch[u] == sp.epoch {
+			break
 		}
 		sp.buf = append(sp.buf, u)
 		sp.visitedEpoch[u] = sp.epoch
 		cur = u
+	}
+	if sp.touches != nil {
+		sp.recordTouches(u, ok)
+	}
+	switch {
+	case !ok:
+		// v selected no one: ℵ₀ (line 5 of Alg. 1).
+		return TG{Outcome: Type0}
+	case u == s:
+		// Unreachable in a valid instance (see package doc); kept as a
+		// defensive, model-consistent type-0 classification.
+		return TG{Outcome: Type0}
+	case nsSet.Contains(u):
+		// Reached N_s (line 7): success, u itself is not part of t(g).
+		return TG{Path: sp.buf, Outcome: Type1}
+	default:
+		// Cycle (line 6).
+		return TG{Outcome: Type0}
+	}
+}
+
+// recordTouches records the finished draw's touches: the walk's nodes,
+// which are in sp.buf, and last, the node the final selection returned,
+// when it returned one. Recording after the walk keeps the walk loop
+// free of it, and once the log is Full the words are ORed with no
+// first-touch test, whose branch would mispredict.
+func (sp *Sampler) recordTouches(last graph.Node, selected bool) {
+	log, bit := sp.touches, sp.touchBit
+	if selected {
+		log.Touch(last, bit)
+	}
+	if log.Full {
+		for _, v := range sp.buf {
+			log.Mask[v] |= bit
+		}
+		return
+	}
+	for _, v := range sp.buf {
+		log.Touch(v, bit)
 	}
 }
 

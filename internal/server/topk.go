@@ -176,7 +176,9 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 			entries[j], errs[j] = sv.pin(KindTopK, q.S, q.Targets[i])
 		}
 		sp.End()
-		parallel.For(ctx, len(cands), sv.cfg.Workers, func(j int) {
+		// A cancelled round leaves candidates unscored; rank.Run then
+		// sees ctx.Err() and abandons the run.
+		_ = parallel.For(ctx, len(cands), sv.cfg.Workers, func(j int) {
 			if entries[j] != nil {
 				scores[j], errs[j] = scoreOne(ctx, entries[j], cands[j], effort)
 			}
@@ -187,7 +189,9 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 				victims = append(victims, sv.settle(e)...)
 			}
 		}
-		parallel.For(context.WithoutCancel(ctx), len(victims), sv.cfg.Workers, func(j int) {
+		// Victims are out of the cache already: spill them even if the
+		// query was cancelled, so their pools stay warm on disk.
+		_ = parallel.For(context.WithoutCancel(ctx), len(victims), sv.cfg.Workers, func(j int) {
 			sv.writeSpill(victims[j])
 		})
 		return scores, errs
