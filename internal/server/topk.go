@@ -186,6 +186,9 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 		var victims []*entry
 		for _, e := range entries {
 			if e != nil {
+				// Settling reads the sessions; a scorer skipped by a
+				// cancellation has not restored them yet.
+				sv.ensureRestored(e)
 				victims = append(victims, sv.settle(e)...)
 			}
 		}
