@@ -266,17 +266,24 @@ func TestGroupMaskHelpers(t *testing.T) {
 // TestTouchMaskDamaged: in either stored form, the damage of a dirty set
 // is exactly the OR of its nodes' recorded words; nodes beyond the
 // recorded universe were never consulted, and an unknown mask damages
-// every group.
+// every group. Nodes are touched in random order, and the sparse cases
+// order them once by sorting the touch list and once by scanning the
+// words.
 func TestTouchMaskDamaged(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	for _, touchedFrac := range []float64{0.9, 0.1} {
-		const n = 200
+	var sorted, scanned bool
+	for _, touchedFrac := range []float64{0.9, 0.1, 0.01} {
+		const n = 2000
 		var b chunkBuf
 		log := getTouchLog(n)
-		for v := range log.Mask {
+		for _, v := range r.Perm(n) {
 			if r.Float64() < touchedFrac {
 				log.Touch(graph.Node(v), r.Uint32()|1)
 			}
+		}
+		if !log.Full {
+			sorted = sorted || sortCheaper(len(log.Nodes), n)
+			scanned = scanned || !sortCheaper(len(log.Nodes), n)
 		}
 		words := slices.Clone(log.Mask)
 		tm := b.sealTouch(log)
@@ -308,6 +315,9 @@ func TestTouchMaskDamaged(t *testing.T) {
 				t.Fatalf("orInto wrote past the recorded universe at %d", v)
 			}
 		}
+	}
+	if !sorted || !scanned {
+		t.Fatalf("sparse forms sorted=%v scanned=%v: both orderings must be exercised", sorted, scanned)
 	}
 	if got := (touchMask{}).damaged([]graph.Node{1}); got != ^uint32(0) {
 		t.Fatalf("unknown mask damaged %#x, want every group", got)
