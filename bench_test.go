@@ -296,15 +296,42 @@ func BenchmarkForwardSimulate(b *testing.B) {
 }
 
 // BenchmarkVmax measures the exact V_max computation (Lemma 7): one
-// masked Hopcroft–Tarjan DFS over the instance graph.
+// masked Hopcroft–Tarjan DFS over the instance graph. bench_instance is
+// the shared bench pair (Wiki at scale 0.05, 356 nodes); wiki_scale1
+// cycles through 64 random pairs of the full Wiki analog (7,115 nodes),
+// the graph afbench serves, and reports one call per op.
 func BenchmarkVmax(b *testing.B) {
-	in := benchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Vmax(in); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, ins []*ltm.Instance) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Vmax(ins[i%len(ins)]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("bench_instance", func(b *testing.B) {
+		run(b, []*ltm.Instance{benchInstance(b)})
+	})
+	b.Run("wiki_scale1", func(b *testing.B) {
+		d, err := gen.DatasetByName("Wiki")
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := d.Generate(1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := weights.NewDegree(g)
+		r := rand.New(rand.NewSource(1))
+		var ins []*ltm.Instance
+		for len(ins) < 64 {
+			in, err := ltm.NewInstance(g, w, graph.Node(r.Intn(g.NumNodes())), graph.Node(r.Intn(g.NumNodes())))
+			if err == nil {
+				ins = append(ins, in)
+			}
+		}
+		run(b, ins)
+	})
 }
 
 // BenchmarkSetcoverGreedy measures the MSC greedy on a realization-shaped

@@ -23,8 +23,10 @@ import (
 // extends the existing draw sequence instead of re-running the stopping
 // rule from scratch). An α-sweep through a Session samples the pool
 // exactly once and the p_max stream at most up to the tightest ε₀
-// requested. The exact V_max is cached too, though it is only one
-// O(V+E) DFS (see Vmax), cheap next to sampling.
+// requested. The exact V_max is cached too. It is one O(V+E) DFS over
+// the whole graph (see Vmax), which is not cheap: on the 7,115-node Wiki
+// analog it costs ~0.7 ms on a 2-vCPU Xeon, a large share of a restored
+// pair's first solve.
 //
 // The session's seed and worker count govern every solve; Config.Seed and
 // Config.Workers are ignored by Session.RAF. Safe for concurrent use.
@@ -118,7 +120,9 @@ func (s *Session) Pool(ctx context.Context, l int64) (*engine.Pool, error) {
 // engine.PmaxEstimator.Snapshot), so a restored session reuses both the
 // pooled draws and the stopping-rule draws instead of resampling them.
 // The cached V_max is not written: it is deterministic in the instance
-// and recomputed on demand, by one O(V+E) DFS, with identical results.
+// and recomputed on demand, by one O(V+E) DFS over the whole graph, with
+// identical results. A restored session therefore pays that DFS again on
+// its first solve.
 func (s *Session) Snapshot(w io.Writer) error {
 	if err := s.pools.Snapshot(w); err != nil {
 		return err

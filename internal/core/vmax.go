@@ -18,17 +18,18 @@ import (
 // G′ = G − ({s} ∪ N_s) plus a virtual source z adjacent to every boundary
 // node (a G′ node with a neighbor in N_s), V_max is the vertex set of the
 // blocks on the z–t path of the block-cut tree. One iterative
-// Hopcroft–Tarjan DFS over g's CSR rows, masked by {s} ∪ N_s and rooted
-// at z, finds them without building G′ or the tree: it labels every
-// reached vertex with the block holding its tree edge to its parent, and
-// the blocks on the z–t path are exactly the labels along the DFS tree
-// path from t up to z. The cost is O(V+E) with a few O(n) scratch slices.
+// Hopcroft–Tarjan DFS over g's CSR rows, rooted at z, finds them without
+// building G′ or the tree: it labels every reached vertex with the block
+// holding its tree edge to its parent, and the blocks on the z–t path are
+// exactly the labels along the DFS tree path from t up to z. s and N_s
+// share z's discovery time 0, so the DFS never enters them and an edge
+// into N_s is an ordinary back edge to z. The cost is O(V+E) with a few
+// O(n) scratch slices.
 func Vmax(in *ltm.Instance) (*graph.NodeSet, error) {
 	g := in.Graph()
 	n := g.NumNodes()
 	s, t := in.S(), in.T()
-	nsSet := in.InitialFriendSet()
-	if t == s || nsSet.Contains(t) {
+	if t == s || in.InitialFriendSet().Contains(t) {
 		return nil, fmt.Errorf("core: target %d unexpectedly excluded from G'", t)
 	}
 
@@ -41,7 +42,13 @@ func Vmax(in *ltm.Instance) (*graph.NodeSet, error) {
 	for i := range disc {
 		disc[i] = -1
 	}
-	disc[z] = 0 // z is the DFS root; low[z] is already 0
+	// z is the DFS root (low[z] is already 0). Past a boundary node the
+	// DFS never meets s: N_s is s's whole row.
+	disc[z], disc[s] = 0, 0
+	friends := in.InitialFriends()
+	for _, u := range friends {
+		disc[u] = 0
+	}
 	timer, blocks := int32(1), int32(0)
 	type frame struct {
 		v   graph.Node
@@ -51,10 +58,9 @@ func Vmax(in *ltm.Instance) (*graph.NodeSet, error) {
 	stack := make([]graph.Node, 0, n) // reached vertices whose block is still open
 
 	// z's children are the boundary nodes, met through the rows of N_s.
-	// Past a boundary node the DFS never meets s: N_s is s's whole row.
-	for _, u := range in.InitialFriends() {
+	for _, u := range friends {
 		for _, root := range g.Neighbors(u) {
-			if root == s || nsSet.Contains(root) || disc[root] >= 0 {
+			if disc[root] >= 0 {
 				continue
 			}
 			disc[root], low[root], parent[root] = timer, timer, z
@@ -62,36 +68,43 @@ func Vmax(in *ltm.Instance) (*graph.NodeSet, error) {
 			frames = append(frames, frame{v: root})
 			stack = append(stack, root)
 			for len(frames) > 0 {
-				f := &frames[len(frames)-1]
-				v := f.v
-				if ns := g.Neighbors(v); int(f.idx) < len(ns) {
-					w := ns[f.idx]
-					f.idx++
-					switch {
-					case nsSet.Contains(w):
-						// An edge to z, whose discovery time is 0. For a
-						// child of z this is its tree edge, and low = 0
-						// still closes its block at z.
-						low[v] = 0
-					case disc[w] < 0:
-						disc[w], low[w], parent[w] = timer, timer, v
-						timer++
-						frames = append(frames, frame{v: w})
-						stack = append(stack, w)
-					case w != parent[v] && disc[w] < low[v]:
-						low[v] = disc[w]
+				top := len(frames) - 1
+				v := frames[top].v
+				lowV := low[v]
+				ns := g.Neighbors(v)
+				i := int(frames[top].idx)
+				for ; i < len(ns); i++ {
+					d := disc[ns[i]]
+					if d < 0 {
+						break
 					}
+					// A back edge, or the tree edge to v's parent (for a
+					// child of z, any edge into N_s): low ≤ disc[parent]
+					// leaves the block test below unchanged, so the parent
+					// needs no check.
+					if d < lowV {
+						lowV = d
+					}
+				}
+				low[v] = lowV
+				if i < len(ns) {
+					w := ns[i]
+					frames[top].idx = int32(i + 1)
+					disc[w], low[w], parent[w] = timer, timer, v
+					timer++
+					frames = append(frames, frame{v: w})
+					stack = append(stack, w)
 					continue
 				}
 				// v is finished: fold its low-link into the parent and
 				// close the block above v if v's subtree cannot climb past
 				// the parent. The child subtrees of z always close one.
-				frames = frames[:len(frames)-1]
+				frames = frames[:top]
 				p := parent[v]
-				if low[v] < low[p] {
-					low[p] = low[v]
+				if lowV < low[p] {
+					low[p] = lowV
 				}
-				if low[v] >= disc[p] {
+				if lowV >= disc[p] {
 					for {
 						w := stack[len(stack)-1]
 						stack = stack[:len(stack)-1]
@@ -119,49 +132,11 @@ func Vmax(in *ltm.Instance) (*graph.NodeSet, error) {
 	for v := t; v != z; v = parent[v] {
 		onPath[block[v]] = 1
 	}
+	// Reached G′ vertices are exactly those with discovery time > 0.
 	for v := graph.Node(0); v < z; v++ {
-		if disc[v] >= 0 && onPath[block[v]] == 1 {
+		if disc[v] > 0 && onPath[block[v]] == 1 {
 			out.Add(v)
 		}
 	}
 	return out, nil
-}
-
-// VmaxApprox returns the reachability-intersection superset of V_max:
-// nodes of G′ that are reachable from the boundary and can reach t.
-// It over-counts pendant branches; it exists for documentation, tests and
-// as a cheaper upper bound.
-func VmaxApprox(in *ltm.Instance) *graph.NodeSet {
-	g := in.Graph()
-	n := g.NumNodes()
-	s, t := in.S(), in.T()
-	nsSet := in.InitialFriendSet()
-	blocked := func(v graph.Node) bool {
-		return v == s || nsSet.Contains(v)
-	}
-	// Boundary: G′ nodes adjacent to N_s.
-	var boundary []graph.Node
-	for v := 0; v < n; v++ {
-		if blocked(graph.Node(v)) {
-			continue
-		}
-		for _, u := range g.Neighbors(graph.Node(v)) {
-			if nsSet.Contains(u) {
-				boundary = append(boundary, graph.Node(v))
-				break
-			}
-		}
-	}
-	fromBoundary := g.Reachable(boundary, blocked)
-	toT := g.Reachable([]graph.Node{t}, blocked)
-	out := graph.NewNodeSet(n)
-	if !fromBoundary[t] {
-		return out
-	}
-	for v := 0; v < n; v++ {
-		if fromBoundary[v] && toT[v] && !blocked(graph.Node(v)) {
-			out.Add(graph.Node(v))
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/engine"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ltm"
 	"repro/internal/realization"
@@ -452,5 +454,303 @@ func TestVmaxAllocs(t *testing.T) {
 		}
 	}); allocs > maxAllocs {
 		t.Errorf("Vmax allocates %v per call, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// vmaxReference is the masked DFS Vmax used before s and N_s shared z's
+// discovery time: it tests each arc against N_s and switches on the
+// result. Kept as the differential reference for Vmax.
+func vmaxReference(in *ltm.Instance) (*graph.NodeSet, error) {
+	g := in.Graph()
+	n := g.NumNodes()
+	s, t := in.S(), in.T()
+	nsSet := in.InitialFriendSet()
+	if t == s || nsSet.Contains(t) {
+		return nil, fmt.Errorf("core: target %d unexpectedly excluded from G'", t)
+	}
+
+	// Per-vertex scratch, with z stored at index n: discovery time (-1 =
+	// unreached), low-link, DFS parent and block label.
+	z := graph.Node(n)
+	scratch := make([]int32, 4*(n+1))
+	disc, low := scratch[:n+1], scratch[n+1:2*(n+1)]
+	parent, block := scratch[2*(n+1):3*(n+1)], scratch[3*(n+1):]
+	for i := range disc {
+		disc[i] = -1
+	}
+	disc[z] = 0 // z is the DFS root; low[z] is already 0
+	timer, blocks := int32(1), int32(0)
+	type frame struct {
+		v   graph.Node
+		idx int32 // next neighbor index to process
+	}
+	frames := make([]frame, 0, n)
+	stack := make([]graph.Node, 0, n) // reached vertices whose block is still open
+
+	// z's children are the boundary nodes, met through the rows of N_s.
+	// Past a boundary node the DFS never meets s: N_s is s's whole row.
+	for _, u := range in.InitialFriends() {
+		for _, root := range g.Neighbors(u) {
+			if root == s || nsSet.Contains(root) || disc[root] >= 0 {
+				continue
+			}
+			disc[root], low[root], parent[root] = timer, timer, z
+			timer++
+			frames = append(frames, frame{v: root})
+			stack = append(stack, root)
+			for len(frames) > 0 {
+				f := &frames[len(frames)-1]
+				v := f.v
+				if ns := g.Neighbors(v); int(f.idx) < len(ns) {
+					w := ns[f.idx]
+					f.idx++
+					switch {
+					case nsSet.Contains(w):
+						// An edge to z, whose discovery time is 0. For a
+						// child of z this is its tree edge, and low = 0
+						// still closes its block at z.
+						low[v] = 0
+					case disc[w] < 0:
+						disc[w], low[w], parent[w] = timer, timer, v
+						timer++
+						frames = append(frames, frame{v: w})
+						stack = append(stack, w)
+					case w != parent[v] && disc[w] < low[v]:
+						low[v] = disc[w]
+					}
+					continue
+				}
+				// v is finished: fold its low-link into the parent and
+				// close the block above v if v's subtree cannot climb past
+				// the parent. The child subtrees of z always close one.
+				frames = frames[:len(frames)-1]
+				p := parent[v]
+				if low[v] < low[p] {
+					low[p] = low[v]
+				}
+				if low[v] >= disc[p] {
+					for {
+						w := stack[len(stack)-1]
+						stack = stack[:len(stack)-1]
+						block[w] = blocks
+						if w == v {
+							break
+						}
+					}
+					blocks++
+				}
+			}
+		}
+	}
+
+	out := graph.NewNodeSet(n)
+	if disc[t] < 0 {
+		// t unreachable from the boundary (or no boundary at all): p_max
+		// = 0 and V_max is empty.
+		return out, nil
+	}
+	// low is dead after the DFS; reuse it to flag the blocks on the z–t
+	// path.
+	onPath := low[:n]
+	clear(onPath)
+	for v := t; v != z; v = parent[v] {
+		onPath[block[v]] = 1
+	}
+	for v := graph.Node(0); v < z; v++ {
+		if disc[v] >= 0 && onPath[block[v]] == 1 {
+			out.Add(v)
+		}
+	}
+	return out, nil
+}
+
+// VmaxApprox returns the reachability-intersection superset of V_max:
+// nodes of G′ that are reachable from the boundary and can reach t.
+// It over-counts pendant branches; the tests use it to document that gap.
+func VmaxApprox(in *ltm.Instance) *graph.NodeSet {
+	g := in.Graph()
+	n := g.NumNodes()
+	s, t := in.S(), in.T()
+	nsSet := in.InitialFriendSet()
+	blocked := func(v graph.Node) bool {
+		return v == s || nsSet.Contains(v)
+	}
+	// Boundary: G′ nodes adjacent to N_s.
+	var boundary []graph.Node
+	for v := 0; v < n; v++ {
+		if blocked(graph.Node(v)) {
+			continue
+		}
+		for _, u := range g.Neighbors(graph.Node(v)) {
+			if nsSet.Contains(u) {
+				boundary = append(boundary, graph.Node(v))
+				break
+			}
+		}
+	}
+	fromBoundary := g.Reachable(boundary, blocked)
+	toT := g.Reachable([]graph.Node{t}, blocked)
+	out := graph.NewNodeSet(n)
+	if !fromBoundary[t] {
+		return out
+	}
+	for v := 0; v < n; v++ {
+		if fromBoundary[v] && toT[v] && !blocked(graph.Node(v)) {
+			out.Add(graph.Node(v))
+		}
+	}
+	return out
+}
+
+// checkVmaxMatchesReference requires Vmax to return the reference's set
+// and error on in, and returns Vmax's set (empty on a matching error).
+func checkVmaxMatchesReference(t *testing.T, in *ltm.Instance) *graph.NodeSet {
+	t.Helper()
+	got, err := Vmax(in)
+	want, wantErr := vmaxReference(in)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("(s,t)=(%d,%d): Vmax error %v, reference %v", in.S(), in.T(), err, wantErr)
+	}
+	if err != nil {
+		return graph.NewNodeSet(in.Graph().NumNodes())
+	}
+	if !slices.Equal(got.Members(), want.Members()) {
+		t.Fatalf("(s,t)=(%d,%d): Vmax %v, reference %v", in.S(), in.T(), got.Members(), want.Members())
+	}
+	return got
+}
+
+// TestVmaxMatchesReferenceWiki compares Vmax with the reference on random
+// pairs of the full-size Wiki analog, the graph the serving benchmark uses.
+func TestVmaxMatchesReferenceWiki(t *testing.T) {
+	ds, err := gen.DatasetByName("Wiki")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ds.Generate(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := weights.NewDegree(g)
+	r := rand.New(rand.NewSource(18))
+	n := g.NumNodes()
+	pairs, nonEmpty := 0, 0
+	for pairs < 64 {
+		in, err := ltm.NewInstance(g, w, graph.Node(r.Intn(n)), graph.Node(r.Intn(n)))
+		if err != nil {
+			continue // s = t or adjacent
+		}
+		pairs++
+		if checkVmaxMatchesReference(t, in).Len() > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty == 0 {
+		t.Error("every sampled pair had an empty V_max")
+	}
+}
+
+// structuredGraph returns a seeded random graph around s = 0 with the
+// shapes the DFS treats specially. Each N_s member borders a random core
+// (the boundary nodes) and is a cut vertex with a private component
+// behind it; boundary nodes carry pendant paths and cycles; a separate
+// component is unreachable from the boundary. It returns the graph and
+// the members of N_s.
+func structuredGraph(seed int64) (*graph.Graph, []graph.Node) {
+	r := rand.New(rand.NewSource(seed))
+	k := 1 + r.Intn(4)     // |N_s|
+	core := 4 + r.Intn(12) // nodes reachable from the boundary
+	private := 2 + r.Intn(4)
+	pendant := 1 + r.Intn(4)
+	isolated := 2 + r.Intn(3)
+	n := 1 + k + core + k*private + pendant*2 + isolated
+	b := graph.NewBuilder(n)
+	next := graph.Node(1)
+	take := func(c int) graph.Node { v := next; next += graph.Node(c); return v }
+	ns := take(k)
+	coreAt := take(core)
+	for i := 0; i < k; i++ {
+		b.AddEdge(0, ns+graph.Node(i))
+	}
+	for i := 1; i < core; i++ {
+		b.AddEdge(coreAt+graph.Node(i), coreAt+graph.Node(r.Intn(i)))
+	}
+	for i := 0; i < core/2; i++ {
+		b.AddEdge(coreAt+graph.Node(r.Intn(core)), coreAt+graph.Node(r.Intn(core)))
+	}
+	var boundary []graph.Node
+	for i := 0; i < k; i++ {
+		u := ns + graph.Node(i)
+		for j := 0; j < 1+r.Intn(3); j++ {
+			v := coreAt + graph.Node(r.Intn(core))
+			b.AddEdge(u, v)
+			boundary = append(boundary, v)
+		}
+		// The private component: a path with a chord, reached only
+		// through u.
+		at := take(private)
+		b.AddEdge(u, at)
+		for j := 1; j < private; j++ {
+			b.AddEdge(at+graph.Node(j), at+graph.Node(j-1))
+		}
+		b.AddEdge(at, at+graph.Node(private-1))
+	}
+	for i := 0; i < pendant; i++ {
+		// A pendant path of two nodes off a boundary node, closed into a
+		// cycle half the time.
+		at, v := take(2), boundary[r.Intn(len(boundary))]
+		b.AddEdge(v, at)
+		b.AddEdge(at, at+1)
+		if r.Intn(2) == 0 {
+			b.AddEdge(at+1, v)
+		}
+	}
+	at := take(isolated)
+	for j := 1; j < isolated; j++ {
+		b.AddEdge(at+graph.Node(j), at+graph.Node(r.Intn(j)))
+	}
+	members := make([]graph.Node, k)
+	for i := range members {
+		members[i] = ns + graph.Node(i)
+	}
+	return b.Build(), members
+}
+
+// TestVmaxMatchesReferenceStructured compares Vmax with the reference on
+// every target of seeded structured graphs: targets behind an N_s cut
+// vertex, on the boundary, on pendant branches and in the unreachable
+// component, for s = 0 and for one random initiator.
+func TestVmaxMatchesReferenceStructured(t *testing.T) {
+	var boundaryTargets, unreachable, cutVertices int
+	for seed := int64(0); seed < 200; seed++ {
+		g, ns := structuredGraph(seed)
+		w := weights.NewDegree(g)
+		n := g.NumNodes()
+		for _, s := range []graph.Node{0, graph.Node(rand.New(rand.NewSource(seed)).Intn(n))} {
+			for tt := graph.Node(0); tt < graph.Node(n); tt++ {
+				in, err := ltm.NewInstance(g, w, s, tt)
+				if err != nil {
+					continue
+				}
+				vm := checkVmaxMatchesReference(t, in)
+				if s != 0 {
+					continue
+				}
+				for _, u := range ns {
+					if g.HasEdge(u, tt) {
+						boundaryTargets++
+						break
+					}
+				}
+				if vm.Len() == 0 {
+					unreachable++
+				}
+			}
+		}
+		cutVertices += len(ns)
+	}
+	if boundaryTargets == 0 || unreachable == 0 || cutVertices == 0 {
+		t.Errorf("shapes not exercised: %d boundary targets, %d unreachable targets, %d cut vertices",
+			boundaryTargets, unreachable, cutVertices)
 	}
 }

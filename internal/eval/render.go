@@ -82,15 +82,23 @@ func RenderWarmRestart(dataset string, res *WarmRestartResult) *tablewriter.Tabl
 	return t
 }
 
-// RenderTransport renders the transport-parity experiment for one dataset.
+// RenderTransport renders the transport-parity experiment for one
+// dataset. When the streams diverged it adds the first mismatching
+// request line and its three replies.
 func RenderTransport(dataset string, res *TransportParityResult) *tablewriter.Table {
-	t := tablewriter.New(fmt.Sprintf("Transport parity (%s): direct vs pipe vs HTTP", dataset),
-		"queries", "direct ms", "pipe ms", "http ms", "mismatches", "identical")
-	t.AddRow(res.Queries,
-		float64(res.Direct.Microseconds())/1000,
-		float64(res.Pipe.Microseconds())/1000,
-		float64(res.HTTP.Microseconds())/1000,
-		res.Mismatches, res.Identical)
+	header := []string{"queries", "direct ms", "pipe ms", "http ms", "mismatches", "identical"}
+	row := []any{res.Queries,
+		float64(res.Direct.Microseconds()) / 1000,
+		float64(res.Pipe.Microseconds()) / 1000,
+		float64(res.HTTP.Microseconds()) / 1000,
+		res.Mismatches, res.Identical}
+	if res.Mismatches > 0 {
+		m := res.FirstMismatch
+		header = append(header, "first mismatch", "direct reply", "pipe reply", "http reply")
+		row = append(row, m.Request, m.Direct, m.Pipe, m.HTTP)
+	}
+	t := tablewriter.New(fmt.Sprintf("Transport parity (%s): direct vs pipe vs HTTP", dataset), header...)
+	t.AddRow(row...)
 	return t
 }
 

@@ -30,9 +30,16 @@ type TransportParityResult struct {
 	Pipe   time.Duration
 	HTTP   time.Duration
 	// Identical reports that all three reply streams were byte-identical
-	// line for line; Mismatches counts the lines that were not.
-	Identical  bool
-	Mismatches int
+	// line for line; Mismatches counts the lines that were not, and
+	// FirstMismatch holds the first of them (zero when none).
+	Identical     bool
+	Mismatches    int
+	FirstMismatch TransportMismatch
+}
+
+// TransportMismatch is one request line whose three replies differ.
+type TransportMismatch struct {
+	Request, Direct, Pipe, HTTP string
 }
 
 // TransportParity proves answer-invariance across transports end to
@@ -144,6 +151,9 @@ func TransportParity(ctx context.Context, cfg Config) (*TransportParityResult, e
 	}
 	for i := range direct {
 		if pipe[i] != direct[i] || httpLines[i] != direct[i] {
+			if res.Mismatches == 0 {
+				res.FirstMismatch = TransportMismatch{Request: string(lines[i]), Direct: direct[i], Pipe: pipe[i], HTTP: httpLines[i]}
+			}
 			res.Mismatches++
 		}
 	}

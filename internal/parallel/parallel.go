@@ -7,7 +7,9 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -16,10 +18,38 @@ import (
 // the number of usable CPUs.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
+// WorkerPanic is the value For re-panics with on the caller's goroutine
+// when fn panicked on a worker goroutine: the original panic value and
+// the worker's stack at the panic.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error reports the panic value followed by the worker's stack, so an
+// unrecovered re-panic prints both.
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v [recovered from a parallel.For worker]\n\n%s", p.Value, p.Stack)
+}
+
+// PanicValue returns the original value of a panic recovered from For:
+// a WorkerPanic's Value, or r itself.
+func PanicValue(r any) any {
+	if p, ok := r.(*WorkerPanic); ok {
+		return p.Value
+	}
+	return r
+}
+
 // For runs fn(i) for every i in [0, n) across the given number of workers
 // (0 means DefaultWorkers). It blocks until all items complete or ctx is
 // cancelled, returning ctx.Err() in the latter case. fn must be safe for
 // concurrent invocation on distinct indices.
+//
+// A panic in fn stops the loop: no item is handed out after it, and once
+// every worker has exited For re-panics on the caller's goroutine — with
+// the original value when workers == 1, else with a *WorkerPanic holding
+// the first panic's value and stack — so a caller's recover sees it.
 func For(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -40,14 +70,20 @@ func For(ctx context.Context, n, workers int, fn func(i int)) error {
 		return nil
 	}
 	var next int64 = -1
+	var panicked atomic.Pointer[WorkerPanic] // the first panic
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &WorkerPanic{Value: r, Stack: debug.Stack()})
+				}
+			}()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || ctx.Err() != nil {
+				if i >= n || ctx.Err() != nil || panicked.Load() != nil {
 					return
 				}
 				fn(i)
@@ -55,6 +91,9 @@ func For(ctx context.Context, n, workers int, fn func(i int)) error {
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	return ctx.Err()
 }
 

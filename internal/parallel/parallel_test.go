@@ -3,9 +3,11 @@ package parallel
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForVisitsAll(t *testing.T) {
@@ -42,6 +44,45 @@ func TestForCancelled(t *testing.T) {
 	err := For(ctx, 100, 1, func(int) { t.Error("fn ran after cancel") })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestForPanicRepanicsOnCaller: a panicking item re-panics on the
+// caller's goroutine with its value (and, from a worker, the worker's
+// stack). For returns only after every worker has exited, and hands out
+// no items after the panic.
+func TestForPanicRepanicsOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 1000
+		var started, finished atomic.Int32
+		panicking := make(chan struct{})
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			_ = For(context.Background(), n, workers, func(i int) {
+				started.Add(1)
+				if i == 0 {
+					close(panicking)
+					panic("boom")
+				}
+				// Outlive the panic, so For must wait for this worker.
+				<-panicking
+				time.Sleep(5 * time.Millisecond)
+				finished.Add(1)
+			})
+			return nil
+		}()
+		if got := PanicValue(r); got != "boom" {
+			t.Fatalf("workers=%d: recovered %v, want the item's panic value", workers, r)
+		}
+		if wp, ok := r.(*WorkerPanic); workers > 1 && (!ok || !strings.Contains(string(wp.Stack), "TestForPanicRepanicsOnCaller")) {
+			t.Errorf("workers=%d: recovered %#v, want a *WorkerPanic with the worker's stack", workers, r)
+		}
+		if s, f := started.Load(), finished.Load(); s != f+1 {
+			t.Errorf("workers=%d: For returned with %d of %d other items still running", workers, s-1-f, s-1)
+		}
+		if s := started.Load(); s > 2*int32(workers) {
+			t.Errorf("workers=%d: %d items started, want no items handed out after the panic", workers, s)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // flightKey identifies one coalescable query within its kind's flight
@@ -138,7 +139,8 @@ var ErrInternal = errors.New("server: internal error")
 // trace (fl nil: the kind is never coalesced). Every request — leader,
 // joiner or rejected — records exactly one latency sample and, on
 // error, one error count; the stage histograms see only the execution.
-// A panic in fn is recovered inside the execution, so the flight
+// A panic in fn, or in a parallel.For worker fn runs (For re-panics it
+// on fn's goroutine), is recovered inside the execution, so the flight
 // completes with ErrInternal instead of unwinding past its joiners.
 func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *flights[P, T], params P, fn func(context.Context) (T, error)) (v T, err error) {
 	if so := sv.obs; so != nil {
@@ -154,7 +156,7 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 		defer func() {
 			if p := recover(); p != nil {
 				sv.ledger[ctrPanics].Add(1)
-				err = fmt.Errorf("%w: panic: %v", ErrInternal, p)
+				err = fmt.Errorf("%w: panic: %v", ErrInternal, parallel.PanicValue(p))
 			}
 		}()
 		if so := sv.obs; so != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/weights"
 )
 
@@ -271,5 +272,32 @@ func TestRunPanicAnswersJoiners(t *testing.T) {
 	// The server keeps answering after the contained panic.
 	if _, err := sv.Pmax(ctx, 0, 5, 1000); err != nil {
 		t.Fatalf("query after a contained panic: %v", err)
+	}
+}
+
+// TestRunContainsWorkerPanic: a panic on a parallel.For worker inside a
+// query's execution reaches run's recover on the caller's goroutine, so
+// it answers that query with ErrInternal instead of killing the process.
+func TestRunContainsWorkerPanic(t *testing.T) {
+	g := testGraph(40, 60)
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	ctx := context.Background()
+	_, err := run(ctx, sv, KindPmax, nil, 0, func(ctx context.Context) (int, error) {
+		return 0, parallel.For(ctx, 8, 2, func(i int) {
+			if i == 3 {
+				panic("worker boom")
+			}
+		})
+	})
+	if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "worker boom") {
+		t.Errorf("err = %v, want ErrInternal wrapping the worker's panic value", err)
+	} else if strings.Contains(err.Error(), "goroutine ") {
+		t.Errorf("err = %v, want the panic value without the worker's stack", err)
+	}
+	if n := sv.Stats().Panics; n != 1 {
+		t.Errorf("Stats.Panics = %d, want 1", n)
+	}
+	if _, err := sv.Pmax(ctx, 0, 5, 1000); err != nil {
+		t.Fatalf("query after a contained worker panic: %v", err)
 	}
 }
