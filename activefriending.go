@@ -115,11 +115,11 @@
 //
 // Pools can be snapshotted to disk and loaded back byte-identically
 // (internal/snapshot): a snapshot is a versioned, checksummed,
-// little-endian blob — a 64-byte header (seed, stream namespace,
-// universe, total draws), the CSR offset table, the per-path draw
-// indices, the path arena, and a CRC-32C footer — loadable either by
-// copy or zero-copy via mmap. Because every pool is a pure function of
-// (seed, l), and every answer a pure function of its pool, answers
+// little-endian blob — a 72-byte header (seed, stream namespace,
+// instance fingerprint, universe, total draws), the CSR offset table,
+// the per-path draw indices, the path arena, and a CRC-32C footer — read
+// back by copy. Because every pool is a pure function of (seed, l), and
+// every answer a pure function of its pool, answers
 // computed from a loaded snapshot are byte-identical to answers computed
 // from fresh sampling; a corrupted, truncated or seed-mismatched file is
 // rejected by validation and the pool is simply resampled. Persistence
@@ -302,7 +302,8 @@ func (o Options) coreConfig() core.Config {
 // Solve runs the RAF algorithm (Algorithm 4 of the paper). The result is
 // deterministic for a fixed Options.Seed regardless of Options.Workers.
 func (p *Problem) Solve(ctx context.Context, opts Options) (*Solution, error) {
-	res, err := core.RAF(ctx, p.in, opts.coreConfig())
+	cfg := opts.coreConfig()
+	res, err := core.NewSession(p.in, cfg.Seed, cfg.Workers).RAF(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -319,17 +320,14 @@ type MaxSolution = proto.MaxSolution
 // budgeted max-coverage greedy. realizations ≤ 0 selects the default pool
 // size.
 func (p *Problem) SolveMax(ctx context.Context, budget int, realizations int64, seed int64) (*MaxSolution, error) {
-	res, err := maxaf.Solve(ctx, p.in, maxaf.Config{
-		Budget:       budget,
-		Realizations: realizations,
-		Seed:         seed,
-	})
+	l := maxaf.Realizations(realizations)
+	pool, err := p.eng.SamplePool(ctx, l, 0, seed)
 	if err != nil {
 		return nil, err
 	}
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
+	res, err := maxaf.SolveFromPool(ctx, p.in, budget, pool)
+	if err != nil {
+		return nil, err
 	}
 	// Measure the returned set on fresh draws (the estimator's stream
 	// family is decorrelated from the solve pool's): the in-pool fraction
@@ -395,11 +393,12 @@ func (p *Problem) ShortestPathSet(k int) []Node {
 // IsUnreachable reports whether err indicates a pair with p_max ≈ 0.
 func IsUnreachable(err error) bool { return errors.Is(err, core.ErrTargetUnreachable) }
 
-// Session serves repeated queries on one problem from shared state: the
-// realization pool (sampled once, grown incrementally, never resampled),
-// the exact V_max, the p_max estimate, and a separate evaluation pool
-// with an inverted coverage index for f measurements. An α-sweep of Solve
-// calls with a fixed Options.Realizations samples the pool exactly once;
+// Session serves repeated queries on one problem from one pair session
+// (the same state a Server keeps per pair): the realization pool
+// (sampled once, grown incrementally, never resampled), the exact V_max,
+// the p_max draw ledger, and a separate evaluation pool with an
+// inverted coverage index for f measurements. An α-sweep of Solve calls
+// with a fixed Options.Realizations samples the pool exactly once;
 // SolveMax reuses the same pool the minimization solves use.
 //
 // The session's seed and worker count govern every call (Options.Seed and
@@ -408,15 +407,13 @@ func IsUnreachable(err error) bool { return errors.Is(err, core.ErrTargetUnreach
 type Session struct {
 	p    *Problem
 	core *core.Session
-	eval *engine.Session
 }
 
 // NewSession opens a session on the problem. seed fixes all randomness;
 // workers bounds sampling parallelism (0 = all CPUs) without affecting
 // any result.
 func (p *Problem) NewSession(seed int64, workers int) *Session {
-	cs := core.NewSession(p.in, seed, workers)
-	return &Session{p: p, core: cs, eval: cs.Engine().NewEvalSession(seed, workers)}
+	return &Session{p: p, core: core.NewSession(p.in, seed, workers)}
 }
 
 // Solve runs the RAF algorithm against the session's cached pool.
@@ -433,7 +430,7 @@ func (s *Session) Solve(ctx context.Context, opts Options) (*Solution, error) {
 // pool size. EstimatedF is measured against the session's decorrelated
 // evaluation pool; the in-pool fraction the greedy optimized is TrainF.
 func (s *Session) SolveMax(ctx context.Context, budget int, realizations int64) (*MaxSolution, error) {
-	res, f, err := server.SolveMaxOn(ctx, s.core, s.eval, budget, realizations)
+	res, f, err := maxaf.SolveMaxOn(ctx, s.core, budget, realizations)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +444,7 @@ func (s *Session) SolveMax(ctx context.Context, budget int, realizations int64) 
 // traversal per pool for the whole sweep. Results are identical to
 // calling SolveMax per budget.
 func (s *Session) SolveMaxBudgets(ctx context.Context, budgets []int, realizations int64) ([]*MaxSolution, error) {
-	results, fs, err := server.SolveMaxBudgetsOn(ctx, s.core, s.eval, budgets, realizations)
+	results, fs, err := maxaf.SolveMaxBudgetsOn(ctx, s.core, budgets, realizations)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +459,7 @@ func (s *Session) AcceptanceProbability(ctx context.Context, invited []Node, tri
 	if err != nil {
 		return 0, err
 	}
-	return s.eval.EstimateF(ctx, set, trials)
+	return s.core.Eval().EstimateF(ctx, set, trials)
 }
 
 // Pmax estimates p_max = f(V) from the session's evaluation pool: it is
@@ -470,7 +467,7 @@ func (s *Session) AcceptanceProbability(ctx context.Context, invited []Node, tri
 // carrying the paper's (ε₀, 1/N) stopping-rule guarantee — and for
 // incremental refinement — use EstimatePmax.
 func (s *Session) Pmax(ctx context.Context, trials int64) (float64, error) {
-	return s.eval.FractionType1(ctx, trials)
+	return s.core.Eval().FractionType1(ctx, trials)
 }
 
 // PmaxEstimate is the outcome of EstimatePmax: the Algorithm 2 estimate
@@ -938,6 +935,6 @@ func (s *Session) Stats() SessionStats {
 		PmaxDraws:     eng.PmaxDraws(),
 		TotalDraws:    eng.Draws(),
 		SolvePoolSize: s.core.PoolSize(),
-		EvalPoolSize:  s.eval.Size(),
+		EvalPoolSize:  s.core.Eval().Size(),
 	}
 }

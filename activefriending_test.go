@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -335,6 +336,21 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	}
 	if oneShot.PoolType1 != viaSess.PoolType1 || oneShot.Covered != viaSess.Covered {
 		t.Errorf("diagnostics differ: %+v vs %+v", oneShot, viaSess)
+	}
+
+	// The budgeted variant: the one-shot call samples the same solve pool
+	// a session at the same seed holds, so the greedy's answer matches.
+	maxOneShot, err := p.SolveMax(ctx, 2, 6000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxSess, err := p.NewSession(3, 0).SolveMax(ctx, 2, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(maxOneShot.Invited, maxSess.Invited) || maxOneShot.TrainF != maxSess.TrainF {
+		t.Errorf("SolveMax differs: one-shot %v/%v, session %v/%v",
+			maxOneShot.Invited, maxOneShot.TrainF, maxSess.Invited, maxSess.TrainF)
 	}
 }
 

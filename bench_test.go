@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -35,7 +34,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/setcover"
-	"repro/internal/snapshot"
 	"repro/internal/weights"
 )
 
@@ -373,7 +371,7 @@ func BenchmarkRAFSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RAF(context.Background(), in, cfg); err != nil {
+		if _, err := core.NewSession(in, cfg.Seed, cfg.Workers).RAF(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -545,7 +543,7 @@ func BenchmarkAlphaSweepCold(b *testing.B) {
 		for _, alpha := range alphas {
 			cfg.Alpha = alpha
 			cfg.Seed = int64(i + 1)
-			if _, err := core.RAF(context.Background(), in, cfg); err != nil {
+			if _, err := core.NewSession(in, cfg.Seed, cfg.Workers).RAF(context.Background(), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -571,9 +569,11 @@ func BenchmarkMaxAFSolve(b *testing.B) {
 	in := benchInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := maxaf.Solve(context.Background(), in, maxaf.Config{
-			Budget: 20, Realizations: 20000, Seed: int64(i),
-		}); err != nil {
+		pool, err := engine.New(in).SamplePool(context.Background(), 20000, 0, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := maxaf.SolveFromPool(context.Background(), in, 20, pool); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -750,29 +750,6 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		if _, err := engine.OpenSession(engine.New(in), bytes.NewReader(data), 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSnapshotMmap measures the zero-copy path: open + map + decode
-// + validate, pool aliasing the mapped file.
-func BenchmarkSnapshotMmap(b *testing.B) {
-	in, data := benchSnapshotBytes(b)
-	path := filepath.Join(b.TempDir(), "pool.afsnap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := snapshot.OpenFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := engine.OpenSessionData(engine.New(in), f.Pools[0], 0); err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ltm"
-	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/setcover"
 )
 
@@ -106,30 +106,14 @@ type Result struct {
 	VmaxSize int
 }
 
-// EstimatePmax runs Algorithm 2: the Dagum et al. stopping rule over
-// type-1 realization draws, sampled in worker-parallel chunks through
-// engine.PmaxEstimator (the result is a pure function of the seed). It
-// returns the estimate and the number of draws the rule consumed. For
-// repeated or refined estimates on one instance, use Session — its
-// estimator retains the draw ledger across solves.
-func EstimatePmax(ctx context.Context, in *ltm.Instance, eps0, n float64, maxDraws int64, seed int64) (float64, int64, error) {
-	res, err := engine.New(in).NewPmaxEstimator(seed, 0).Estimate(ctx, eps0, n, maxDraws)
-	if err != nil {
-		if errors.Is(err, mc.ErrZeroEstimate) {
-			return 0, res.Draws, fmt.Errorf("%w: %v", ErrTargetUnreachable, err)
-		}
-		return 0, res.Draws, err
-	}
-	return res.Estimate, res.Draws, nil
-}
-
 // FrameworkFromPool runs the solve half of Algorithm 3 on an existing
 // realization pool: solve the MSC instance (V, {t(g₁), …}, ⌈β·|B_l¹|⌉)
 // with the greedy Chlamtáč-style solver against the pool's cached
 // set-cover family, so repeated solves on one pool (α/β sweeps, server
 // traffic) fold and index the paths exactly once and run rebuild-free.
-// The demand is computed here once and surfaced as Solution.Demand.
-func FrameworkFromPool(in *ltm.Instance, beta float64, pool *engine.Pool) (*graph.NodeSet, *setcover.Solution, error) {
+// The demand is computed here once and surfaced as Solution.Demand. A
+// trace on ctx gets family_fold (when this call folds) and solve spans.
+func FrameworkFromPool(ctx context.Context, in *ltm.Instance, beta float64, pool *engine.Pool) (*graph.NodeSet, *setcover.Solution, error) {
 	if beta <= 0 || beta > 1 {
 		return nil, nil, fmt.Errorf("%w: beta=%v not in (0,1]", ErrBadConfig, beta)
 	}
@@ -140,11 +124,14 @@ func FrameworkFromPool(in *ltm.Instance, beta float64, pool *engine.Pool) (*grap
 	if demand < 1 {
 		demand = 1
 	}
-	fam, err := pool.Family()
+	fam, err := pool.FamilyCtx(ctx)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: MSC family: %w", err)
 	}
-	sol, err := fam.Solve(demand)
+	solver := setcover.Borrow(fam)
+	defer solver.Release()
+	solver.SetTrace(obs.TraceFrom(ctx))
+	sol, err := solver.Solve(demand)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: MSC solve: %w", err)
 	}
@@ -153,31 +140,4 @@ func FrameworkFromPool(in *ltm.Instance, beta float64, pool *engine.Pool) (*grap
 		invited.Add(v)
 	}
 	return invited, sol, nil
-}
-
-// Framework runs Algorithm 3: sample l realizations through the engine,
-// then solve the MSC instance. It returns the invitation set and the pool
-// diagnostics. One-shot; use Session.Framework to reuse pools.
-func Framework(ctx context.Context, in *ltm.Instance, beta float64, l int64, workers int, seed int64) (*graph.NodeSet, *engine.Pool, *setcover.Solution, error) {
-	if beta <= 0 || beta > 1 {
-		return nil, nil, nil, fmt.Errorf("%w: beta=%v not in (0,1]", ErrBadConfig, beta)
-	}
-	pool, err := engine.New(in).SamplePool(ctx, l, workers, seed)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: sampling pool: %w", err)
-	}
-	invited, sol, err := FrameworkFromPool(in, beta, pool)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return invited, pool, sol, nil
-}
-
-// RAF runs Algorithm 4 end to end. With probability ≥ 1 − 2/N (for
-// uncapped sampling), f(I*) ≥ (Alpha−Eps)·p_max and |I*|/|I_α| = O(√n)
-// (Theorem 1). Results are deterministic for a fixed cfg.Seed regardless
-// of cfg.Workers. For repeated solves on one instance (an α-sweep, say),
-// a Session reuses the realization pool across calls.
-func RAF(ctx context.Context, in *ltm.Instance, cfg Config) (*Result, error) {
-	return NewSession(in, cfg.Seed, cfg.Workers).RAF(ctx, cfg)
 }

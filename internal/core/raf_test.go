@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/ltm"
 )
 
 func TestSolveEquationSystem(t *testing.T) {
@@ -62,14 +63,14 @@ func TestEstimatePmaxLine(t *testing.T) {
 	// Line 0-1-2-3: p_max = 1/2 exactly (see realization tests).
 	g := line(4)
 	in := mustInstance(t, g, 0, 3)
-	est, draws, err := EstimatePmax(context.Background(), in, 0.05, 1000, 0, 7)
+	res, err := NewSession(in, 7, 0).EstimatePmax(context.Background(), 0.05, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(est-0.5) > 0.05 {
-		t.Errorf("p*max = %v, want ~0.5", est)
+	if math.Abs(res.Estimate-0.5) > 0.05 {
+		t.Errorf("p*max = %v, want ~0.5", res.Estimate)
 	}
-	if draws <= 0 {
+	if res.Draws <= 0 {
 		t.Error("no draws recorded")
 	}
 }
@@ -80,7 +81,7 @@ func TestEstimatePmaxUnreachable(t *testing.T) {
 	b.AddEdge(3, 4)
 	g := b.Build()
 	in := mustInstance(t, g, 0, 4)
-	_, _, err := EstimatePmax(context.Background(), in, 0.1, 100, 2000, 7)
+	_, err := NewSession(in, 7, 0).EstimatePmax(context.Background(), 0.1, 100, 2000)
 	if !errors.Is(err, ErrTargetUnreachable) {
 		t.Errorf("err = %v, want ErrTargetUnreachable", err)
 	}
@@ -91,7 +92,7 @@ func TestFrameworkLine(t *testing.T) {
 	// invite exactly {2,3}.
 	g := line(4)
 	in := mustInstance(t, g, 0, 3)
-	invited, pool, sol, err := Framework(context.Background(), in, 0.9, 20000, 2, 5)
+	invited, pool, sol, err := NewSession(in, 5, 2).Framework(context.Background(), 0.9, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +107,11 @@ func TestFrameworkLine(t *testing.T) {
 func TestFrameworkValidation(t *testing.T) {
 	g := line(4)
 	in := mustInstance(t, g, 0, 3)
-	if _, _, _, err := Framework(context.Background(), in, 0, 100, 1, 1); !errors.Is(err, ErrBadConfig) {
+	sess := NewSession(in, 1, 1)
+	if _, _, _, err := sess.Framework(context.Background(), 0, 100); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("beta=0: err = %v", err)
 	}
-	if _, _, _, err := Framework(context.Background(), in, 1.1, 100, 1, 1); !errors.Is(err, ErrBadConfig) {
+	if _, _, _, err := sess.Framework(context.Background(), 1.1, 100); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("beta>1: err = %v", err)
 	}
 }
@@ -120,9 +122,15 @@ func TestFrameworkUnreachable(t *testing.T) {
 	b.AddEdge(3, 4)
 	g := b.Build()
 	in := mustInstance(t, g, 0, 4)
-	if _, _, _, err := Framework(context.Background(), in, 0.5, 500, 1, 1); !errors.Is(err, ErrTargetUnreachable) {
+	if _, _, _, err := NewSession(in, 1, 1).Framework(context.Background(), 0.5, 500); !errors.Is(err, ErrTargetUnreachable) {
 		t.Errorf("err = %v, want ErrTargetUnreachable", err)
 	}
+}
+
+// oneShotRAF is a one-shot RAF run: a fresh session under cfg's seed and
+// worker count, as the public Problem.Solve runs it.
+func oneShotRAF(ctx context.Context, in *ltm.Instance, cfg Config) (*Result, error) {
+	return NewSession(in, cfg.Seed, cfg.Workers).RAF(ctx, cfg)
 }
 
 func TestRAFConfigValidation(t *testing.T) {
@@ -137,7 +145,7 @@ func TestRAFConfigValidation(t *testing.T) {
 		{Alpha: 0.5, Eps: 0.1, N: 100, OverrideL: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := RAF(ctx, in, cfg); !errors.Is(err, ErrBadConfig) {
+		if _, err := oneShotRAF(ctx, in, cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: err = %v, want ErrBadConfig", i, err)
 		}
 	}
@@ -150,7 +158,7 @@ func TestRAFAlphaOneReturnsVmax(t *testing.T) {
 		t.Skip("adjacent pair")
 	}
 	in := mustInstance(t, g, s, tt)
-	res, err := RAF(context.Background(), in, Config{Alpha: 1, Eps: 0.5, N: 100, Seed: 1})
+	res, err := oneShotRAF(context.Background(), in, Config{Alpha: 1, Eps: 0.5, N: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestRAFEndToEndLine(t *testing.T) {
 		Seed: 3, Workers: 2,
 		MaxRealizations: 50000, MaxPmaxDraws: 200000,
 	}
-	res, err := RAF(context.Background(), in, cfg)
+	res, err := oneShotRAF(context.Background(), in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +229,7 @@ func TestRAFMeetsGuarantee(t *testing.T) {
 		}
 		checked++
 		alpha, eps := 0.3, 0.05
-		res, err := RAF(ctx, in, Config{
+		res, err := oneShotRAF(ctx, in, Config{
 			Alpha: alpha, Eps: eps, N: 50, Seed: seed,
 			Workers: 4, MaxRealizations: 30000, MaxPmaxDraws: 500000,
 		})
@@ -260,7 +268,7 @@ func TestRAFMeetsGuarantee(t *testing.T) {
 func TestRAFOverrideL(t *testing.T) {
 	g := line(5)
 	in := mustInstance(t, g, 0, 4)
-	res, err := RAF(context.Background(), in, Config{
+	res, err := oneShotRAF(context.Background(), in, Config{
 		Alpha: 0.4, Eps: 0.1, N: 50, Seed: 2, OverrideL: 7777, MaxPmaxDraws: 100000,
 	})
 	if err != nil {
@@ -282,11 +290,11 @@ func TestRAFDeterministic(t *testing.T) {
 	cfg := Config{Alpha: 0.3, Eps: 0.05, N: 50, Seed: 77, Workers: 3,
 		MaxRealizations: 20000, MaxPmaxDraws: 300000}
 	ctx := context.Background()
-	r1, err := RAF(ctx, in, cfg)
+	r1, err := oneShotRAF(ctx, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RAF(ctx, in, cfg)
+	r2, err := oneShotRAF(ctx, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +315,13 @@ func TestRAFUnreachableTarget(t *testing.T) {
 	b.AddEdge(4, 5)
 	g := b.Build()
 	in := mustInstance(t, g, 0, 5)
-	_, err := RAF(context.Background(), in, Config{
+	_, err := oneShotRAF(context.Background(), in, Config{
 		Alpha: 0.5, Eps: 0.1, N: 50, MaxPmaxDraws: 1000,
 	})
 	if !errors.Is(err, ErrTargetUnreachable) {
 		t.Errorf("err = %v, want ErrTargetUnreachable", err)
 	}
-	_, err = RAF(context.Background(), in, Config{Alpha: 1, Eps: 0.5, N: 50})
+	_, err = oneShotRAF(context.Background(), in, Config{Alpha: 1, Eps: 0.5, N: 50})
 	if !errors.Is(err, ErrTargetUnreachable) {
 		t.Errorf("alpha=1 err = %v, want ErrTargetUnreachable", err)
 	}
@@ -324,7 +332,7 @@ func TestRAFCancellation(t *testing.T) {
 	in := mustInstance(t, g, 0, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RAF(ctx, in, Config{Alpha: 0.5, Eps: 0.1, N: 50})
+	_, err := oneShotRAF(ctx, in, Config{Alpha: 0.5, Eps: 0.1, N: 50})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -339,13 +347,13 @@ func TestRAFDisableVmaxReduction(t *testing.T) {
 	ctx := context.Background()
 	base := Config{Alpha: 0.5, Eps: 0.1, N: 50, Seed: 4,
 		MaxRealizations: 20000, MaxPmaxDraws: 100000}
-	with, err := RAF(ctx, in, base)
+	with, err := oneShotRAF(ctx, in, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	abl := base
 	abl.DisableVmaxReduction = true
-	without, err := RAF(ctx, in, abl)
+	without, err := oneShotRAF(ctx, in, abl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Session runs repeated RAF solves on one instance while reusing the
-// expensive cross-solve state: the realization pool (grown incrementally,
-// never resampled) and the Algorithm 2 p_max draw ledger
-// (engine.PmaxEstimator — a solve needing a tighter ε₀ or a bigger budget
-// extends the existing draw sequence instead of re-running the stopping
-// rule from scratch). An α-sweep through a Session samples the pool
-// exactly once and the p_max stream at most up to the tightest ε₀
-// requested. The exact V_max is cached too. It is one O(V+E) DFS over
+// Session is the state of one (s, t) pair, shared by every query on it:
+// the realization pool RAF and the budgeted variant solve on
+// (Algorithms 3–4; grown incrementally, never resampled), the
+// Algorithm 2 p_max draw ledger (engine.PmaxEstimator — a solve needing
+// a tighter ε₀ or a bigger budget extends the existing draw sequence
+// instead of re-running the stopping rule from scratch), the exact
+// V_max (Lemma 7), and an evaluation pool over a decorrelated stream
+// family that measures f of chosen sets (Corollary 1). An α-sweep
+// through a Session samples the pool exactly once and the p_max stream
+// at most up to the tightest ε₀ requested. V_max is one O(V+E) DFS over
 // the whole graph (see Vmax), which is not cheap: on the 7,115-node Wiki
 // analog it costs ~0.7 ms on a 2-vCPU Xeon, a large share of a restored
 // pair's first solve.
@@ -34,6 +36,7 @@ type Session struct {
 	in      *ltm.Instance
 	eng     *engine.Engine
 	pools   *engine.Session
+	eval    *engine.Session
 	pmax    *engine.PmaxEstimator
 	seed    int64
 	workers int
@@ -51,6 +54,7 @@ func NewSession(in *ltm.Instance, seed int64, workers int) *Session {
 		in:      in,
 		eng:     eng,
 		pools:   eng.NewSession(seed, workers),
+		eval:    eng.NewEvalSession(seed, workers),
 		pmax:    eng.NewPmaxEstimator(seed, workers),
 		seed:    seed,
 		workers: workers,
@@ -64,10 +68,10 @@ func (s *Session) Engine() *engine.Engine { return s.eng }
 // RepairTo carries the session's sampled state across a graph delta:
 // given the epoch-N+1 instance (same (s, t); see ltm.Instance.ApplyDelta
 // / RebindTo) and the delta's dirty node set, it returns a new session
-// whose realization pool and p_max ledger adopt every chunk the delta
-// left undamaged and resample only the rest — byte-identical to a cold
-// session on the new instance, at a fraction of the draw bill (see
-// engine.Session.RepairTo). The new session's engine is bound to lin and
+// whose realization pool, p_max ledger and evaluation pool adopt every
+// draw group the delta left undamaged and resample only the rest —
+// byte-identical to a cold session on the new instance, at a fraction
+// of the draw bill (see engine.Session.RepairTo). The new session's engine is bound to lin and
 // graphFP (both may be zero when the caller keeps no lineage), so stale
 // spill blobs restored into it later are adopted and repaired too. The
 // receiver is not mutated; the cached V_max is dropped — the delta may
@@ -86,10 +90,16 @@ func (s *Session) RepairTo(ctx context.Context, in2 *ltm.Instance, lin *engine.L
 		return nil, engine.RepairStats{}, err
 	}
 	st.Add(pst)
+	eval, est, err := s.eval.RepairTo(ctx, ne, dirty)
+	if err != nil {
+		return nil, engine.RepairStats{}, err
+	}
+	st.Add(est)
 	return &Session{
 		in:      in2,
 		eng:     ne,
 		pools:   pools,
+		eval:    eval,
 		pmax:    pmax,
 		seed:    s.seed,
 		workers: s.workers,
@@ -101,13 +111,28 @@ func (s *Session) RepairTo(ctx context.Context, in2 *ltm.Instance, lin *engine.L
 // observable through it.
 func (s *Session) PmaxEstimator() *engine.PmaxEstimator { return s.pmax }
 
+// Eval returns the session's evaluation pool: draws from a stream family
+// decorrelated from the solve pool's, for measuring f of the sets solves
+// choose without the bias of the pool they were optimized on.
+func (s *Session) Eval() *engine.Session { return s.eval }
+
 // Instance returns the session's problem instance.
 func (s *Session) Instance() *ltm.Instance { return s.in }
 
-// MemBytes returns the bytes held by the session's cached realization
-// pool and regrow tables plus the p_max estimator's draw ledger — the
-// sizing input for memory-budgeted eviction of cold sessions.
-func (s *Session) MemBytes() int64 { return s.pools.MemBytes() + s.pmax.MemBytes() }
+// MemBytes returns the bytes held by the session's cached pools (solve
+// and evaluation) and their regrow tables plus the p_max estimator's
+// draw ledger — the sizing input for memory-budgeted eviction of cold
+// sessions.
+func (s *Session) MemBytes() int64 {
+	return s.pools.MemBytes() + s.eval.MemBytes() + s.pmax.MemBytes()
+}
+
+// HeldDraws returns the draws the session holds: its solve pool, its
+// evaluation pool and its p_max ledger. A session restored from a
+// snapshot and not grown since holds exactly the snapshot's draws.
+func (s *Session) HeldDraws() int64 {
+	return s.pools.Size() + s.eval.Size() + s.pmax.Draws()
+}
 
 // Pool returns the session's cached realization pool grown to at least l
 // draws.
@@ -115,19 +140,22 @@ func (s *Session) Pool(ctx context.Context, l int64) (*engine.Pool, error) {
 	return s.pools.Pool(ctx, l)
 }
 
-// Snapshot serializes the session's cached realization pool followed by
-// the p_max estimator's draw ledger (see engine.Session.Snapshot and
-// engine.PmaxEstimator.Snapshot), so a restored session reuses both the
-// pooled draws and the stopping-rule draws instead of resampling them.
-// The cached V_max is not written: it is deterministic in the instance
-// and recomputed on demand, by one O(V+E) DFS over the whole graph, with
-// identical results. A restored session therefore pays that DFS again on
-// its first solve.
+// Snapshot serializes the session's solve pool, the p_max estimator's
+// draw ledger and the evaluation pool, in that order (see
+// engine.Session.Snapshot and engine.PmaxEstimator.Snapshot), so a
+// restored session reuses every pooled and stopping-rule draw instead
+// of resampling it. The cached V_max is not written: it is deterministic
+// in the instance and recomputed on demand, by one O(V+E) DFS over the
+// whole graph, with identical results. A restored session therefore
+// pays that DFS again on its first solve.
 func (s *Session) Snapshot(w io.Writer) error {
 	if err := s.pools.Snapshot(w); err != nil {
 		return err
 	}
-	return s.pmax.Snapshot(w)
+	if err := s.pmax.Snapshot(w); err != nil {
+		return err
+	}
+	return s.eval.Snapshot(w)
 }
 
 // peeker is the subset of bufio.Reader Restore uses to detect an
@@ -136,30 +164,35 @@ type peeker interface {
 	Peek(int) ([]byte, error)
 }
 
-// Restore loads a session snapshot into a freshly created session,
-// consuming exactly one pool snapshot — plus the p_max section, when one
-// follows — from r. The pool snapshot's stream identity must match the
-// session's seed; on any mismatch or corruption the session is left cold
-// and resamples lazily, with byte-identical results, since pools and the
+// Restore loads a Snapshot into a freshly created session, consuming
+// the solve pool, the p_max section when one follows, and the
+// evaluation pool from r. Each section's stream identity must match the
+// session's seed. A pool that fails to load — corrupt, truncated or
+// mismatched — returns an error, and the session may then hold part of
+// the snapshot: the caller discards it for a fresh session, which
+// resamples lazily with byte-identical results, since pools and the
 // estimator ledger are pure functions of (seed, draws). The p_max
 // section is optional and best-effort: when r supports Peek (e.g. a
-// *bufio.Reader) a missing section is skipped cleanly, and an
-// identity-mismatched section leaves only the estimator cold.
+// *bufio.Reader) a missing section is skipped cleanly, and an unreadable
+// or mismatched one leaves only the estimator cold.
 func (s *Session) Restore(r io.Reader) error {
 	if err := s.pools.Restore(r); err != nil {
 		return err
 	}
+	hasPmax := true
 	if p, ok := r.(peeker); ok {
 		b, err := p.Peek(8)
-		if err != nil || !snapshot.IsPmax(b) {
-			return nil // no p_max section; the estimator starts cold
+		hasPmax = err == nil && snapshot.IsPmax(b)
+	}
+	if hasPmax {
+		if err := s.pmax.Restore(r); err != nil {
+			// The stopping-rule draws are resampled on the next solve —
+			// identically, so the fallback changes no answer.
+			s.pmax = s.eng.NewPmaxEstimator(s.seed, s.workers)
 		}
 	}
-	if err := s.pmax.Restore(r); err != nil {
-		// The pool restored fine; an unreadable or mismatched estimator
-		// section just means the stopping-rule draws are resampled on the
-		// next solve — identically, so the fallback changes no answer.
-		s.pmax = s.eng.NewPmaxEstimator(s.seed, s.workers)
+	if err := s.eval.Restore(r); err != nil {
+		return fmt.Errorf("core: evaluation pool: %w", err)
 	}
 	return nil
 }
@@ -219,7 +252,7 @@ func (s *Session) Framework(ctx context.Context, beta float64, l int64) (*graph.
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: sampling pool: %w", err)
 	}
-	invited, sol, err := FrameworkFromPool(s.in, beta, pool)
+	invited, sol, err := FrameworkFromPool(ctx, s.in, beta, pool)
 	if err != nil {
 		return nil, nil, nil, err
 	}

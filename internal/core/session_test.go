@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/ltm"
 	"repro/internal/mc"
+	"repro/internal/snapshot"
 )
 
 // sessionTestInstance returns a random instance with a comfortably
@@ -55,9 +59,10 @@ func TestSessionAlphaSweepSamplesPoolOnce(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesOneShotRAF: a session solve and a free RAF call with
-// the same seed produce identical results (the free path is the session
-// path).
+// TestSessionMatchesOneShotRAF: a solve on a session that has already
+// served other queries — a larger pool, a tighter p_max estimate —
+// equals a one-shot solve on a fresh session with the same seed, so the
+// one-shot path needs no code of its own.
 func TestSessionMatchesOneShotRAF(t *testing.T) {
 	in := sessionTestInstance(t)
 	ctx := context.Background()
@@ -65,18 +70,26 @@ func TestSessionMatchesOneShotRAF(t *testing.T) {
 		Alpha: 0.3, Eps: 0.05, N: 100, Seed: 9,
 		MaxRealizations: 20000, MaxPmaxDraws: 500000,
 	}
-	free, err := RAF(ctx, in, cfg)
+	free, err := oneShotRAF(ctx, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(in, 9, 4).RAF(ctx, cfg)
+	warm := NewSession(in, 9, 4)
+	if _, err := warm.Pool(ctx, 30000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.EstimatePmax(ctx, 0.01, 1000, 500000); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := warm.RAF(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !free.Invited.ContainsAll(sess.Invited) || !sess.Invited.ContainsAll(free.Invited) {
 		t.Errorf("invited sets differ: %v vs %v", free.Invited.Members(), sess.Invited.Members())
 	}
-	if free.PoolType1 != sess.PoolType1 || free.Covered != sess.Covered || free.Demand != sess.Demand {
+	if free.PoolType1 != sess.PoolType1 || free.Covered != sess.Covered || free.Demand != sess.Demand ||
+		free.PStar != sess.PStar || free.PmaxDraws != sess.PmaxDraws {
 		t.Errorf("diagnostics differ: %+v vs %+v", free, sess)
 	}
 }
@@ -91,14 +104,14 @@ func TestRAFWorkerCountIndependence(t *testing.T) {
 		Alpha: 0.3, Eps: 0.05, N: 100, Seed: 21,
 		MaxRealizations: 20000, MaxPmaxDraws: 500000, Workers: 1,
 	}
-	ref, err := RAF(ctx, in, base)
+	ref, err := oneShotRAF(ctx, in, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		cfg := base
 		cfg.Workers = workers
-		res, err := RAF(ctx, in, cfg)
+		res, err := oneShotRAF(ctx, in, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +130,7 @@ func TestRAFWorkerCountIndependence(t *testing.T) {
 // solution.
 func TestDemandSurfacedFromSolution(t *testing.T) {
 	in := sessionTestInstance(t)
-	res, err := RAF(context.Background(), in, Config{
+	res, err := oneShotRAF(context.Background(), in, Config{
 		Alpha: 0.3, Eps: 0.05, N: 100, Seed: 3,
 		MaxRealizations: 10000, MaxPmaxDraws: 500000,
 	})
@@ -319,6 +332,80 @@ func TestSessionSnapshotCarriesPmaxState(t *testing.T) {
 	if coldAgain.PStar != reference.PStar || coldAgain.PmaxDraws != reference.PmaxDraws {
 		t.Errorf("post-mismatch solve diverged: %v/%d vs %v/%d",
 			coldAgain.PStar, coldAgain.PmaxDraws, reference.PStar, reference.PmaxDraws)
+	}
+}
+
+// TestSessionSnapshotCarriesEvalPool: the evaluation pool rides in the
+// same snapshot as the solve pool and the p_max ledger, a restored
+// session answers EstimateF identically without sampling, and a corrupt
+// or missing evaluation section fails the restore.
+func TestSessionSnapshotCarriesEvalPool(t *testing.T) {
+	in := pmaxTestInstance(t)
+	ctx := context.Background()
+	const trials = 4000
+
+	writer := NewSession(in, 7, 2)
+	res, err := writer.RAF(ctx, Config{Alpha: 0.3, Eps: 0.05, N: 100, OverrideL: 3000, MaxPmaxDraws: 500000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := graph.NewNodeSet(in.Graph().NumNodes())
+	all.Fill()
+	sets := []*graph.NodeSet{res.Invited, all}
+	want, err := writer.Eval().EstimateFMany(ctx, sets, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writer.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	for name, r := range map[string]func() io.Reader{
+		"bufio": func() io.Reader { return bufio.NewReader(bytes.NewReader(data)) },
+		"plain": func() io.Reader { return bytes.NewReader(data) },
+	} {
+		loaded := NewSession(in, 7, 4)
+		if err := loaded.Restore(r()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := loaded.Eval().Size(); got != trials {
+			t.Fatalf("%s: restored eval pool holds %d draws, want %d", name, got, trials)
+		}
+		if got, want := loaded.HeldDraws(), writer.HeldDraws(); got != want {
+			t.Errorf("%s: HeldDraws = %d, want %d", name, got, want)
+		}
+		for i, set := range sets {
+			f, err := loaded.Eval().EstimateF(ctx, set, trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f != want[i] {
+				t.Errorf("%s: set %d: restored EstimateF %v, want %v", name, i, f, want[i])
+			}
+		}
+		if got := loaded.Engine().Draws(); got != 0 {
+			t.Errorf("%s: restored session sampled %d draws", name, got)
+		}
+	}
+
+	// The evaluation section is last: corrupting its final bytes (the
+	// checksum footer) or cutting it off fails the whole restore.
+	corrupt := bytes.Clone(data)
+	corrupt[len(corrupt)-8] ^= 0xff
+	if err := NewSession(in, 7, 2).Restore(bufio.NewReader(bytes.NewReader(corrupt))); !errors.Is(err, snapshot.ErrChecksum) {
+		t.Errorf("corrupt eval section: err = %v, want ErrChecksum", err)
+	}
+	var solveAndPmax bytes.Buffer
+	if err := writer.pools.Snapshot(&solveAndPmax); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.pmax.Snapshot(&solveAndPmax); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSession(in, 7, 2).Restore(bufio.NewReader(&solveAndPmax)); err == nil {
+		t.Error("snapshot without an eval section restored")
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"math/rand"
@@ -161,7 +162,7 @@ func TestTouchSnapshotDenseAndSparse(t *testing.T) {
 			data := snapshotOf(t, old)
 			for _, open := range []func() (*Session, error){
 				func() (*Session, error) { return OpenSession(e1, bytes.NewReader(data), 2) },
-				func() (*Session, error) { return OpenSessionBytes(e1, data, 2) },
+				func() (*Session, error) { return OpenSession(e1, bufio.NewReader(bytes.NewReader(data)), 2) },
 			} {
 				loaded, err := open()
 				if err != nil {

@@ -187,41 +187,6 @@ func OpenSession(e *Engine, r io.Reader, workers int) (*Session, error) {
 	return sessionFromSnapshot(e, sp, ts, workers)
 }
 
-// OpenSessionBytes is OpenSession over an in-memory or mmap'd blob
-// holding exactly one snapshot (optionally followed by its touch
-// section). On little-endian hosts the session's pool aliases data
-// zero-copy: the caller must keep data immutable and alive (for an
-// mmap'd file, mapped) as long as the session or any pool view derived
-// from it is in use.
-func OpenSessionBytes(e *Engine, data []byte, workers int) (*Session, error) {
-	sp, n, err := snapshot.DecodeNext(data)
-	if err != nil {
-		return nil, err
-	}
-	rest := data[n:]
-	var ts *snapshot.TouchSet
-	if len(rest) > 0 && snapshot.IsTouch(rest) {
-		t, m, err := snapshot.DecodeTouchNext(rest)
-		if err != nil {
-			return nil, err
-		}
-		ts, rest = t, rest[m:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", snapshot.ErrFormat, len(rest))
-	}
-	return sessionFromSnapshot(e, sp, ts, workers)
-}
-
-// OpenSessionData builds a session directly from an already-decoded
-// snapshot — the zero-copy mmap path: pair it with snapshot.OpenFile,
-// whose pools alias the mapped region (keep the file open for the
-// session's lifetime). No touch section rides along on this path, so a
-// later delta repair resamples every chunk.
-func OpenSessionData(e *Engine, sp *snapshot.Pool, workers int) (*Session, error) {
-	return sessionFromSnapshot(e, sp, nil, workers)
-}
-
 func sessionFromSnapshot(e *Engine, sp *snapshot.Pool, ts *snapshot.TouchSet, workers int) (*Session, error) {
 	s := &Session{eng: e, seed: sp.Seed, workers: workers, ns: sp.NS}
 	s.mu.Lock()

@@ -3,13 +3,10 @@ package engine
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/snapshot"
 )
 
 // poolsEqual compares two pools' CSR contents exactly (arena sliced to
@@ -165,66 +162,6 @@ func TestTruncateOverLoadedPool(t *testing.T) {
 		if gf.NumSets() != wf.NumSets() {
 			t.Errorf("l=%d: family sets %d != %d", l, gf.NumSets(), wf.NumSets())
 		}
-	}
-}
-
-func TestOpenSessionBytesMmap(t *testing.T) {
-	ctx := context.Background()
-	in := testInstance(t)
-	const l = ChunkSize * 2
-
-	fresh := New(in).NewSession(21, 0)
-	want, err := fresh.Pool(ctx, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sess.afsnap")
-	var buf bytes.Buffer
-	if err := fresh.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := snapshot.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := OpenSessionBytes(New(in), buf.Bytes(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Pool(ctx, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPoolsEqual(t, got, want)
-
-	// The zero-copy path over the mapped region must agree too, and its
-	// coverage answers must match the live session's exactly.
-	if len(f.Pools) != 1 {
-		t.Fatalf("mapped %d pools, want 1", len(f.Pools))
-	}
-	mappedSess, err := OpenSessionData(New(in), f.Pools[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mappedSess.Seed() != 21 {
-		t.Fatalf("mapped Seed = %d, want 21", mappedSess.Seed())
-	}
-	mp, err := mappedSess.Pool(ctx, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPoolsEqual(t, mp, want)
-	invited := graph.NewNodeSetOf(in.Graph().NumNodes(), in.T())
-	for _, v := range in.Graph().Neighbors(in.T()) {
-		invited.Add(v)
-	}
-	if g, w := mp.EstimateF(invited), want.EstimateF(invited); g != w {
-		t.Fatalf("mmap EstimateF %v != %v", g, w)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ltm"
 	"repro/internal/obs"
@@ -94,16 +93,15 @@ func (c *Config) rafConfig(alpha float64) core.Config {
 	}
 }
 
-// pairSession bundles the per-pair solve and measurement state: a core
-// session (shared realization pool, cached V_max and p_max across solves)
-// plus an evaluation-pool session over an independent stream family, so
+// pairSession is the per-pair solve and measurement state: one core
+// session (shared realization pool, cached V_max and p_max across
+// solves, and an evaluation pool over an independent stream family), so
 // every f measurement for this pair — across α values, baselines and
 // growth steps — reuses one pool of EvalTrials draws and its coverage
 // index instead of resampling.
 type pairSession struct {
 	in     *ltm.Instance
 	sess   *core.Session
-	ev     *engine.Session
 	trials int64
 	done   func() // settles server accounting; nil off the server path
 }
@@ -117,7 +115,6 @@ func (c *Config) newPairSession(pi int, pair Pair) (*pairSession, error) {
 		return &pairSession{
 			in:     h.Instance(),
 			sess:   h.Core(),
-			ev:     h.Eval(),
 			trials: c.EvalTrials,
 			done:   h.Done,
 		}, nil
@@ -126,12 +123,9 @@ func (c *Config) newPairSession(pi int, pair Pair) (*pairSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := rng.Derive(c.Seed, uint64(pi))
-	sess := core.NewSession(in, seed, c.Workers)
 	return &pairSession{
 		in:     in,
-		sess:   sess,
-		ev:     sess.Engine().NewEvalSession(seed, c.Workers),
+		sess:   core.NewSession(in, rng.Derive(c.Seed, uint64(pi)), c.Workers),
 		trials: c.EvalTrials,
 	}, nil
 }
@@ -146,14 +140,14 @@ func (ps *pairSession) close() {
 
 // measureF estimates f(invited) against the pair's cached evaluation pool.
 func (ps *pairSession) measureF(ctx context.Context, invited *graph.NodeSet) (float64, error) {
-	return ps.ev.EstimateF(ctx, invited, ps.trials)
+	return ps.sess.Eval().EstimateF(ctx, invited, ps.trials)
 }
 
 // measureFMany estimates f for several invitation sets in one batched
 // coverage query against the pair's evaluation pool: the pool's postings
 // are traversed once for the whole batch instead of once per set.
 func (ps *pairSession) measureFMany(ctx context.Context, invited []*graph.NodeSet) ([]float64, error) {
-	return ps.ev.EstimateFMany(ctx, invited, ps.trials)
+	return ps.sess.Eval().EstimateFMany(ctx, invited, ps.trials)
 }
 
 // Fig3Row is one x-position of the basic experiment: average acceptance

@@ -24,19 +24,17 @@ import (
 )
 
 // DefaultRealizations is the pool size used when a caller passes
-// Realizations ≤ 0.
+// realizations ≤ 0.
 const DefaultRealizations = 50000
 
-// Config parameterizes a Solve call.
-type Config struct {
-	// Budget is the maximum invitation-set size; must fit the target
-	// (budget ≥ 1).
-	Budget int
-	// Realizations is the pool size l (default DefaultRealizations).
-	Realizations int64
-	// Seed and Workers control sampling.
-	Seed    int64
-	Workers int
+// Realizations returns the pool size a request for realizations draws
+// is solved at: realizations itself, or DefaultRealizations when it is
+// not positive.
+func Realizations(realizations int64) int64 {
+	if realizations <= 0 {
+		return DefaultRealizations
+	}
+	return realizations
 }
 
 // Result is the budgeted solution.
@@ -50,23 +48,55 @@ type Result struct {
 	PoolType1 int
 }
 
-// Solve maximizes estimated acceptance probability under the budget,
-// sampling a fresh pool through the engine. For repeated solves on one
-// instance, sample a pool once (e.g. via an engine Session) and call
-// SolveFromPool.
-func Solve(ctx context.Context, in *ltm.Instance, cfg Config) (*Result, error) {
-	if cfg.Budget <= 0 {
-		return nil, fmt.Errorf("maxaf: budget %d must be positive", cfg.Budget)
-	}
-	l := cfg.Realizations
-	if l <= 0 {
-		l = DefaultRealizations
-	}
-	pool, err := engine.New(in).SamplePool(ctx, l, cfg.Workers, cfg.Seed)
+// SolveMaxOn answers one budgeted query against a pair session: the
+// greedy runs on sess's pool of exactly Realizations(realizations)
+// draws, and the chosen set is re-measured on sess's decorrelated
+// evaluation pool of the same size. It returns the solver result (whose
+// CoveredFraction is the biased in-pool fraction) together with the
+// decorrelated estimate. Every budgeted query — the server's SolveMax,
+// a TopK candidate's score, the public Session.SolveMax — answers
+// through it, so they agree by construction.
+func SolveMaxOn(ctx context.Context, sess *core.Session, budget int, realizations int64) (*Result, float64, error) {
+	l := Realizations(realizations)
+	pool, err := sess.Pool(ctx, l)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return SolveFromPool(ctx, in, cfg.Budget, pool)
+	res, err := SolveFromPool(ctx, sess.Instance(), budget, pool)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := sess.Eval().EstimateF(ctx, res.Invited, l)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, f, nil
+}
+
+// SolveMaxBudgetsOn is SolveMaxOn for a whole budget sweep: the greedy
+// runs once per budget against sess's pool (folded once), and both the
+// in-pool fractions and the decorrelated estimates come from batched
+// coverage queries — one postings traversal per pool for the entire
+// sweep. Results are identical to calling SolveMaxOn per budget.
+func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, budgets []int, realizations int64) ([]*Result, []float64, error) {
+	l := Realizations(realizations)
+	pool, err := sess.Pool(ctx, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := SolveBudgetsFromPool(ctx, sess.Instance(), budgets, pool)
+	if err != nil {
+		return nil, nil, err
+	}
+	sets := make([]*graph.NodeSet, len(results))
+	for i, r := range results {
+		sets[i] = r.Invited
+	}
+	fs, err := sess.Eval().EstimateFMany(ctx, sets, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, fs, nil
 }
 
 // SolveFromPool runs the budgeted max-coverage greedy against an existing
@@ -75,37 +105,22 @@ func Solve(ctx context.Context, in *ltm.Instance, cfg Config) (*Result, error) {
 // index the paths exactly once. A trace on ctx (obs.WithTrace) gets
 // family_fold and solve stage spans; tracing off costs nothing.
 func SolveFromPool(ctx context.Context, in *ltm.Instance, budget int, pool *engine.Pool) (*Result, error) {
-	res, _, err := SolveFromPoolSolver(ctx, in, budget, pool, nil)
-	return res, err
-}
-
-// SolveFromPoolSolver is SolveFromPool with caller-held solver scratch:
-// the batched top-k path solves many candidates' pools in turn, and
-// rebinding one Solver per pool amortizes the marginal/bucket/bitset
-// allocations across the whole batch. A nil solver allocates fresh; the
-// (possibly new) solver is returned for the next pool. Results are
-// identical to SolveFromPool's — Solver.Rebind guarantees rebound
-// scratch solves exactly like fresh scratch.
-func SolveFromPoolSolver(ctx context.Context, in *ltm.Instance, budget int, pool *engine.Pool, solver *setcover.Solver) (*Result, *setcover.Solver, error) {
 	if budget <= 0 {
-		return nil, solver, fmt.Errorf("maxaf: budget %d must be positive", budget)
+		return nil, fmt.Errorf("maxaf: budget %d must be positive", budget)
 	}
 	if pool.NumType1() == 0 {
-		return nil, solver, fmt.Errorf("%w: no type-1 realization in %d draws", core.ErrTargetUnreachable, pool.Total())
+		return nil, fmt.Errorf("%w: no type-1 realization in %d draws", core.ErrTargetUnreachable, pool.Total())
 	}
 	fam, err := pool.FamilyCtx(ctx)
 	if err != nil {
-		return nil, solver, fmt.Errorf("maxaf: set family: %w", err)
+		return nil, fmt.Errorf("maxaf: set family: %w", err)
 	}
-	if solver == nil {
-		solver = setcover.NewSolver(fam)
-	} else {
-		solver.Rebind(fam)
-	}
+	solver := setcover.Borrow(fam)
+	defer solver.Release()
 	solver.SetTrace(obs.TraceFrom(ctx))
 	sol, err := solver.SolveBudget(budget)
 	if err != nil {
-		return nil, solver, fmt.Errorf("maxaf: budgeted cover: %w", err)
+		return nil, fmt.Errorf("maxaf: budgeted cover: %w", err)
 	}
 	invited := graph.NewNodeSet(in.Graph().NumNodes())
 	for _, v := range sol.Union {
@@ -115,15 +130,16 @@ func SolveFromPoolSolver(ctx context.Context, in *ltm.Instance, budget int, pool
 		Invited:         invited,
 		CoveredFraction: float64(sol.Covered) / float64(pool.Total()),
 		PoolType1:       pool.NumType1(),
-	}, solver, nil
+	}, nil
 }
 
 // SolveBudgetsFromPool runs the budgeted greedy for every budget against
 // one pool, amortizing everything amortizable: the pool's set-cover
-// family is folded once (cached on the pool), a single Solver's scratch
-// is reused across the whole sweep, and the in-pool covered fractions are
-// re-measured in one batched coverage query (Index.CoverageCounts)
-// against the pool's inverted index instead of one scan per budget.
+// family is folded once (cached on the pool), one borrowed Solver's
+// scratch is reused across the whole sweep, and the in-pool covered
+// fractions are re-measured in one batched coverage query
+// (Index.CoverageCounts) against the pool's inverted index instead of
+// one scan per budget.
 // Results are identical to calling SolveFromPool per budget.
 func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, pool *engine.Pool) ([]*Result, error) {
 	if len(budgets) == 0 {
@@ -136,7 +152,8 @@ func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, 
 	if err != nil {
 		return nil, fmt.Errorf("maxaf: set family: %w", err)
 	}
-	solver := setcover.NewSolver(fam)
+	solver := setcover.Borrow(fam)
+	defer solver.Release()
 	solver.SetTrace(obs.TraceFrom(ctx))
 	results := make([]*Result, len(budgets))
 	sets := make([]*graph.NodeSet, len(budgets))

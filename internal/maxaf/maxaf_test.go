@@ -43,13 +43,19 @@ func mustInstance(t *testing.T, g *graph.Graph, s, tt graph.Node) *ltm.Instance 
 	return in
 }
 
+// solveMax answers one budgeted query on a fresh pair session.
+func solveMax(ctx context.Context, in *ltm.Instance, budget int, realizations, seed int64) (*Result, error) {
+	res, _, err := SolveMaxOn(ctx, core.NewSession(in, seed, 0), budget, realizations)
+	return res, err
+}
+
 func TestSolveLine(t *testing.T) {
 	// Line 0-1-2-3: the only useful invitation set is {2,3}; budget 2
 	// must find it and budget 1 must cover nothing.
 	g := line(4)
 	in := mustInstance(t, g, 0, 3)
 	ctx := context.Background()
-	res, err := Solve(ctx, in, Config{Budget: 2, Realizations: 5000, Seed: 1})
+	res, err := solveMax(ctx, in, 2, 5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestSolveLine(t *testing.T) {
 	if res.CoveredFraction < 0.4 || res.CoveredFraction > 0.6 {
 		t.Errorf("CoveredFraction = %v, want ~0.5", res.CoveredFraction)
 	}
-	res1, err := Solve(ctx, in, Config{Budget: 1, Realizations: 5000, Seed: 1})
+	res1, err := solveMax(ctx, in, 1, 5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestSolveLine(t *testing.T) {
 func TestSolveValidation(t *testing.T) {
 	g := line(4)
 	in := mustInstance(t, g, 0, 3)
-	if _, err := Solve(context.Background(), in, Config{Budget: 0}); err == nil {
+	if _, err := solveMax(context.Background(), in, 0, 500, 0); err == nil {
 		t.Error("budget 0 accepted")
 	}
 }
@@ -83,7 +89,7 @@ func TestSolveUnreachable(t *testing.T) {
 	b.AddEdge(3, 4)
 	g := b.Build()
 	in := mustInstance(t, g, 0, 4)
-	_, err := Solve(context.Background(), in, Config{Budget: 3, Realizations: 500})
+	_, err := solveMax(context.Background(), in, 3, 500, 0)
 	if !errors.Is(err, core.ErrTargetUnreachable) {
 		t.Errorf("err = %v, want ErrTargetUnreachable", err)
 	}
@@ -113,7 +119,7 @@ func TestSolveBeatsBaselinesAtBudget(t *testing.T) {
 		}
 		checked++
 		budget := 8
-		res, err := Solve(ctx, in, Config{Budget: budget, Realizations: 30000, Seed: seed})
+		res, err := solveMax(ctx, in, budget, 30000, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +155,7 @@ func TestSolveMonotoneInBudget(t *testing.T) {
 	ctx := context.Background()
 	prev := -1.0
 	for _, budget := range []int{2, 6, 12, 24} {
-		res, err := Solve(ctx, in, Config{Budget: budget, Realizations: 20000, Seed: 5})
+		res, err := solveMax(ctx, in, budget, 20000, 5)
 		if err != nil {
 			if errors.Is(err, core.ErrTargetUnreachable) {
 				t.Skip("unreachable pair")
@@ -215,5 +221,66 @@ func TestSolveBudgetsFromPoolParity(t *testing.T) {
 	}
 	if _, err := SolveBudgetsFromPool(context.Background(), in, []int{3, 0}, pool); err == nil {
 		t.Error("zero budget accepted")
+	}
+}
+
+// TestSolveMaxOnMeasuresOnEvalPool: SolveMaxOn solves on the session's
+// pool of exactly l draws — the pool a one-shot SamplePool at the same
+// seed returns — and its estimate is the evaluation pool's measurement
+// of the chosen set; the budget sweep returns the same answers per
+// budget.
+func TestSolveMaxOnMeasuresOnEvalPool(t *testing.T) {
+	g := randomConnected(4, 40, 60)
+	if g.HasEdge(0, 39) {
+		t.Skip("adjacent s,t")
+	}
+	in := mustInstance(t, g, 0, 39)
+	ctx := context.Background()
+	const l = 6000
+	sess := core.NewSession(in, 11, 2)
+	pool, err := engine.New(in).SamplePool(ctx, l, 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []int{2, 5, 9}
+	sweep, fs, err := SolveMaxBudgetsOn(ctx, sess, budgets, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range budgets {
+		res, f, err := SolveMaxOn(ctx, sess, b, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShot, err := SolveFromPool(ctx, in, b, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Invited.ContainsAll(oneShot.Invited) || !oneShot.Invited.ContainsAll(res.Invited) ||
+			res.CoveredFraction != oneShot.CoveredFraction {
+			t.Errorf("budget %d: session solve %v/%v, one-shot %v/%v", b,
+				res.Invited.Members(), res.CoveredFraction, oneShot.Invited.Members(), oneShot.CoveredFraction)
+		}
+		want, err := sess.Eval().EstimateF(ctx, res.Invited, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f != want || fs[i] != want {
+			t.Errorf("budget %d: estimate %v (sweep %v), eval pool measures %v", b, f, fs[i], want)
+		}
+		if !sweep[i].Invited.ContainsAll(res.Invited) || !res.Invited.ContainsAll(sweep[i].Invited) {
+			t.Errorf("budget %d: sweep chose %v, single %v", b, sweep[i].Invited.Members(), res.Invited.Members())
+		}
+	}
+	if got := sess.PoolSize(); got != l {
+		t.Errorf("solve pool holds %d draws, want %d", got, l)
+	}
+}
+
+func TestRealizationsDefault(t *testing.T) {
+	for _, tc := range []struct{ in, want int64 }{{0, DefaultRealizations}, {-3, DefaultRealizations}, {1, 1}, {7000, 7000}} {
+		if got := Realizations(tc.in); got != tc.want {
+			t.Errorf("Realizations(%d) = %d, want %d", tc.in, got, tc.want)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -28,7 +30,7 @@ type DeltaResult struct {
 	PairsMigrated int
 	PairsDropped  int
 	// Repair totals the migration's repair bill across all migrated
-	// pools (solve, eval and p_max ledgers).
+	// sessions (solve and eval pools and p_max ledgers).
 	Repair engine.RepairStats
 }
 
@@ -158,19 +160,16 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 // swaps it into the shard map — unless a newer entry took its place
 // meanwhile, in which case the migrated state is discarded (the newer
 // entry is already at the head epoch). Dissolved pairs are dropped.
-// A pair whose repair fails is dropped too: its next acquire recreates
-// it cold at the new epoch, with identical answers. res is this
-// migration's own slot; the walk sums the slots afterwards.
+// A pair whose repair fails or panics is dropped too: its next acquire
+// recreates it cold at the new epoch, with identical answers, and the
+// panic is counted in Stats.Panics. res is this migration's own slot;
+// the walk sums the slots afterwards.
 func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, dirty []graph.Node, res *DeltaResult) {
 	sh := sv.shardFor(e.key)
-	// Settle any pending spill restore first so the migration sees the
-	// entry's real state and restoreOnce never races the swap.
-	sv.ensureRestored(e)
-	in2, err := e.sess.Instance().RebindTo(next.g, next.scheme, dirty)
-	if err != nil {
-		// The delta dissolved the pair: s and t are adjacent (or the
-		// pair is otherwise invalid on the new graph) — the friending
-		// problem for it is solved, so drop it and its spill file.
+	cs2, st, err := sv.repairEntry(ctx, e, next, dirty)
+	if errors.Is(err, errDissolved) {
+		// The friending problem for the pair is solved: drop it and its
+		// spill file.
 		sv.dropEntry(sh, e)
 		if sv.cfg.SpillDir != "" {
 			os.Remove(sv.spillPath(e.key))
@@ -179,18 +178,11 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 		res.PairsDropped++
 		return
 	}
-	cs2, st, err := e.sess.RepairTo(ctx, in2, sv.lineage, next.graphFP, dirty)
 	if err != nil {
 		sv.dropEntry(sh, e)
 		return
 	}
-	eval2, est, err := e.eval.RepairTo(ctx, cs2.Engine(), dirty)
-	if err != nil {
-		sv.dropEntry(sh, e)
-		return
-	}
-	st.Add(est)
-	e2 := &entry{key: e.key, sess: cs2, eval: eval2, gen: next}
+	e2 := &entry{key: e.key, sess: cs2, gen: next}
 	e2.restoreOnce.Do(func() {}) // migrated state must not be overwritten from disk
 
 	sh.mu.Lock()
@@ -224,13 +216,38 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 			e.elem = nil
 		}
 	}
-	e2.bytes = e2.sess.MemBytes() + e2.eval.MemBytes()
+	e2.bytes = e2.sess.MemBytes()
 	sv.ledger[ctrBytesHeld].Add(e2.bytes)
 	sv.lruMu.Unlock()
 
 	sv.noteRepair(st)
 	res.PairsMigrated++
 	res.Repair = st
+}
+
+// errDissolved marks a pair the delta dissolved: s and t are adjacent
+// (or the pair is otherwise invalid) on the new graph.
+var errDissolved = errors.New("server: pair dissolved by the delta")
+
+// repairEntry is the lock-free half of a migration: it settles any
+// pending spill restore (so the repair sees the entry's real state and
+// restoreOnce never races the swap), rebinds the pair's instance to the
+// new graph and repairs its session. A panic here is recovered into an
+// ErrInternal error, so one broken pair cannot unwind ApplyDelta after
+// the epoch is committed.
+func (sv *Server) repairEntry(ctx context.Context, e *entry, next *generation, dirty []graph.Node) (cs2 *core.Session, st engine.RepairStats, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			sv.ledger[ctrPanics].Add(1)
+			err = fmt.Errorf("%w: panic migrating pair (%d,%d): %v", ErrInternal, e.key.s, e.key.t, parallel.PanicValue(p))
+		}
+	}()
+	sv.ensureRestored(e)
+	in2, err := e.sess.Instance().RebindTo(next.g, next.scheme, dirty)
+	if err != nil {
+		return nil, st, fmt.Errorf("%w: %v", errDissolved, err)
+	}
+	return e.sess.RepairTo(ctx, in2, sv.lineage, next.graphFP, dirty)
 }
 
 // noteRepair ledgers one pool repair carried across epochs.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/weights"
 )
@@ -252,6 +253,60 @@ func TestApplyDeltaCancelledContext(t *testing.T) {
 			if got[i] != exp[i] {
 				t.Fatalf("answer %d differs from a cold server at epoch %d:\n got %s\nwant %s", i, sv.Epochs(), got[i], exp[i])
 			}
+		}
+	}
+}
+
+// TestApplyDeltaContainsMigrationPanic: a panic while one pair is
+// repaired stays with that pair. ApplyDelta returns normally, every
+// other pair is at the new epoch, the panic is counted, and the broken
+// pair is dropped, so it answers cold — like every other pair, exactly
+// as a server built on the new graph would.
+func TestApplyDeltaContainsMigrationPanic(t *testing.T) {
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 6)
+	d := testDelta(t, g, pairs, 2, 2)
+	g2, _, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := queryAll(t, New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2}), pairs, 1)
+	for _, workers := range []int{1, 2} {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: workers})
+		queryAll(t, sv, pairs, 1)
+		// A zero session has no instance: rebinding it to the new graph
+		// dereferences nil.
+		broken := pairs[len(pairs)/2]
+		sh := sv.shardFor(broken)
+		sh.mu.Lock()
+		sh.m[broken].sess = new(core.Session)
+		sh.mu.Unlock()
+
+		res, err := sv.ApplyDelta(context.Background(), d, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: ApplyDelta: %v", workers, err)
+		}
+		if res.PairsMigrated != len(pairs)-1 || res.PairsDropped != 0 {
+			t.Errorf("workers=%d: migrated %d, dropped %d; want %d and 0", workers, res.PairsMigrated, res.PairsDropped, len(pairs)-1)
+		}
+		if n := staleEntries(sv); n != 0 {
+			t.Fatalf("workers=%d: %d pairs left at the old epoch", workers, n)
+		}
+		st := sv.Stats()
+		if st.Panics != 1 {
+			t.Errorf("workers=%d: Stats.Panics = %d, want 1", workers, st.Panics)
+		}
+		sh.mu.Lock()
+		_, cached := sh.m[broken]
+		sh.mu.Unlock()
+		if cached {
+			t.Fatalf("workers=%d: the panicking pair is still cached", workers)
+		}
+		if got := queryAll(t, sv, pairs, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: answers after the contained panic differ from a cold server on the new graph", workers)
+		}
+		if created := sv.Stats().SessionsCreated - st.SessionsCreated; created != 1 {
+			t.Errorf("workers=%d: queries after the delta created %d sessions, want 1 (the broken pair, cold)", workers, created)
 		}
 	}
 }

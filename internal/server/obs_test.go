@@ -101,3 +101,29 @@ func TestServerObs(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedColdSolveRecordsFoldAndSolve: a cold Solve folds its pool
+// into a set-cover family and runs the greedy; both stages land on the
+// request's trace next to acquire, pmax and pool_grow.
+func TestTracedColdSolveRecordsFoldAndSolve(t *testing.T) {
+	g := testGraph(40, 60)
+	pk := validPairs(g, 1)[0]
+	o := obs.New()
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, Obs: o})
+	if _, err := sv.Solve(context.Background(), pk.s, pk.t, solveCfg); err != nil {
+		t.Fatal(err)
+	}
+	slowest := o.Tracer.Slowest()
+	if len(slowest) != 1 || slowest[0].Kind != "solve" {
+		t.Fatalf("retained traces %+v, want the one solve", slowest)
+	}
+	stages := map[string]int{}
+	for _, sp := range slowest[0].Spans {
+		stages[sp.Stage]++
+	}
+	for _, st := range []string{"acquire", "pmax", "pool_grow", "family_fold", "solve"} {
+		if stages[st] == 0 {
+			t.Errorf("cold solve trace has no %s span: %+v", st, slowest[0].Spans)
+		}
+	}
+}

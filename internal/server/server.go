@@ -4,12 +4,12 @@
 // where many friending queries are in flight against one social network
 // at once.
 //
-// Pair sessions (a core.Session plus a decorrelated evaluation-pool
-// session) are created on demand and cached in a map sharded across a
-// fixed number of locks (hash of the pair), so queries for distinct
-// pairs never contend on session lookup. Cached pools are evicted
-// least-recently-used under a configurable byte budget, sized by
-// engine.Pool.MemBytes.
+// Each pair is one core.Session — its solve pool, p_max ledger, V_max
+// and decorrelated evaluation pool — created on demand and cached in a
+// map sharded across a fixed number of locks (hash of the pair), so
+// queries for distinct pairs never contend on session lookup. Cached
+// sessions are evicted least-recently-used under a configurable byte
+// budget, sized by core.Session.MemBytes.
 //
 // Every result is a pure function of (seed, s, t): each pair's streams
 // derive from rng.DeriveStream(seed, nsPair, pack(s,t)), so an evicted
@@ -48,7 +48,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -163,25 +162,24 @@ func (k Kind) String() string {
 
 type pairKey struct{ s, t graph.Node }
 
-// entry is one cached pair: the solve session and its decorrelated
-// evaluation session. The LRU fields are guarded by Server.lruMu.
+// entry is one cached pair and its session. The LRU fields are guarded
+// by Server.lruMu.
 //
-// With a spill directory, a freshly created entry's sessions may be
+// With a spill directory, a freshly created entry's session may be
 // restored from disk. The restore runs behind restoreOnce on the first
 // acquirer AFTER the entry is published — off the shard lock, so a slow
 // disk never stalls unrelated pairs on the same shard; later acquirers
 // of the same pair block on the Once (they would block on the cold
-// pool's sampling otherwise). sess/eval are replaced only inside the
-// Once, which happens-before every use.
+// pool's sampling otherwise). sess is replaced only inside the Once,
+// which happens-before every use.
 type entry struct {
 	key  pairKey
 	sess *core.Session
-	eval *engine.Session
-	gen  *generation // the epoch the sessions were built (or migrated) for
+	gen  *generation // the epoch the session was built (or migrated) for
 
 	restoreOnce sync.Once
 	loaded      bool  // restored from a spill file; written inside restoreOnce
-	loadedDraws int64 // pool draws at restore time; written inside restoreOnce
+	loadedDraws int64 // HeldDraws at restore time; written inside restoreOnce
 
 	elem    *list.Element // position in the LRU list; nil when not listed
 	bytes   int64         // bytes currently charged against the budget
@@ -336,10 +334,7 @@ func (sv *Server) pin(kind Kind, s, t graph.Node) (*entry, error) {
 			sh.mu.Unlock()
 			return nil, err
 		}
-		seed := sv.pairSeed(k)
-		cs := core.NewSession(in, seed, sv.cfg.Workers)
-		cs.Engine().Bind(sv.lineage, gen.graphFP)
-		e = &entry{key: k, sess: cs, eval: cs.Engine().NewEvalSession(seed, sv.cfg.Workers), gen: gen}
+		e = &entry{key: k, sess: sv.newSession(k, in, gen), gen: gen}
 		sh.m[k] = e
 		sv.ledger[ctrSessionsCreated].Add(1)
 	}
@@ -357,6 +352,15 @@ func (sv *Server) pin(kind Kind, s, t graph.Node) (*entry, error) {
 	}
 	sv.lruMu.Unlock()
 	return e, nil
+}
+
+// newSession returns the pair's cold session at generation gen, its
+// engine bound to the lineage so ancestor-epoch spill blobs are adopted
+// and repaired on restore.
+func (sv *Server) newSession(k pairKey, in *ltm.Instance, gen *generation) *core.Session {
+	cs := core.NewSession(in, sv.pairSeed(k), sv.cfg.Workers)
+	cs.Engine().Bind(sv.lineage, gen.graphFP)
+	return cs
 }
 
 // release re-measures the entry's resident bytes, settles the ledger and
@@ -387,7 +391,7 @@ func (sv *Server) settle(e *entry) []*entry {
 		// written off; the session dies with the last in-flight holder.
 		return nil
 	}
-	mem := e.sess.MemBytes() + e.eval.MemBytes()
+	mem := e.sess.MemBytes()
 	sv.ledger[ctrBytesHeld].Add(mem - e.bytes)
 	e.bytes = mem
 	return sv.evictLocked()
@@ -426,10 +430,10 @@ func (sv *Server) evictLocked() []*entry {
 }
 
 // ensureRestored runs the entry's one-time spill restore. Every reader
-// of e.sess/e.eval must pass through it (acquire does; writeSpill does
+// of e.sess must pass through it (acquire does; writeSpill does
 // for SpillAll's sake): a concurrent Do blocks until the first finishes,
-// so nobody can observe the sessions while a partial-restore reset is
-// replacing them. A no-op once done, or without a spill directory.
+// so nobody can observe the session while a failed restore's reset is
+// replacing it. A no-op once done, or without a spill directory.
 func (sv *Server) ensureRestored(e *entry) {
 	if sv.cfg.SpillDir != "" {
 		e.restoreOnce.Do(func() { sv.restoreSpill(e) })
@@ -443,9 +447,9 @@ func (sv *Server) spillPath(k pairKey) string {
 	return filepath.Join(sv.cfg.SpillDir, fmt.Sprintf(spillPattern, k.s, k.t))
 }
 
-// writeSpill snapshots the entry's solve and evaluation pools into the
-// pair's spill file via snapshot.WriteFileFunc (write-temp + fsync +
-// rename, so a reader — or a crash — never observes a torn file).
+// writeSpill snapshots the entry's session into the pair's spill file
+// via snapshot.WriteFileFunc (write-temp + fsync + rename, so a reader —
+// or a crash — never observes a torn file).
 // Spilling is best-effort on the eviction path — on error the previous
 // file is left untouched, the eviction degrades to a plain discard, and
 // the failure is ledgered in SpillWriteErrors — but the error is
@@ -457,15 +461,10 @@ func (sv *Server) writeSpill(e *entry) error {
 	// of (seed, draws)): skip the redundant write — warming a spill dir
 	// larger than the byte budget would otherwise rewrite every
 	// over-budget file it just read.
-	if e.loaded && e.sess.PoolSize()+e.eval.Size()+e.sess.PmaxEstimator().Draws() == e.loadedDraws {
+	if e.loaded && e.sess.HeldDraws() == e.loadedDraws {
 		return nil
 	}
-	n, err := snapshot.WriteFileFunc(sv.spillPath(e.key), func(w io.Writer) error {
-		if err := e.sess.Snapshot(w); err != nil {
-			return err
-		}
-		return e.eval.Snapshot(w)
-	})
+	n, err := snapshot.WriteFileFunc(sv.spillPath(e.key), e.sess.Snapshot)
 	if err != nil {
 		sv.ledger[ctrSpillWriteErrors].Add(1)
 		return err
@@ -495,15 +494,15 @@ func (sv *Server) noteLoadError(err error) {
 }
 
 // restoreSpill loads the pair's spill file, if any, into its freshly
-// created sessions. Every failure mode — missing file aside — counts as
-// a load error (split by cause, see noteLoadError) and leaves the pair
-// wholly cold (a half-restored pair is reset, so the ledger matches
-// reality exactly); the pair then resamples lazily with byte-identical
-// pools. Restore validates the checksum, format version and stream
-// identity (seed and namespace) before adopting any bytes; a blob
-// written at an ancestor epoch is adopted and repaired through the
-// engine's bound lineage, and the repair bill is ledgered here. Runs
-// inside the entry's restoreOnce.
+// created session. Every failure mode — missing file aside — counts as
+// one load error (split by cause, see noteLoadError) and leaves the pair
+// wholly cold (a failed restore's session is replaced by a fresh one,
+// so the ledger matches reality exactly); the pair then resamples lazily
+// with byte-identical pools. Restore validates the checksum, format
+// version and stream identity (seed and namespace) before adopting any
+// bytes; a blob written at an ancestor epoch is adopted and repaired
+// through the engine's bound lineage, and the repair bill is ledgered
+// here. Runs inside the entry's restoreOnce.
 func (sv *Server) restoreSpill(e *entry) {
 	f, err := os.Open(sv.spillPath(e.key))
 	if err != nil {
@@ -530,23 +529,15 @@ func (sv *Server) restoreSpill(e *entry) {
 	// one call without paying for a large buffer on every load.
 	br := bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))
 	if err := e.sess.Restore(br); err != nil {
-		sv.noteLoadError(err)
-		return
-	}
-	if err := e.eval.Restore(br); err != nil {
-		// The solve pool loaded but the eval pool did not: drop the
-		// half-restored state (recreating the sessions is cheap and
-		// answer-invariant) so SpillLoads/SpillDrawsSaved count exactly
-		// the pairs that really came from disk.
-		seed := sv.pairSeed(e.key)
-		cs := core.NewSession(e.sess.Instance(), seed, sv.cfg.Workers)
-		cs.Engine().Bind(sv.lineage, e.gen.graphFP)
-		e.sess, e.eval = cs, cs.Engine().NewEvalSession(seed, sv.cfg.Workers)
+		// Drop whatever part of the file did load (a fresh session is
+		// cheap and answer-invariant), so SpillLoads/SpillDrawsSaved
+		// count exactly the pairs that really came from disk.
+		e.sess = sv.newSession(e.key, e.sess.Instance(), e.gen)
 		sv.noteLoadError(err)
 		return
 	}
 	e.loaded = true
-	e.loadedDraws = e.sess.PoolSize() + e.eval.Size() + e.sess.PmaxEstimator().Draws()
+	e.loadedDraws = e.sess.HeldDraws()
 	sv.ledger[ctrSpillLoads].Add(1)
 	sv.ledger[ctrSpillLoadBytes].Add(fi.Size())
 	sv.ledger[ctrSpillDrawsSaved].Add(e.loadedDraws)
@@ -668,11 +659,11 @@ type maxAnswer struct {
 // SolveMax runs the budgeted maximum variant for (s,t) against the
 // pair's cached solve pool (realizations ≤ 0 selects the default size)
 // and re-measures the chosen set on the pair's decorrelated evaluation
-// pool; see SolveMaxOn. Concurrent identical calls coalesce.
+// pool; see maxaf.SolveMaxOn. Concurrent identical calls coalesce.
 func (sv *Server) SolveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (*maxaf.Result, float64, error) {
 	a, err := run(ctx, sv, KindSolveMax, &sv.maxFlights, maxParams{s, t, budget, realizations}, func(ctx context.Context) (maxAnswer, error) {
 		return withPair(ctx, sv, KindSolveMax, s, t, func(e *entry) (maxAnswer, error) {
-			res, f, err := SolveMaxOn(ctx, e.sess, e.eval, budget, realizations)
+			res, f, err := maxaf.SolveMaxOn(ctx, e.sess, budget, realizations)
 			return maxAnswer{res, f}, err
 		})
 	})
@@ -687,74 +678,18 @@ type sweepAnswer struct {
 }
 
 // SolveMaxBudgets answers a whole budget sweep for (s,t) in one shot
-// against the pair's cached pools; see SolveMaxBudgetsOn. Results are
+// against the pair's cached pools; see maxaf.SolveMaxBudgetsOn. Results are
 // identical to calling SolveMax per budget. Concurrent identical calls
 // coalesce.
 func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) ([]*maxaf.Result, []float64, error) {
 	p := sweepParams{s, t, fmt.Sprint(budgets), realizations}
 	a, err := run(ctx, sv, KindSolveMax, &sv.sweepFlights, p, func(ctx context.Context) (sweepAnswer, error) {
 		return withPair(ctx, sv, KindSolveMax, s, t, func(e *entry) (sweepAnswer, error) {
-			res, fs, err := SolveMaxBudgetsOn(ctx, e.sess, e.eval, budgets, realizations)
+			res, fs, err := maxaf.SolveMaxBudgetsOn(ctx, e.sess, budgets, realizations)
 			return sweepAnswer{res, fs}, err
 		})
 	})
 	return a.res, a.fs, err
-}
-
-// SolveMaxOn runs the budgeted maximum variant against one pair's
-// sessions: the greedy runs on sess's pool of exactly realizations
-// draws (≤ 0 selects maxaf.DefaultRealizations), and the chosen set is
-// re-measured on eval's decorrelated draws. It returns the solver result
-// (whose CoveredFraction is the biased in-pool fraction) together with
-// the decorrelated estimate. Server.SolveMax and the public facade's
-// Session.SolveMax both answer through it.
-func SolveMaxOn(ctx context.Context, sess *core.Session, eval *engine.Session, budget int, realizations int64) (*maxaf.Result, float64, error) {
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := sess.Pool(ctx, l)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := maxaf.SolveFromPool(ctx, sess.Instance(), budget, pool)
-	if err != nil {
-		return nil, 0, err
-	}
-	f, err := eval.EstimateF(ctx, res.Invited, l)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, f, nil
-}
-
-// SolveMaxBudgetsOn is SolveMaxOn for a whole budget sweep: the budgeted
-// greedy runs against sess's pool with one reused solver (the pool's
-// set-cover family is folded once), and both the in-pool fractions and
-// the decorrelated estimates come from batched coverage queries — one
-// postings traversal per pool for the entire sweep.
-func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, eval *engine.Session, budgets []int, realizations int64) ([]*maxaf.Result, []float64, error) {
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := sess.Pool(ctx, l)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := maxaf.SolveBudgetsFromPool(ctx, sess.Instance(), budgets, pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	sets := make([]*graph.NodeSet, len(results))
-	for i, r := range results {
-		sets[i] = r.Invited
-	}
-	fs, err := eval.EstimateFMany(ctx, sets, l)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, fs, nil
 }
 
 // EstimateF estimates f(invited) for (s,t) as a coverage query against
@@ -763,7 +698,7 @@ func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, eval *engine.Ses
 func (sv *Server) EstimateF(ctx context.Context, s, t graph.Node, invited *graph.NodeSet, trials int64) (float64, error) {
 	return run(ctx, sv, KindEstimateF, nil, struct{}{}, func(ctx context.Context) (float64, error) {
 		return withPair(ctx, sv, KindEstimateF, s, t, func(e *entry) (float64, error) {
-			return e.eval.EstimateF(ctx, invited, trials)
+			return e.sess.Eval().EstimateF(ctx, invited, trials)
 		})
 	})
 }
@@ -775,7 +710,7 @@ func (sv *Server) EstimateF(ctx context.Context, s, t graph.Node, invited *graph
 func (sv *Server) Pmax(ctx context.Context, s, t graph.Node, trials int64) (float64, error) {
 	return run(ctx, sv, KindPmax, &sv.pmaxFlights, pmaxParams{s, t, trials}, func(ctx context.Context) (float64, error) {
 		return withPair(ctx, sv, KindPmax, s, t, func(e *entry) (float64, error) {
-			return e.eval.FractionType1(ctx, trials)
+			return e.sess.Eval().FractionType1(ctx, trials)
 		})
 	})
 }
@@ -799,7 +734,7 @@ func (sv *Server) PmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n flo
 	})
 }
 
-// PairHandle exposes a pair's cached sessions for harness use (the eval
+// PairHandle exposes a pair's cached session for harness use (the eval
 // experiments drive core.Session directly). Call Done after a batch of
 // operations so the server can settle the byte ledger and evict.
 type PairHandle struct {
@@ -807,7 +742,7 @@ type PairHandle struct {
 	e  *entry
 }
 
-// Pair returns a handle on the (s,t) sessions, creating them on demand.
+// Pair returns a handle on the (s,t) session, creating it on demand.
 func (sv *Server) Pair(s, t graph.Node) (*PairHandle, error) {
 	e, err := sv.acquire(context.Background(), KindAcquire, s, t)
 	if err != nil {
@@ -816,11 +751,11 @@ func (sv *Server) Pair(s, t graph.Node) (*PairHandle, error) {
 	return &PairHandle{sv: sv, e: e}, nil
 }
 
-// Core returns the pair's solve session.
+// Core returns the pair's session.
 func (h *PairHandle) Core() *core.Session { return h.e.sess }
 
-// Eval returns the pair's evaluation-pool session.
-func (h *PairHandle) Eval() *engine.Session { return h.e.eval }
+// Eval returns the pair's evaluation pool, Core().Eval().
+func (h *PairHandle) Eval() *engine.Session { return h.e.sess.Eval() }
 
 // Instance returns the pair's problem instance.
 func (h *PairHandle) Instance() *ltm.Instance { return h.e.sess.Instance() }

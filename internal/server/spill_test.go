@@ -429,3 +429,76 @@ func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
 		t.Fatalf("stats %+v, want %d stream-epoch load errors and no loads", st, len(pairs))
 	}
 }
+
+// TestSpillCorruptEvalSectionAnswersCold: a spill file whose evaluation
+// pool — the last pool blob, after the solve pool and the p_max ledger —
+// is corrupt fails the pair's restore as a whole. The server counts one
+// checksum load error, no load and no saved draws, and the pair answers
+// like a cold server's, resampling everything it holds.
+func TestSpillCorruptEvalSectionAnswersCold(t *testing.T) {
+	g := testGraph(40, 60)
+	pairs := validPairs(g, 1)
+	dir := t.TempDir()
+	writer := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
+	queryAll(t, writer, pairs, 1)
+	if err := writer.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	path := writer.spillPath(pairs[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the sections to the second pool blob and flip its last body
+	// byte, so only its checksum fails.
+	r := bytes.NewReader(data)
+	pools, evalEnd := 0, int64(-1)
+	for r.Len() > 0 && evalEnd < 0 {
+		head := data[len(data)-r.Len():]
+		switch {
+		case snapshot.IsTouch(head):
+			_, err = snapshot.ReadTouch(r)
+		case snapshot.IsPmax(head):
+			_, err = snapshot.ReadPmax(r)
+		default:
+			_, err = snapshot.Read(r)
+			if pools++; pools == 2 {
+				evalEnd = int64(len(data) - r.Len())
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evalEnd < 0 {
+		t.Fatal("spill file holds no evaluation pool")
+	}
+	data[evalEnd-9] ^= 0xff // the byte before the 8-byte footer
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
+	cold := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1})
+	got, want := queryAll(t, sv, pairs, 1), queryAll(t, cold, pairs, 1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pair with a corrupt eval section answers differently from a cold server:\n got %v\nwant %v", got, want)
+	}
+	st := sv.Stats()
+	if st.SpillLoadErrors != 1 || st.SpillLoadErrChecksum != 1 || st.SpillLoads != 0 || st.SpillDrawsSaved != 0 {
+		t.Fatalf("stats %+v, want exactly one checksum load error and no load", st)
+	}
+	h, err := sv.Pair(pairs[0].s, pairs[0].t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Done()
+	hc, err := cold.Pair(pairs[0].s, pairs[0].t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Done()
+	if got, want := h.Core().Engine().PoolDraws(), hc.Core().Engine().PoolDraws(); got != want {
+		t.Errorf("pair sampled %d pool draws, a cold pair %d: part of the spill file was kept", got, want)
+	}
+}

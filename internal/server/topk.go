@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rank"
-	"repro/internal/setcover"
 )
 
 // TopKQuery is one batched ranking request: rank Targets as friending
@@ -92,16 +90,16 @@ func (r *TopKResult) Winners() []int {
 // tier and delta migration all apply per candidate exactly as they do to
 // single-pair queries — an evicted candidate resamples (or restores) to
 // byte-identical pools, and the measured DrawsSpent ledgers the extra
-// bill. Within the batch, one solver scratch pool serves every
-// candidate's greedy (setcover.Solver.Rebind) and the engine's shared
-// chunk arenas serve every pool growth.
+// bill. Every candidate's greedy borrows from setcover's one solver
+// scratch pool, and the engine's shared chunk arenas serve every pool
+// growth.
 //
-// Purity: every candidate's score at effort l is the same pure function
-// of (Seed, S, target, Budget, l) that SolveMax computes, so a full-
-// budget run returns byte-identical winners, scores and invitation sets
-// to len(Targets) independent SolveMax calls, for any worker count and
-// any eviction schedule. Concurrent identical calls coalesce into one
-// execution (see run).
+// Purity: a candidate is scored at effort l by maxaf.SolveMaxOn, the
+// function SolveMax answers through, so a full-budget run returns
+// byte-identical winners, scores and invitation sets to len(Targets)
+// independent SolveMax calls, for any worker count and any eviction
+// schedule. Concurrent identical calls coalesce into one execution (see
+// run).
 func (sv *Server) TopK(ctx context.Context, q TopKQuery) (*TopKResult, error) {
 	p := topKParams{q.S, fmt.Sprint(q.Targets), q.K, q.Budget, q.Realizations, q.MaxDraws}
 	return run(ctx, sv, KindTopK, &sv.topKFlights, p, func(ctx context.Context) (*TopKResult, error) {
@@ -121,37 +119,17 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 	if q.Budget <= 0 {
 		return nil, fmt.Errorf("server: topk budget %d must be positive", q.Budget)
 	}
-	l := q.Realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
 	res := &TopKResult{Query: q, Candidates: make([]TopKCandidate, n)}
 	for i, t := range q.Targets {
 		res.Candidates[i].Target = t
 	}
 	var spent atomic.Int64
-	var solvers sync.Pool // *setcover.Solver scratch shared across the batch
 	scoreOne := func(ctx context.Context, e *entry, i int, effort int64) (float64, error) {
 		sv.ensureRestored(e)
 		eng := e.sess.Engine()
 		before := eng.PoolDraws()
 		defer func() { spent.Add(eng.PoolDraws() - before) }()
-		pool, err := e.sess.Pool(ctx, effort)
-		if err != nil {
-			return 0, err
-		}
-		var solver *setcover.Solver
-		if s, ok := solvers.Get().(*setcover.Solver); ok {
-			solver = s
-		}
-		mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.sess.Instance(), q.Budget, pool, solver)
-		if solver != nil {
-			solvers.Put(solver)
-		}
-		if err != nil {
-			return 0, err
-		}
-		f, err := e.eval.EstimateF(ctx, mres.Invited, effort)
+		mres, f, err := maxaf.SolveMaxOn(ctx, e.sess, q.Budget, effort)
 		if err != nil {
 			return 0, err
 		}
@@ -202,7 +180,7 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 	rr, err := rank.Run(ctx, rank.Config{
 		Candidates: n,
 		K:          q.K,
-		FullEffort: l,
+		FullEffort: maxaf.Realizations(q.Realizations),
 		MaxDraws:   q.MaxDraws,
 	}, score)
 	if err != nil {

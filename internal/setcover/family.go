@@ -49,8 +49,6 @@ type Family struct {
 
 	idxOff []int32 // element → folded-set ids, CSR over the universe
 	idxIDs []int32
-
-	solvers sync.Pool // *Solver scratch for the convenience Solve methods
 }
 
 // NewFamily folds and indexes the instance. The input is validated exactly
@@ -152,29 +150,47 @@ func (f *Family) MemBytes() int64 {
 		int64(cap(f.idxOff)) + int64(cap(f.idxIDs))) * 4
 }
 
-// Solve runs the minimum-marginal-union greedy at demand p using a pooled
-// Solver, so repeated calls against one Family are near-allocation-free.
-// Safe for concurrent use (each call draws its own scratch); for explicit
-// single-goroutine reuse, hold a NewSolver instead.
+// Solve runs the minimum-marginal-union greedy at demand p with a
+// borrowed Solver (see Borrow), so repeated calls are near-allocation-
+// free. Safe for concurrent use (each call borrows its own scratch).
 func (f *Family) Solve(p int) (*Solution, error) {
-	s := f.solver()
-	defer f.solvers.Put(s)
+	s := Borrow(f)
+	defer s.Release()
 	return s.Solve(p)
 }
 
-// SolveBudget runs the budgeted max-coverage greedy with a pooled Solver;
-// see Solve for the concurrency contract.
+// SolveBudget runs the budgeted max-coverage greedy with a borrowed
+// Solver; see Solve for the concurrency contract.
 func (f *Family) SolveBudget(budget int) (*Solution, error) {
-	s := f.solver()
-	defer f.solvers.Put(s)
+	s := Borrow(f)
+	defer s.Release()
 	return s.SolveBudget(budget)
 }
 
-func (f *Family) solver() *Solver {
-	if s, ok := f.solvers.Get().(*Solver); ok {
+// solvers is the one scratch pool every solve borrows from. A pooled
+// Solver keeps only its scratch: Release unbinds its family, so an idle
+// solver never pins a family (or the pool it was folded from) in memory.
+var solvers sync.Pool // *Solver
+
+// Borrow returns a Solver bound to f, re-binding pooled scratch from an
+// earlier solve when there is some (see rebind: results are identical to
+// a fresh NewSolver's). Solves against many families in turn — a TopK
+// batch's candidates, a server's pairs — thereby reuse one set of
+// marginal, bucket and bitset storage. Call Release when done; the
+// Solver must not be used after that.
+func Borrow(f *Family) *Solver {
+	if s, ok := solvers.Get().(*Solver); ok {
+		s.rebind(f)
 		return s
 	}
 	return NewSolver(f)
+}
+
+// Release returns a borrowed Solver's scratch to the pool, dropping its
+// family and trace first.
+func (s *Solver) Release() {
+	s.f, s.tr = nil, nil
+	solvers.Put(s)
 }
 
 // Solver holds all mutable scratch of the greedy solvers — marginals,
@@ -201,8 +217,8 @@ type Solver struct {
 // Solve/SolveBudget calls record one solve span each. A nil tr (the
 // default) disables recording at zero cost — the narrow hook that lets a
 // serving layer time greedy solves without setcover knowing about
-// requests. The trace does not survive Rebind's family swap; callers
-// rebinding per query set it alongside.
+// requests. Release clears it, so a borrowed solver never records into
+// an earlier borrower's trace.
 func (s *Solver) SetTrace(tr *obs.Trace) { s.tr = tr }
 
 // NewSolver returns a solver with scratch sized for the family.
@@ -216,18 +232,15 @@ func NewSolver(f *Family) *Solver {
 	}
 }
 
-// Rebind repoints the solver at another family, growing scratch only when
-// the new family needs more of it. The batched ranking path holds one
-// Solver across many candidates' pools and rebinds it per pool, so the
-// marginal/bucket/bitset storage amortizes across the whole batch instead
-// of being reallocated per candidate. Solutions are identical to a fresh
+// rebind repoints the solver at another family, growing scratch only when
+// the new family needs more of it, so pooled marginal/bucket/bitset
+// storage amortizes across every family Borrow hands it to. Solutions are identical to a fresh
 // NewSolver's: every solve re-derives its state in reset, and the union
 // bitset stays valid because epochs are monotone — every stale entry was
 // written at an earlier epoch, so it can never match a future one (a
 // newly grown bitset holds zeros, which no live epoch ever equals).
-func (s *Solver) Rebind(f *Family) {
+func (s *Solver) rebind(f *Family) {
 	s.f = f
-	s.tr = nil // a pooled solver must not leak spans into a later query's trace
 	if n := f.NumFolded(); cap(s.marg) < n {
 		s.marg = make([]int32, n)
 	} else {

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // --- Pre-PR reference implementation ---------------------------------------
@@ -413,7 +415,7 @@ func TestSolverRebindParity(t *testing.T) {
 		if roaming == nil {
 			roaming = NewSolver(fam)
 		} else {
-			roaming.Rebind(fam)
+			roaming.rebind(fam)
 		}
 		fresh := NewSolver(fam)
 		n := inst.NumSets()
@@ -525,6 +527,38 @@ func TestFoldCollision(t *testing.T) {
 		}
 		if !solutionsEqual(got, want) {
 			t.Fatalf("p=%d under total hash collision: %+v != %+v", p, got, want)
+		}
+	}
+}
+
+// TestBorrowReleaseUnbinds: a borrowed solver solves like a fresh one
+// whatever family it served before, and Release drops its family and
+// trace, so an idle pooled solver pins neither.
+func TestBorrowReleaseUnbinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for round := 0; round < 20; round++ {
+		inst := realizationInstance(rng, 50+rng.Intn(800))
+		fam, err := NewFamily(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Borrow(fam)
+		s.SetTrace(obs.NewTracer(1).Start("test"))
+		p := 1 + inst.NumSets()/2
+		got, err := s.Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewSolver(fam).Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !solutionsEqual(got, want) {
+			t.Fatalf("round %d: borrowed %+v != fresh %+v", round, got, want)
+		}
+		s.Release()
+		if s.f != nil || s.tr != nil {
+			t.Fatalf("round %d: released solver still holds family %p / trace %p", round, s.f, s.tr)
 		}
 	}
 }

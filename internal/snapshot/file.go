@@ -2,95 +2,15 @@ package snapshot
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 )
 
-// File is an open snapshot file: one or more consecutive snapshots
-// backed by an mmap'd region (linux) or an in-memory copy (elsewhere).
-// Touches[i] is the touch section following Pools[i], nil when the pool
-// carries none; interleaved p_max sections are validated and skipped.
-// The pools alias the backing bytes; Close only after every pool loaded
-// from the file is out of use.
-type File struct {
-	Pools   []*Pool
-	Touches []*TouchSet
-	unmap   func() error
-}
-
-// OpenFile opens path and decodes every snapshot in it zero-copy. Any
-// decode error (truncation, checksum, version skew) fails the whole
-// open, so a caller can treat the file as atomically valid or fall back
-// to resampling.
-func OpenFile(path string) (*File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	data, unmap, err := mapFile(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	mf := &File{unmap: unmap}
-	for rest := data; len(rest) > 0; {
-		var n int64
-		var err error
-		switch {
-		case IsTouch(rest):
-			var ts *TouchSet
-			ts, n, err = DecodeTouchNext(rest)
-			if err == nil {
-				if len(mf.Pools) == 0 {
-					err = fmt.Errorf("%w: touch section before any pool", ErrFormat)
-				} else {
-					mf.Touches[len(mf.Pools)-1] = ts
-				}
-			}
-		case IsPmax(rest):
-			// A p_max ledger rides along in spill files; validate the
-			// header and skip — File indexes pools only.
-			var numSucc int64
-			_, numSucc, err = parsePmaxHeader(rest)
-			n = encodedSizePmax(numSucc)
-			if err == nil && n > int64(len(rest)) {
-				err = fmt.Errorf("%w: pmax section claims %d bytes, have %d", ErrFormat, n, len(rest))
-			}
-		default:
-			var p *Pool
-			p, n, err = DecodeNext(rest)
-			if err == nil {
-				mf.Pools = append(mf.Pools, p)
-				mf.Touches = append(mf.Touches, nil)
-			}
-		}
-		if err != nil {
-			unmap()
-			return nil, fmt.Errorf("snapshot %d in %s: %w", len(mf.Pools), path, err)
-		}
-		rest = rest[n:]
-	}
-	return mf, nil
-}
-
-// Close releases the backing region. The file's pools (and anything
-// aliasing them, e.g. engine pools opened zero-copy) must not be used
-// afterwards.
-func (f *File) Close() error {
-	if f.unmap == nil {
-		return nil
-	}
-	u := f.unmap
-	f.unmap = nil
-	return u()
-}
-
 // WriteFileFunc atomically replaces path with whatever write produces:
 // the content goes to a temporary file in the same directory, is
-// fsynced, and renamed into place, so readers (including live mmaps of
-// the previous version) never observe a torn file. Returns the bytes
+// fsynced, and renamed into place, so a reader never observes a torn
+// file. Returns the bytes
 // written. On any error the previous file is left untouched.
 func WriteFileFunc(path string, write func(io.Writer) error) (int64, error) {
 	dir, base := filepath.Split(path)
@@ -118,17 +38,4 @@ func WriteFileFunc(path string, write func(io.Writer) error) (int64, error) {
 		return 0, err
 	}
 	return st.Size(), os.Rename(tmp.Name(), path)
-}
-
-// WriteFile atomically replaces path with the given snapshots (see
-// WriteFileFunc).
-func WriteFile(path string, pools ...*Pool) (int64, error) {
-	return WriteFileFunc(path, func(w io.Writer) error {
-		for _, p := range pools {
-			if err := Write(w, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

@@ -2,8 +2,8 @@
 // realization pool (the flat path arena, int32 offsets, per-path draw
 // indices, universe and total draw count, plus the seed and stream
 // namespace that produced it) to a versioned, checksummed, little-endian
-// binary blob, and loads it back either by copy (Read) or zero-copy over
-// a caller-owned byte slice such as an mmap'd file (Decode / OpenFile).
+// binary blob, and loads it back either by copy from a stream (Read) or
+// zero-copy over a caller-owned byte slice (Decode / DecodeNext).
 //
 // Because pool contents are a pure function of (seed, namespace, total)
 // — the engine's chunked-sampling determinism contract — a loaded pool
@@ -285,8 +285,8 @@ func parseHeader(b []byte) (header, error) {
 
 // aligned4 / aligned8 report whether the slice data at b[off:] sits at
 // the natural alignment for the element width; zero-copy casting is only
-// done when it does (an mmap base is page-aligned and sections are laid
-// out aligned, but Decode also accepts arbitrary caller slices).
+// done when it does (sections are laid out aligned, but Decode accepts
+// arbitrary caller slices).
 func aligned(b []byte, off int64, width int64) bool {
 	if int64(len(b)) <= off {
 		return true // empty section; never dereferenced
@@ -297,9 +297,8 @@ func aligned(b []byte, off int64, width int64) bool {
 // Decode parses one snapshot at the start of data, which must contain
 // exactly one blob (DecodeNext accepts trailing bytes). On little-endian
 // hosts the returned pool's slices alias data — the caller must keep
-// data immutable and alive (an mmap'd region must stay mapped) for the
-// pool's lifetime; on other hosts or misaligned input the sections are
-// copied.
+// data immutable and alive for the pool's lifetime; on other hosts or
+// misaligned input the sections are copied.
 func Decode(data []byte) (*Pool, error) {
 	p, n, err := DecodeNext(data)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -226,49 +224,6 @@ func TestDecodeMisaligned(t *testing.T) {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
 		checkEqual(t, got, p)
-	}
-}
-
-func TestOpenFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pools.afsnap")
-	a, b := testPool(21, 600, 50), testPool(22, 100, 50)
-	n, err := WriteFile(path, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != n {
-		t.Fatalf("WriteFile reported %d bytes, file has %d", n, st.Size())
-	}
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if len(f.Pools) != 2 {
-		t.Fatalf("decoded %d pools, want 2", len(f.Pools))
-	}
-	checkEqual(t, f.Pools[0], a)
-	checkEqual(t, f.Pools[1], b)
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A corrupted file must fail the whole open.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 1
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFile(path); err == nil {
-		t.Fatal("corrupted file opened")
 	}
 }
 
