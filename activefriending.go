@@ -439,10 +439,11 @@ func (s *Session) SolveMax(ctx context.Context, budget int, realizations int64) 
 
 // SolveMaxBudgets answers SolveMax for every budget in one shot against
 // the session's cached pool: the pool's set-cover family is folded once,
-// one solver's scratch is reused across the sweep, and both the TrainF
-// and EstimatedF measurements are batched coverage queries — one postings
-// traversal per pool for the whole sweep. Results are identical to
-// calling SolveMax per budget.
+// one solver's scratch is reused across the sweep, TrainF is each
+// greedy's own covered tally, and the EstimatedF measurements are one
+// batched coverage query — one postings traversal of the evaluation pool
+// for the whole sweep. Results are identical to calling SolveMax per
+// budget.
 func (s *Session) SolveMaxBudgets(ctx context.Context, budgets []int, realizations int64) ([]*MaxSolution, error) {
 	results, fs, err := maxaf.SolveMaxBudgetsOn(ctx, s.core, budgets, realizations)
 	if err != nil {
@@ -739,9 +740,10 @@ func (sv *Server) SolveMax(ctx context.Context, s, t Node, budget int, realizati
 
 // SolveMaxBudgets answers a whole SolveMax budget sweep for (s, t) in one
 // shot: the pair's pool is folded into a set-cover family once, one
-// solver is reused across budgets, and the TrainF / EstimatedF
-// measurements are batched coverage queries (one postings traversal per
-// pool). Results are identical to calling SolveMax per budget.
+// solver is reused across budgets, TrainF is each greedy's own covered
+// tally and the EstimatedF measurements are one batched coverage query
+// (one postings traversal of the evaluation pool). Results are identical
+// to calling SolveMax per budget.
 func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t Node, budgets []int, realizations int64) ([]*MaxSolution, error) {
 	results, fs, err := sv.sv.SolveMaxBudgets(ctx, s, t, budgets, realizations)
 	if err != nil {

@@ -579,6 +579,32 @@ func BenchmarkMaxAFSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveMaxBudgetSweep is a warm pair's budget sweep: budgets
+// {1, 2, 4, 8} through maxaf.SolveBudgetsFromPool against one 4,000-draw
+// pool whose set-cover family is already folded.
+func BenchmarkSolveMaxBudgetSweep(b *testing.B) {
+	in := benchInstance(b)
+	ctx := context.Background()
+	pool, err := engine.New(in).SamplePool(ctx, 4000, 0, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pool.NumType1() == 0 {
+		b.Fatal("no type-1 realizations")
+	}
+	if _, err := pool.Family(); err != nil {
+		b.Fatal(err)
+	}
+	budgets := []int{1, 2, 4, 8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := maxaf.SolveBudgetsFromPool(ctx, in, budgets, pool); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- PR 3: amortized solve-path benchmarks ---------------------------------
 
 // benchSolvePool samples one 20k-draw pool for the repeated-solve and

@@ -152,12 +152,8 @@ func TestRAFConfigValidation(t *testing.T) {
 }
 
 func TestRAFAlphaOneReturnsVmax(t *testing.T) {
-	g := randomConnected(55, 18, 22)
-	s, tt := graph.Node(0), graph.Node(17)
-	if g.HasEdge(s, tt) {
-		t.Skip("adjacent pair")
-	}
-	in := mustInstance(t, g, s, tt)
+	// (0, 17) is not adjacent here; an adjacent pair fails mustInstance.
+	in := mustInstance(t, randomConnected(1, 18, 22), 0, 17)
 	res, err := oneShotRAF(context.Background(), in, Config{Alpha: 1, Eps: 0.5, N: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +255,7 @@ func TestRAFMeetsGuarantee(t *testing.T) {
 		}
 	}
 	if checked == 0 {
-		t.Skip("no usable random pair")
+		t.Fatal("no usable random pair")
 	}
 }
 
@@ -281,12 +277,7 @@ func TestRAFOverrideL(t *testing.T) {
 
 // TestRAFDeterministic: identical configs yield identical invitation sets.
 func TestRAFDeterministic(t *testing.T) {
-	g := randomConnected(101, 20, 24)
-	s, tt := graph.Node(0), graph.Node(19)
-	if g.HasEdge(s, tt) {
-		t.Skip("adjacent pair")
-	}
-	in := mustInstance(t, g, s, tt)
+	in := mustInstance(t, randomConnected(101, 20, 24), 0, 19)
 	cfg := Config{Alpha: 0.3, Eps: 0.05, N: 50, Seed: 77, Workers: 3,
 		MaxRealizations: 20000, MaxPmaxDraws: 300000}
 	ctx := context.Background()

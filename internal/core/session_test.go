@@ -18,14 +18,12 @@ import (
 )
 
 // sessionTestInstance returns a random instance with a comfortably
-// positive p_max.
+// positive p_max. Its pair (0, 23) is not adjacent; ltm.NewInstance
+// rejects an adjacent pair, so a fixture change that made it adjacent
+// fails every test using it instead of skipping them.
 func sessionTestInstance(t *testing.T) *ltm.Instance {
 	t.Helper()
-	g := randomConnected(13, 24, 30)
-	if g.HasEdge(0, 23) {
-		t.Skip("adjacent s,t")
-	}
-	return mustInstance(t, g, 0, 23)
+	return mustInstance(t, randomConnected(1, 24, 30), 0, 23)
 }
 
 // TestSessionAlphaSweepSamplesPoolOnce is the Session's headline
@@ -191,7 +189,7 @@ func TestSessionPmaxTruncatedNotReused(t *testing.T) {
 	cfg.MaxPmaxDraws = 50 // far below the stopping-rule threshold
 	first, err := sess.RAF(ctx, cfg)
 	if err != nil {
-		t.Skipf("tiny budget found no successes: %v", err)
+		t.Fatalf("tiny budget found no successes: %v", err)
 	}
 	if first.PmaxDraws != 50 {
 		t.Fatalf("PmaxDraws = %d, want truncation at 50", first.PmaxDraws)
@@ -215,13 +213,6 @@ func TestSessionPmaxTruncatedNotReused(t *testing.T) {
 	}
 }
 
-// pmaxTestInstance is sessionTestInstance on a seed whose (0,23) pair is
-// never adjacent, so the estimator tests cannot skip.
-func pmaxTestInstance(t *testing.T) *ltm.Instance {
-	t.Helper()
-	return mustInstance(t, randomConnected(1, 24, 30), 0, 23)
-}
-
 // TestSessionPmaxRefinementReusesDraws: a solve needing a tighter ε₀
 // (here: a larger α tightens ε₀ through the equation system is not
 // guaranteed, so the estimator is driven directly) extends the session's
@@ -229,7 +220,7 @@ func pmaxTestInstance(t *testing.T) *ltm.Instance {
 // refined estimate is identical to a cold session's estimate at the
 // tight accuracy.
 func TestSessionPmaxRefinementReusesDraws(t *testing.T) {
-	in := pmaxTestInstance(t)
+	in := sessionTestInstance(t)
 	ctx := context.Background()
 
 	cold := NewSession(in, 5, 4)
@@ -274,7 +265,7 @@ func TestSessionPmaxRefinementReusesDraws(t *testing.T) {
 // reuses the stopping-rule draws; a seed-mismatched snapshot leaves the
 // whole session cold with identical answers.
 func TestSessionSnapshotCarriesPmaxState(t *testing.T) {
-	in := pmaxTestInstance(t)
+	in := sessionTestInstance(t)
 	ctx := context.Background()
 	cfg := Config{Alpha: 0.3, Eps: 0.05, N: 100, OverrideL: 3000, MaxPmaxDraws: 500000}
 
@@ -340,7 +331,7 @@ func TestSessionSnapshotCarriesPmaxState(t *testing.T) {
 // session answers EstimateF identically without sampling, and a corrupt
 // or missing evaluation section fails the restore.
 func TestSessionSnapshotCarriesEvalPool(t *testing.T) {
-	in := pmaxTestInstance(t)
+	in := sessionTestInstance(t)
 	ctx := context.Background()
 	const trials = 4000
 
@@ -415,7 +406,7 @@ func TestSessionSnapshotCarriesEvalPool(t *testing.T) {
 // sequential answer at its accuracy — concurrency is a scheduling event,
 // never a correctness one.
 func TestSessionPmaxConcurrentEstimates(t *testing.T) {
-	in := pmaxTestInstance(t)
+	in := sessionTestInstance(t)
 	ctx := context.Background()
 	epss := []float64{0.3, 0.2, 0.15, 0.1}
 

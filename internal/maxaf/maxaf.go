@@ -74,10 +74,10 @@ func SolveMaxOn(ctx context.Context, sess *core.Session, budget int, realization
 }
 
 // SolveMaxBudgetsOn is SolveMaxOn for a whole budget sweep: the greedy
-// runs once per budget against sess's pool (folded once), and both the
-// in-pool fractions and the decorrelated estimates come from batched
-// coverage queries — one postings traversal per pool for the entire
-// sweep. Results are identical to calling SolveMaxOn per budget.
+// runs once per budget against sess's pool (folded once), and the
+// decorrelated estimates come from one batched coverage query — one
+// postings traversal of the evaluation pool for the entire sweep.
+// Results are identical to calling SolveMaxOn per budget.
 func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, budgets []int, realizations int64) ([]*Result, []float64, error) {
 	l := Realizations(realizations)
 	pool, err := sess.Pool(ctx, l)
@@ -100,50 +100,30 @@ func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, budgets []int, r
 }
 
 // SolveFromPool runs the budgeted max-coverage greedy against an existing
-// realization pool, through the pool's cached set-cover family: repeated
-// budget solves on one pool (budget searches, server traffic) fold and
-// index the paths exactly once. A trace on ctx (obs.WithTrace) gets
-// family_fold and solve stage spans; tracing off costs nothing.
+// realization pool; it is SolveBudgetsFromPool for one budget.
 func SolveFromPool(ctx context.Context, in *ltm.Instance, budget int, pool *engine.Pool) (*Result, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("maxaf: budget %d must be positive", budget)
-	}
-	if pool.NumType1() == 0 {
-		return nil, fmt.Errorf("%w: no type-1 realization in %d draws", core.ErrTargetUnreachable, pool.Total())
-	}
-	fam, err := pool.FamilyCtx(ctx)
+	results, err := SolveBudgetsFromPool(ctx, in, []int{budget}, pool)
 	if err != nil {
-		return nil, fmt.Errorf("maxaf: set family: %w", err)
+		return nil, err
 	}
-	solver := setcover.Borrow(fam)
-	defer solver.Release()
-	solver.SetTrace(obs.TraceFrom(ctx))
-	sol, err := solver.SolveBudget(budget)
-	if err != nil {
-		return nil, fmt.Errorf("maxaf: budgeted cover: %w", err)
-	}
-	invited := graph.NewNodeSet(in.Graph().NumNodes())
-	for _, v := range sol.Union {
-		invited.Add(v)
-	}
-	return &Result{
-		Invited:         invited,
-		CoveredFraction: float64(sol.Covered) / float64(pool.Total()),
-		PoolType1:       pool.NumType1(),
-	}, nil
+	return results[0], nil
 }
 
 // SolveBudgetsFromPool runs the budgeted greedy for every budget against
-// one pool, amortizing everything amortizable: the pool's set-cover
-// family is folded once (cached on the pool), one borrowed Solver's
-// scratch is reused across the whole sweep, and the in-pool covered
-// fractions are re-measured in one batched coverage query
-// (Index.CoverageCounts) against the pool's inverted index instead of
-// one scan per budget.
-// Results are identical to calling SolveFromPool per budget.
+// one pool, through the pool's cached set-cover family: repeated budget
+// solves on one pool (budget sweeps, server traffic) fold and index the
+// paths exactly once, and one borrowed Solver's scratch serves the whole
+// sweep. Each in-pool covered fraction is the greedy's own Covered tally.
+// A trace on ctx (obs.WithTrace) gets family_fold and solve stage spans;
+// tracing off costs nothing.
 func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, pool *engine.Pool) ([]*Result, error) {
 	if len(budgets) == 0 {
 		return nil, fmt.Errorf("maxaf: no budgets given")
+	}
+	for _, b := range budgets {
+		if b <= 0 {
+			return nil, fmt.Errorf("maxaf: budget %d must be positive", b)
+		}
 	}
 	if pool.NumType1() == 0 {
 		return nil, fmt.Errorf("%w: no type-1 realization in %d draws", core.ErrTargetUnreachable, pool.Total())
@@ -156,12 +136,8 @@ func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, 
 	defer solver.Release()
 	solver.SetTrace(obs.TraceFrom(ctx))
 	results := make([]*Result, len(budgets))
-	sets := make([]*graph.NodeSet, len(budgets))
 	n := in.Graph().NumNodes()
 	for i, b := range budgets {
-		if b <= 0 {
-			return nil, fmt.Errorf("maxaf: budget %d must be positive", b)
-		}
 		sol, err := solver.SolveBudget(b)
 		if err != nil {
 			return nil, fmt.Errorf("maxaf: budgeted cover: %w", err)
@@ -170,15 +146,11 @@ func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, 
 		for _, v := range sol.Union {
 			invited.Add(v)
 		}
-		sets[i] = invited
-		results[i] = &Result{Invited: invited, PoolType1: pool.NumType1()}
-	}
-	// One batched postings traversal re-measures every chosen set; the
-	// counts coincide with the greedy's own Covered tallies (regression-
-	// tested), so this is a cross-check as much as a measurement.
-	counts := pool.Index().CoverageCounts(sets)
-	for i, c := range counts {
-		results[i].CoveredFraction = float64(c) / float64(pool.Total())
+		results[i] = &Result{
+			Invited:         invited,
+			CoveredFraction: float64(sol.Covered) / float64(pool.Total()),
+			PoolType1:       pool.NumType1(),
+		}
 	}
 	return results, nil
 }

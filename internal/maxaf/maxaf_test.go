@@ -224,6 +224,44 @@ func TestSolveBudgetsFromPoolParity(t *testing.T) {
 	}
 }
 
+// TestSweepCoveredMatchesPoolCoverage: the sweep's in-pool fraction is
+// the greedy's Covered tally, and re-measuring each chosen set against
+// the pool's inverted index in one batched query counts the same draws.
+func TestSweepCoveredMatchesPoolCoverage(t *testing.T) {
+	in := mustInstance(t, randomConnected(4, 40, 60), 0, 39)
+	pool, err := engine.New(in).SamplePool(context.Background(), 12000, 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := pool.Family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []int{1, 2, 3, 5, 8, 13, 21, 40}
+	sweep, err := SolveBudgetsFromPool(context.Background(), in, budgets, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make([]int, len(budgets))
+	sets := make([]*graph.NodeSet, len(budgets))
+	for i, b := range budgets {
+		sol, err := fam.SolveBudget(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered[i] = sol.Covered
+		sets[i] = graph.NewNodeSetOf(in.Graph().NumNodes(), sol.Union...)
+	}
+	for i, c := range pool.Index().CoverageCounts(sets) {
+		if c != int64(covered[i]) {
+			t.Errorf("budget %d: index counts %d covered draws, greedy tallied %d", budgets[i], c, covered[i])
+		}
+		if want := float64(c) / float64(pool.Total()); sweep[i].CoveredFraction != want {
+			t.Errorf("budget %d: sweep fraction %v, pool measures %v", budgets[i], sweep[i].CoveredFraction, want)
+		}
+	}
+}
+
 // TestSolveMaxOnMeasuresOnEvalPool: SolveMaxOn solves on the session's
 // pool of exactly l draws — the pool a one-shot SamplePool at the same
 // seed returns — and its estimate is the evaluation pool's measurement

@@ -115,7 +115,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		}
 	case "solvemax":
 		// A "budgets" list answers the whole sweep from one pool fold and
-		// two batched coverage queries; "budget" answers a single solve.
+		// one batched coverage query; "budget" answers a single solve.
 		if len(req.Budgets) > 0 {
 			rs, fs, err2 := d.sv.SolveMaxBudgets(ctx, req.S, req.T, req.Budgets, req.Realizations)
 			err = err2

@@ -10,10 +10,12 @@ import "fmt"
 //
 // The greedy repeatedly commits the folded set with the best density —
 // covered multiplicity per newly added element — among those fitting the
-// remaining budget (the classic budgeted-max-coverage rule). Marginals
-// only shrink as the union grows, so densities only improve; every
-// decrement re-files the set in a lazy max-heap and stale entries are
-// skipped on pop.
+// remaining budget (the classic budgeted-max-coverage rule; ties go to the
+// smaller marginal, then the smaller set id). Only sets that fit are
+// tracked: one small heap per marginal value c ≤ remaining budget, ordered
+// by multiplicity, so each step compares at most budget bucket tops.
+// Marginals only shrink as the union grows, so a decrement re-files a set
+// in its new, lower bucket and the stale entry is skipped when it surfaces.
 //
 // This is the one-shot convenience wrapper: it folds the instance into a
 // Family and solves once. For repeated solves on one family, build the
@@ -29,67 +31,55 @@ func GreedyBudget(inst *Instance, budget int) (*Solution, error) {
 	return fam.SolveBudget(budget)
 }
 
-type densityEntry struct {
-	id      int32
-	marg    int
-	density float64
+// bucketBefore orders the sets of one marginal bucket: larger multiplicity
+// first, then smaller id. Within a bucket the density is mult/c for a
+// common c, so this is the greedy's (density desc, id asc) order.
+func (s *Solver) bucketBefore(a, b int32) bool {
+	ma, mb := s.f.mult[a], s.f.mult[b]
+	return ma > mb || ma == mb && a < b
 }
 
-// densityHeap is a max-heap on density (ties: smaller marginal first,
-// then smaller id for determinism). The sift routines mirror
-// container/heap exactly — same swaps, same pop order — but operate on
-// the concrete type, so pushes in the solver's hot loop never box an
-// entry into an interface.
-type densityHeap []densityEntry
-
-func (h densityHeap) less(i, j int) bool {
-	if h[i].density != h[j].density {
-		return h[i].density > h[j].density
+// bucketInit heap-orders a freshly filled bucket in O(len).
+func (s *Solver) bucketInit(h []int32) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		s.bucketDown(h, i)
 	}
-	if h[i].marg != h[j].marg {
-		return h[i].marg < h[j].marg
+}
+
+// bucketPush adds set j to bucket h and returns the grown bucket.
+func (s *Solver) bucketPush(h []int32, j int32) []int32 {
+	h = append(h, j)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.bucketBefore(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return h[i].id < h[j].id
+	return h
 }
 
-func (h *densityHeap) push(x densityEntry) {
-	*h = append(*h, x)
-	h.up(len(*h) - 1)
+// bucketPop removes bucket h's top and returns the shrunk bucket.
+func (s *Solver) bucketPop(h []int32) []int32 {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	s.bucketDown(h, 0)
+	return h
 }
 
-func (h *densityHeap) pop() densityEntry {
-	n := len(*h) - 1
-	(*h)[0], (*h)[n] = (*h)[n], (*h)[0]
-	h.down(0, n)
-	x := (*h)[n]
-	*h = (*h)[:n]
-	return x
-}
-
-func (h densityHeap) up(j int) {
+func (s *Solver) bucketDown(h []int32, i int) {
 	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
+		j := 2*i + 1
+		if j >= len(h) {
+			return
 		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h densityHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
+		if r := j + 1; r < len(h) && s.bucketBefore(h[r], h[j]) {
+			j = r
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !h.less(j, i) {
-			break
+		if !s.bucketBefore(h[j], h[i]) {
+			return
 		}
 		h[i], h[j] = h[j], h[i]
 		i = j

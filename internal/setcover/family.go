@@ -194,9 +194,10 @@ func (s *Solver) Release() {
 }
 
 // Solver holds all mutable scratch of the greedy solvers — marginals,
-// the bucket queue, the density heap and the epoch-versioned union bitset
-// — sized once for its Family and reused across solves, so a repeated
-// solve allocates nothing beyond the returned Solution.
+// the per-marginal buckets, the epoch-versioned union bitset and the union
+// being built — sized once for its Family and reused across solves, so a
+// repeated solve allocates nothing beyond the returned Solution and its
+// Union.
 //
 // A Solver must NOT be shared across goroutines; it serializes nothing.
 // Concurrent solving is done with one Solver per goroutine against the
@@ -206,8 +207,8 @@ type Solver struct {
 	tr      *obs.Trace // solve-stage spans; nil (the default) records nothing
 	marg    []int32    // uncovered-element count per folded set
 	done    []bool     // folded set fully covered
-	buckets [][]int32  // bucket queue: sets keyed by current marginal
-	heap    densityHeap
+	buckets [][]int32  // sets keyed by current marginal (a heap per bucket in SolveBudget)
+	union   []int32    // the union under construction, copied out sorted
 
 	inUnion []uint32 // element e is in the union iff inUnion[e] == epoch
 	epoch   uint32
@@ -266,7 +267,7 @@ func (s *Solver) rebind(f *Family) {
 }
 
 // reset prepares the per-solve scratch: a fresh union epoch and re-derived
-// marginals. The bucket queue and heap keep their capacity.
+// marginals. The buckets and union scratch keep their capacity.
 func (s *Solver) reset() {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: clear and restart
@@ -303,6 +304,7 @@ func (s *Solver) Solve(p int) (*Solution, error) {
 	}
 
 	sol := &Solution{Demand: p}
+	union := s.union[:0]
 	// Empty sets (possible in principle) are covered from the start.
 	for j := range s.marg {
 		if s.marg[j] == 0 && !s.done[j] {
@@ -342,7 +344,7 @@ func (s *Solver) Solve(p int) (*Solution, error) {
 				continue
 			}
 			s.inUnion[e] = s.epoch
-			sol.Union = append(sol.Union, e)
+			union = append(union, e)
 			for _, k := range f.containing(e) {
 				if s.done[k] {
 					continue
@@ -361,13 +363,32 @@ func (s *Solver) Solve(p int) (*Solution, error) {
 		}
 		// j itself reached marginal 0 via the loop above.
 	}
-	slices.Sort(sol.Union)
+	sol.Union = s.takeUnion(union)
 	return sol, nil
+}
+
+// takeUnion keeps u as the solver's union scratch and returns a sorted,
+// exact-size copy of it (nil when nothing was added).
+func (s *Solver) takeUnion(u []int32) []int32 {
+	s.union = u
+	if len(u) == 0 {
+		return nil
+	}
+	slices.Sort(u)
+	return slices.Clone(u)
 }
 
 // SolveBudget runs the budgeted max-coverage greedy (best covered
 // multiplicity per newly added element, among sets fitting the remaining
 // budget), bit-identical to the one-shot GreedyBudget.
+//
+// Only sets that fit are tracked. Bucket c ≤ min(remaining, maxSize) is a
+// heap of the live sets with marginal c, best multiplicity on top; each
+// step takes the bucket top with the best density mult/c, a tie going to
+// the smaller c. That is the order (density desc, marginal asc, id asc)
+// over every live set whose marginal fits the remaining budget. A set
+// that no longer fits can fit again only after a decrement, which
+// re-files it; one that reaches marginal 0 counts as covered.
 func (s *Solver) SolveBudget(budget int) (*Solution, error) {
 	f := s.f
 	if budget <= 0 {
@@ -377,48 +398,63 @@ func (s *Solver) SolveBudget(budget int) (*Solution, error) {
 	defer sp.End()
 	s.reset()
 	sol := &Solution{}
-	s.heap = s.heap[:0]
-	for j := range s.marg {
-		if s.marg[j] == 0 {
+	top := min(budget, f.maxSize)
+	for c := 1; c <= top; c++ {
+		s.buckets[c] = s.buckets[c][:0]
+	}
+	for j, m := range s.marg {
+		if m == 0 {
 			s.done[j] = true
 			sol.Covered += int(f.mult[j])
-			continue
+		} else if int(m) <= top {
+			s.buckets[m] = append(s.buckets[m], int32(j))
 		}
-		s.heap.push(densityEntry{id: int32(j), marg: int(s.marg[j]), density: float64(f.mult[j]) / float64(s.marg[j])})
 	}
-	remaining := budget
-	for len(s.heap) > 0 && remaining > 0 {
-		entry := s.heap.pop()
-		j := entry.id
-		if s.done[j] || int(s.marg[j]) != entry.marg {
-			continue // stale: a fresher entry exists (or the set is covered)
+	for c := 1; c <= top; c++ {
+		s.bucketInit(s.buckets[c])
+	}
+	union := s.union[:0]
+	for remaining := budget; remaining > 0; {
+		best, bestC, bestD := int32(-1), 0, 0.0
+		for c := 1; c <= min(remaining, top); c++ {
+			h := s.buckets[c]
+			for len(h) > 0 && int(s.marg[h[0]]) != c {
+				h = s.bucketPop(h) // stale: covered (marginal 0) or re-filed lower
+			}
+			s.buckets[c] = h
+			if len(h) == 0 {
+				continue
+			}
+			if d := float64(f.mult[h[0]]) / float64(c); best < 0 || d > bestD {
+				best, bestC, bestD = h[0], c, d
+			}
 		}
-		if int(s.marg[j]) > remaining {
-			// Doesn't fit now; future decrements re-push it.
-			continue
+		if best < 0 {
+			break // nothing left fits
 		}
+		s.buckets[bestC] = s.bucketPop(s.buckets[bestC])
 		sol.Picked++
-		for _, e := range f.set(int(j)) {
+		for _, e := range f.set(int(best)) {
 			if s.inUnion[e] == s.epoch {
 				continue
 			}
 			s.inUnion[e] = s.epoch
-			sol.Union = append(sol.Union, e)
+			union = append(union, e)
 			remaining--
 			for _, k := range f.containing(e) {
 				if s.done[k] {
 					continue
 				}
 				s.marg[k]--
-				if s.marg[k] == 0 {
+				if m := s.marg[k]; m == 0 {
 					s.done[k] = true
 					sol.Covered += int(f.mult[k])
-				} else {
-					s.heap.push(densityEntry{id: k, marg: int(s.marg[k]), density: float64(f.mult[k]) / float64(s.marg[k])})
+				} else if int(m) <= remaining {
+					s.buckets[m] = s.bucketPush(s.buckets[m], k)
 				}
 			}
 		}
 	}
-	slices.Sort(sol.Union)
+	sol.Union = s.takeUnion(union)
 	return sol, nil
 }
