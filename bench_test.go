@@ -311,14 +311,7 @@ func BenchmarkVmax(b *testing.B) {
 		run(b, []*ltm.Instance{benchInstance(b)})
 	})
 	b.Run("wiki_scale1", func(b *testing.B) {
-		d, err := gen.DatasetByName("Wiki")
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := d.Generate(1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := wikiScale1(b)
 		w := weights.NewDegree(g)
 		r := rand.New(rand.NewSource(1))
 		var ins []*ltm.Instance
@@ -330,6 +323,21 @@ func BenchmarkVmax(b *testing.B) {
 		}
 		run(b, ins)
 	})
+}
+
+// wikiScale1 generates the full Wiki analog (7,115 nodes), the graph
+// afbench serves.
+func wikiScale1(b *testing.B) *graph.Graph {
+	b.Helper()
+	d, err := gen.DatasetByName("Wiki")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Generate(1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 // BenchmarkSetcoverGreedy measures the MSC greedy on a realization-shaped
@@ -675,6 +683,47 @@ func BenchmarkRepeatedSolvesRebuild(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkFamilyFold measures the set-cover fold a cold pair pays
+// after a spill restore: setcover.NewFamily over a 2,000-draw solve pool
+// of one Wiki scale-1 pair (the afbench graph and pool size), restored
+// from its snapshot bytes. One op is one fold and index build.
+func BenchmarkFamilyFold(b *testing.B) {
+	g := wikiScale1(b)
+	w := weights.NewDegree(g)
+	r := rand.New(rand.NewSource(1))
+	var pool *engine.Pool
+	for pool == nil || pool.NumType1() < 500 {
+		in, err := ltm.NewInstance(g, w, graph.Node(r.Intn(g.NumNodes())), graph.Node(r.Intn(g.NumNodes())))
+		if err != nil {
+			continue
+		}
+		sess := engine.New(in).NewSession(7, 0)
+		if _, err := sess.Pool(context.Background(), 2000); err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sess.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		restored, err := engine.OpenSession(engine.New(in), &buf, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pool, err = restored.Pool(context.Background(), 2000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	inst := pool.SetcoverInstance()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := setcover.NewFamily(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pool.NumType1()), "paths")
 }
 
 // benchQuerySets builds the batched-coverage workload: 8 invitation sets

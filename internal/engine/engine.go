@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -198,11 +199,12 @@ func (e *Engine) addPmaxDraws(n int64) {
 }
 
 // chunkPaths holds the type-1 paths of one sampled chunk in local CSR
-// form: path j is arena[offsets[j]:offsets[j+1]] and was produced by the
-// chunk-local draw drawIdx[j]. The draw indices are what let an
-// assembled pool serve truncated prefix views (Pool.Truncate) at any
-// draw count, independent of how large the cache has grown, and what
-// let repair splice re-drawn groups between adopted ones.
+// form: path j is arena[offsets[j]:offsets[j+1]], sorted ascending, and
+// was produced by the chunk-local draw drawIdx[j]. The draw indices are
+// what let an assembled pool serve truncated prefix views
+// (Pool.Truncate) at any draw count, independent of how large the cache
+// has grown, and what let repair splice re-drawn groups between adopted
+// ones.
 type chunkPaths struct {
 	draws   int64
 	arena   []graph.Node
@@ -308,7 +310,11 @@ func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, o
 		for i := lo; i < hi; i++ {
 			tg := sp.SampleTGView(&st)
 			if tg.Outcome == realization.Type1 {
+				// Stored ascending: only the path's node set matters
+				// (Lemma 2), and the set-cover fold reads it sorted.
+				start := len(arena)
 				arena = append(arena, tg.Path...)
+				sortPath(arena[start:])
 				offsets = append(offsets, int32(len(arena)))
 				drawIdx = append(drawIdx, int32(i))
 			}
@@ -316,6 +322,23 @@ func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, o
 		cp.arena, cp.offsets, cp.drawIdx = arena, offsets, drawIdx
 	})
 	return cp
+}
+
+// sortPath sorts a freshly drawn path ascending. Most paths are a
+// handful of nodes, where an inline insertion sort is cheaper than
+// slices.Sort; long ones go to slices.Sort.
+func sortPath(p []graph.Node) {
+	if len(p) > 32 {
+		slices.Sort(p)
+		return
+	}
+	for k := 1; k < len(p); k++ {
+		v, j := p[k], k
+		for ; j > 0 && p[j-1] > v; j-- {
+			p[j] = p[j-1]
+		}
+		p[j] = v
+	}
 }
 
 // drawGroups runs the group loop both touch-recording kernels share,

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -129,7 +132,8 @@ func TestPoolWorkerCountIndependence(t *testing.T) {
 // perPathPool rebuilds the pre-engine representation — one freshly
 // allocated []graph.Node per type-1 path — from the documented stream
 // layout: group g (GroupSize draws) of chunk c reads the stream
-// (seed, nsPool, c·ChunkSize/GroupSize + g) from its start.
+// (seed, nsPool, c·ChunkSize/GroupSize + g) from its start. Each path
+// is the sorted walk: pools store a path's node set ascending.
 func perPathPool(in *ltm.Instance, l, seed int64) [][]graph.Node {
 	var paths [][]graph.Node
 	sp := realization.NewSampler(in)
@@ -142,6 +146,7 @@ func perPathPool(in *ltm.Instance, l, seed int64) [][]graph.Node {
 			st := rng.DerivedStream(seed, nsPool, uint64(chunk*(ChunkSize/GroupSize)+g))
 			for i := lo; i < min(lo+GroupSize, l); i++ {
 				if tg := sp.SampleTG(&st); tg.Outcome == realization.Type1 {
+					slices.Sort(tg.Path)
 					paths = append(paths, tg.Path)
 				}
 			}
@@ -151,7 +156,8 @@ func perPathPool(in *ltm.Instance, l, seed int64) [][]graph.Node {
 }
 
 // TestCSRAgreesWithPerPathPool checks the CSR pool against the old
-// per-path representation: identical paths, identical coverage counts.
+// per-path representation: identical (sorted) paths, identical coverage
+// counts.
 func TestCSRAgreesWithPerPathPool(t *testing.T) {
 	in := testInstance(t)
 	const l, seed = 5000, 42
@@ -538,6 +544,142 @@ func TestTruncatedViewMatchesOneShot(t *testing.T) {
 		all.Fill()
 		if got, want := view.EstimateF(all), oneShot.EstimateF(all); got != want {
 			t.Errorf("l=%d: view EstimateF(V) = %v, one-shot %v", l, got, want)
+		}
+	}
+}
+
+// referencePostings is newIndex's inversion before it dropped the
+// universe-sized cursor array: forward fill with a next[] cursor per
+// node.
+func referencePostings(p *Pool) (nodes []graph.Node, off, ids []int32) {
+	t1 := p.NumType1()
+	off = make([]int32, p.universe+1)
+	for _, v := range p.arena[:p.offsets[t1]] {
+		off[v+1]++
+	}
+	for v := 0; v < p.universe; v++ {
+		if off[v+1] > 0 {
+			nodes = append(nodes, graph.Node(v))
+		}
+		off[v+1] += off[v]
+	}
+	ids = make([]int32, p.offsets[t1])
+	next := make([]int32, p.universe)
+	for i := 0; i < t1; i++ {
+		for _, v := range p.Path(i) {
+			ids[off[v]+next[v]] = int32(i)
+			next[v]++
+		}
+	}
+	return nodes, off, ids
+}
+
+// mustCanonicalPool checks that every path of p is strictly ascending
+// and in the universe, and that p's coverage index holds exactly the
+// reference postings.
+func mustCanonicalPool(t *testing.T, label string, p *Pool) {
+	t.Helper()
+	for i := 0; i < p.NumType1(); i++ {
+		path := p.Path(i)
+		for k, v := range path {
+			if v < 0 || int(v) >= p.universe || (k > 0 && v <= path[k-1]) {
+				t.Fatalf("%s: path %d = %v is not a strictly ascending node set", label, i, path)
+			}
+		}
+	}
+	nodes, off, ids := referencePostings(p)
+	ix := p.Index()
+	if !slices.Equal(ix.nodes, nodes) || !slices.Equal(ix.off, off) || !slices.Equal(ix.ids, ids) {
+		t.Fatalf("%s: index postings differ from the reference build", label)
+	}
+}
+
+// TestPoolPathsAscending: pools hold every path as its ascending node
+// set after one-shot sampling, growth, truncation, repair across a delta,
+// restore from a snapshot and adopt-and-repair of an ancestor snapshot,
+// for any worker count; each pool's index matches the reference build.
+func TestPoolPathsAscending(t *testing.T) {
+	ctx := context.Background()
+	const l = 2*ChunkSize + 500
+	ran := 0
+	for _, workers := range []int{1, 2, 8} {
+		for trial := int64(0); trial < 3; trial++ {
+			label := func(what string) string { return fmt.Sprintf("workers=%d trial=%d %s", workers, trial, what) }
+			pool := func(s *Session, n int64) *Pool {
+				t.Helper()
+				p, err := s.Pool(ctx, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			r := rand.New(rand.NewSource(trial))
+			g := randomConnected(7+trial, 40, 60)
+			if g.HasEdge(0, 39) {
+				continue
+			}
+			in := mustInstance(t, g, 0, 39)
+			gfp1 := GraphFingerprint(g, in.Weights())
+			lin := NewLineage(gfp1)
+			e := New(in)
+			e.Bind(lin, gfp1)
+
+			oneShot, err := e.SamplePool(ctx, l, workers, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCanonicalPool(t, label("one-shot"), oneShot)
+			sess := e.NewSession(5, workers)
+			mustCanonicalPool(t, label("small"), pool(sess, l/3))
+			mustCanonicalPool(t, label("grown"), pool(sess, l))
+			mustCanonicalPool(t, label("truncated"), pool(sess, l/2))
+			data := snapshotOf(t, sess)
+
+			restored, err := OpenSession(New(in), bytes.NewReader(data), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCanonicalPool(t, label("restored"), pool(restored, l))
+			mustCanonicalPool(t, label("restored, grown"), pool(restored, l+ChunkSize+7))
+
+			in2, dirty := applyDelta(t, in, randomDelta(r, g, 0, 39, 2, 2))
+			gfp2 := GraphFingerprint(in2.Graph(), in2.Weights())
+			lin.Advance(gfp2, dirty)
+			repaired, _, err := sess.RepairTo(ctx, New(in2), dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCanonicalPool(t, label("repaired"), pool(repaired, l))
+			mustCanonicalPool(t, label("repaired, truncated"), pool(repaired, l/2))
+
+			e2 := New(in2)
+			e2.Bind(lin, gfp2)
+			adopted, err := OpenSession(e2, bytes.NewReader(data), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCanonicalPool(t, label("adopted"), pool(adopted, l))
+			ran++
+		}
+	}
+	if ran < 6 {
+		t.Fatalf("only %d of 9 cases had a non-adjacent pair", ran)
+	}
+}
+
+// TestSortPath: sortPath orders distinct node ids like slices.Sort on
+// both sides of its insertion-sort cutoff.
+func TestSortPath(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for n := 0; n <= 80; n++ {
+		p := make([]graph.Node, n)
+		for i, v := range r.Perm(4 * (n + 1))[:n] {
+			p[i] = graph.Node(v)
+		}
+		want := slices.Sorted(slices.Values(p))
+		sortPath(p)
+		if !slices.Equal(p, want) {
+			t.Fatalf("n=%d: sortPath = %v, want %v", n, p, want)
 		}
 	}
 }

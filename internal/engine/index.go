@@ -58,25 +58,31 @@ type Index struct {
 
 func newIndex(p *Pool) *Index {
 	t1 := p.NumType1()
+	// off[v] first counts v's postings, then (prefix sums) marks the end
+	// of v's list; the fill below walks paths back to front, moving each
+	// off[v] down to the start of v's list, so every list comes out
+	// ascending without a graph-sized cursor array. Scan only the arena
+	// prefix the pool's paths occupy: a truncated view shares its
+	// parent's full arena but owns fewer paths.
 	off := make([]int32, p.universe+1)
-	// Scan only the arena prefix the pool's paths occupy: a truncated
-	// view shares its parent's full arena but owns fewer paths.
 	for _, v := range p.arena[:p.offsets[t1]] {
-		off[v+1]++
+		off[v]++
 	}
 	var nodes []graph.Node
+	var end int32
 	for v := 0; v < p.universe; v++ {
-		if off[v+1] > 0 {
+		if off[v] > 0 {
 			nodes = append(nodes, graph.Node(v))
 		}
-		off[v+1] += off[v]
+		end += off[v]
+		off[v] = end
 	}
-	ids := make([]int32, p.offsets[t1])
-	next := make([]int32, p.universe)
-	for i := 0; i < t1; i++ {
+	off[p.universe] = end
+	ids := make([]int32, end)
+	for i := t1 - 1; i >= 0; i-- {
 		for _, v := range p.Path(i) {
-			ids[off[v]+next[v]] = int32(i)
-			next[v]++
+			off[v]--
+			ids[off[v]] = int32(i)
 		}
 	}
 	ix := &Index{

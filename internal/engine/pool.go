@@ -15,7 +15,10 @@ import (
 // type-1 backward paths live in one flat arena, so a pool of hundreds of
 // thousands of realizations costs two allocations instead of one per
 // path. Path i is arena[offsets[i]:offsets[i+1]] and was produced by
-// draw pathDraw[i] (ascending).
+// draw pathDraw[i] (ascending). Each path is stored as its node set,
+// sorted ascending when its chunk is sealed, not in walk order: t(g)
+// counts only as a set (Lemma 2), and the sorted form is the canonical
+// one the set-cover fold hashes without copying.
 //
 // Pool contents are a pure function of (seed, l) — chunked sampling makes
 // them independent of the worker count (see Engine.SamplePool), and
@@ -68,8 +71,9 @@ func (p *Pool) NumType1() int { return len(p.offsets) - 1 }
 // Universe returns the node-id bound of the underlying graph.
 func (p *Pool) Universe() int { return p.universe }
 
-// Path returns the i-th type-1 backward path t(g). The slice aliases the
-// pool's arena and must not be modified.
+// Path returns the node set of the i-th type-1 backward path t(g),
+// ascending (strictly: a backward walk never revisits a node). The
+// slice aliases the pool's arena and must not be modified.
 func (p *Pool) Path(i int) []graph.Node {
 	return p.arena[p.offsets[i]:p.offsets[i+1]]
 }

@@ -96,9 +96,19 @@ func (d *Dispatcher) DispatchLine(ctx context.Context, line []byte) Response {
 }
 
 // Dispatch answers one decoded request. The reply's Code classifies
-// failures for the transport; its body is transport-independent.
-func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
-	resp := Response{ID: req.ID, Op: req.Op}
+// failures for the transport; its body is transport-independent. A
+// panic while answering is contained to the request: it answers with
+// an error wrapping server.ErrInternal and counts in Stats.Panics. The
+// gated queries contain their own (server.run); this catches one in
+// the ops the pipeline does not cover, delta and stats, before it
+// reaches the transport's goroutine.
+func (d *Dispatcher) Dispatch(ctx context.Context, req Request) (resp Response) {
+	defer func() {
+		if p := recover(); p != nil {
+			resp = Response{ID: req.ID, Op: req.Op, Error: d.sv.PanicError(p).Error(), code: CodeError}
+		}
+	}()
+	resp = Response{ID: req.ID, Op: req.Op}
 	trials := req.Trials
 	if trials <= 0 {
 		trials = defaultTrials

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/weights"
 )
@@ -194,4 +196,52 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Errorf("accepted future version %d", req.V)
 		}
 	})
+}
+
+// TestDispatchContainsUngatedPanic: a panic in an op the query pipeline
+// does not gate — here a stats read whose metrics snapshot calls a
+// panicking gauge — answers its own request with ErrInternal and counts
+// in af_panics_total; the dispatcher goes on answering normally.
+func TestDispatchContainsUngatedPanic(t *testing.T) {
+	ctx := context.Background()
+	o := obs.New()
+	d := testDispatcher(t, server.Config{Seed: 7, Obs: o})
+	var armed atomic.Bool
+	o.Registry.GaugeFunc("test_injected_panic", "panics while armed", func() float64 {
+		if armed.Load() {
+			panic("injected stats panic")
+		}
+		return 0
+	})
+	armed.Store(true)
+	resp := d.Dispatch(ctx, Request{ID: 4, Op: "stats"})
+	if resp.OK || resp.Code() != CodeError || resp.ID != 4 || resp.Op != "stats" ||
+		!strings.Contains(resp.Error, server.ErrInternal.Error()) || !strings.Contains(resp.Error, "injected stats panic") {
+		t.Fatalf("panicking stats reply: %+v code %v", resp, resp.Code())
+	}
+	armed.Store(false)
+
+	if resp := d.Dispatch(ctx, Request{ID: 5, Op: "pmax", S: 0, T: 5, Trials: 2000}); !resp.OK {
+		t.Fatalf("query after a contained panic: %+v", resp)
+	}
+	resp = d.Dispatch(ctx, Request{ID: 6, Op: "stats"})
+	if !resp.OK {
+		t.Fatalf("stats after a contained panic: %+v", resp)
+	}
+	st := resp.Result.(StatsWithMetrics)
+	if st.Panics != 1 {
+		t.Errorf("Stats.Panics = %d, want 1", st.Panics)
+	}
+	found := false
+	for _, s := range st.Metrics {
+		if s.Name == "af_panics_total" {
+			found = true
+			if s.Value != 1 {
+				t.Errorf("af_panics_total = %v, want 1", s.Value)
+			}
+		}
+	}
+	if !found {
+		t.Error("af_panics_total missing from the metrics snapshot")
+	}
 }

@@ -133,6 +133,15 @@ func solveParamsOf(s, t graph.Node, cfg core.Config) solveParams {
 // keeps serving, and Stats.Panics counts it.
 var ErrInternal = errors.New("server: internal error")
 
+// PanicError counts a recovered panic in Stats.Panics and returns the
+// ErrInternal error its request answers with. run calls it for the
+// gated queries; a transport calls it for a panic in an op run does not
+// cover, such as a graph delta or a stats read.
+func (sv *Server) PanicError(p any) error {
+	sv.ledger[ctrPanics].Add(1)
+	return fmt.Errorf("%w: panic: %v", ErrInternal, parallel.PanicValue(p))
+}
+
 // run is the one pipeline every gated query passes through. It times
 // the request from entry, admits it through the gate, then joins an
 // identical open flight in fl or opens one that executes fn under a
@@ -155,8 +164,7 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 	exec := func() (v T, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				sv.ledger[ctrPanics].Add(1)
-				err = fmt.Errorf("%w: panic: %v", ErrInternal, parallel.PanicValue(p))
+				err = sv.PanicError(p)
 			}
 		}()
 		if so := sv.obs; so != nil {

@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -427,6 +430,82 @@ func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
 	st := stale.Stats()
 	if st.SpillLoadErrStream != int64(len(pairs)) || st.SpillLoadErrors != st.SpillLoadErrStream || st.SpillLoads != 0 {
 		t.Fatalf("stats %+v, want %d stream-epoch load errors and no loads", st, len(pairs))
+	}
+}
+
+// downgradeSpill rewrites every pool blob of a spill file as format
+// version 1 wrote it — each path in walk order (here: descending), a
+// version 1 header and a valid checksum — and keeps the touch and p_max
+// sections as they are.
+func downgradeSpill(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	r := bytes.NewReader(data)
+	var out bytes.Buffer
+	for r.Len() > 0 {
+		start := len(data) - r.Len()
+		switch head := data[start:]; {
+		case snapshot.IsTouch(head):
+			_, err = snapshot.ReadTouch(r)
+		case snapshot.IsPmax(head):
+			_, err = snapshot.ReadPmax(r)
+		default:
+			var p *snapshot.Pool
+			if p, err = snapshot.Read(r); err != nil {
+				break
+			}
+			for i := 0; i < p.NumPaths(); i++ {
+				slices.Reverse(p.Arena[p.Offsets[i]:p.Offsets[i+1]])
+			}
+			var blob bytes.Buffer
+			if err = snapshot.Write(&blob, p); err != nil {
+				break
+			}
+			b := blob.Bytes()
+			binary.LittleEndian.PutUint32(b[8:], 1)
+			binary.LittleEndian.PutUint32(b[len(b)-8:], crc32.Checksum(b[:len(b)-8], castagnoli))
+			out.Write(b)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(data[start : len(data)-r.Len()])
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillVersion1AnswersCold: spill files whose pools were written by
+// format version 1, paths in walk order, are rejected on load as
+// version errors, and the pairs then answer exactly like a cold
+// server's.
+func TestSpillVersion1AnswersCold(t *testing.T) {
+	g := testGraph(40, 60)
+	pairs := validPairs(g, 3)
+	dir := t.TempDir()
+	writer := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
+	queryAll(t, writer, pairs, 1)
+	if err := writer.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range pairs {
+		downgradeSpill(t, writer.spillPath(pk))
+	}
+	old := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
+	got := queryAll(t, old, pairs, 1)
+	want := queryAll(t, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1}), pairs, 1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs restored from version 1 spill files answer differently from a cold server:\n got %v\nwant %v", got, want)
+	}
+	st := old.Stats()
+	if st.SpillLoadErrVersion != int64(len(pairs)) || st.SpillLoadErrors != st.SpillLoadErrVersion || st.SpillLoads != 0 {
+		t.Fatalf("stats %+v, want %d version load errors and no loads", st, len(pairs))
 	}
 }
 

@@ -54,72 +54,113 @@ type Family struct {
 // NewFamily folds and indexes the instance. The input is validated exactly
 // as Greedy validates it: malformed CSR offsets, double encodings and
 // out-of-universe elements all return ErrBadInstance.
+//
+// The fold is one pass over the sets. A set that is already strictly
+// ascending — every realization-pool path, which the engine stores
+// sorted — is hashed and compared in place; only a set that is not is
+// copied, sorted and de-duplicated first. Distinct sets are found through
+// a map from hash to the newest folded id with that hash plus a chain of
+// older ids, so folding a new distinct set allocates nothing.
 func NewFamily(inst *Instance) (*Family, error) {
 	if err := inst.validate(); err != nil {
 		return nil, err
 	}
 	nsets := inst.NumSets()
-	f := &Family{
-		universe: inst.UniverseSize,
-		numSets:  nsets,
-		off:      make([]int32, 1, nsets+1),
-	}
-	// hash → folded ids with that hash; equality is verified on every
-	// probe, so hash collisions cost a comparison, never correctness.
-	buckets := make(map[uint64][]int32, nsets)
-	var elemBuf []int32
+	// reps[j] is folded set j's canonical elements: an input set itself,
+	// or a range of fixed, which holds sorted copies of the input sets
+	// that were not. chain[j] is the next-older folded id with reps[j]'s
+	// hash, -1 at the end; first maps a hash to the newest. Hash
+	// collisions cost a comparison, never correctness.
+	reps := make([][]int32, 0, nsets)
+	mult := make([]int32, 0, nsets)
+	chain := make([]int32, 0, nsets)
+	first := make(map[uint64]int32, nsets)
+	var fixed []int32
+	total, maxSize := 0, 0
 probe:
 	for i := 0; i < nsets; i++ {
-		elemBuf = append(elemBuf[:0], inst.set(i)...)
-		slices.Sort(elemBuf)
-		// Drop intra-set duplicates and validate range.
-		out := elemBuf[:0]
-		var prev int32 = -1
-		for _, e := range elemBuf {
-			if e < 0 || int(e) >= inst.UniverseSize {
-				return nil, fmt.Errorf("%w: element %d outside universe [0,%d)", ErrBadInstance, e, inst.UniverseSize)
-			}
-			if e != prev {
-				out = append(out, e)
-				prev = e
-			}
+		set := inst.set(i)
+		mark := len(fixed)
+		if !strictlyAscending(set) {
+			fixed = append(fixed, set...)
+			slices.Sort(fixed[mark:])
+			set = slices.Compact(fixed[mark:])
+			fixed = fixed[:mark+len(set)]
 		}
-		elemBuf = out
-		h := hashElems(elemBuf)
-		for _, j := range buckets[h] {
-			if slices.Equal(f.set(int(j)), elemBuf) {
-				f.mult[j]++
+		if len(set) > 0 && (set[0] < 0 || int(set[len(set)-1]) >= inst.UniverseSize) {
+			e := set[0]
+			if e >= 0 {
+				e = set[len(set)-1]
+			}
+			return nil, fmt.Errorf("%w: element %d outside universe [0,%d)", ErrBadInstance, e, inst.UniverseSize)
+		}
+		h := hashElems(set)
+		head, ok := first[h]
+		if !ok {
+			head = -1
+		}
+		for j := head; j >= 0; j = chain[j] {
+			if slices.Equal(reps[j], set) {
+				mult[j]++
+				fixed = fixed[:mark] // a duplicate keeps no copy
 				continue probe
 			}
 		}
-		j := int32(len(f.mult))
-		f.elems = append(f.elems, elemBuf...)
+		first[h] = int32(len(reps))
+		reps = append(reps, set)
+		mult = append(mult, 1)
+		chain = append(chain, head)
+		total += len(set)
+		maxSize = max(maxSize, len(set))
+	}
+	f := &Family{
+		universe: inst.UniverseSize,
+		numSets:  nsets,
+		elems:    make([]int32, 0, total),
+		off:      make([]int32, 1, len(reps)+1),
+		mult:     make([]int32, len(mult)),
+		maxSize:  maxSize,
+	}
+	copy(f.mult, mult)
+	for _, set := range reps {
+		f.elems = append(f.elems, set...)
 		f.off = append(f.off, int32(len(f.elems)))
-		f.mult = append(f.mult, 1)
-		buckets[h] = append(buckets[h], j)
-		if len(elemBuf) > f.maxSize {
-			f.maxSize = len(elemBuf)
-		}
 	}
 	f.buildIndex()
 	return f, nil
 }
 
-// buildIndex inverts the folded family over the universe.
+// strictlyAscending reports whether set is sorted with no repeats — the
+// canonical form the fold hashes as is.
+func strictlyAscending(set []int32) bool {
+	for k := 1; k < len(set); k++ {
+		if set[k] <= set[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// buildIndex inverts the folded family over the universe. idxOff[e]
+// first counts e's sets, then marks the end of e's list; filling back to
+// front moves each idxOff[e] down to the list's start, so every list
+// comes out ascending without a separate cursor array.
 func (f *Family) buildIndex() {
 	f.idxOff = make([]int32, f.universe+1)
 	for _, e := range f.elems {
-		f.idxOff[e+1]++
+		f.idxOff[e]++
 	}
+	var end int32
 	for e := 0; e < f.universe; e++ {
-		f.idxOff[e+1] += f.idxOff[e]
+		end += f.idxOff[e]
+		f.idxOff[e] = end
 	}
+	f.idxOff[f.universe] = end
 	f.idxIDs = make([]int32, len(f.elems))
-	next := make([]int32, f.universe)
-	for j := range f.mult {
+	for j := len(f.mult) - 1; j >= 0; j-- {
 		for _, e := range f.set(j) {
-			f.idxIDs[f.idxOff[e]+next[e]] = int32(j)
-			next[e]++
+			f.idxOff[e]--
+			f.idxIDs[f.idxOff[e]] = int32(j)
 		}
 	}
 }

@@ -3,9 +3,11 @@ package setcover
 import (
 	"container/heap"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -267,6 +269,150 @@ func referenceGreedyBudget(inst *Instance, budget int) (*Solution, error) {
 }
 
 // --- Parity tests ----------------------------------------------------------
+
+// referenceNewFamily is NewFamily before paths were stored sorted: it
+// copies and sorts every set, keeps hash buckets as a map of id slices
+// and inverts the fold with a universe-sized cursor array. NewFamily must
+// build the same Family — sets, multiplicities, first-appearance order
+// and postings — from any instance.
+func referenceNewFamily(inst *Instance) (*Family, error) {
+	if err := inst.validate(); err != nil {
+		return nil, err
+	}
+	nsets := inst.NumSets()
+	f := &Family{
+		universe: inst.UniverseSize,
+		numSets:  nsets,
+		off:      make([]int32, 1, nsets+1),
+	}
+	buckets := make(map[uint64][]int32, nsets)
+	var elemBuf []int32
+probe:
+	for i := 0; i < nsets; i++ {
+		elemBuf = append(elemBuf[:0], inst.set(i)...)
+		slices.Sort(elemBuf)
+		out := elemBuf[:0]
+		var prev int32 = -1
+		for _, e := range elemBuf {
+			if e < 0 || int(e) >= inst.UniverseSize {
+				return nil, fmt.Errorf("%w: element %d outside universe [0,%d)", ErrBadInstance, e, inst.UniverseSize)
+			}
+			if e != prev {
+				out = append(out, e)
+				prev = e
+			}
+		}
+		elemBuf = out
+		h := hashElems(elemBuf)
+		for _, j := range buckets[h] {
+			if slices.Equal(f.set(int(j)), elemBuf) {
+				f.mult[j]++
+				continue probe
+			}
+		}
+		j := int32(len(f.mult))
+		f.elems = append(f.elems, elemBuf...)
+		f.off = append(f.off, int32(len(f.elems)))
+		f.mult = append(f.mult, 1)
+		buckets[h] = append(buckets[h], j)
+		if len(elemBuf) > f.maxSize {
+			f.maxSize = len(elemBuf)
+		}
+	}
+	f.idxOff = make([]int32, f.universe+1)
+	for _, e := range f.elems {
+		f.idxOff[e+1]++
+	}
+	for e := 0; e < f.universe; e++ {
+		f.idxOff[e+1] += f.idxOff[e]
+	}
+	f.idxIDs = make([]int32, len(f.elems))
+	next := make([]int32, f.universe)
+	for j := range f.mult {
+		for _, e := range f.set(j) {
+			f.idxIDs[f.idxOff[e]+next[e]] = int32(j)
+			next[e]++
+		}
+	}
+	return f, nil
+}
+
+// canonicalInstance returns inst with every set sorted and
+// de-duplicated, in CSR form — the shape a realization pool hands over.
+func canonicalInstance(inst *Instance) *Instance {
+	out := &Instance{UniverseSize: inst.UniverseSize, SetOffsets: []int32{0}}
+	for i := 0; i < inst.NumSets(); i++ {
+		set := slices.Compact(slices.Sorted(slices.Values(inst.set(i))))
+		out.SetArena = append(out.SetArena, set...)
+		out.SetOffsets = append(out.SetOffsets, int32(len(out.SetArena)))
+	}
+	return out
+}
+
+// checkFamilyParity compares NewFamily against referenceNewFamily on
+// inst: equal tables, exactly sized, or the same error class.
+func checkFamilyParity(t *testing.T, label string, inst *Instance) {
+	t.Helper()
+	want, wantErr := referenceNewFamily(inst)
+	got, err := NewFamily(inst)
+	if wantErr != nil || err != nil {
+		if !errors.Is(err, ErrBadInstance) || !errors.Is(wantErr, ErrBadInstance) {
+			t.Fatalf("%s: NewFamily err = %v, reference err = %v", label, err, wantErr)
+		}
+		return
+	}
+	if got.universe != want.universe || got.numSets != want.numSets || got.maxSize != want.maxSize {
+		t.Fatalf("%s: shape (universe %d, sets %d, maxSize %d), reference (%d, %d, %d)", label,
+			got.universe, got.numSets, got.maxSize, want.universe, want.numSets, want.maxSize)
+	}
+	for name, pair := range map[string][2][]int32{
+		"elems": {got.elems, want.elems}, "off": {got.off, want.off}, "mult": {got.mult, want.mult},
+		"idxOff": {got.idxOff, want.idxOff}, "idxIDs": {got.idxIDs, want.idxIDs},
+	} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("%s: %s = %v, reference %v", label, name, pair[0], pair[1])
+		}
+		if cap(pair[0]) != len(pair[0]) {
+			t.Fatalf("%s: %s has cap %d for %d entries", label, name, cap(pair[0]), len(pair[0]))
+		}
+	}
+}
+
+// TestNewFamilyMatchesReference: on random instances in both encodings,
+// with unsorted sets and repeats (the one-shot Greedy callers) and
+// canonicalized (the pool shape), with a few malformed sets mixed in,
+// and under a hash that sends every set to one chain, NewFamily builds
+// the reference's tables.
+func TestNewFamilyMatchesReference(t *testing.T) {
+	run := func(t *testing.T) {
+		for seed := int64(0); seed < 80; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var inst *Instance
+			if seed%2 == 0 {
+				inst = realizationInstance(rng, 50+rng.Intn(600))
+			} else {
+				inst = randomInstance(rng)
+			}
+			if seed%9 == 4 {
+				bad := slices.Clone(inst.Sets[0])
+				bad = append(bad, []int32{-1, int32(inst.UniverseSize)}[seed%2])
+				inst.Sets = append(inst.Sets, bad)
+			}
+			for _, enc := range []*Instance{inst, toCSR(inst), canonicalInstance(inst)} {
+				checkFamilyParity(t, fmt.Sprintf("seed %d", seed), enc)
+			}
+		}
+		checkFamilyParity(t, "empty", &Instance{UniverseSize: 3})
+		checkFamilyParity(t, "empty sets", &Instance{UniverseSize: 3, Sets: [][]int32{{}, {2}, {}, {2, 2}}})
+	}
+	t.Run("fnv", run)
+	t.Run("one-chain", func(t *testing.T) {
+		orig := hashElems
+		hashElems = func([]int32) uint64 { return 42 }
+		defer func() { hashElems = orig }()
+		run(t)
+	})
+}
 
 // toCSR re-encodes an explicit-Sets instance as CSR.
 func toCSR(inst *Instance) *Instance {

@@ -10,7 +10,8 @@ import (
 // must return a pool or an error — never panic, and never allocate
 // beyond the bytes actually present (huge header claims are capped
 // against the data before any slice is made). Inputs that do decode must
-// re-encode to a blob that decodes to the same pool.
+// re-encode to a blob that decodes to the same pool, and every path of
+// a decoded pool is strictly ascending.
 func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(magic[:])
@@ -33,10 +34,30 @@ func FuzzRead(f *testing.F) {
 		}
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
+	// A checksum-valid blob with one path in walk (descending) order, at
+	// the current version and as a version 1 blob.
+	walk := testPool(3, 200, 30)
+	reverseLongestPath(walk)
+	var buf bytes.Buffer
+	if err := Write(&buf, walk); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	v1 := bytes.Clone(buf.Bytes())
+	putU32(v1[8:], 1)
+	f.Add(resum(v1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for i := 0; i < p.NumPaths(); i++ {
+			path := p.Arena[p.Offsets[i]:p.Offsets[i+1]]
+			for k := 1; k < len(path); k++ {
+				if path[k] <= path[k-1] {
+					t.Fatalf("accepted path %d = %v, not strictly ascending", i, path)
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, p); err != nil {

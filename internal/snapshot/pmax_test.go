@@ -63,7 +63,7 @@ func TestPmaxRoundTrip(t *testing.T) {
 // pmax blob; reading them in sequence consumes each exactly.
 func TestPmaxConcatenatesAfterPool(t *testing.T) {
 	pool := &Pool{Seed: 1, NS: 2, Universe: 4, Total: 10,
-		Offsets: []int32{0, 2}, PathDraw: []int64{3}, Arena: []int32{3, 2}}
+		Offsets: []int32{0, 2}, PathDraw: []int64{3}, Arena: []int32{2, 3}}
 	st := testPmaxState()
 	var buf bytes.Buffer
 	if err := Write(&buf, pool); err != nil {

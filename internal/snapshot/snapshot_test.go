@@ -3,13 +3,16 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // testPool builds a deterministic well-formed pool with paths of varying
-// length (including empty gaps between draws).
+// length (including empty gaps between draws), each path strictly
+// ascending as pools store them.
 func testPool(seed int64, total int64, universe int32) *Pool {
 	r := rand.New(rand.NewSource(seed))
 	p := &Pool{Seed: seed, NS: 0xABCD, Universe: int64(universe), Total: total, Offsets: []int32{0}}
@@ -17,9 +20,11 @@ func testPool(seed int64, total int64, universe int32) *Pool {
 		if r.Intn(3) == 0 {
 			continue // type-2 draw: no path
 		}
-		n := 1 + r.Intn(5)
-		for i := 0; i < n; i++ {
-			p.Arena = append(p.Arena, r.Int31n(universe))
+		n := 1 + r.Intn(min(5, int(universe)))
+		path := r.Perm(int(universe))[:n]
+		slices.Sort(path)
+		for _, v := range path {
+			p.Arena = append(p.Arena, int32(v))
 		}
 		p.Offsets = append(p.Offsets, int32(len(p.Arena)))
 		p.PathDraw = append(p.PathDraw, d)
@@ -194,6 +199,11 @@ func TestSemanticValidation(t *testing.T) {
 		"negative-node":        func(p *Pool) { p.Arena[0] = -1 },
 		"draw-out-of-range":    func(p *Pool) { p.PathDraw[len(p.PathDraw)-1] = p.Total },
 		"draw-not-ascending":   func(p *Pool) { p.PathDraw[1] = p.PathDraw[0] },
+		"path-not-ascending":   func(p *Pool) { reverseLongestPath(p) },
+		"path-repeats-a-node": func(p *Pool) {
+			i := longestPath(p)
+			p.Arena[p.Offsets[i]+1] = p.Arena[p.Offsets[i]]
+		},
 		"offsets-descending": func(p *Pool) {
 			p.Offsets[1], p.Offsets[2] = p.Offsets[2], p.Offsets[1]
 		},
@@ -209,6 +219,48 @@ func TestSemanticValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// longestPath returns the index of p's first longest path.
+func longestPath(p *Pool) int {
+	best := 0
+	for i := 1; i < p.NumPaths(); i++ {
+		if p.Offsets[i+1]-p.Offsets[i] > p.Offsets[best+1]-p.Offsets[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// reverseLongestPath stores p's longest path in descending order: the
+// walk order version 1 snapshots carried.
+func reverseLongestPath(p *Pool) {
+	i := longestPath(p)
+	slices.Reverse(p.Arena[p.Offsets[i]:p.Offsets[i+1]])
+}
+
+// TestVersion1Rejected: a version 1 blob — paths in walk order — fails
+// with ErrVersion even when its bytes are otherwise sound, so a loader
+// resamples instead of folding unsorted paths.
+func TestVersion1Rejected(t *testing.T) {
+	p := testPool(13, 300, 30)
+	reverseLongestPath(p)
+	data := encode(t, p)
+	putU32(data[8:], 1)
+	data = resum(data)
+	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Decode: err = %v, want ErrVersion", err)
+	}
+	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Read: err = %v, want ErrVersion", err)
+	}
+}
+
+// resum rewrites a single blob's CRC footer after a header edit.
+func resum(data []byte) []byte {
+	body := data[:len(data)-footerSize]
+	putU32(data[len(body):], crc32.Checksum(body, crcTable))
+	return data
 }
 
 func TestDecodeMisaligned(t *testing.T) {
