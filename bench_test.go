@@ -1009,7 +1009,7 @@ func benchApplyEdge(b *testing.B, in *ltm.Instance, e graph.Edge) (*ltm.Instance
 	if err != nil {
 		b.Fatal(err)
 	}
-	in2, err := in.ApplyDelta(g2, dirty, nil)
+	in2, err := ltm.NewInstance(g2, weights.NewDegree(g2), in.S(), in.T())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,28 +5,14 @@
 //
 //	afexp -exp table1 -scale 0.1
 //	afexp -exp fig3 -datasets Wiki,HepTh -pairs 30 -scale 0.05
-//	afexp -exp fig4 | -exp fig5 | -exp table2 | -exp fig6 | -exp warm | -exp refine | -exp churn | -exp topk | -exp transport | -exp all
+//	afexp -exp fig4 | -exp fig5 | -exp table2 | -exp fig6 | -exp topk | -exp all
 //
-// The warm experiment is this reproduction's restart story rather than a
-// paper artifact: it serves a pool-bound workload cold, flushes every
-// pool snapshot to disk, replays the workload on a server warmed from
-// those snapshots, and reports the timing gap plus a byte-identity check
-// of the answers. The refine experiment measures the resumable p_max
-// estimator the same way: a staged coarse → tight Algorithm 2 sequence
-// against a cold tight estimate, reporting the draws the retained ledger
-// saved and an identity check of the estimates. The churn experiment is
-// the dynamic-graph story: sparse random deltas mutate the graph epoch
-// by epoch while warm pools migrate across each one by repair, and the
-// repair draw bill is compared against discard-and-resample. The topk
-// experiment measures the batched ranking scheduler: a successive-halving
-// run at a quarter of the exhaustive draw budget against the exhaustive
-// batch, reporting the draw ratio, the precision@k the schedule retained,
-// and a byte-identity check of the exhaustive batch against independent
-// SolveMax queries. The transport experiment serves one workload through
-// the query protocol's three transports — direct Dispatcher calls, the
-// pipe's line protocol and a live HTTP endpoint (internal/proto) — and
-// verifies the reply streams are byte-identical, reporting each path's
-// wall-clock protocol overhead.
+// The topk experiment is this reproduction's addition rather than a
+// paper artifact: it measures the batched ranking scheduler, running a
+// successive-halving batch at a quarter of the exhaustive draw budget
+// against the exhaustive batch, and reports the draw ratio, the
+// precision@k the schedule retained, and a byte-identity check of the
+// exhaustive batch against independent SolveMax queries.
 //
 // Scale, pair count and Monte-Carlo budgets default to laptop-friendly
 // values; raise them (e.g. -scale 1 -pairs 500) to match the paper's
@@ -85,7 +71,7 @@ type options struct {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("afexp", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1|fig3|fig4|fig5|table2|fig6|warm|refine|churn|topk|transport|all")
+	exp := fs.String("exp", "all", "experiment: table1|fig3|fig4|fig5|table2|fig6|topk|all")
 	datasets := fs.String("datasets", "Wiki,HepTh,HepPh,Youtube", "comma-separated dataset analogs")
 	scale := fs.Float64("scale", 0.05, "dataset scale (1 = paper size)")
 	pairs := fs.Int("pairs", 20, "number of (s,t) pairs per dataset (paper: 500)")
@@ -149,7 +135,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	wantsPairs := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "table2": true, "fig6": true, "warm": true, "refine": true, "churn": true, "topk": true, "transport": true, "all": true}
+	wantsPairs := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "table2": true, "fig6": true, "topk": true, "all": true}
 	if !wantsPairs[o.exp] && o.exp != "table1" {
 		return fmt.Errorf("unknown experiment %q", o.exp)
 	}
@@ -230,50 +216,6 @@ func run(args []string) error {
 			table2Rows = append(table2Rows, row)
 			table2Names = append(table2Names, name)
 		}
-		if o.exp == "warm" || o.exp == "all" {
-			// Warm-restart experiment: serve a pool-bound workload cold,
-			// flush every pool to disk (the afserve shutdown path), then
-			// replay it on a server warmed from the snapshots and compare
-			// wall-clock time and answers.
-			dir, err := os.MkdirTemp("", "afexp-spill-*")
-			if err != nil {
-				return err
-			}
-			res, werr := eval.WarmRestart(ctx, cfg, dir)
-			os.RemoveAll(dir)
-			if werr != nil {
-				return werr
-			}
-			if err := emit(eval.RenderWarmRestart(name, res)); err != nil {
-				return err
-			}
-		}
-		if o.exp == "churn" || o.exp == "all" {
-			// Mutation-churn experiment: mutate the graph epoch by epoch
-			// while serving a pool-bound workload, migrating warm pools
-			// across each delta by repair, and compare the repair draw bill
-			// against discard-and-resample plus a byte-identity check
-			// against a cold server on the final graph.
-			res, err := eval.MutationChurn(ctx, cfg, 3, 2)
-			if err != nil {
-				return err
-			}
-			if err := emit(eval.RenderChurn(name, res)); err != nil {
-				return err
-			}
-		}
-		if o.exp == "refine" || o.exp == "all" {
-			// Refinement experiment: a staged coarse → tight p_max
-			// estimate against a cold tight one, per pair. 0.3 → 0.1 is
-			// the spread the paper's equation system typically lands in.
-			res, err := eval.PmaxRefinement(ctx, cfg, 0.3, 0.1)
-			if err != nil {
-				return err
-			}
-			if err := emit(eval.RenderPmaxRefine(name, res)); err != nil {
-				return err
-			}
-		}
 		if o.exp == "topk" || o.exp == "all" {
 			// Batched ranking experiment: the pairs' source s ranks the
 			// pairs' targets as one scheduled top-k batch; the scheduled
@@ -283,18 +225,6 @@ func run(args []string) error {
 				return err
 			}
 			if err := emit(eval.RenderTopK(name, res)); err != nil {
-				return err
-			}
-		}
-		if o.exp == "transport" || o.exp == "all" {
-			// Transport-parity experiment: the same workload through the
-			// Dispatcher, the pipe line protocol and a live HTTP endpoint
-			// must produce byte-identical reply streams.
-			res, err := eval.TransportParity(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			if err := emit(eval.RenderTransport(name, res)); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -13,9 +14,15 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown name — including the retired
+// warm, refine, churn and transport demos — fails before any dataset is
+// generated, rather than running nothing and exiting cleanly.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "fig99"}); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, exp := range []string{"fig99", "warm", "refine", "churn", "transport"} {
+		err := run([]string{"-exp", exp})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: err = %v, want unknown experiment", exp, err)
+		}
 	}
 }
 

@@ -66,9 +66,9 @@ func NewSession(in *ltm.Instance, seed int64, workers int) *Session {
 func (s *Session) Engine() *engine.Engine { return s.eng }
 
 // RepairTo carries the session's sampled state across a graph delta:
-// given the epoch-N+1 instance (same (s, t); see ltm.Instance.ApplyDelta
-// / RebindTo) and the delta's dirty node set, it returns a new session
-// whose realization pool, p_max ledger and evaluation pool adopt every
+// given the epoch-N+1 instance (same (s, t), built by ltm.NewInstance
+// on the post-delta graph) and the delta's dirty node set, it returns a
+// new session whose realization pool, p_max ledger and evaluation pool adopt every
 // draw group the delta left undamaged and resample only the rest —
 // byte-identical to a cold session on the new instance, at a fraction
 // of the draw bill (see engine.Session.RepairTo). The new session's engine is bound to lin and

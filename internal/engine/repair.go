@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the engine half of delta repair. A graph delta dirties a
-// set of nodes (changed edges' endpoints and re-weighted rows). Every
+// set of nodes (the endpoints of changed edges). Every
 // sampled chunk — pool chunks and p_max ledger chunks alike — is split
 // into GroupSize-draw groups with their own streams, and records per node
 // which groups' draws consulted it (chunkPaths.touch). A group is

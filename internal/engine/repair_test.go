@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ltm"
+	"repro/internal/weights"
 )
 
 // randomDelta builds a delta of nAdd new edges and nRemove existing ones
@@ -44,7 +45,7 @@ func applyDelta(t *testing.T, in *ltm.Instance, d *graph.Delta) (*ltm.Instance, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2, err := in.ApplyDelta(g2, dirty, nil)
+	in2, err := ltm.NewInstance(g2, weights.NewDegree(g2), in.S(), in.T())
 	if err != nil {
 		t.Fatal(err)
 	}

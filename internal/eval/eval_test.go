@@ -303,15 +303,6 @@ func TestRenderers(t *testing.T) {
 		t.Error("pairs render missing header")
 	}
 
-	sb.Reset()
-	refine := &RefineResult{EpsCoarse: 0.3, EpsTight: 0.1, Pairs: 3,
-		ColdDraws: 1000, CoarseDraws: 400, RefineDraws: 600, ReusedDraws: 400, SavedFrac: 0.4, Identical: true}
-	if err := RenderPmaxRefine("Wiki", refine).WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "refinement") {
-		t.Error("refinement render missing title")
-	}
 }
 
 func TestExperimentsCancellation(t *testing.T) {
@@ -375,97 +366,6 @@ func TestBasicExperimentThroughServer(t *testing.T) {
 	}
 	if got := freeSv.Stats().SessionsLive; got != len(pairs) {
 		t.Errorf("unbudgeted server live sessions = %d, want %d", got, len(pairs))
-	}
-}
-
-func TestWarmRestart(t *testing.T) {
-	g := testGraph(t)
-	pairs := samplePairsForTest(t, g, 3)
-	cfg := testConfig(t, g, pairs)
-	res, err := WarmRestart(context.Background(), cfg, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("warm answers diverged from cold answers")
-	}
-	if res.SpillLoads == 0 || res.DrawsSaved == 0 || res.SpillBytes == 0 {
-		t.Fatalf("warm run did not load from disk: %+v", res)
-	}
-	if res.Pairs != len(pairs) {
-		t.Fatalf("Pairs = %d, want %d", res.Pairs, len(pairs))
-	}
-	if _, err := WarmRestart(context.Background(), Config{Graph: g, Weights: cfg.Weights}, t.TempDir()); err == nil {
-		t.Fatal("no pairs accepted")
-	}
-}
-
-func TestPmaxRefinement(t *testing.T) {
-	g := testGraph(t)
-	pairs := samplePairsForTest(t, g, 3)
-	cfg := testConfig(t, g, pairs)
-	res, err := PmaxRefinement(context.Background(), cfg, 0.3, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pairs == 0 {
-		t.Fatal("no pairs used")
-	}
-	if !res.Identical {
-		t.Error("refined estimates diverged from cold estimates")
-	}
-	if res.RefineDraws >= res.ColdDraws {
-		t.Errorf("refine sampled %d draws vs cold %d — coarse draws not reused", res.RefineDraws, res.ColdDraws)
-	}
-	if res.ReusedDraws == 0 {
-		t.Error("no reused draws ledgered")
-	}
-	if res.SavedFrac <= 0 || res.SavedFrac >= 1 {
-		t.Errorf("SavedFrac = %v, want in (0,1)", res.SavedFrac)
-	}
-	// Parameter validation.
-	if _, err := PmaxRefinement(context.Background(), cfg, 0.1, 0.3); err == nil {
-		t.Error("inverted eps spread accepted")
-	}
-	empty := cfg
-	empty.Pairs = nil
-	if _, err := PmaxRefinement(context.Background(), empty, 0.3, 0.1); !errors.Is(err, ErrNoPairs) {
-		t.Errorf("no pairs: err = %v", err)
-	}
-}
-
-func TestMutationChurn(t *testing.T) {
-	// A larger, sparser graph than testGraph: repair only saves draws
-	// when random delta endpoints are rare in the pools' touch sets,
-	// which needs many more nodes than a chunk's walks can visit.
-	g, err := gen.ErdosRenyi(3000, 4500, rand.New(rand.NewSource(17)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := samplePairsForTest(t, g, 3)
-	cfg := testConfig(t, g, pairs)
-	res, err := MutationChurn(context.Background(), cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("repaired answers diverged from a cold server on the final graph")
-	}
-	if res.Pairs != len(pairs) || res.Epochs != 3 {
-		t.Fatalf("shape: %+v", res)
-	}
-	// Deltas avoid the tested pairs' own edges, so every pair survives
-	// every epoch.
-	if res.PairsDropped != 0 || res.PairsMigrated != 3*len(pairs) {
-		t.Fatalf("migration ledger: %+v", res)
-	}
-	// Sparse deltas must leave most draws adopted: repair pays strictly
-	// less than discard.
-	if res.AdoptedDraws == 0 || res.RepairDraws >= res.DiscardDraws {
-		t.Fatalf("repair saved nothing: %+v", res)
-	}
-	if _, err := MutationChurn(context.Background(), Config{Graph: g, Weights: cfg.Weights}, 1, 1); err == nil {
-		t.Fatal("no pairs accepted")
 	}
 }
 

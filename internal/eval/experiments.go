@@ -52,11 +52,11 @@ type Config struct {
 	// pair sessions for the duration of the run.
 	Server *server.Server
 
-	// Obs, when set, instruments the servers the experiments construct
-	// themselves (warm restart, churn, topk comparisons) with the same
-	// observability bundle the caller gave its own Server — so afexp's
-	// -metrics-addr surface covers experiment-internal traffic too.
-	// Instrumentation never changes a result.
+	// Obs, when set, instruments the servers the topk experiment
+	// constructs itself with the same observability bundle the caller
+	// gave its own Server — so afexp's -metrics-addr surface covers
+	// experiment-internal traffic too. Instrumentation never changes a
+	// result.
 	Obs *obs.Obs
 }
 

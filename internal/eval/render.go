@@ -71,46 +71,6 @@ func RenderFig6(dataset string, pts []SweepPoint) *tablewriter.Table {
 	return t
 }
 
-// RenderWarmRestart renders the warm-restart experiment for one dataset.
-func RenderWarmRestart(dataset string, res *WarmRestartResult) *tablewriter.Table {
-	t := tablewriter.New(fmt.Sprintf("Warm restart (%s): cold sampling vs snapshot-warmed pools", dataset),
-		"pairs", "cold ms", "warm ms", "speedup", "spill KiB", "loads", "draws saved", "identical")
-	t.AddRow(res.Pairs,
-		float64(res.Cold.Microseconds())/1000,
-		float64(res.Warm.Microseconds())/1000,
-		res.Speedup, res.SpillBytes>>10, res.SpillLoads, res.DrawsSaved, res.Identical)
-	return t
-}
-
-// RenderTransport renders the transport-parity experiment for one
-// dataset. When the streams diverged it adds the first mismatching
-// request line and its three replies.
-func RenderTransport(dataset string, res *TransportParityResult) *tablewriter.Table {
-	header := []string{"queries", "direct ms", "pipe ms", "http ms", "mismatches", "identical"}
-	row := []any{res.Queries,
-		float64(res.Direct.Microseconds()) / 1000,
-		float64(res.Pipe.Microseconds()) / 1000,
-		float64(res.HTTP.Microseconds()) / 1000,
-		res.Mismatches, res.Identical}
-	if res.Mismatches > 0 {
-		m := res.FirstMismatch
-		header = append(header, "first mismatch", "direct reply", "pipe reply", "http reply")
-		row = append(row, m.Request, m.Direct, m.Pipe, m.HTTP)
-	}
-	t := tablewriter.New(fmt.Sprintf("Transport parity (%s): direct vs pipe vs HTTP", dataset), header...)
-	t.AddRow(row...)
-	return t
-}
-
-// RenderChurn renders the mutation-churn experiment for one dataset.
-func RenderChurn(dataset string, res *ChurnResult) *tablewriter.Table {
-	t := tablewriter.New(fmt.Sprintf("Mutation churn (%s): repair vs discard-and-resample", dataset),
-		"pairs", "epochs", "migrated", "dropped", "repair draws", "discard draws", "saved frac", "identical")
-	t.AddRow(res.Pairs, res.Epochs, res.PairsMigrated, res.PairsDropped,
-		res.RepairDraws, res.DiscardDraws, res.SavedFraction, res.Identical)
-	return t
-}
-
 // RenderPairs summarizes a sampled pair set.
 func RenderPairs(dataset string, pairs []Pair) *tablewriter.Table {
 	t := tablewriter.New(fmt.Sprintf("Sampled pairs (%s)", dataset),

@@ -10,6 +10,11 @@
 // The forward simulator is the ground truth of the model; the realization
 // package provides the equivalent (Lemma 1) and much faster reverse
 // estimator. Their agreement is enforced by cross-validation tests.
+//
+// An Instance is bound to one graph. After a graph delta the next
+// epoch's instance is built anew with NewInstance, which re-validates the
+// pair: a delta that makes s and t adjacent has solved the problem, and
+// NewInstance refuses the pair.
 package ltm
 
 import (
@@ -17,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -40,10 +44,9 @@ type Instance struct {
 	ns    []graph.Node
 	nsSet *graph.NodeSet
 
-	// plan is compiled once, on first use; RebindTo reads it without
-	// triggering (or, worse, settling) the compile.
+	// plan is compiled once, on first use.
 	planOnce sync.Once
-	plan     atomic.Pointer[weights.Plan]
+	plan     *weights.Plan
 }
 
 // NewInstance validates and builds an instance. The target must differ
@@ -84,10 +87,8 @@ func (in *Instance) Weights() weights.Scheme { return in.w }
 // once), the devirtualized form of Weights().SampleInfluencer used by
 // every sampling hot path.
 func (in *Instance) Plan() *weights.Plan {
-	in.planOnce.Do(func() {
-		in.plan.Store(weights.NewPlan(in.g, in.w))
-	})
-	return in.plan.Load()
+	in.planOnce.Do(func() { in.plan = weights.NewPlan(in.g, in.w) })
+	return in.plan
 }
 
 // S returns the initiator.

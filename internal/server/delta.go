@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/ltm"
 	"repro/internal/parallel"
 	"repro/internal/weights"
 )
@@ -17,8 +18,8 @@ import (
 // DeltaResult reports what one ApplyDelta did.
 type DeltaResult struct {
 	// Dirty is the sorted distinct set of nodes the delta actually
-	// changed (edge endpoints added, removed, or re-weighted); empty for
-	// a no-op delta, which advances no epoch.
+	// changed (endpoints of edges added or removed); empty for a no-op
+	// delta, which advances no epoch.
 	Dirty []graph.Node
 	// NumNodes / NumEdges describe the new epoch's graph.
 	NumNodes int
@@ -34,18 +35,16 @@ type DeltaResult struct {
 	Repair engine.RepairStats
 }
 
-// ApplyDelta applies a batch graph mutation — edges added, removed, and
-// (for Explicit weight schemes) re-weighted — producing the next epoch,
-// and migrates every live pair across it: each pair's instance is
-// rebound to the new graph (sampling-plan rows rebuilt only for dirty
-// nodes), and its cached pools and p_max ledger are *repaired* — draw
-// groups whose walks never consulted a dirty node keep their bytes,
-// damaged groups are re-drawn under their original streams — leaving every
-// pair byte-identical to one built cold at the new epoch (see
-// engine.Session.RepairTo). Pairs whose (s,t) the delta makes adjacent
-// are dissolved and dropped, as are their spill files; spill files of
-// non-live pairs are otherwise left in place and adopted-and-repaired
-// through the lineage on their next load.
+// ApplyDelta applies a batch graph mutation — edges added and removed —
+// producing the next epoch, and migrates every live pair across it: each
+// pair's instance is rebuilt on the new graph, and its cached pools and
+// p_max ledger are *repaired* — draw groups whose walks never consulted
+// a dirty node keep their bytes, damaged groups are re-drawn under their
+// original streams — leaving every pair byte-identical to one built cold
+// at the new epoch (see engine.Session.RepairTo). Pairs whose (s,t) the
+// delta makes adjacent are dissolved and dropped, as are their spill
+// files; spill files of non-live pairs are otherwise left in place and
+// adopted-and-repaired through the lineage on their next load.
 //
 // The migration walk runs up to Config.Workers pairs at once; its
 // result, the Stats ledger and the LRU order do not depend on the
@@ -58,16 +57,28 @@ type DeltaResult struct {
 // Dirty set and advances no epoch. Concurrent ApplyDelta calls are
 // serialized.
 //
+// Deltas are defined for the paper's degree-normalized weights only: the
+// next epoch's scheme is weights.NewDegree on the new graph. A server
+// built on another scheme, or a call with a non-empty updates list,
+// gets an error with nothing changed; updates exists only to keep the
+// signature, since degree weights follow the topology.
+//
 // A context cancelled before the new epoch is stored returns its error
 // with nothing changed. Once stored, the epoch is committed: the walk
 // ignores cancellation and runs to completion, and a pair whose repair
 // still fails is dropped, to be rebuilt cold at the new epoch on its
 // next query. No cached pair is ever left behind at the old epoch.
 func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weights.EdgeWeight) (*DeltaResult, error) {
+	if len(updates) > 0 {
+		return nil, fmt.Errorf("server: delta weight updates are not supported (%d given); degree weights follow the topology", len(updates))
+	}
 	sv.deltaMu.Lock()
 	defer sv.deltaMu.Unlock()
 
 	cur := sv.gen.Load()
+	if _, ok := cur.scheme.(*weights.Degree); !ok {
+		return nil, fmt.Errorf("server: deltas need degree weights, server has %T", cur.scheme)
+	}
 	if d == nil {
 		d = &graph.Delta{}
 	}
@@ -75,27 +86,10 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 	if err != nil {
 		return nil, err
 	}
-	// Pure weight updates dirty their endpoints too: the damage test
-	// keys on every node whose influencer row changed.
-	if len(updates) > 0 {
-		ds := graph.NewNodeSet(g2.NumNodes())
-		for _, v := range dirty {
-			ds.Add(v)
-		}
-		for _, uw := range updates {
-			ds.Add(uw.U)
-			ds.Add(uw.V)
-		}
-		dirty = ds.Members()
-	}
 	if len(dirty) == 0 {
 		return &DeltaResult{NumNodes: cur.g.NumNodes(), NumEdges: cur.g.NumEdges()}, nil
 	}
-	scheme2, err := weights.Rebuild(cur.scheme, g2, dirty, updates)
-	if err != nil {
-		return nil, err
-	}
-
+	scheme2 := weights.NewDegree(g2)
 	next := &generation{g: g2, scheme: scheme2, graphFP: engine.GraphFingerprint(g2, scheme2)}
 	// A cancelled caller gets its error only while nothing has changed.
 	// Once the generation is stored the delta is committed, and the walk
@@ -231,7 +225,7 @@ var errDissolved = errors.New("server: pair dissolved by the delta")
 
 // repairEntry is the lock-free half of a migration: it settles any
 // pending spill restore (so the repair sees the entry's real state and
-// restoreOnce never races the swap), rebinds the pair's instance to the
+// restoreOnce never races the swap), builds the pair's instance on the
 // new graph and repairs its session. A panic here is recovered into an
 // ErrInternal error, so one broken pair cannot unwind ApplyDelta after
 // the epoch is committed.
@@ -243,7 +237,7 @@ func (sv *Server) repairEntry(ctx context.Context, e *entry, next *generation, d
 		}
 	}()
 	sv.ensureRestored(e)
-	in2, err := e.sess.Instance().RebindTo(next.g, next.scheme, dirty)
+	in2, err := ltm.NewInstance(next.g, next.scheme, e.key.s, e.key.t)
 	if err != nil {
 		return nil, st, fmt.Errorf("%w: %v", errDissolved, err)
 	}

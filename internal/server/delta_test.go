@@ -121,6 +121,58 @@ func TestApplyDeltaNoOp(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaRejectsUnsupported: a delta carrying weight updates, or
+// one sent to a server whose scheme is not degree-normalized, fails with
+// nothing changed — no epoch, no counter, no cached pair touched — so a
+// following query answers byte-identically to a server that never saw
+// the call. The update names a node past the graph, which must not
+// reach any node set.
+func TestApplyDeltaRejectsUnsupported(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 4)
+	d := testDelta(t, g, pairs, 2, 1)
+	uniform := func(g *graph.Graph) weights.Scheme {
+		w, err := weights.NewUniform(g, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	degree := func(g *graph.Graph) weights.Scheme { return weights.NewDegree(g) }
+	for _, tc := range []struct {
+		name    string
+		scheme  func(*graph.Graph) weights.Scheme
+		updates []weights.EdgeWeight
+	}{
+		{"weight-updates", degree, []weights.EdgeWeight{{U: 0, V: graph.Node(10 * g.NumNodes()), WUV: 0.5, WVU: 0.5}}},
+		{"uniform-scheme", uniform, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sv := New(g, tc.scheme(g), Config{Seed: 5, Workers: 2})
+			control := New(g, tc.scheme(g), Config{Seed: 5, Workers: 2})
+			queryAll(t, sv, pairs, 1)
+			queryAll(t, control, pairs, 1)
+			before := sv.Stats()
+			res, err := sv.ApplyDelta(ctx, d, tc.updates)
+			if err == nil {
+				t.Fatalf("ApplyDelta accepted the call: %+v", res)
+			}
+			if sv.Epochs() != 1 {
+				t.Fatalf("Epochs = %d after a rejected delta, want 1", sv.Epochs())
+			}
+			if after := sv.Stats(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("Stats changed by a rejected delta:\n got %+v\nwant %+v", after, before)
+			}
+			got := queryAll(t, sv, pairs, 1)
+			want := queryAll(t, control, pairs, 1)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("answers after a rejected delta diverged:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
 // lruKeys lists the cached pairs from most to least recently used.
 func lruKeys(sv *Server) []pairKey {
 	sv.lruMu.Lock()
@@ -274,8 +326,7 @@ func TestApplyDeltaContainsMigrationPanic(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: workers})
 		queryAll(t, sv, pairs, 1)
-		// A zero session has no instance: rebinding it to the new graph
-		// dereferences nil.
+		// A zero session has no pools: repairing them dereferences nil.
 		broken := pairs[len(pairs)/2]
 		sh := sv.shardFor(broken)
 		sh.mu.Lock()

@@ -30,10 +30,10 @@
 // server answers its first queries from disk-warm pools.
 //
 // The graph itself may mutate: ApplyDelta applies a batch of edge
-// additions, removals and weight updates, producing the next epoch's
-// graph, and migrates every live pair across it by *repair* instead of
-// discard — draw groups whose walks never consulted the delta's dirty
-// nodes keep their bytes, only damaged groups are re-drawn (see
+// additions and removals, producing the next epoch's graph and its
+// degree weights, and migrates every live pair across it by *repair*
+// instead of discard — draw groups whose walks never consulted the
+// delta's dirty nodes keep their bytes, only damaged groups are re-drawn (see
 // engine.Session.RepairTo), and a pair whose (s,t) the delta dissolves
 // (the nodes become adjacent) is dropped. The server keeps the epoch
 // lineage (engine.Lineage), so spill files written at an earlier epoch
@@ -186,8 +186,8 @@ type entry struct {
 	evicted bool          // removed from the map; in-flight holders may remain
 }
 
-// generation is one epoch of the served graph: the graph, its rebuilt
-// weight scheme, and the graph fingerprint that names the epoch in the
+// generation is one epoch of the served graph: the graph, its weight
+// scheme, and the graph fingerprint that names the epoch in the
 // lineage. ApplyDelta swaps the server's generation pointer atomically;
 // entries remember the generation they were built for, so a delta's
 // migration walk can tell stale pairs from ones already at the head.

@@ -63,9 +63,12 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&buf, p); err != nil {
 			t.Fatalf("re-encoding a decoded pool: %v", err)
 		}
-		q, err := Decode(buf.Bytes())
+		q, n, err := DecodeNext(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded pool: %v", err)
+		}
+		if n != int64(buf.Len()) {
+			t.Fatalf("re-decoded size = %d, want %d", n, buf.Len())
 		}
 		checkEqual(t, q, p)
 		// DecodeNext must agree with Read on the same bytes.

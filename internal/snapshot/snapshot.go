@@ -2,8 +2,9 @@
 // realization pool (the flat path arena, int32 offsets, per-path draw
 // indices, universe and total draw count, plus the seed and stream
 // namespace that produced it) to a versioned, checksummed, little-endian
-// binary blob, and loads it back either by copy from a stream (Read) or
-// zero-copy over a caller-owned byte slice (Decode / DecodeNext).
+// binary blob, and loads it back from a stream (Read). DecodeNext parses
+// a blob in a byte slice, zero-copy where the host and alignment allow,
+// and reports its size so concatenated blobs decode in sequence.
 //
 // Because pool contents are a pure function of (seed, namespace, total)
 // — the engine's chunked-sampling determinism contract — a loaded pool
@@ -43,7 +44,7 @@ import (
 )
 
 // Format constants. Version is bumped on any incompatible change to the
-// layout or its meaning; Read/Decode reject other versions with
+// layout or its meaning; Read/DecodeNext reject other versions with
 // ErrVersion so callers fall back to resampling instead of misreading
 // bytes. Version history: 1 stored each path in walk order; 2 stores it
 // ascending.
@@ -288,8 +289,8 @@ func parseHeader(b []byte) (header, error) {
 
 // aligned4 / aligned8 report whether the slice data at b[off:] sits at
 // the natural alignment for the element width; zero-copy casting is only
-// done when it does (sections are laid out aligned, but Decode accepts
-// arbitrary caller slices).
+// done when it does (sections are laid out aligned, but DecodeNext
+// accepts arbitrary caller slices).
 func aligned(b []byte, off int64, width int64) bool {
 	if int64(len(b)) <= off {
 		return true // empty section; never dereferenced
@@ -297,28 +298,15 @@ func aligned(b []byte, off int64, width int64) bool {
 	return uintptr(unsafe.Pointer(&b[off]))%uintptr(width) == 0
 }
 
-// Decode parses one snapshot at the start of data, which must contain
-// exactly one blob (DecodeNext accepts trailing bytes). On little-endian
-// hosts the returned pool's slices alias data — the caller must keep
-// data immutable and alive for the pool's lifetime; on other hosts or
-// misaligned input the sections are copied.
-func Decode(data []byte) (*Pool, error) {
-	p, n, err := DecodeNext(data)
-	if err != nil {
-		return nil, err
-	}
-	if n != int64(len(data)) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, int64(len(data))-n)
-	}
-	return p, nil
-}
-
 // DecodeNext parses the snapshot at the start of data and returns it
 // together with its encoded size, so consecutive snapshots in one buffer
 // (e.g. a spill file holding a solve pool and an evaluation pool) can be
 // decoded in sequence. Sizes claimed by the header are validated against
 // len(data) before any slice is materialized: corrupted or adversarial
-// bytes produce an error, never a panic or an over-allocation.
+// bytes produce an error, never a panic or an over-allocation. On
+// little-endian hosts the returned pool's slices alias data — the caller
+// must keep data immutable and alive for the pool's lifetime; on other
+// hosts or misaligned input the sections are copied.
 func DecodeNext(data []byte) (*Pool, int64, error) {
 	h, err := parseHeader(data)
 	if err != nil {

@@ -72,9 +72,12 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkEqual(t, got, p)
-		got2, err := Decode(data)
+		got2, n, err := DecodeNext(data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n != int64(len(data)) {
+			t.Fatalf("DecodeNext size = %d, want %d", n, len(data))
 		}
 		checkEqual(t, got2, p)
 	}
@@ -121,8 +124,8 @@ func TestDecodeNextContainer(t *testing.T) {
 	}
 	checkEqual(t, gotA, a)
 	checkEqual(t, gotB, b)
-	if _, err := Decode(data); !errors.Is(err, ErrFormat) {
-		t.Fatalf("Decode with trailing snapshot: err = %v, want ErrFormat", err)
+	if n >= int64(len(data)) {
+		t.Fatalf("first DecodeNext consumed the trailing snapshot: size %d of %d", n, len(data))
 	}
 }
 
@@ -133,7 +136,7 @@ func TestCorruption(t *testing.T) {
 		for _, off := range []int{headerSize + 1, len(good) / 2, len(good) - footerSize} {
 			data := bytes.Clone(good)
 			data[off] ^= 0x40
-			if _, err := Decode(data); !errors.Is(err, ErrChecksum) {
+			if _, _, err := DecodeNext(data); !errors.Is(err, ErrChecksum) {
 				t.Errorf("flip at %d: err = %v, want ErrChecksum", off, err)
 			}
 		}
@@ -141,20 +144,20 @@ func TestCorruption(t *testing.T) {
 	t.Run("magic", func(t *testing.T) {
 		data := bytes.Clone(good)
 		data[0] ^= 0xFF
-		if _, err := Decode(data); !errors.Is(err, ErrFormat) {
+		if _, _, err := DecodeNext(data); !errors.Is(err, ErrFormat) {
 			t.Errorf("err = %v, want ErrFormat", err)
 		}
 	})
 	t.Run("version", func(t *testing.T) {
 		data := bytes.Clone(good)
 		data[8] = 99
-		if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		if _, _, err := DecodeNext(data); !errors.Is(err, ErrVersion) {
 			t.Errorf("err = %v, want ErrVersion", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 7, headerSize - 1, headerSize, len(good) - 1} {
-			if _, err := Decode(good[:n]); err == nil {
+			if _, _, err := DecodeNext(good[:n]); err == nil {
 				t.Errorf("truncation to %d bytes decoded", n)
 			}
 			if _, err := Read(bytes.NewReader(good[:n])); err == nil {
@@ -172,7 +175,7 @@ func TestCorruption(t *testing.T) {
 		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Error("huge header read succeeded")
 		}
-		if _, err := Decode(data); err == nil {
+		if _, _, err := DecodeNext(data); err == nil {
 			t.Error("huge header decoded")
 		}
 	})
@@ -214,7 +217,7 @@ func TestSemanticValidation(t *testing.T) {
 			if data == nil {
 				return
 			}
-			if _, err := Decode(data); !errors.Is(err, ErrFormat) {
+			if _, _, err := DecodeNext(data); !errors.Is(err, ErrFormat) {
 				t.Errorf("err = %v, want ErrFormat", err)
 			}
 		})
@@ -248,8 +251,8 @@ func TestVersion1Rejected(t *testing.T) {
 	data := encode(t, p)
 	putU32(data[8:], 1)
 	data = resum(data)
-	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Decode: err = %v, want ErrVersion", err)
+	if _, _, err := DecodeNext(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("DecodeNext: err = %v, want ErrVersion", err)
 	}
 	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("Read: err = %v, want ErrVersion", err)
@@ -271,9 +274,12 @@ func TestDecodeMisaligned(t *testing.T) {
 	for shift := 1; shift < 8; shift++ {
 		buf := make([]byte, shift+len(good))
 		copy(buf[shift:], good)
-		got, err := Decode(buf[shift:])
+		got, n, err := DecodeNext(buf[shift:])
 		if err != nil {
 			t.Fatalf("shift %d: %v", shift, err)
+		}
+		if n != int64(len(good)) {
+			t.Fatalf("shift %d: size = %d, want %d", shift, n, len(good))
 		}
 		checkEqual(t, got, p)
 	}

@@ -65,9 +65,14 @@ func NewPlan(g *graph.Graph, s Scheme) *Plan {
 			p.inSum[v] = sc.InSum(graph.Node(v))
 		}
 		return p
+	case *Explicit:
+		return newAliasPlan(g, func(v graph.Node, j int, _ graph.Node) float64 {
+			return sc.w[sc.offset[v]+int64(j)]
+		}, sc.InSum)
 	default:
-		weightOf, inSum := aliasWeightFns(s)
-		return newAliasPlan(g, weightOf, inSum)
+		return newAliasPlan(g, func(v graph.Node, _ int, u graph.Node) float64 {
+			return s.W(u, v)
+		}, s.InSum)
 	}
 }
 

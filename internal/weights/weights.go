@@ -5,6 +5,11 @@
 //
 // Every scheme must satisfy the paper's normalization Σ_{u∈N_v} w(u,v) ≤ 1
 // for every node v; schemes constructed by this package guarantee it.
+//
+// Schemes are bound to one graph. Across a graph delta only Degree is
+// carried forward, as NewDegree on the post-delta graph — the scheme the
+// paper's experiments and every server use; Uniform and Explicit serve
+// single-graph problems and tests.
 package weights
 
 import (
@@ -211,4 +216,13 @@ func (e *Explicit) SampleInfluencer(v graph.Node, st *rng.Stream) (graph.Node, b
 		}
 	}
 	return e.g.Neighbors(v)[l-lo], true
+}
+
+// EdgeWeight names the directional weights of one undirected edge:
+// WUV is w(U,V) (V's familiarity with U) and WVU is w(V,U). It types the
+// weight-update argument of the server's ApplyDelta, which accepts only
+// an empty list: degree weights follow the topology, so they need none.
+type EdgeWeight struct {
+	U, V     graph.Node
+	WUV, WVU float64
 }
