@@ -72,17 +72,21 @@
 //	top, _ = sv.TopKRefine(ctx, top, 500000) // tighten the leaders
 //
 // The served graph may mutate: Server.ApplyDelta adds and removes edges
-// atomically, producing the next epoch, and migrates every cached pair
+// atomically, producing the next epoch, and carries every cached pair
 // across it by repair — draw groups whose sampled walks never consulted
 // a changed node keep their bytes; only damaged groups are re-drawn —
 // so a sparse mutation costs a small fraction of rebuilding the cache,
 // and answers afterwards are byte-identical to a server built fresh on
-// the mutated graph:
+// the mutated graph. The repair runs on each pair's first query after
+// the delta, not inside the call, so the delta itself returns quickly
+// and its reply counts the pairs carried but (normally) no repair:
 //
 //	res, _ := sv.ApplyDelta(ctx, &activefriending.Delta{
 //		Add: []activefriending.Edge{{U: 3, V: 17}},
 //	})
-//	fmt.Println(res.PairsMigrated, res.RepairDrawsSaved)
+//	fmt.Println(res.PairsMigrated, res.RepairDrawsSaved) // RepairDrawsSaved is 0: no pair repaired yet
+//	// ... query the pairs; each repair is ledgered as it runs:
+//	fmt.Println(sv.Stats().RepairDrawsSaved)
 //
 // A Server also speaks the serving protocol over HTTP: Handler (or the
 // Server itself, via ServeHTTP) answers POST requests carrying one
@@ -851,17 +855,20 @@ type DeltaSummary = proto.DeltaSummary
 
 // ApplyDelta mutates the served graph: the delta's edges are added and
 // removed atomically, producing the next epoch, and every cached pair
-// is migrated across it by repair — draw groups whose sampled walks
+// is carried across it by repair — draw groups whose sampled walks
 // never consulted a changed node keep their bytes, only damaged groups
 // are re-drawn — so queries after ApplyDelta are byte-identical to a
 // server built fresh on the mutated graph, at a fraction of the
-// resampling bill (ServerStats ledgers both sides). Pairs whose (s, t)
-// become adjacent are dropped; spill files from earlier epochs are
-// adopted and repaired when loaded. In-flight queries finish at the
-// epoch they started on; queries issued after ApplyDelta returns see
-// the new epoch. Up to ServerConfig.Workers pairs migrate at once. A
-// context cancelled before the new epoch is committed returns its error
-// with nothing changed; once committed, the migration runs to the end.
+// resampling bill (ServerStats ledgers both sides). A pair is repaired
+// by the first query that touches it after the delta (ServerStats'
+// PairsStale counts the pairs still waiting); one still waiting when
+// the next delta lands is repaired inside that call, up to
+// ServerConfig.Workers at once, and only that repair is reported in the
+// result. Pairs whose (s, t) become adjacent are dropped; spill files
+// from earlier epochs are adopted and repaired when loaded. In-flight
+// queries finish at the epoch they started on; queries issued after
+// ApplyDelta returns see the new epoch. A context cancelled before the
+// new epoch is committed returns its error with nothing changed.
 //
 //	sv := activefriending.NewServer(g, activefriending.ServerConfig{Seed: 1})
 //	sol, _ := sv.Solve(ctx, s, t, activefriending.Options{Alpha: 0.3})
@@ -869,7 +876,7 @@ type DeltaSummary = proto.DeltaSummary
 //		Add:    []activefriending.Edge{{U: 3, V: 17}},
 //		Remove: []activefriending.Edge{{U: 4, V: 9}},
 //	})
-//	fmt.Println(res.RepairDrawsSaved)           // draws kept across the mutation
+//	fmt.Println(res.PairsMigrated)              // pairs carried to the new epoch
 //	sol2, _ := sv.Solve(ctx, s, t, activefriending.Options{Alpha: 0.3}) // new epoch
 func (sv *Server) ApplyDelta(ctx context.Context, d *Delta) (*DeltaSummary, error) {
 	res, err := sv.sv.ApplyDelta(ctx, d, nil)

@@ -127,6 +127,15 @@ func (s *Session) MemBytes() int64 {
 	return s.pools.MemBytes() + s.eval.MemBytes() + s.pmax.MemBytes()
 }
 
+// ReleaseDerived drops the derived state of the solve and evaluation
+// pools (see engine.Session.ReleaseDerived), keeping every sampled draw.
+// A server calls it on a pair a delta left stale: the caches answer only
+// at the old epoch, and repair builds the new epoch's pools without them.
+func (s *Session) ReleaseDerived() {
+	s.pools.ReleaseDerived()
+	s.eval.ReleaseDerived()
+}
+
 // HeldDraws returns the draws the session holds: its solve pool, its
 // evaluation pool and its p_max ledger. A session restored from a
 // snapshot and not grown since holds exactly the snapshot's draws.

@@ -82,11 +82,19 @@ func (l *Lineage) dirtySince(match func(graphFP uint64) bool) ([]graph.Node, boo
 	return nil, false
 }
 
-// DirtySinceGraph resolves a graph-epoch fingerprint against the lineage,
-// returning the accumulated dirty set since that epoch (sorted distinct)
-// and whether the fingerprint was found.
-func (l *Lineage) DirtySinceGraph(graphFP uint64) ([]graph.Node, bool) {
-	return l.dirtySince(func(fp uint64) bool { return fp == graphFP })
+// DirtyBetween returns the sorted distinct union of the dirty sets of
+// epochs from+1..to (epoch 0 is the base graph) — the damage-test input
+// for carrying state built at epoch from to epoch to. It is empty when
+// from ≥ to.
+func (l *Lineage) DirtyBetween(from, to int) []graph.Node {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var union []graph.Node
+	for j := from + 1; j <= to; j++ {
+		union = append(union, l.epochs[j].dirty...)
+	}
+	slices.Sort(union)
+	return slices.Compact(union)
 }
 
 // ancestorDirty resolves an *instance* fingerprint from a snapshot

@@ -161,6 +161,21 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 	return s.viewLocked(l), nil
 }
 
+// ReleaseDerived drops what the session derived from its pool — the
+// cached coverage index, the set-cover family and the prefix views —
+// keeping the sampled state itself, so MemBytes afterwards counts the
+// pool and its regrow tables only. Holders of an earlier Pool keep it
+// intact; later calls rebuild the derived state on demand.
+func (s *Session) ReleaseDerived() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pool != nil {
+		p := s.pool
+		s.pool = &Pool{arena: p.arena, offsets: p.offsets, pathDraw: p.pathDraw, total: p.total, universe: p.universe}
+	}
+	s.views = nil
+}
+
 // maxCachedViews bounds the per-session view cache: each cached view can
 // lazily build its own coverage index (comparable in size to the pool's),
 // so a workload sweeping many distinct draw counts must not accumulate

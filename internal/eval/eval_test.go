@@ -294,15 +294,6 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(sb.String(), "Fig. 6") {
 		t.Error("Fig. 6 title missing")
 	}
-
-	sb.Reset()
-	if err := RenderPairs("Wiki", []Pair{{S: 1, T: 2, Pmax: 0.5}}).WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "pmax") {
-		t.Error("pairs render missing header")
-	}
-
 }
 
 func TestExperimentsCancellation(t *testing.T) {

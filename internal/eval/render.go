@@ -70,13 +70,3 @@ func RenderFig6(dataset string, pts []SweepPoint) *tablewriter.Table {
 	}
 	return t
 }
-
-// RenderPairs summarizes a sampled pair set.
-func RenderPairs(dataset string, pairs []Pair) *tablewriter.Table {
-	t := tablewriter.New(fmt.Sprintf("Sampled pairs (%s)", dataset),
-		"s", "t", "pmax")
-	for _, p := range pairs {
-		t.AddRow(p.S, p.T, p.Pmax)
-	}
-	return t
-}

@@ -184,15 +184,17 @@ type DeltaSummary struct {
 	// NumNodes and NumEdges describe the new epoch's graph.
 	NumNodes int
 	NumEdges int64
-	// PairsMigrated counts cached pairs carried across the epoch by
-	// repair; PairsDropped those dissolved because s and t became
-	// adjacent (their friending problem is solved).
+	// PairsMigrated counts cached pairs carried across the epoch (each
+	// is repaired on its first touch afterwards); PairsDropped those
+	// dissolved because s and t became adjacent (their friending problem
+	// is solved).
 	PairsMigrated int
 	PairsDropped  int
 	// RepairChunksResampled and RepairDrawsResampled are the pool chunks
-	// and draws the migration re-drew; RepairDrawsSaved the draws
-	// adopted verbatim — what discarding every pool would have cost on
-	// top.
+	// and draws the delta itself re-drew, repairing pairs still stale
+	// from the previous delta; RepairDrawsSaved the draws it adopted
+	// verbatim — what discarding those pools would have cost on top.
+	// Repairs on first touch are ledgered in the stats reply.
 	RepairChunksResampled int
 	RepairDrawsResampled  int64
 	RepairDrawsSaved      int64

@@ -24,34 +24,46 @@ type DeltaResult struct {
 	// NumNodes / NumEdges describe the new epoch's graph.
 	NumNodes int
 	NumEdges int64
-	// PairsMigrated counts live pairs carried across the epoch by
+	// PairsMigrated counts live pairs carried to the new epoch, whether
+	// repaired inside the call or left stale for their first touch to
 	// repair; PairsDropped the pairs dissolved because the delta made
 	// their (s,t) adjacent — including spill-only pairs whose files were
 	// swept from SpillDir.
 	PairsMigrated int
 	PairsDropped  int
-	// Repair totals the migration's repair bill across all migrated
-	// sessions (solve and eval pools and p_max ledgers).
+	// Repair totals the repair run inside the call (solve and eval pools
+	// and p_max ledgers): only pairs still stale from an earlier delta
+	// are repaired there. A repair on first touch is ledgered in Stats
+	// when it runs.
 	Repair engine.RepairStats
 }
 
 // ApplyDelta applies a batch graph mutation — edges added and removed —
-// producing the next epoch, and migrates every live pair across it: each
-// pair's instance is rebuilt on the new graph, and its cached pools and
-// p_max ledger are *repaired* — draw groups whose walks never consulted
-// a dirty node keep their bytes, damaged groups are re-drawn under their
-// original streams — leaving every pair byte-identical to one built cold
-// at the new epoch (see engine.Session.RepairTo). Pairs whose (s,t) the
-// delta makes adjacent are dissolved and dropped, as are their spill
-// files; spill files of non-live pairs are otherwise left in place and
-// adopted-and-repaired through the lineage on their next load.
+// producing the next epoch, and carries every live pair across it
+// without repairing it in the call: a pair stays cached at its old
+// epoch, stale, and the first query that touches it afterwards repairs
+// it (see current) — its instance is rebuilt on the new graph, and its
+// cached pools and p_max ledger are *repaired*: draw groups whose walks
+// never consulted a dirty node keep their bytes, damaged groups are
+// re-drawn under their original streams, leaving the pair
+// byte-identical to one built cold at the new epoch (see
+// engine.Session.RepairTo). A stale pair's derived caches (set-cover
+// family, coverage indexes, prefix views) are released here, since
+// repair rebuilds the pools without them, and it is charged only its
+// pools until its repair.
 //
-// The migration walk runs up to Config.Workers pairs at once; its
+// At most two epochs are ever live: a pair still stale from an earlier
+// delta is repaired inside the call, up to Config.Workers at once.
+// Pairs whose (s,t) the delta makes adjacent are dissolved and dropped,
+// as are their spill files; spill files of other pairs, stale ones
+// evicted before their repair included, are left in place and
+// adopted-and-repaired through the lineage on their next load. The
 // result, the Stats ledger and the LRU order do not depend on the
 // worker count.
 //
-// Queries that begin after ApplyDelta returns are answered at the new
-// epoch; queries in flight during the call finish at the epoch they
+// Every query answers at the epoch current when it was admitted, or a
+// later one: queries that begin after ApplyDelta returns see the new
+// epoch, queries in flight during the call finish at the epoch they
 // started on (the same contract eviction has: correctness per epoch,
 // never a torn answer). A delta that changes nothing returns an empty
 // Dirty set and advances no epoch. Concurrent ApplyDelta calls are
@@ -66,8 +78,8 @@ type DeltaResult struct {
 // A context cancelled before the new epoch is stored returns its error
 // with nothing changed. Once stored, the epoch is committed: the walk
 // ignores cancellation and runs to completion, and a pair whose repair
-// still fails is dropped, to be rebuilt cold at the new epoch on its
-// next query. No cached pair is ever left behind at the old epoch.
+// fails is dropped, to be rebuilt cold at the new epoch on its next
+// query.
 func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weights.EdgeWeight) (*DeltaResult, error) {
 	if len(updates) > 0 {
 		return nil, fmt.Errorf("server: delta weight updates are not supported (%d given); degree weights follow the topology", len(updates))
@@ -90,57 +102,70 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 		return &DeltaResult{NumNodes: cur.g.NumNodes(), NumEdges: cur.g.NumEdges()}, nil
 	}
 	scheme2 := weights.NewDegree(g2)
-	next := &generation{g: g2, scheme: scheme2, graphFP: engine.GraphFingerprint(g2, scheme2)}
+	next := &generation{g: g2, scheme: scheme2, graphFP: engine.GraphFingerprint(g2, scheme2), epoch: cur.epoch + 1}
 	// A cancelled caller gets its error only while nothing has changed.
 	// Once the generation is stored the delta is committed, and the walk
-	// below must reach every stale pair, so it ignores cancellation
+	// below must reach every live pair, so it ignores cancellation
 	// (keeping the context's trace).
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Store the generation BEFORE walking any shard: an acquire miss
-	// reads sv.gen inside its shard critical section, so every entry the
+	// Store the generation BEFORE walking any shard: pin reads sv.gen
+	// inside its shard critical section on a miss, so every entry the
 	// walk below does not see was created at (or after) the new epoch.
 	sv.gen.Store(next)
 	sv.lineage.Advance(next.graphFP, dirty)
 	sv.ledger[ctrDeltasApplied].Add(1)
 	ctx = context.WithoutCancel(ctx)
 
-	var stale []*entry
+	var live []*entry
 	for i := range sv.shards {
 		sh := &sv.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.m {
 			if e.gen != next {
-				stale = append(stale, e)
+				live = append(live, e)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	// Each migration fills its own slot, summed after the walk. Slots
-	// release their entry as soon as it is migrated, so the old epoch's
-	// pools become garbage during the walk rather than after it.
-	outs := make([]DeltaResult, len(stale))
-	// For fails only on cancellation, which ctx no longer carries.
-	_ = parallel.For(ctx, len(stale), sv.cfg.Workers, func(i int) {
-		sv.migratePair(ctx, stale[i], next, dirty, &outs[i])
-		stale[i] = nil
-	})
-	res := &DeltaResult{
-		Dirty:    dirty,
-		NumNodes: g2.NumNodes(),
-		NumEdges: g2.NumEdges(),
+	res := &DeltaResult{Dirty: dirty, NumNodes: g2.NumNodes(), NumEdges: g2.NumEdges()}
+	var behind []*entry
+	for _, e := range live {
+		switch {
+		case g2.HasEdge(e.key.s, e.key.t):
+			if sv.dissolve(e) {
+				res.PairsDropped++
+			}
+		case e.gen.epoch < cur.epoch:
+			behind = append(behind, e)
+		default:
+			sv.leaveStale(e)
+			res.PairsMigrated++
+		}
 	}
-	for _, o := range outs {
-		res.PairsMigrated += o.PairsMigrated
-		res.PairsDropped += o.PairsDropped
-		res.Repair.Add(o.Repair)
+	// Each repair fills its own slot, summed after the walk; a slot
+	// releases its entry as soon as it is repaired, so the old epoch's
+	// pools become garbage during the walk rather than after it.
+	outs := make([]engine.RepairStats, len(behind))
+	migrated := make([]bool, len(behind))
+	// For fails only on cancellation, which ctx no longer carries.
+	_ = parallel.For(ctx, len(behind), sv.cfg.Workers, func(i int) {
+		_, err := sv.current(ctx, behind[i], next, &outs[i])
+		migrated[i] = err == nil
+		behind[i] = nil
+	})
+	for i, st := range outs {
+		if migrated[i] {
+			res.PairsMigrated++
+		}
+		res.Repair.Add(st)
 	}
 	sv.sweepDissolvedSpills(g2, res)
 	sv.sweepExpiredSpillsLocked()
 
-	// Migrated pairs were re-measured; settle the budget once for the
-	// whole walk.
+	// Stale pairs shrank and repaired ones were re-measured; settle the
+	// budget once for the whole walk.
 	sv.lruMu.Lock()
 	victims := sv.evictLocked()
 	sv.lruMu.Unlock()
@@ -150,73 +175,120 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 	return res, nil
 }
 
-// migratePair carries one stale entry across to the new generation and
-// swaps it into the shard map — unless a newer entry took its place
-// meanwhile, in which case the migrated state is discarded (the newer
-// entry is already at the head epoch). Dissolved pairs are dropped.
-// A pair whose repair fails or panics is dropped too: its next acquire
-// recreates it cold at the new epoch, with identical answers, and the
-// panic is counted in Stats.Panics. res is this migration's own slot;
-// the walk sums the slots afterwards.
-func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, dirty []graph.Node, res *DeltaResult) {
-	sh := sv.shardFor(e.key)
-	cs2, st, err := sv.repairEntry(ctx, e, next, dirty)
-	if errors.Is(err, errDissolved) {
-		// The friending problem for the pair is solved: drop it and its
-		// spill file.
-		sv.dropEntry(sh, e)
-		if sv.cfg.SpillDir != "" {
-			os.Remove(sv.spillPath(e.key))
+// leaveStale carries a live pair into the new epoch without repairing
+// it: its derived caches are released and it is charged only its pools
+// until a touch migrates it.
+func (sv *Server) leaveStale(e *entry) {
+	sv.ensureRestored(e)
+	e.sess.ReleaseDerived()
+	sv.lruMu.Lock()
+	defer sv.lruMu.Unlock()
+	if e.evicted {
+		return
+	}
+	mem := e.sess.MemBytes()
+	sv.ledger[ctrBytesHeld].Add(mem - e.bytes)
+	e.bytes = mem
+	if !e.stale {
+		e.stale = true
+		sv.ledger[ctrPairsStale].Add(1)
+	}
+}
+
+// current returns the entry that answers for e's pair at generation at:
+// e itself when it is at that epoch or a later one, else the successor
+// that a migration (see migrate) put in its place. Concurrent touches
+// of one stale entry run one migration: the first repairs while the
+// others wait on the entry's mutex and then follow its successor, so
+// every caller uses the entry made current for it and an in-flight
+// holder never sees its own entry's session swapped. A cancelled repair
+// leaves the entry stale for the next toucher; any other failure drops
+// the pair and is returned to every toucher. st, when non-nil, receives
+// the bill of a repair this call ran.
+func (sv *Server) current(ctx context.Context, e *entry, at *generation, st *engine.RepairStats) (*entry, error) {
+	for e.gen.epoch < at.epoch {
+		e.mig.Lock()
+		if e.succ == nil && e.failed == nil {
+			succ, rst, err := sv.migrate(ctx, e, at)
+			if err != nil {
+				if ctx.Err() == nil {
+					e.failed = err
+				}
+				e.mig.Unlock()
+				return nil, err
+			}
+			e.succ = succ
+			if st != nil {
+				st.Add(rst)
+			}
 		}
-		sv.ledger[ctrPairsDropped].Add(1)
-		res.PairsDropped++
-		return
+		succ, err := e.succ, e.failed
+		e.mig.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		e = succ
 	}
-	if err != nil {
-		sv.dropEntry(sh, e)
-		return
+	return e, nil
+}
+
+// migrate repairs stale entry e to generation at and swaps the result
+// into the shard map and into e's LRU slot — a migration is not a use,
+// and neither the order in which pairs are touched nor the walk's map
+// order may decide the eviction order. If e left the map meanwhile
+// (evicted), the repaired entry serves its touchers uncached. Dissolved
+// pairs are dropped with their spill files; a pair whose repair fails or
+// panics is dropped too, so its next acquire recreates it cold, with
+// identical answers, and the panic is counted in Stats.Panics. A
+// cancelled repair changes nothing.
+func (sv *Server) migrate(ctx context.Context, e *entry, at *generation) (*entry, engine.RepairStats, error) {
+	cs2, st, err := sv.repairEntry(ctx, e, at)
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		return nil, st, err
+	case errors.Is(err, errDissolved):
+		sv.dissolve(e)
+		return nil, st, err
+	default:
+		sv.dropEntry(e)
+		return nil, st, err
 	}
-	e2 := &entry{key: e.key, sess: cs2, gen: next}
+	sv.noteRepair(st)
+	e2 := &entry{key: e.key, sess: cs2, gen: at}
 	e2.restoreOnce.Do(func() {}) // migrated state must not be overwritten from disk
 
+	// The swap and the LRU and budget bookkeeping happen in one lruMu
+	// critical section (lruMu may take a shard lock), so no concurrent
+	// pin, settle or eviction sees e2 half installed.
+	sh := sv.shardFor(e.key)
+	sv.lruMu.Lock()
+	defer sv.lruMu.Unlock()
 	sh.mu.Lock()
-	current := sh.m[e.key] == e
-	if current {
+	cached := sh.m[e.key] == e
+	if cached {
 		sh.m[e.key] = e2
 	}
 	sh.mu.Unlock()
-	if !current {
-		// A concurrent eviction (or a racing future migration) replaced
-		// or removed the entry; whatever is in the map now is already at
-		// the head epoch, so the migrated state is simply dropped.
-		return
+	if !cached {
+		e2.evicted = true
+		return e2, st, nil
 	}
-	sv.lruMu.Lock()
-	// e2 takes over e's LRU slot: a migration is not a use, and the
-	// walk's map-iteration order must not decide the eviction order. An
-	// entry not (or no longer) listed goes to the front, as acquire would
-	// have put it.
+	// An entry not (or no longer) listed goes to the front, as acquire
+	// would have put it.
 	if e.elem != nil {
 		e2.elem = sv.lru.InsertBefore(e2, e.elem)
 	} else {
 		e2.elem = sv.lru.PushFront(e2)
 	}
-	if !e.evicted {
-		e.evicted = true
-		sv.ledger[ctrBytesHeld].Add(-e.bytes)
-		e.bytes = 0
-		if e.elem != nil {
-			sv.lru.Remove(e.elem)
-			e.elem = nil
-		}
-	}
+	sv.uncacheLocked(e)
 	e2.bytes = e2.sess.MemBytes()
 	sv.ledger[ctrBytesHeld].Add(e2.bytes)
-	sv.lruMu.Unlock()
-
-	sv.noteRepair(st)
-	res.PairsMigrated++
-	res.Repair = st
+	if at != sv.gen.Load() {
+		e2.stale = true
+		sv.ledger[ctrPairsStale].Add(1)
+	}
+	return e2, st, nil
 }
 
 // errDissolved marks a pair the delta dissolved: s and t are adjacent
@@ -224,12 +296,13 @@ func (sv *Server) migratePair(ctx context.Context, e *entry, next *generation, d
 var errDissolved = errors.New("server: pair dissolved by the delta")
 
 // repairEntry is the lock-free half of a migration: it settles any
-// pending spill restore (so the repair sees the entry's real state and
-// restoreOnce never races the swap), builds the pair's instance on the
-// new graph and repairs its session. A panic here is recovered into an
-// ErrInternal error, so one broken pair cannot unwind ApplyDelta after
-// the epoch is committed.
-func (sv *Server) repairEntry(ctx context.Context, e *entry, next *generation, dirty []graph.Node) (cs2 *core.Session, st engine.RepairStats, err error) {
+// pending spill restore (so the repair sees the entry's real state),
+// builds the pair's instance on at's graph and repairs its session
+// across the lineage's dirty union between the two epochs. A panic here
+// is recovered into an ErrInternal error, so one broken pair can unwind
+// neither a query's other work nor ApplyDelta after the epoch is
+// committed.
+func (sv *Server) repairEntry(ctx context.Context, e *entry, at *generation) (cs2 *core.Session, st engine.RepairStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			sv.ledger[ctrPanics].Add(1)
@@ -237,11 +310,11 @@ func (sv *Server) repairEntry(ctx context.Context, e *entry, next *generation, d
 		}
 	}()
 	sv.ensureRestored(e)
-	in2, err := ltm.NewInstance(next.g, next.scheme, e.key.s, e.key.t)
+	in2, err := ltm.NewInstance(at.g, at.scheme, e.key.s, e.key.t)
 	if err != nil {
 		return nil, st, fmt.Errorf("%w: %v", errDissolved, err)
 	}
-	return e.sess.RepairTo(ctx, in2, sv.lineage, next.graphFP, dirty)
+	return e.sess.RepairTo(ctx, in2, sv.lineage, at.graphFP, sv.lineage.DirtyBetween(e.gen.epoch, at.epoch))
 }
 
 // noteRepair ledgers one pool repair carried across epochs.
@@ -252,33 +325,42 @@ func (sv *Server) noteRepair(st engine.RepairStats) {
 	sv.ledger[ctrRepairSaved].Add(st.DrawsSaved)
 }
 
-// dropEntry removes e from its shard map and writes off its bytes; a
-// migration counts neither as a creation nor an eviction, so the
-// SessionsLive bookkeeping is adjusted through SessionsEvicted exactly
-// when the pair really leaves the cache.
-func (sv *Server) dropEntry(sh *shard, e *entry) {
+// dissolve drops a pair whose (s,t) a delta made adjacent — its
+// friending problem is solved — together with its spill file, and
+// reports whether the pair was still cached (and so newly dropped).
+func (sv *Server) dissolve(e *entry) bool {
+	if sv.cfg.SpillDir != "" {
+		os.Remove(sv.spillPath(e.key))
+	}
+	if !sv.dropEntry(e) {
+		return false
+	}
+	sv.ledger[ctrPairsDropped].Add(1)
+	return true
+}
+
+// dropEntry removes e from its shard map and the budget, reporting
+// whether it was still in the map. A migration counts neither as a
+// creation nor an eviction, so the SessionsLive bookkeeping is adjusted
+// through SessionsEvicted exactly when the pair really leaves the cache.
+func (sv *Server) dropEntry(e *entry) bool {
+	sh := sv.shardFor(e.key)
 	sh.mu.Lock()
-	if sh.m[e.key] == e {
+	cached := sh.m[e.key] == e
+	if cached {
 		delete(sh.m, e.key)
 		sv.ledger[ctrSessionsEvicted].Add(1)
 	}
 	sh.mu.Unlock()
 	sv.lruMu.Lock()
-	if !e.evicted {
-		e.evicted = true
-		sv.ledger[ctrBytesHeld].Add(-e.bytes)
-		e.bytes = 0
-		if e.elem != nil {
-			sv.lru.Remove(e.elem)
-			e.elem = nil
-		}
-	}
+	sv.uncacheLocked(e)
 	sv.lruMu.Unlock()
+	return cached
 }
 
 // sweepDissolvedSpills deletes spill files of pairs the new graph
 // dissolves (s and t adjacent). Live dissolved pairs already removed
-// their files in migratePair, so everything swept here is a spill-only
+// their files in dissolve, so everything swept here is a spill-only
 // pair. Files whose names don't parse are left alone.
 func (sv *Server) sweepDissolvedSpills(g2 *graph.Graph, res *DeltaResult) {
 	if sv.cfg.SpillDir == "" {

@@ -2,13 +2,17 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/weights"
 )
@@ -250,8 +254,8 @@ func TestApplyDeltaKeepsLRUOrder(t *testing.T) {
 }
 
 // staleEntries counts cached pairs not at the server's current epoch.
-// After ApplyDelta returns it must be zero: a stale entry would be
-// served as a hit with pre-delta answers.
+// A delta leaves every live pair stale until its first touch repairs it,
+// so once every pair has been queried it must be zero.
 func staleEntries(sv *Server) int {
 	head := sv.gen.Load()
 	n := 0
@@ -270,8 +274,9 @@ func staleEntries(sv *Server) int {
 
 // TestApplyDeltaCancelledContext: a delta under an already-cancelled
 // context either changes nothing or completes. It must never commit the
-// epoch and then leave pairs cached at the old one, answering as hits
-// with pre-delta results.
+// epoch and then leave pairs answering at the old one: every answer
+// equals a cold server's at the epoch the server reports, and once every
+// pair has been queried none is left at an older epoch.
 func TestApplyDeltaCancelledContext(t *testing.T) {
 	g := testGraph(40, 50)
 	pairs := validPairs(g, 8)
@@ -289,9 +294,6 @@ func TestApplyDeltaCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = sv.ApplyDelta(ctx, d, nil)
-	if n := staleEntries(sv); n != 0 {
-		t.Fatalf("%d pairs left at the old epoch (ApplyDelta err %v)", n, err)
-	}
 	want := g2
 	if sv.Epochs() == 1 {
 		if err == nil {
@@ -307,13 +309,16 @@ func TestApplyDeltaCancelledContext(t *testing.T) {
 			}
 		}
 	}
+	if n := staleEntries(sv); n != 0 {
+		t.Fatalf("%d queried pairs left at the old epoch (ApplyDelta err %v)", n, err)
+	}
 }
 
-// TestApplyDeltaContainsMigrationPanic: a panic while one pair is
-// repaired stays with that pair. ApplyDelta returns normally, every
-// other pair is at the new epoch, the panic is counted, and the broken
-// pair is dropped, so it answers cold — like every other pair, exactly
-// as a server built on the new graph would.
+// TestApplyDeltaContainsMigrationPanic: a panic while a stale pair is
+// repaired on its first touch stays with that pair. The panic is
+// counted, the broken pair is dropped and rebuilt cold inside the query
+// that touched it, so it answers — like every other pair, repaired —
+// exactly as a server built on the new graph would.
 func TestApplyDeltaContainsMigrationPanic(t *testing.T) {
 	g := testGraph(40, 50)
 	pairs := validPairs(g, 6)
@@ -326,6 +331,13 @@ func TestApplyDeltaContainsMigrationPanic(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: workers})
 		queryAll(t, sv, pairs, 1)
+		res, err := sv.ApplyDelta(context.Background(), d, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: ApplyDelta: %v", workers, err)
+		}
+		if res.PairsMigrated != len(pairs) || res.PairsDropped != 0 {
+			t.Errorf("workers=%d: migrated %d, dropped %d; want %d and 0", workers, res.PairsMigrated, res.PairsDropped, len(pairs))
+		}
 		// A zero session has no pools: repairing them dereferences nil.
 		broken := pairs[len(pairs)/2]
 		sh := sv.shardFor(broken)
@@ -333,40 +345,32 @@ func TestApplyDeltaContainsMigrationPanic(t *testing.T) {
 		sh.m[broken].sess = new(core.Session)
 		sh.mu.Unlock()
 
-		res, err := sv.ApplyDelta(context.Background(), d, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: ApplyDelta: %v", workers, err)
+		st := sv.Stats()
+		if got := queryAll(t, sv, pairs, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: answers after the contained panic differ from a cold server on the new graph", workers)
 		}
-		if res.PairsMigrated != len(pairs)-1 || res.PairsDropped != 0 {
-			t.Errorf("workers=%d: migrated %d, dropped %d; want %d and 0", workers, res.PairsMigrated, res.PairsDropped, len(pairs)-1)
+		after := sv.Stats()
+		if after.Panics != 1 {
+			t.Errorf("workers=%d: Stats.Panics = %d, want 1", workers, after.Panics)
+		}
+		if created := after.SessionsCreated - st.SessionsCreated; created != 1 {
+			t.Errorf("workers=%d: queries after the delta created %d sessions, want 1 (the broken pair, cold)", workers, created)
+		}
+		if repaired := after.PoolsRepaired - st.PoolsRepaired; repaired != int64(len(pairs)-1) {
+			t.Errorf("workers=%d: %d pairs repaired on first touch, want %d", workers, repaired, len(pairs)-1)
 		}
 		if n := staleEntries(sv); n != 0 {
 			t.Fatalf("workers=%d: %d pairs left at the old epoch", workers, n)
 		}
-		st := sv.Stats()
-		if st.Panics != 1 {
-			t.Errorf("workers=%d: Stats.Panics = %d, want 1", workers, st.Panics)
-		}
-		sh.mu.Lock()
-		_, cached := sh.m[broken]
-		sh.mu.Unlock()
-		if cached {
-			t.Fatalf("workers=%d: the panicking pair is still cached", workers)
-		}
-		if got := queryAll(t, sv, pairs, 1); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: answers after the contained panic differ from a cold server on the new graph", workers)
-		}
-		if created := sv.Stats().SessionsCreated - st.SessionsCreated; created != 1 {
-			t.Errorf("workers=%d: queries after the delta created %d sessions, want 1 (the broken pair, cold)", workers, created)
-		}
 	}
 }
 
-// TestApplyDeltaWorkerIdentity: the migration walk's outcome does not
-// depend on how many pairs it migrates at once. For every worker count
-// the same warmed server, including a spilled pair the delta dissolves,
-// reports the same DeltaResult and Stats, keeps the same LRU order, and
-// then answers like a cold server at the new epoch.
+// TestApplyDeltaWorkerIdentity: neither the delta's walk nor the repairs
+// on first touch depend on how many workers run them. For every worker
+// count the same warmed server, including a spilled pair the delta
+// dissolves, reports the same DeltaResult, Stats and LRU order after the
+// delta, then answers like a cold server at the new epoch, again with
+// the same Stats and LRU order, and with no pair left at the old epoch.
 func TestApplyDeltaWorkerIdentity(t *testing.T) {
 	ctx := context.Background()
 	g := testGraph(40, 50)
@@ -385,9 +389,9 @@ func TestApplyDeltaWorkerIdentity(t *testing.T) {
 	want := queryAll(t, cold, pairs, 1)
 
 	type outcome struct {
-		res   DeltaResult
-		stats Stats
-		lru   []pairKey
+		res           DeltaResult
+		stats, after  Stats
+		lru, lruAfter []pairKey
 	}
 	var first outcome
 	for i, workers := range []int{1, 2, 8} {
@@ -403,18 +407,217 @@ func TestApplyDeltaWorkerIdentity(t *testing.T) {
 		if res.PairsDropped != 1 || res.PairsMigrated != len(pairs)-1 {
 			t.Fatalf("Workers %d: migrated %d, dropped %d of %d pairs", workers, res.PairsMigrated, res.PairsDropped, len(pairs))
 		}
-		if n := staleEntries(sv); n != 0 {
-			t.Fatalf("Workers %d: %d pairs left at the old epoch", workers, n)
+		if res.Repair != (engine.RepairStats{}) {
+			t.Fatalf("Workers %d: the delta repaired %+v in the call; every pair was one epoch behind", workers, res.Repair)
 		}
 		got := outcome{res: *res, stats: sv.Stats(), lru: lruKeys(sv)}
+		if got.stats.PairsStale != len(pairs)-1 {
+			t.Fatalf("Workers %d: PairsStale = %d, want %d", workers, got.stats.PairsStale, len(pairs)-1)
+		}
+		if answers := queryAll(t, sv, pairs, 1); !reflect.DeepEqual(answers, want) {
+			t.Fatalf("Workers %d: post-delta answers differ from a cold server", workers)
+		}
+		if n := staleEntries(sv); n != 0 {
+			t.Fatalf("Workers %d: %d pairs left at the old epoch after every pair was queried", workers, n)
+		}
+		got.after, got.lruAfter = sv.Stats(), lruKeys(sv)
+		if got.after.PairsStale != 0 || got.after.PoolsRepaired != int64(len(pairs)-1) {
+			t.Fatalf("Workers %d: after the queries PairsStale = %d, PoolsRepaired = %d; want 0 and %d",
+				workers, got.after.PairsStale, got.after.PoolsRepaired, len(pairs)-1)
+		}
 		if i == 0 {
 			first = got
 		} else if !reflect.DeepEqual(got, first) {
 			t.Fatalf("Workers %d differs from Workers 1:\n got %+v\nwant %+v", workers, got, first)
 		}
-		if answers := queryAll(t, sv, pairs, 1); !reflect.DeepEqual(answers, want) {
-			t.Fatalf("Workers %d: post-delta answers differ from a cold server", workers)
+	}
+}
+
+// maxBehind returns how many epochs the most stale cached pair lags the
+// head, and checks the PairsStale gauge against the map.
+func maxBehind(t *testing.T, sv *Server) int {
+	t.Helper()
+	head := sv.gen.Load()
+	lag, stale := 0, 0
+	for i := range sv.shards {
+		sh := &sv.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.m {
+			lag = max(lag, head.epoch-e.gen.epoch)
+			if e.gen != head {
+				stale++
+			}
 		}
+		sh.mu.Unlock()
+	}
+	if got := sv.Stats().PairsStale; got != stale {
+		t.Errorf("PairsStale = %d, but %d cached pairs are stale", got, stale)
+	}
+	return lag
+}
+
+// TestApplyDeltaBoundsStaleness: a delta leaves pairs at most one epoch
+// behind. Pairs no query touched since the previous delta are repaired
+// inside the next one — the only repair a delta runs — so no more than
+// two generations are ever live, and the survivors still answer like a
+// cold server on the final graph.
+func TestApplyDeltaBoundsStaleness(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 8)
+	if len(pairs) < 6 {
+		t.Fatalf("only %d valid pairs", len(pairs))
+	}
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	queryAll(t, sv, pairs, 1)
+	cur := g
+	for step := 0; step < 3; step++ {
+		d := testDelta(t, cur, pairs, 1, 1)
+		next, _, err := d.Apply(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+		res, err := sv.ApplyDelta(ctx, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PairsMigrated != len(pairs) {
+			t.Fatalf("step %d: migrated %d of %d pairs", step, res.PairsMigrated, len(pairs))
+		}
+		// After the first delta every pair is one epoch behind; after
+		// later ones, the half left untouched was two behind and must
+		// have been repaired in the call.
+		if repaired := res.Repair.DrawsResampled + res.Repair.DrawsSaved; (step == 0) != (repaired == 0) {
+			t.Fatalf("step %d: the delta repaired %+v in the call", step, res.Repair)
+		}
+		if lag := maxBehind(t, sv); lag != 1 {
+			t.Fatalf("step %d: a pair is %d epochs behind after the delta, want 1", step, lag)
+		}
+		// Touch every other pair, with a different half each step.
+		for i := step % 2; i < len(pairs); i += 2 {
+			if _, err := sv.Pmax(ctx, pairs[i].s, pairs[i].t, 3000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lag := maxBehind(t, sv); lag != 1 {
+			t.Fatalf("step %d: a pair is %d epochs behind after the queries, want 1", step, lag)
+		}
+	}
+	cold := New(cur, weights.NewDegree(cur), Config{Seed: 7, Workers: 2})
+	if got, want := queryAll(t, sv, pairs, 1), queryAll(t, cold, pairs, 1); !reflect.DeepEqual(got, want) {
+		t.Fatal("answers after three deltas differ from a cold server on the final graph")
+	}
+	if lag := maxBehind(t, sv); lag != 0 {
+		t.Fatalf("a queried pair is %d epochs behind", lag)
+	}
+}
+
+// TestApplyDeltaStaleSpillLoads: a pair evicted while stale is spilled
+// as it is, at its old epoch, and never repaired in memory. Its next
+// query loads the file through the lineage, which adopts and repairs it,
+// and answers like a cold server at the new epoch.
+func TestApplyDeltaStaleSpillLoads(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 6)
+	d := testDelta(t, g, pairs, 2, 2)
+	g2, _, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2, SpillDir: t.TempDir()})
+	queryAll(t, sv, pairs, 1)
+	if _, err := sv.ApplyDelta(ctx, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	// evictAll evicts every cached pair, as a full budget would.
+	evictAll := func() {
+		sv.lruMu.Lock()
+		sv.cfg.MaxPoolBytes = 1
+		victims := sv.evictLocked()
+		sv.cfg.MaxPoolBytes = 0
+		sv.lruMu.Unlock()
+		for _, v := range victims {
+			if err := sv.writeSpill(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	evictAll()
+	st := sv.Stats()
+	if st.SessionsLive != 0 || st.Spills != int64(len(pairs)) || st.PairsStale != 0 || st.PoolsRepaired != 0 {
+		t.Fatalf("after evicting the stale pairs: %+v", st)
+	}
+
+	// Load every pair without growing it: each load adopts and repairs
+	// its ancestor-epoch file.
+	for _, pk := range pairs {
+		h, err := sv.Pair(pk.s, pk.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Done()
+	}
+	st = sv.Stats()
+	if st.SpillLoads != int64(len(pairs)) || st.SpillLoadErrors != 0 || st.PoolsRepaired != int64(len(pairs)) {
+		t.Fatalf("spill loads %d, load errors %d, repairs %d; want %d loads, each repaired, and no error",
+			st.SpillLoads, st.SpillLoadErrors, st.PoolsRepaired, len(pairs))
+	}
+	// The next eviction rewrites each file at the new epoch, so the loads
+	// after it repair nothing.
+	evictAll()
+	cold := New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2})
+	if got, want := queryAll(t, sv, pairs, 1), queryAll(t, cold, pairs, 1); !reflect.DeepEqual(got, want) {
+		t.Fatal("answers from stale spill files differ from a cold server at the new epoch")
+	}
+	if again := sv.Stats(); again.Spills != 2*int64(len(pairs)) || again.PoolsRepaired != st.PoolsRepaired {
+		t.Fatalf("after a second eviction: %d spills, %d repairs; want %d and still %d",
+			again.Spills, again.PoolsRepaired, 2*len(pairs), st.PoolsRepaired)
+	}
+}
+
+// TestApplyDeltaFirstTouchRepairsOnce: concurrent first touches of one
+// stale pair — distinct queries, so none coalesces — run one repair,
+// and every one of them answers like a cold server at the new epoch.
+func TestApplyDeltaFirstTouchRepairsOnce(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 4)
+	d := testDelta(t, g, pairs, 2, 2)
+	g2, _, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := pairs[0]
+	const touches = 8
+	pmax := func(sv *Server, i int) string {
+		pm, err := sv.Pmax(ctx, pk.s, pk.t, int64(2000+64*i))
+		return fmt.Sprintf("%x/%v", math.Float64bits(pm), err)
+	}
+	cold := New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2})
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	pmax(sv, touches)
+	if _, err := sv.ApplyDelta(ctx, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, touches)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = pmax(sv, i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if want := pmax(cold, i); got[i] != want {
+			t.Errorf("touch %d answered %s, want %s", i, got[i], want)
+		}
+	}
+	if st := sv.Stats(); st.PoolsRepaired != 1 || st.PairsStale != 0 {
+		t.Fatalf("PoolsRepaired = %d, PairsStale = %d after %d concurrent first touches; want 1 and 0", st.PoolsRepaired, st.PairsStale, touches)
 	}
 }
 
@@ -727,4 +930,111 @@ func TestDeltaChurnRace(t *testing.T) {
 	if st := sv.Stats(); st.DeltasApplied != 3 {
 		t.Fatalf("DeltasApplied = %d, want 3", st.DeltasApplied)
 	}
+}
+
+// TestDeltaFirstTouchRace runs queries against deltas that leave their
+// pairs stale, so first-touch repairs race one another, eviction, spill
+// writes and loads, and the next delta's walk. Every reply must equal a
+// cold server's at an epoch no older than the one current when the
+// query was issued.
+func TestDeltaFirstTouchRace(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(40, 50)
+	pairs := validPairs(g, 6)
+	if len(pairs) < 4 {
+		t.Fatal("not enough pairs")
+	}
+	var targets []graph.Node
+	for _, pk := range pairs {
+		if pk.s == pairs[0].s {
+			targets = append(targets, pk.t)
+		}
+	}
+	graphs := []*graph.Graph{g}
+	var deltas []*graph.Delta
+	for i := 0; i < 3; i++ {
+		cur := graphs[len(graphs)-1]
+		d := testDelta(t, cur, pairs, 1, 1)
+		next, _, err := d.Apply(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas, graphs = append(deltas, d), append(graphs, next)
+	}
+
+	// queries[q] answers query q; cold[k][q] is its answer at epoch k.
+	var queries []func(*Server) string
+	for _, pk := range pairs {
+		queries = append(queries, func(sv *Server) string {
+			pm, err := sv.Pmax(ctx, pk.s, pk.t, 2000)
+			return fmt.Sprintf("pmax(%d,%d)=%x/%v", pk.s, pk.t, math.Float64bits(pm), err)
+		}, func(sv *Server) string {
+			res, f, err := sv.SolveMax(ctx, pk.s, pk.t, 2, 2000)
+			if err != nil {
+				return fmt.Sprintf("smax(%d,%d)=%v", pk.s, pk.t, err)
+			}
+			return fmt.Sprintf("smax(%d,%d)=%v|%x", pk.s, pk.t, res.Invited.Members(), math.Float64bits(f))
+		})
+	}
+	queries = append(queries, func(sv *Server) string {
+		res, err := sv.TopK(ctx, TopKQuery{S: pairs[0].s, Targets: targets, K: 1, Budget: 2, Realizations: 2000})
+		if err != nil {
+			return err.Error()
+		}
+		return renderTopK(res)
+	})
+	cold := make([][]string, len(graphs))
+	for k, gk := range graphs {
+		sv := New(gk, weights.NewDegree(gk), Config{Seed: 7, Workers: 2})
+		for _, q := range queries {
+			cold[k] = append(cold[k], q(sv))
+		}
+	}
+	if reflect.DeepEqual(cold[0], cold[len(graphs)-1]) {
+		t.Fatal("the deltas change no answer; the race would check nothing")
+	}
+
+	sv := New(g, weights.NewDegree(g), Config{
+		Seed: 7, Workers: 2, Shards: 4,
+		MaxPoolBytes: 192 << 10, SpillDir: t.TempDir(),
+	})
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := i % len(queries)
+				admitted := sv.gen.Load().epoch
+				got := queries[q](sv)
+				ok := false
+				for k := admitted; k < len(graphs) && !ok; k++ {
+					ok = got == cold[k][q]
+				}
+				if !ok {
+					t.Errorf("query %d issued at epoch %d answered %s, which no cold server at that epoch or later gives", q, admitted, got)
+					return
+				}
+				served.Add(1)
+			}
+		}(w)
+	}
+	for i, d := range deltas {
+		waitFor(t, func() bool { return served.Load() >= int64(8*(i+1)) })
+		if _, err := sv.ApplyDelta(ctx, d, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	waitFor(t, func() bool { return served.Load() >= int64(8*(len(deltas)+1)) })
 }

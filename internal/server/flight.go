@@ -27,12 +27,18 @@ type flightKey[P comparable] struct {
 	params P
 }
 
-// flight is one in-flight computation; joiners wait on done and share
-// its result.
+// flight is one in-flight computation. Its execution runs under a
+// context detached from its callers' cancellation (the leader's values,
+// its trace among them, are kept) and cancelled once the last waiting
+// caller has left, so one client's disconnect never fails another's
+// answer. done is closed when the execution finishes; waiters is
+// guarded by flights.mu.
 type flight[T any] struct {
-	done sync.WaitGroup
-	val  T
-	err  error
+	val     T
+	err     error
+	waiters int
+	done    chan struct{}
+	cancel  context.CancelFunc // nil when the leader's context cannot be cancelled
 }
 
 // flights is one query kind's table of open flights, keyed by that
@@ -52,35 +58,66 @@ type flights[P comparable, T any] struct {
 // the computation finishes, so a later non-overlapping duplicate
 // recomputes — cheaply, against the now-warm pools.
 //
-// One sharp edge is inherited from every singleflight: joiners share the
-// winning caller's execution, including its context. A joiner whose own
-// context is live can therefore see the winner's cancellation error;
-// retrying is always sound (purity), and the retried query reuses the
-// pools the aborted flight already grew.
-func (fs *flights[P, T]) do(sv *Server, params P, fn func() (T, error)) (T, error) {
-	key := flightKey[P]{gen: sv.gen.Load(), params: params}
+// Every caller leaves on its own cancellation with its own ctx.Err(): a
+// joiner stops waiting at once, and a cancelled leader stops counting as
+// a waiter (it still returns only when fn does, as fn runs on its
+// goroutine). The execution is cancelled only when no caller is left to
+// want its answer. gen is the generation the query was admitted at.
+func (fs *flights[P, T]) do(ctx context.Context, sv *Server, gen *generation, params P, fn func(context.Context) (T, error)) (T, error) {
+	key := flightKey[P]{gen: gen, params: params}
 	fs.mu.Lock()
 	if c, ok := fs.m[key]; ok {
+		c.waiters++
 		fs.mu.Unlock()
 		sv.ledger[ctrCoalesced].Add(1)
-		c.done.Wait()
-		return c.val, c.err
+		select {
+		case <-c.done:
+			return c.val, c.err
+		case <-ctx.Done():
+			fs.leave(key, c)
+			var zero T
+			return zero, ctx.Err()
+		}
 	}
 	if fs.m == nil {
 		fs.m = make(map[flightKey[P]]*flight[T])
 	}
-	c := &flight[T]{}
-	c.done.Add(1)
+	c := &flight[T]{waiters: 1, done: make(chan struct{})}
+	fctx := ctx
+	if ctx.Done() != nil {
+		fctx, c.cancel = context.WithCancel(context.WithoutCancel(ctx))
+		defer context.AfterFunc(ctx, func() { fs.leave(key, c) })()
+	}
 	fs.m[key] = c
 	fs.mu.Unlock()
 	defer func() {
 		fs.mu.Lock()
-		delete(fs.m, key)
+		if fs.m[key] == c {
+			delete(fs.m, key)
+		}
 		fs.mu.Unlock()
-		c.done.Done()
+		if c.cancel != nil {
+			c.cancel()
+		}
+		close(c.done)
 	}()
-	c.val, c.err = fn()
+	c.val, c.err = fn(fctx)
 	return c.val, c.err
+}
+
+// leave drops one waiter from flight c. The last one out closes the
+// flight to newcomers and cancels its execution.
+func (fs *flights[P, T]) leave(key flightKey[P], c *flight[T]) {
+	fs.mu.Lock()
+	c.waiters--
+	last := c.waiters == 0
+	if last && fs.m[key] == c {
+		delete(fs.m, key)
+	}
+	fs.mu.Unlock()
+	if last && c.cancel != nil {
+		c.cancel()
+	}
 }
 
 // Flight parameters, one comparable type per coalesced kind. Floats are
@@ -143,14 +180,16 @@ func (sv *Server) PanicError(p any) error {
 }
 
 // run is the one pipeline every gated query passes through. It times
-// the request from entry, admits it through the gate, then joins an
-// identical open flight in fl or opens one that executes fn under a
-// trace (fl nil: the kind is never coalesced). Every request — leader,
-// joiner or rejected — records exactly one latency sample and, on
-// error, one error count; the stage histograms see only the execution.
-// A panic in fn, or in a parallel.For worker fn runs (For re-panics it
-// on fn's goroutine), is recovered inside the execution, so the flight
-// completes with ErrInternal instead of unwinding past its joiners.
+// the request from entry, admits it through the gate, reads the
+// generation it is answered at (carried on ctx; see admittedGen), then
+// joins an identical open flight in fl or opens one that executes fn
+// under a trace (fl nil: the kind is never coalesced). Every request —
+// leader, joiner or rejected — records exactly one latency sample and,
+// on error, one error count; the stage histograms see only the
+// execution. A panic in fn, or in a parallel.For worker fn runs (For
+// re-panics it on fn's goroutine), is recovered inside the execution,
+// so the flight completes with ErrInternal instead of unwinding past
+// its joiners.
 func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *flights[P, T], params P, fn func(context.Context) (T, error)) (v T, err error) {
 	if so := sv.obs; so != nil {
 		defer so.observeRequest(kind, time.Now(), &err)
@@ -159,9 +198,11 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 		return v, err
 	}
 	defer sv.admitDone()
+	gen := sv.gen.Load()
+	ctx = context.WithValue(ctx, admittedKey{}, gen)
 	// exec is one execution of fn, traced when observability is on (the
 	// finished trace feeds the stage histograms).
-	exec := func() (v T, err error) {
+	exec := func(ctx context.Context) (v T, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = sv.PanicError(p)
@@ -175,9 +216,23 @@ func run[P comparable, T any](ctx context.Context, sv *Server, kind Kind, fl *fl
 		return fn(ctx)
 	}
 	if fl == nil {
-		return exec()
+		return exec(ctx)
 	}
-	return fl.do(sv, params, exec)
+	return fl.do(ctx, sv, gen, params, exec)
+}
+
+// admittedKey carries, on a query's context, the generation current when
+// the query was admitted.
+type admittedKey struct{}
+
+// admittedGen returns the generation ctx's query was admitted at, or the
+// current one for a context that never passed through run (PairHandle,
+// Warm). A query answers at this epoch or a later one, never an older.
+func (sv *Server) admittedGen(ctx context.Context) *generation {
+	if gen, ok := ctx.Value(admittedKey{}).(*generation); ok {
+		return gen
+	}
+	return sv.gen.Load()
 }
 
 // withPair brackets fn with the (s,t) pair's acquire, ledgered under

@@ -58,11 +58,15 @@ type Stats struct {
 	SpillFilesExpired    int64
 	// DeltasApplied counts deltas that changed the graph or its weights,
 	// PairsDropped the pairs they dissolved (s and t became adjacent).
+	// PairsStale counts cached pairs not at the current epoch: left
+	// behind by a delta, they are repaired on their first touch.
 	// PoolsRepaired counts pair migrations and stale-spill loads carried
 	// across epochs by repair, re-drawing RepairChunksResampled chunks
-	// (RepairDrawsResampled draws) and adopting RepairDrawsSaved draws.
+	// (RepairDrawsResampled draws) and adopting RepairDrawsSaved draws;
+	// each is booked when its repair runs.
 	DeltasApplied         int64
 	PairsDropped          int64
+	PairsStale            int
 	PoolsRepaired         int64
 	RepairChunksResampled int64
 	RepairDrawsResampled  int64
@@ -115,6 +119,7 @@ const (
 	ctrSpillFilesExpired
 	ctrDeltasApplied
 	ctrPairsDropped
+	ctrPairsStale
 	ctrPoolsRepaired
 	ctrRepairChunks
 	ctrRepairDraws
@@ -173,6 +178,7 @@ var ledgerRows = append([]ledgerRow{
 	{field: "SpillFilesExpired", name: "af_spill_files_expired_total", help: "spill files removed by TTL GC", group: "spill", slot: ctrSpillFilesExpired},
 	{field: "DeltasApplied", name: "af_deltas_applied_total", help: "graph deltas that changed the graph or weights", group: "deltas", slot: ctrDeltasApplied},
 	{field: "PairsDropped", name: "af_pairs_dropped_total", help: "pairs dissolved by a delta", group: "deltas", slot: ctrPairsDropped},
+	{field: "PairsStale", name: "af_pairs_stale", help: "cached pairs not at the current epoch, repaired on first touch", gauge: true, group: "deltas", slot: ctrPairsStale},
 	{field: "PoolsRepaired", name: "af_pools_repaired_total", help: "pair migrations and spill loads that repaired pools across epochs", group: "deltas", slot: ctrPoolsRepaired},
 	{field: "RepairChunksResampled", name: "af_repair_chunks_resampled_total", help: "pool chunks re-drawn by delta repair", group: "deltas", slot: ctrRepairChunks},
 	{field: "RepairDrawsResampled", name: "af_repair_draws_resampled_total", help: "pool draws re-drawn by delta repair", group: "deltas", slot: ctrRepairDraws},

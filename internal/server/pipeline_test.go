@@ -3,10 +3,14 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/maxaf"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/weights"
@@ -299,5 +303,103 @@ func TestRunContainsWorkerPanic(t *testing.T) {
 	}
 	if _, err := sv.Pmax(ctx, 0, 5, 1000); err != nil {
 		t.Fatalf("query after a contained worker panic: %v", err)
+	}
+}
+
+// solveMaxReply renders a SolveMax reply, float bits included.
+func solveMaxReply(res *maxaf.Result, f float64, err error) string {
+	if err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("%v|%x|%x", res.Invited.Members(), math.Float64bits(res.CoveredFraction), math.Float64bits(f))
+}
+
+// openFlights counts the SolveMax flights in progress.
+func openFlights(sv *Server) int {
+	sv.maxFlights.mu.Lock()
+	defer sv.maxFlights.mu.Unlock()
+	return len(sv.maxFlights.m)
+}
+
+// TestFlightCancelledLeader: the caller that opened a flight leaving on
+// its own cancellation does not fail a joiner still waiting on it; the
+// joiner's answer equals a clean run's bytes. A leader left alone does
+// cancel its execution, and the flight is closed.
+func TestFlightCancelledLeader(t *testing.T) {
+	g := testGraph(40, 60)
+	p := validPairs(g, 1)[0]
+	ctx := context.Background()
+	want := solveMaxReply(New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2}).SolveMax(ctx, p.s, p.t, 3, 4000))
+
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	release := holdShards(sv)
+	lctx, cancel := context.WithCancel(ctx)
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := sv.SolveMax(lctx, p.s, p.t, 3, 4000)
+		leader <- err
+	}()
+	waitFor(t, func() bool { return openFlights(sv) == 1 })
+	joiner := make(chan string, 1)
+	go func() { joiner <- solveMaxReply(sv.SolveMax(ctx, p.s, p.t, 3, 4000)) }()
+	waitFor(t, func() bool { return sv.ledger[ctrCoalesced].Load() == 1 })
+	cancel()
+	release()
+	if got := <-joiner; got != want {
+		t.Fatalf("joiner of a cancelled leader answered %q, want %q", got, want)
+	}
+	<-leader // its own cancellation or the shared answer: either is sound
+
+	// Alone, a cancelled leader's execution stops.
+	sv = New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	release = holdShards(sv)
+	lctx, cancel = context.WithCancel(ctx)
+	go func() {
+		_, _, err := sv.SolveMax(lctx, p.s, p.t, 3, 4000)
+		leader <- err
+	}()
+	waitFor(t, func() bool { return openFlights(sv) == 1 })
+	cancel()
+	waitFor(t, func() bool { return openFlights(sv) == 0 })
+	release()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled leader alone got %v, want context.Canceled", err)
+	}
+}
+
+// TestFlightCancelledJoiner: a joiner whose context ends returns its own
+// error at once, without waiting for the flight, while the leader
+// finishes with a clean run's answer.
+func TestFlightCancelledJoiner(t *testing.T) {
+	g := testGraph(40, 60)
+	p := validPairs(g, 1)[0]
+	ctx := context.Background()
+	want := solveMaxReply(New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2}).SolveMax(ctx, p.s, p.t, 3, 4000))
+
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	release := holdShards(sv)
+	leader := make(chan string, 1)
+	go func() { leader <- solveMaxReply(sv.SolveMax(ctx, p.s, p.t, 3, 4000)) }()
+	waitFor(t, func() bool { return openFlights(sv) == 1 })
+	jctx, cancel := context.WithCancel(ctx)
+	joiner := make(chan error, 1)
+	go func() {
+		_, _, err := sv.SolveMax(jctx, p.s, p.t, 3, 4000)
+		joiner <- err
+	}()
+	waitFor(t, func() bool { return sv.ledger[ctrCoalesced].Load() == 1 })
+	cancel()
+	select {
+	case err := <-joiner:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled joiner got %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("a cancelled joiner still waits on the flight")
+	}
+	release()
+	if got := <-leader; got != want {
+		t.Fatalf("leader answered %q after its joiner left, want %q", got, want)
 	}
 }

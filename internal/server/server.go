@@ -31,15 +31,21 @@
 //
 // The graph itself may mutate: ApplyDelta applies a batch of edge
 // additions and removals, producing the next epoch's graph and its
-// degree weights, and migrates every live pair across it by *repair*
+// degree weights, and carries every live pair across it by *repair*
 // instead of discard — draw groups whose walks never consulted the
-// delta's dirty nodes keep their bytes, only damaged groups are re-drawn (see
-// engine.Session.RepairTo), and a pair whose (s,t) the delta dissolves
-// (the nodes become adjacent) is dropped. The server keeps the epoch
-// lineage (engine.Lineage), so spill files written at an earlier epoch
-// are adopted and repaired on load rather than rejected. Queries that
-// begin after ApplyDelta returns are answered at the new epoch;
-// in-flight queries finish at the epoch they started on.
+// delta's dirty nodes keep their bytes, only damaged groups are
+// re-drawn (see engine.Session.RepairTo) — and a pair whose (s,t) the
+// delta dissolves (the nodes become adjacent) is dropped. The repair is
+// lazy: the delta leaves each pair stale at its old epoch, and the
+// first query that touches it repairs it across the lineage's dirty
+// union, in that query's own request, so a delta costs about what its
+// graph rebuild costs. A pair no query touched before the next delta is
+// repaired inside that delta, so at most two epochs are ever live. The
+// server keeps the epoch lineage (engine.Lineage), so spill files
+// written at an earlier epoch, stale pairs' included, are adopted and
+// repaired on load rather than rejected. A query is answered at the
+// epoch current when it was admitted or a later one; queries that begin
+// after ApplyDelta returns see the new epoch.
 package server
 
 import (
@@ -179,22 +185,33 @@ type entry struct {
 
 	restoreOnce sync.Once
 	loaded      bool  // restored from a spill file; written inside restoreOnce
-	loadedDraws int64 // HeldDraws at restore time; written inside restoreOnce
+	loadedDraws int64 // HeldDraws at restore time (-1 after a repaired load); written inside restoreOnce
 
 	elem    *list.Element // position in the LRU list; nil when not listed
 	bytes   int64         // bytes currently charged against the budget
 	evicted bool          // removed from the map; in-flight holders may remain
+	stale   bool          // counted in the PairsStale gauge
+
+	// mig serializes the entry's migration to a later epoch (see
+	// current): the first toucher repairs, later ones wait and follow
+	// succ, the entry that took this one's place. failed records a repair
+	// that failed for good, after which the pair was dropped.
+	mig    sync.Mutex
+	succ   *entry
+	failed error
 }
 
 // generation is one epoch of the served graph: the graph, its weight
-// scheme, and the graph fingerprint that names the epoch in the
-// lineage. ApplyDelta swaps the server's generation pointer atomically;
-// entries remember the generation they were built for, so a delta's
-// migration walk can tell stale pairs from ones already at the head.
+// scheme, the graph fingerprint that names the epoch in the lineage and
+// the epoch's index there (0 for the graph the server was built on).
+// ApplyDelta swaps the server's generation pointer atomically; entries
+// remember the generation they were built for, so a stale pair is told
+// from one at the head, and its repair knows which epochs it spans.
 type generation struct {
 	g       *graph.Graph
 	scheme  weights.Scheme
 	graphFP uint64
+	epoch   int
 }
 
 type shard struct {
@@ -208,13 +225,12 @@ type Server struct {
 	cfg    Config
 	shards []shard
 
-	// gen is the current epoch; acquire reads it inside the shard
-	// critical section on a miss, so the mutual exclusion with
-	// ApplyDelta's migration walk (which stores gen before locking any
-	// shard) guarantees no entry of a stale generation is ever inserted
-	// after the walk passed its shard. lineage records every epoch's
-	// dirty set so ancestor spill blobs can be adopted and repaired.
-	// deltaMu serializes ApplyDelta calls.
+	// gen is the current epoch; pin reads it inside the shard critical
+	// section on a miss, so the mutual exclusion with ApplyDelta's walk
+	// (which stores gen before locking any shard) guarantees every entry
+	// the walk does not see was created at the new epoch. lineage records
+	// every epoch's dirty set, for repairs of stale pairs and of ancestor
+	// spill blobs. deltaMu serializes ApplyDelta calls.
 	gen     atomic.Pointer[generation]
 	lineage *engine.Lineage
 	deltaMu sync.Mutex
@@ -299,10 +315,12 @@ func (sv *Server) pairSeed(k pairKey) int64 {
 	return rng.DeriveStream(sv.cfg.Seed, nsPair, packPair(k))
 }
 
-// acquire returns the pair's cached entry, creating it on a miss, and
-// records the hit/miss under kind. The caller must pair it with release.
-// A trace on ctx gets an acquire span covering lookup, creation and any
-// one-time spill restore the acquisition triggered.
+// acquire returns the pair's cached entry at (or past) the generation
+// ctx's query was admitted at, creating it on a miss and migrating a
+// stale one (see ready), and records the hit/miss under kind. The
+// caller must pair it with release. A trace on ctx gets an acquire span
+// covering lookup, creation, any one-time spill restore and any repair
+// the acquisition triggered.
 func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*entry, error) {
 	sp := obs.TraceFrom(ctx).StartSpan(obs.StageAcquire)
 	defer sp.End()
@@ -310,8 +328,27 @@ func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*ent
 	if err != nil {
 		return nil, err
 	}
-	sv.ensureRestored(e)
-	return e, nil
+	return sv.ready(ctx, kind, e)
+}
+
+// ready settles a pinned entry for reading at the generation ctx's
+// query was admitted at: it runs the entry's spill restore, then
+// migrates it if it is older (see current). A pair whose migration
+// dropped it — the pair was dissolved, or its repair failed — is pinned
+// again, so it rebuilds cold. Only a cancelled repair fails the call,
+// leaving the pair stale for its next toucher.
+func (sv *Server) ready(ctx context.Context, kind Kind, e *entry) (*entry, error) {
+	at := sv.admittedGen(ctx)
+	for {
+		sv.ensureRestored(e)
+		cur, err := sv.current(ctx, e, at, nil)
+		if err == nil || ctx.Err() != nil {
+			return cur, err
+		}
+		if e, err = sv.pin(kind, e.key.s, e.key.t); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // pin is acquire without the spill restore: the map lookup or insert,
@@ -327,7 +364,8 @@ func (sv *Server) pin(kind Kind, s, t graph.Node) (*entry, error) {
 		// pins the entry to an epoch ApplyDelta cannot have finished
 		// walking past: the walk stores the new generation before taking
 		// any shard lock, so an entry built here either predates the walk
-		// on this shard (and gets migrated) or already sees the new epoch.
+		// on this shard (and is marked stale by it) or already sees the
+		// new epoch.
 		gen := sv.gen.Load()
 		in, err := ltm.NewInstance(gen.g, gen.scheme, s, t)
 		if err != nil {
@@ -410,11 +448,7 @@ func (sv *Server) evictLocked() []*entry {
 	for sv.ledger[ctrBytesHeld].Load() > sv.cfg.MaxPoolBytes && sv.lru.Len() > 0 {
 		el := sv.lru.Back()
 		victim := el.Value.(*entry)
-		sv.lru.Remove(el)
-		victim.elem = nil
-		victim.evicted = true
-		sv.ledger[ctrBytesHeld].Add(-victim.bytes)
-		victim.bytes = 0
+		sv.uncacheLocked(victim)
 		sh := sv.shardFor(victim.key)
 		sh.mu.Lock()
 		if sh.m[victim.key] == victim {
@@ -427,6 +461,27 @@ func (sv *Server) evictLocked() []*entry {
 		}
 	}
 	return victims
+}
+
+// uncacheLocked takes e out of the LRU list and the budget: its bytes
+// are written off and it leaves the PairsStale gauge. In-flight holders
+// keep using it. A no-op for an entry already uncached. Caller holds
+// lruMu.
+func (sv *Server) uncacheLocked(e *entry) {
+	if e.evicted {
+		return
+	}
+	e.evicted = true
+	sv.ledger[ctrBytesHeld].Add(-e.bytes)
+	e.bytes = 0
+	if e.stale {
+		e.stale = false
+		sv.ledger[ctrPairsStale].Add(-1)
+	}
+	if e.elem != nil {
+		sv.lru.Remove(e.elem)
+		e.elem = nil
+	}
 }
 
 // ensureRestored runs the entry's one-time spill restore. Every reader
@@ -549,14 +604,20 @@ func (sv *Server) restoreSpill(e *entry) {
 		sv.noteRepair(engine.RepairStats{Resampled: int(eng.RepairChunksResampled()), DrawsResampled: rd, DrawsSaved: rs})
 		// Draws a repair re-made did not come from disk.
 		sv.ledger[ctrSpillDrawsSaved].Add(-rd)
+		// The file is at an ancestor epoch: the pair's next spill must
+		// rewrite it, or every later load would repair it again.
+		e.loadedDraws = -1
 	}
 }
 
 // SpillAll snapshots every live pair to SpillDir without evicting — the
 // graceful-shutdown flush: a successor process with the same Seed (see
-// Warm) then answers its first queries from disk-warm pools. A no-op
-// without a SpillDir. Returns the first write error; pairs after an
-// error are still attempted.
+// Warm) then answers its first queries from disk-warm pools. A
+// successor knows the current graph but not this process's epoch
+// lineage, so a pair a delta left stale is repaired to the current
+// epoch before it is written (a pair whose repair fails is dropped, not
+// written). A no-op without a SpillDir. Returns the first write error;
+// pairs after an error are still attempted.
 func (sv *Server) SpillAll() error {
 	if sv.cfg.SpillDir == "" {
 		return nil
@@ -574,6 +635,11 @@ func (sv *Server) SpillAll() error {
 		}
 		sh.mu.Unlock()
 		for _, e := range entries {
+			sv.ensureRestored(e)
+			e, err := sv.current(context.Background(), e, sv.gen.Load(), nil)
+			if err != nil {
+				continue
+			}
 			if err := sv.writeSpill(e); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("spilling pair (%d,%d): %w", e.key.s, e.key.t, err)
 			}

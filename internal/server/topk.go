@@ -124,8 +124,15 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 		res.Candidates[i].Target = t
 	}
 	var spent atomic.Int64
-	scoreOne := func(ctx context.Context, e *entry, i int, effort int64) (float64, error) {
-		sv.ensureRestored(e)
+	// scoreOne readies the candidate's pinned entry — restoring it from
+	// spill or repairing it across a delta as needed, and leaving the
+	// entry to settle in *ep — and scores it.
+	scoreOne := func(ctx context.Context, ep **entry, i int, effort int64) (float64, error) {
+		e, err := sv.ready(ctx, KindTopK, *ep)
+		if err != nil {
+			return 0, err
+		}
+		*ep = e
 		eng := e.sess.Engine()
 		before := eng.PoolDraws()
 		defer func() { spent.Add(eng.PoolDraws() - before) }()
@@ -143,9 +150,10 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 	// A round pins its candidates' pairs in index order before any is
 	// scored and settles them in index order after all are, so LRU
 	// recency and evictions are a function of the query, not of which
-	// concurrent scorer finished first. The costly parts run in
-	// parallel: spill restores inside the scorers, victims' spill writes
-	// once the round has settled.
+	// concurrent scorer finished first (a repaired entry takes its
+	// predecessor's LRU slot). The costly parts run in parallel: spill
+	// restores and repairs of stale pairs inside the scorers, victims'
+	// spill writes once the round has settled.
 	score := func(ctx context.Context, cands []int, effort int64) ([]float64, []error) {
 		sp := obs.TraceFrom(ctx).StartSpan(obs.StageAcquire)
 		entries := make([]*entry, len(cands))
@@ -158,7 +166,7 @@ func (sv *Server) rankTopK(ctx context.Context, q TopKQuery) (*TopKResult, error
 		// sees ctx.Err() and abandons the run.
 		_ = parallel.For(ctx, len(cands), sv.cfg.Workers, func(j int) {
 			if entries[j] != nil {
-				scores[j], errs[j] = scoreOne(ctx, entries[j], cands[j], effort)
+				scores[j], errs[j] = scoreOne(ctx, &entries[j], cands[j], effort)
 			}
 		})
 		var victims []*entry

@@ -287,10 +287,11 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 	release := make(chan struct{})
 	computed := 0
 	key := pmaxParams{s: 0, t: 5, trials: 1000}
-	fn := func() (float64, error) { computed++; <-release; return 42, nil }
+	fn := func(context.Context) (float64, error) { computed++; <-release; return 42, nil }
+	ctx, gen := context.Background(), sv.gen.Load()
 	done := make(chan float64, 2)
 	go func() {
-		v, _ := sv.pmaxFlights.do(sv, key, fn)
+		v, _ := sv.pmaxFlights.do(ctx, sv, gen, key, fn)
 		done <- v
 	}()
 	// Wait for the winner to open the flight.
@@ -303,7 +304,7 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 		runtime.Gosched()
 	}
 	go func() {
-		v, _ := sv.pmaxFlights.do(sv, key, fn)
+		v, _ := sv.pmaxFlights.do(ctx, sv, gen, key, fn)
 		done <- v
 	}()
 	// Wait for the joiner to be counted, then let the flight finish.
@@ -324,7 +325,7 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 		t.Fatal("finished flight left in the table")
 	}
 	// A later, non-overlapping duplicate opens a fresh flight.
-	v, err := sv.pmaxFlights.do(sv, key, func() (float64, error) { return 43, nil })
+	v, err := sv.pmaxFlights.do(ctx, sv, gen, key, func(context.Context) (float64, error) { return 43, nil })
 	if err != nil || v != 43 {
 		t.Fatalf("post-flight call: %v %v", v, err)
 	}
@@ -332,7 +333,7 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 	// share a key.
 	other := key
 	other.trials++
-	if v, _ := sv.pmaxFlights.do(sv, other, func() (float64, error) { return 44, nil }); v != 44 {
+	if v, _ := sv.pmaxFlights.do(ctx, sv, gen, other, func(context.Context) (float64, error) { return 44, nil }); v != 44 {
 		t.Fatalf("distinct params answered %v", v)
 	}
 }
