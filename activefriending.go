@@ -20,7 +20,7 @@
 // Every algorithm draws reverse realizations through a shared engine
 // (internal/engine) that stores pools in a compact CSR arena, samples in
 // worker-count-independent chunks — all results are pure functions of the
-// seed — and serves coverage queries from an inverted index.
+// seed — and measures coverage by scanning the pool's sorted paths.
 //
 // Quick start, one-shot:
 //
@@ -400,10 +400,10 @@ func IsUnreachable(err error) bool { return errors.Is(err, core.ErrTargetUnreach
 // Session serves repeated queries on one problem from one pair session
 // (the same state a Server keeps per pair): the realization pool
 // (sampled once, grown incrementally, never resampled), the exact V_max,
-// the p_max draw ledger, and a separate evaluation pool with an
-// inverted coverage index for f measurements. An α-sweep of Solve calls
-// with a fixed Options.Realizations samples the pool exactly once;
-// SolveMax reuses the same pool the minimization solves use.
+// the p_max draw ledger, and a separate evaluation pool for f
+// measurements. An α-sweep of Solve calls with a fixed
+// Options.Realizations samples the pool exactly once; SolveMax reuses
+// the same pool the minimization solves use.
 //
 // The session's seed and worker count govern every call (Options.Seed and
 // Options.Workers are ignored), and all results are independent of the
@@ -445,9 +445,8 @@ func (s *Session) SolveMax(ctx context.Context, budget int, realizations int64) 
 // the session's cached pool: the pool's set-cover family is folded once,
 // one solver's scratch is reused across the sweep, TrainF is each
 // greedy's own covered tally, and the EstimatedF measurements are one
-// batched coverage query — one postings traversal of the evaluation pool
-// for the whole sweep. Results are identical to calling SolveMax per
-// budget.
+// batched coverage query on the evaluation pool. Results are identical
+// to calling SolveMax per budget.
 func (s *Session) SolveMaxBudgets(ctx context.Context, budgets []int, realizations int64) ([]*MaxSolution, error) {
 	results, fs, err := maxaf.SolveMaxBudgetsOn(ctx, s.core, budgets, realizations)
 	if err != nil {
@@ -458,7 +457,7 @@ func (s *Session) SolveMaxBudgets(ctx context.Context, budgets []int, realizatio
 
 // AcceptanceProbability estimates f(invited) as a coverage query against
 // the session's evaluation pool (grown to at least trials draws), so
-// repeated measurements share draws and the pool's coverage index.
+// repeated measurements share draws.
 func (s *Session) AcceptanceProbability(ctx context.Context, invited []Node, trials int64) (float64, error) {
 	set, err := server.InvitedSet(s.p.in.Graph(), invited)
 	if err != nil {
@@ -524,7 +523,7 @@ func pmaxEstimateFrom(res engine.PmaxResult) *PmaxEstimate {
 // ServerConfig configures a Server.
 type ServerConfig struct {
 	// MaxPoolBytes bounds the total memory of cached per-pair state (pool
-	// arenas, offset tables, coverage indexes). When a query pushes the
+	// arenas, offset tables, set-cover families). When a query pushes the
 	// total over the budget, the least-recently-used pairs' pools are
 	// evicted until it fits; evicted pairs are re-derived on their next
 	// query with byte-identical pools, so eviction never changes an
@@ -746,8 +745,8 @@ func (sv *Server) SolveMax(ctx context.Context, s, t Node, budget int, realizati
 // shot: the pair's pool is folded into a set-cover family once, one
 // solver is reused across budgets, TrainF is each greedy's own covered
 // tally and the EstimatedF measurements are one batched coverage query
-// (one postings traversal of the evaluation pool). Results are identical
-// to calling SolveMax per budget.
+// on the evaluation pool. Results are identical to calling SolveMax per
+// budget.
 func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t Node, budgets []int, realizations int64) ([]*MaxSolution, error) {
 	results, fs, err := sv.sv.SolveMaxBudgets(ctx, s, t, budgets, realizations)
 	if err != nil {

@@ -450,7 +450,8 @@ func BenchmarkSamplePoolSparse(b *testing.B) {
 
 // benchCoveragePool builds one pool and an invitation set unioning the
 // first nPaths paths — nPaths small mimics measuring a solver's output
-// set; nPaths = NumType1/2 is the postings-heavy adversarial case.
+// set; nPaths = NumType1/2 is a large set that passes most paths' length
+// test.
 func benchCoveragePool(b *testing.B, nPaths func(type1 int) int) (*engine.Pool, *graph.NodeSet) {
 	b.Helper()
 	in := benchInstance(b)
@@ -488,25 +489,55 @@ func BenchmarkCoverageScanHalfPool(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverageIndexed* measure the same queries through the
-// inverted node → realization index (amortizing its one-time build).
-func BenchmarkCoverageIndexedSmallSet(b *testing.B) {
-	pool, invited := benchCoveragePool(b, small)
-	pool.Index()
+// BenchmarkCoverageSweep is hot-mix's densest measurement shape: one
+// Wiki scale-1 pair whose 4,000-draw evaluation pool holds at least
+// 2,000 type-1 paths (every one through t). One op measures a budget
+// sweep's four solutions (budgets 1, 2, 4, 8, so at most 8 nodes each)
+// in one EstimateFMany and an acceptance set (t and three neighbors)
+// in one EstimateF, as a solvemax sweep and an acceptance query do.
+func BenchmarkCoverageSweep(b *testing.B) {
+	ctx := context.Background()
+	g := wikiScale1(b)
+	w := weights.NewDegree(g)
+	r := rand.New(rand.NewSource(1))
+	var in *ltm.Instance
+	var eval *engine.Pool
+	for eval == nil || eval.NumType1() < 2000 {
+		var err error
+		if in, err = ltm.NewInstance(g, w, graph.Node(r.Intn(g.NumNodes())), graph.Node(r.Intn(g.NumNodes()))); err != nil {
+			continue
+		}
+		if eval, err = engine.New(in).NewEvalSession(7, 0).Pool(ctx, 4000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	solve, err := engine.New(in).NewSession(7, 0).Pool(ctx, 4000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := maxaf.SolveBudgetsFromPool(ctx, in, []int{1, 2, 4, 8}, solve)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep := make([]*graph.NodeSet, len(results))
+	for i, res := range results {
+		sweep[i] = res.Invited
+	}
+	t := in.T()
+	accept := graph.NewNodeSetOf(g.NumNodes(), t)
+	for _, v := range g.Neighbors(t)[:min(3, len(g.Neighbors(t)))] {
+		accept.Add(v)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Index().CoverageCount(invited)
+		coverageSink = eval.EstimateFMany(sweep)[0] + eval.EstimateF(accept)
 	}
+	b.ReportMetric(float64(eval.NumType1()), "paths")
 }
 
-func BenchmarkCoverageIndexedHalfPool(b *testing.B) {
-	pool, invited := benchCoveragePool(b, half)
-	pool.Index()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Index().CoverageCount(invited)
-	}
-}
+// coverageSink keeps BenchmarkCoverageSweep's measurements live.
+var coverageSink float64
 
 // BenchmarkSessionAlphaSweep measures a 3-α sweep through one Session —
 // the pool is sampled once and reused (compare BenchmarkAlphaSweepCold).
@@ -615,8 +646,8 @@ func BenchmarkSolveMaxBudgetSweep(b *testing.B) {
 
 // --- PR 3: amortized solve-path benchmarks ---------------------------------
 
-// benchSolvePool samples one 20k-draw pool for the repeated-solve and
-// batched-coverage benchmarks (cached per process via setupDataset).
+// benchSolvePool samples one 20k-draw pool for the repeated-solve
+// benchmarks (cached per process via setupDataset).
 func benchSolvePool(b *testing.B) *engine.Pool {
 	b.Helper()
 	in := benchInstance(b)
@@ -724,58 +755,6 @@ func BenchmarkFamilyFold(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(pool.NumType1()), "paths")
-}
-
-// benchQuerySets builds the batched-coverage workload: 8 invitation sets
-// of the shapes real traffic produces (solver outputs = small path
-// unions, plus near-universe measurement sets).
-func benchQuerySets(pool *engine.Pool) []*graph.NodeSet {
-	n := pool.Universe()
-	sets := make([]*graph.NodeSet, 0, 8)
-	for i := 0; i < 6; i++ {
-		s := graph.NewNodeSet(n)
-		for j := 0; j <= i*3; j++ {
-			for _, v := range pool.Path(j % pool.NumType1()) {
-				s.Add(v)
-			}
-		}
-		sets = append(sets, s)
-	}
-	full := graph.NewNodeSet(n)
-	full.Fill()
-	almost := full.Clone()
-	almost.Remove(graph.Node(0))
-	sets = append(sets, full, almost)
-	return sets
-}
-
-// BenchmarkCoverageBatch answers 8 coverage queries in one batched
-// postings traversal (Index.CoverageCounts).
-func BenchmarkCoverageBatch(b *testing.B) {
-	pool := benchSolvePool(b)
-	sets := benchQuerySets(pool)
-	pool.Index()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Index().CoverageCounts(sets)
-	}
-}
-
-// BenchmarkCoverageBatchSingles answers the same 8 queries with one
-// CoverageCount call each — the pre-batch behaviour CoverageBatch must
-// beat.
-func BenchmarkCoverageBatchSingles(b *testing.B) {
-	pool := benchSolvePool(b)
-	sets := benchQuerySets(pool)
-	pool.Index()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range sets {
-			pool.Index().CoverageCount(s)
-		}
-	}
 }
 
 // --- PR 4: pool persistence benchmarks ---------------------------------------

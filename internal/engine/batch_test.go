@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/ltm"
 	"repro/internal/setcover"
 )
 
@@ -15,7 +20,7 @@ func setcoverGreedy(pool *Pool, p int) (*setcover.Solution, error) {
 	return setcover.Greedy(pool.SetcoverInstance(), p)
 }
 
-// coverageBatchPool samples one pool with an index for the batch tests.
+// coverageBatchPool samples one pool for the batch tests.
 func coverageBatchPool(t *testing.T) *Pool {
 	t.Helper()
 	in := testInstance(t)
@@ -24,18 +29,24 @@ func coverageBatchPool(t *testing.T) *Pool {
 		t.Fatal(err)
 	}
 	if pool.NumType1() == 0 {
-		t.Skip("no type-1 realizations")
+		t.Fatal("no type-1 realizations")
 	}
 	return pool
 }
 
-// randomQuerySets builds a batch that exercises both postings sides:
-// small random sets and unions of sampled paths (positive side), plus
-// near-universe sets (complement side), an empty set and a nil entry.
+// randomQuerySets builds a batch of every shape the scan treats apart:
+// nil, empty and full sets, singletons, small random sets, unions of
+// pooled paths (the solver-output shape), large random and near-universe
+// sets, a set over a smaller universe (built before a delta added
+// nodes), and the same set twice.
 func randomQuerySets(rng *rand.Rand, pool *Pool) []*graph.NodeSet {
 	n := pool.Universe()
-	var sets []*graph.NodeSet
-	// Small random sets: cheap positive side.
+	full := graph.NewNodeSet(n)
+	full.Fill()
+	sets := []*graph.NodeSet{nil, graph.NewNodeSet(n), full}
+	for i := 0; i < 3; i++ {
+		sets = append(sets, graph.NewNodeSetOf(n, pool.Path(rng.Intn(pool.NumType1()))[0]))
+	}
 	for i := 0; i < 4; i++ {
 		s := graph.NewNodeSet(n)
 		for j := 0; j < 1+rng.Intn(5); j++ {
@@ -43,7 +54,6 @@ func randomQuerySets(rng *rand.Rand, pool *Pool) []*graph.NodeSet {
 		}
 		sets = append(sets, s)
 	}
-	// Unions of pooled paths: the solver-output shape.
 	for i := 0; i < 3; i++ {
 		s := graph.NewNodeSet(n)
 		for j := 0; j < 1+rng.Intn(8); j++ {
@@ -53,48 +63,110 @@ func randomQuerySets(rng *rand.Rand, pool *Pool) []*graph.NodeSet {
 		}
 		sets = append(sets, s)
 	}
-	// Near-universe sets: the complement side carries fewer postings.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		s := graph.NewNodeSet(n)
-		s.Fill()
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) > 0 {
+				s.Add(graph.Node(v))
+			}
+		}
+		sets = append(sets, s)
+	}
+	for i := 0; i < 3; i++ {
+		s := full.Clone()
 		for j := 0; j < rng.Intn(4); j++ {
 			s.Remove(graph.Node(rng.Intn(n)))
 		}
 		sets = append(sets, s)
 	}
-	// Full universe, empty, and nil (treated as empty).
-	full := graph.NewNodeSet(n)
-	full.Fill()
-	sets = append(sets, full, graph.NewNodeSet(n), nil)
-	return sets
+	older := graph.NewNodeSet(n - 2)
+	older.Fill()
+	return append(sets, older, sets[len(sets)-1])
 }
 
-// TestCoverageCountsParity: the batched query must agree with a loop of
-// single CoverageCount calls on every kind of set — both postings sides,
-// empty and full sets — and with the raw pool scan.
-func TestCoverageCountsParity(t *testing.T) {
-	pool := coverageBatchPool(t)
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 5; round++ {
-		sets := randomQuerySets(rng, pool)
-		got := pool.Index().CoverageCounts(sets)
-		if len(got) != len(sets) {
-			t.Fatalf("round %d: %d counts for %d sets", round, len(got), len(sets))
+// referenceCount is F(B_l, I) by the definition, one path at a time: a
+// path counts when every node of it is a member of invited; nil is the
+// empty set, and a node beyond invited's universe is not a member.
+func referenceCount(p *Pool, invited *graph.NodeSet) int64 {
+	var covered int64
+	for i := 0; i < p.NumType1(); i++ {
+		ok := true
+		for _, v := range p.Path(i) {
+			if invited == nil || int(v) >= invited.Universe() || !invited.Contains(v) {
+				ok = false
+				break
+			}
 		}
-		for j, s := range sets {
-			if s == nil {
-				// nil counts as the empty invitation set.
-				empty := graph.NewNodeSet(pool.Universe())
-				if want := pool.Index().CoverageCount(empty); got[j] != want {
-					t.Errorf("round %d set %d (nil): batch %d, single(empty) %d", round, j, got[j], want)
-				}
-				continue
+		if ok {
+			covered++
+		}
+	}
+	return covered
+}
+
+// mustMeasureLikeReference checks CoverageCount, EstimateF and
+// EstimateFMany on p against referenceCount for every set of sets.
+func mustMeasureLikeReference(t *testing.T, label string, p *Pool, sets []*graph.NodeSet) {
+	t.Helper()
+	many := p.EstimateFMany(sets)
+	if len(many) != len(sets) {
+		t.Fatalf("%s: %d estimates for %d sets", label, len(many), len(sets))
+	}
+	for j, s := range sets {
+		want := referenceCount(p, s)
+		if got := p.CoverageCount(s); got != want {
+			t.Fatalf("%s set %d: CoverageCount %d, reference %d", label, j, got, want)
+		}
+		wantF := float64(want) / float64(p.Total())
+		if got := p.EstimateF(s); got != wantF {
+			t.Fatalf("%s set %d: EstimateF %v, reference %v", label, j, got, wantF)
+		}
+		if many[j] != wantF {
+			t.Fatalf("%s set %d: EstimateFMany %v, reference %v", label, j, many[j], wantF)
+		}
+	}
+}
+
+// TestEstimateFMatchesReference: the path scan measures every set shape
+// exactly like the per-path definition, on fresh, grown, truncated and
+// restored pools, for an instance whose target is the largest node and
+// one whose target is the smallest.
+func TestEstimateFMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	instances := []*ltm.Instance{testInstance(t), mustInstance(t, randomConnected(9, 40, 60), 39, 0)}
+	for k, in := range instances {
+		rng := rand.New(rand.NewSource(int64(k)))
+		fresh, err := New(in).SamplePool(ctx, 2*ChunkSize+300, 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := New(in).NewSession(5, 2)
+		pools := map[string]*Pool{"fresh": fresh}
+		for _, l := range []int64{700, 2*ChunkSize + 300} {
+			if pools["grown"], err = sess.Pool(ctx, l); err != nil {
+				t.Fatal(err)
 			}
-			if want := pool.Index().CoverageCount(s); got[j] != want {
-				t.Errorf("round %d set %d: batch %d, single %d", round, j, got[j], want)
+		}
+		if pools["truncated"], err = sess.Pool(ctx, ChunkSize+11); err != nil {
+			t.Fatal(err)
+		}
+		pools["truncated view of fresh"] = fresh.Truncate(999)
+		restored := New(in).NewSession(5, 2)
+		if err := restored.Restore(bytes.NewReader(snapshotOf(t, sess))); err != nil {
+			t.Fatal(err)
+		}
+		if pools["restored"], err = restored.Pool(ctx, 2*ChunkSize+300); err != nil {
+			t.Fatal(err)
+		}
+		if pools["restored, truncated"], err = restored.Pool(ctx, 1500); err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range pools {
+			if p.NumType1() == 0 {
+				t.Fatalf("instance %d %s: no type-1 realizations", k, name)
 			}
-			if want := pool.CoverageCount(s); got[j] != want {
-				t.Errorf("round %d set %d: batch %d, scan %d", round, j, got[j], want)
+			for round := 0; round < 3; round++ {
+				mustMeasureLikeReference(t, fmt.Sprintf("instance %d %s round %d", k, name, round), p, randomQuerySets(rng, p))
 			}
 		}
 	}
@@ -103,47 +175,88 @@ func TestCoverageCountsParity(t *testing.T) {
 // TestCoverageCountsEdgeBatches: empty batches and degenerate entries.
 func TestCoverageCountsEdgeBatches(t *testing.T) {
 	pool := coverageBatchPool(t)
-	if got := pool.Index().CoverageCounts(nil); len(got) != 0 {
+	if got := pool.EstimateFMany(nil); len(got) != 0 {
 		t.Errorf("nil batch: %v, want empty", got)
 	}
-	if got := pool.Index().CoverageCounts([]*graph.NodeSet{}); len(got) != 0 {
+	if got := pool.EstimateFMany([]*graph.NodeSet{}); len(got) != 0 {
 		t.Errorf("empty batch: %v, want empty", got)
 	}
 	// All-nil and all-empty batches count no coverage (paths are non-empty).
-	got := pool.Index().CoverageCounts([]*graph.NodeSet{nil, graph.NewNodeSet(pool.Universe())})
-	for j, c := range got {
-		if c != 0 {
-			t.Errorf("degenerate set %d: count %d, want 0", j, c)
+	degenerate := []*graph.NodeSet{nil, graph.NewNodeSet(pool.Universe())}
+	for j, f := range pool.EstimateFMany(degenerate) {
+		if c := pool.CoverageCount(degenerate[j]); f != 0 || c != 0 {
+			t.Errorf("degenerate set %d: estimate %v, count %d, want 0", j, f, c)
 		}
 	}
 	// Duplicated sets must count independently and identically.
 	full := graph.NewNodeSet(pool.Universe())
 	full.Fill()
-	dup := pool.Index().CoverageCounts([]*graph.NodeSet{full, full, full})
+	dup := pool.EstimateFMany([]*graph.NodeSet{full, full, full})
 	for j := 1; j < len(dup); j++ {
 		if dup[j] != dup[0] {
 			t.Errorf("duplicate sets disagree: %v", dup)
 		}
 	}
-	if dup[0] != int64(pool.NumType1()) {
-		t.Errorf("full-universe count = %d, want %d", dup[0], pool.NumType1())
+	if got := pool.CoverageCount(full); got != int64(pool.NumType1()) {
+		t.Errorf("full-universe count = %d, want %d", got, pool.NumType1())
+	}
+	if want := float64(pool.NumType1()) / float64(pool.Total()); dup[0] != want {
+		t.Errorf("full-universe estimate = %v, want %v", dup[0], want)
 	}
 }
 
-// TestEstimateFManyMatchesEstimateF: the batched estimates must equal the
-// single-set estimates bit for bit (same counts, same division).
+// TestEstimateFManyMatchesEstimateF: the batched estimates equal the
+// single-set estimates bit for bit, for batches of every length up to
+// 33, and an empty batch gives an empty result.
 func TestEstimateFManyMatchesEstimateF(t *testing.T) {
 	pool := coverageBatchPool(t)
 	rng := rand.New(rand.NewSource(13))
-	sets := randomQuerySets(rng, pool)
-	got := pool.EstimateFMany(sets)
-	for j, s := range sets {
-		if s == nil {
-			continue
+	var sets []*graph.NodeSet
+	for len(sets) <= 33 {
+		sets = append(sets, randomQuerySets(rng, pool)...)
+	}
+	for k := 0; k <= 33; k++ {
+		got := pool.EstimateFMany(sets[:k])
+		if len(got) != k {
+			t.Fatalf("batch of %d: %d estimates", k, len(got))
 		}
-		if want := pool.EstimateF(s); got[j] != want {
-			t.Errorf("set %d: batch %v, single %v", j, got[j], want)
+		for j, s := range sets[:k] {
+			if want := pool.EstimateF(s); got[j] != want {
+				t.Fatalf("batch of %d, set %d: batch %v, single %v", k, j, got[j], want)
+			}
 		}
+	}
+}
+
+// TestCoverageConcurrent: many goroutines measuring one pool at once
+// (CI runs it under -race) all get the answers a lone caller gets.
+func TestCoverageConcurrent(t *testing.T) {
+	pool := coverageBatchPool(t)
+	sets := randomQuerySets(rand.New(rand.NewSource(17)), pool)
+	want := pool.EstimateFMany(sets)
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				j := (w + round) % len(sets)
+				if got := pool.EstimateF(sets[j]); got != want[j] {
+					errs <- fmt.Sprintf("EstimateF(set %d) = %v, want %v", j, got, want[j])
+					return
+				}
+				if got := pool.EstimateFMany(sets); !slices.Equal(got, want) {
+					errs <- fmt.Sprintf("EstimateFMany = %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

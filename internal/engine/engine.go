@@ -6,8 +6,8 @@
 // Three properties distinguish it from naive per-consumer sampling:
 //
 //   - Pools are stored in a compact CSR layout (one flat path arena plus
-//     offsets) handed zero-copy to the set-cover solver, with an inverted
-//     node → realization index for repeated coverage queries.
+//     offsets) handed zero-copy to the set-cover solver and scanned
+//     directly by coverage queries.
 //   - Sampling is partitioned into fixed-size chunks whose random streams
 //     derive from the chunk (and draw-group) index, namespaced per call
 //     site, so pool contents and estimates are pure functions of

@@ -180,8 +180,8 @@ func TestCSRAgreesWithPerPathPool(t *testing.T) {
 			}
 		}
 	}
-	// Coverage counts agree between the per-path scan, the CSR scan and
-	// the inverted index, on a spread of random invitation sets.
+	// Coverage counts agree between the per-path scan and the CSR scan,
+	// on a spread of random invitation sets.
 	n := in.Graph().NumNodes()
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -206,9 +206,6 @@ func TestCSRAgreesWithPerPathPool(t *testing.T) {
 		}
 		if scan := pool.CoverageCount(invited); scan != perPath {
 			t.Fatalf("trial %d: CSR scan %d vs per-path %d", trial, scan, perPath)
-		}
-		if idx := pool.Index().CoverageCount(invited); idx != perPath {
-			t.Fatalf("trial %d: index %d vs per-path %d", trial, idx, perPath)
 		}
 	}
 }
@@ -296,8 +293,8 @@ func TestSessionRegrowLedger(t *testing.T) {
 }
 
 // TestMemBytes: pool byte accounting is positive, grows with the pool,
-// and includes the coverage index once built; the session adds its chunk
-// offset tables on top of the pool.
+// and includes the set-cover family once folded; measuring adds nothing;
+// the session adds its chunk offset tables on top of the pool.
 func TestMemBytes(t *testing.T) {
 	in := testInstance(t)
 	ctx := context.Background()
@@ -318,9 +315,17 @@ func TestMemBytes(t *testing.T) {
 		t.Errorf("grown pool MemBytes = %d, want > %d", big.MemBytes(), smallBytes)
 	}
 	pre := big.MemBytes()
-	big.Index()
+	all := graph.NewNodeSet(big.Universe())
+	all.Fill()
+	big.EstimateFMany([]*graph.NodeSet{all, nil})
+	if big.MemBytes() != pre {
+		t.Errorf("MemBytes after measuring = %d, want %d (a scan holds nothing)", big.MemBytes(), pre)
+	}
+	if _, err := big.Family(); err != nil {
+		t.Fatal(err)
+	}
 	if big.MemBytes() <= pre {
-		t.Errorf("MemBytes with index = %d, want > %d (index not accounted)", big.MemBytes(), pre)
+		t.Errorf("MemBytes with family = %d, want > %d (family not accounted)", big.MemBytes(), pre)
 	}
 	if sess.MemBytes() <= big.MemBytes() {
 		t.Errorf("session MemBytes = %d, want > pool's %d (chunk offset tables)", sess.MemBytes(), big.MemBytes())
@@ -548,35 +553,9 @@ func TestTruncatedViewMatchesOneShot(t *testing.T) {
 	}
 }
 
-// referencePostings is newIndex's inversion before it dropped the
-// universe-sized cursor array: forward fill with a next[] cursor per
-// node.
-func referencePostings(p *Pool) (nodes []graph.Node, off, ids []int32) {
-	t1 := p.NumType1()
-	off = make([]int32, p.universe+1)
-	for _, v := range p.arena[:p.offsets[t1]] {
-		off[v+1]++
-	}
-	for v := 0; v < p.universe; v++ {
-		if off[v+1] > 0 {
-			nodes = append(nodes, graph.Node(v))
-		}
-		off[v+1] += off[v]
-	}
-	ids = make([]int32, p.offsets[t1])
-	next := make([]int32, p.universe)
-	for i := 0; i < t1; i++ {
-		for _, v := range p.Path(i) {
-			ids[off[v]+next[v]] = int32(i)
-			next[v]++
-		}
-	}
-	return nodes, off, ids
-}
-
 // mustCanonicalPool checks that every path of p is strictly ascending
-// and in the universe, and that p's coverage index holds exactly the
-// reference postings.
+// and in the universe, and that p measures invitation sets exactly like
+// the per-path reference.
 func mustCanonicalPool(t *testing.T, label string, p *Pool) {
 	t.Helper()
 	for i := 0; i < p.NumType1(); i++ {
@@ -587,17 +566,15 @@ func mustCanonicalPool(t *testing.T, label string, p *Pool) {
 			}
 		}
 	}
-	nodes, off, ids := referencePostings(p)
-	ix := p.Index()
-	if !slices.Equal(ix.nodes, nodes) || !slices.Equal(ix.off, off) || !slices.Equal(ix.ids, ids) {
-		t.Fatalf("%s: index postings differ from the reference build", label)
+	if p.NumType1() > 0 {
+		mustMeasureLikeReference(t, label, p, randomQuerySets(rand.New(rand.NewSource(p.Total())), p))
 	}
 }
 
 // TestPoolPathsAscending: pools hold every path as its ascending node
 // set after one-shot sampling, growth, truncation, repair across a delta,
 // restore from a snapshot and adopt-and-repair of an ancestor snapshot,
-// for any worker count; each pool's index matches the reference build.
+// for any worker count; each pool measures like the per-path reference.
 func TestPoolPathsAscending(t *testing.T) {
 	ctx := context.Background()
 	const l = 2*ChunkSize + 500

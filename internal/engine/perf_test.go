@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -155,9 +154,10 @@ func TestGroupRepairZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCoverageCountZeroAlloc pins the positive-side query paths — both
-// the bit-plane tally for heavy sets and the epoch scatter for light
-// ones — to zero allocations per query.
+// TestCoverageCountZeroAlloc pins the path scan's allocations: measuring
+// one set allocates nothing, whether the length filter skips most paths
+// (small) or every path is read (full), and a batch allocates only its
+// result.
 func TestCoverageCountZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -167,62 +167,34 @@ func TestCoverageCountZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := pool.Index()
-	if len(ix.nodes) == 0 {
-		t.Skip("empty pool")
+	if pool.NumType1() == 0 {
+		t.Fatal("empty pool")
 	}
-	byPostings := append([]graph.Node(nil), ix.nodes...)
-	sort.Slice(byPostings, func(i, j int) bool {
-		pi := ix.off[byPostings[i]+1] - ix.off[byPostings[i]]
-		pj := ix.off[byPostings[j]+1] - ix.off[byPostings[j]]
-		return pi > pj
-	})
-	total := int64(len(ix.ids))
-
-	// Heavy positive side: popular nodes until the planes path engages,
-	// while staying on the positive (invited) side of the postings split.
-	heavy := graph.NewNodeSet(pool.universe)
-	var inv int64
-	for _, v := range byPostings {
-		if p := int64(ix.off[v+1] - ix.off[v]); inv+p <= total/2 {
-			heavy.Add(v)
-			inv += p
-		}
-		if ix.planesWorthIt(inv) {
-			break
-		}
-	}
-	// Light positive side: the single least-popular pool node.
-	lightNode := byPostings[len(byPostings)-1]
-	light := graph.NewNodeSetOf(pool.universe, lightNode)
-
-	cases := []struct {
-		name    string
-		set     *graph.NodeSet
-		planes  bool
-		skipMsg string
-	}{
-		{"planes", heavy, true, "graph too small to engage the planes path"},
-		{"scatter", light, false, "least-popular node still crosses the planes cutoff"},
-	}
-	for _, tc := range cases {
+	small := graph.NewNodeSetOf(pool.universe, pool.Path(0)...)
+	full := graph.NewNodeSet(pool.universe)
+	full.Fill()
+	for _, tc := range []struct {
+		name string
+		set  *graph.NodeSet
+	}{{"small", small}, {"full", full}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var p int64
-			ix.forEachInvited(tc.set, func(v graph.Node) {
-				p += int64(ix.off[v+1] - ix.off[v])
-			})
-			if ix.planesWorthIt(p) != tc.planes || p > total-p {
-				t.Skip(tc.skipMsg)
-			}
 			set := tc.set
-			sink = ix.CoverageCount(set) // warm
 			if allocs := testing.AllocsPerRun(20, func() {
-				sink += ix.CoverageCount(set)
+				sink += pool.CoverageCount(set)
+				sink += int64(pool.EstimateF(set))
 			}); allocs != 0 {
-				t.Errorf("positive-side CoverageCount allocates %v per query, want 0", allocs)
+				t.Errorf("CoverageCount + EstimateF allocate %v per query, want 0", allocs)
 			}
 		})
 	}
+	t.Run("batch", func(t *testing.T) {
+		sets := []*graph.NodeSet{small, full, nil, small}
+		if allocs := testing.AllocsPerRun(20, func() {
+			sink += int64(len(pool.EstimateFMany(sets)))
+		}); allocs != 1 {
+			t.Errorf("EstimateFMany allocates %v per batch, want 1 (its result)", allocs)
+		}
+	})
 }
 
 // TestPmaxRepeatEstimateZeroAlloc pins the refine fast path: once the

@@ -33,10 +33,6 @@ type Pool struct {
 	total    int64
 	universe int
 
-	idxOnce  sync.Once
-	idx      *Index
-	idxBuilt atomic.Bool // set after idx is fully constructed
-
 	famOnce  sync.Once
 	fam      *setcover.Family
 	famErr   error
@@ -46,7 +42,7 @@ type Pool struct {
 // Truncate returns the prefix view of the pool's first l draws: exactly
 // the pool that sampling l draws one-shot would have produced (chunk
 // streams are indexed and prefix-stable). The view shares the parent's
-// arena and offsets zero-copy and builds its own coverage index on
+// arena and offsets zero-copy and folds its own set-cover family on
 // demand. l ≥ Total returns the pool itself.
 func (p *Pool) Truncate(l int64) *Pool {
 	if l >= p.total {
@@ -87,82 +83,95 @@ func (p *Pool) FractionType1() float64 {
 }
 
 // CoverageCount returns F(B_l, I): the number of pooled realizations
-// covered by invited (t(g) ⊆ I). This is the allocation-free linear scan;
-// for repeated queries against one pool, Index().CoverageCount amortizes
-// an inverted node → realization index instead of rescanning every path.
+// covered by invited (t(g) ⊆ I), by one scan of the CSR paths. A path
+// with more nodes than I has is skipped on its length, which offsets
+// give, so for a small set — a budgeted solve's output, an acceptance
+// query — few paths' nodes are read. A path reaching a node at or
+// beyond the set's universe (a set built before a delta added nodes) is
+// not covered; paths are ascending, so that node is the path's last
+// one. A nil set counts as the empty set. The scan allocates nothing
+// and takes no lock.
 func (p *Pool) CoverageCount(invited *graph.NodeSet) int64 {
+	q := newScanSet(invited)
+	arena := p.arena
 	var covered int64
-	for i := 0; i < p.NumType1(); i++ {
-		ok := true
-		for _, v := range p.Path(i) {
-			if !invited.Contains(v) {
-				ok = false
-				break
+	lo := p.offsets[0]
+	for _, hi := range p.offsets[1:] {
+		if l := hi - lo; l <= q.size {
+			if l == 0 {
+				covered++
+			} else if last := arena[hi-1]; last < q.n && q.ends(arena[lo], last) != 0 {
+				covered += q.inner(arena[lo:hi])
 			}
 		}
-		if ok {
-			covered++
-		}
+		lo = hi
 	}
 	return covered
 }
 
-// EstimateF returns F(B_l, I)/l, the pool's estimate of f(I), via the
-// coverage index.
+// EstimateF returns F(B_l, I)/l, the pool's estimate of f(I).
 func (p *Pool) EstimateF(invited *graph.NodeSet) float64 {
 	if p.total == 0 {
 		return 0
 	}
-	return float64(p.Index().CoverageCount(invited)) / float64(p.total)
+	return float64(p.CoverageCount(invited)) / float64(p.total)
 }
 
-// EstimateFMany returns F(B_l, I)/l for every invitation set in one
-// batched traversal of the coverage index's postings (Index.CoverageCounts);
-// measuring k sets costs one pass instead of k.
+// EstimateFMany returns F(B_l, I)/l for every invitation set: EstimateF
+// per set. It allocates only its result.
 func (p *Pool) EstimateFMany(invited []*graph.NodeSet) []float64 {
-	counts := p.Index().CoverageCounts(invited)
-	out := make([]float64, len(counts))
-	if p.total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(p.total)
+	out := make([]float64, len(invited))
+	for j, s := range invited {
+		out[j] = p.EstimateF(s)
 	}
 	return out
 }
 
-// Index returns the pool's inverted node → realization index, built
-// lazily on first use and cached.
-func (p *Pool) Index() *Index {
-	p.idxOnce.Do(func() {
-		p.idx = newIndex(p)
-		p.idxBuilt.Store(true)
-	})
-	return p.idx
+// scanSet is an invitation set as the path scan reads it: its bitmap
+// words, universe and member count, fetched once per call. The zero
+// value is the empty set.
+type scanSet struct {
+	words []uint64
+	n     graph.Node
+	size  int32
+}
+
+func newScanSet(s *graph.NodeSet) scanSet {
+	if s == nil {
+		return scanSet{}
+	}
+	return scanSet{words: s.Words(), n: graph.Node(s.Universe()), size: int32(s.Len())}
+}
+
+// ends returns 1 if first and last, the ends of a path (last < q.n),
+// are both members, else 0. It does not branch: which end fails varies
+// from path to path too much for a branch to be predicted.
+func (q *scanSet) ends(first, last graph.Node) int64 {
+	return int64(q.words[first>>6] >> (uint(first) & 63) & (q.words[last>>6] >> (uint(last) & 63)) & 1)
+}
+
+// inner returns 1 if every interior node of path is a member, else 0.
+func (q *scanSet) inner(path []graph.Node) int64 {
+	ok := uint64(1)
+	for k := 1; k < len(path)-1; k++ {
+		v := path[k]
+		ok &= q.words[v>>6] >> (uint(v) & 63)
+	}
+	return int64(ok & 1)
 }
 
 // MemBytes returns the resident size of the pool: the CSR path arena,
-// offset table and draw-index table, plus the coverage index and the
-// set-cover family once they have been built. It is the unit of account
-// for memory-budgeted pool eviction. Truncated views share their parent's
-// tables; account them with IndexMemBytes + FamilyMemBytes instead.
+// offset table and draw-index table, plus the set-cover family once it
+// has been built. It is the unit of account for memory-budgeted pool
+// eviction. Truncated views share their parent's tables; account them
+// with FamilyMemBytes instead.
 func (p *Pool) MemBytes() int64 {
 	return int64(cap(p.arena))*4 + int64(cap(p.offsets))*4 + int64(cap(p.pathDraw))*8 +
-		p.IndexMemBytes() + p.FamilyMemBytes()
-}
-
-// IndexMemBytes returns the resident size of the pool's coverage index
-// (0 until it is built).
-func (p *Pool) IndexMemBytes() int64 {
-	if p.idxBuilt.Load() {
-		return p.idx.memBytes()
-	}
-	return 0
+		p.FamilyMemBytes()
 }
 
 // FamilyMemBytes returns the resident size of the pool's cached set-cover
-// family (0 until it is built). Together with IndexMemBytes it is all the
-// storage a truncated view owns.
+// family (0 until it is built): all the storage a truncated view owns.
 func (p *Pool) FamilyMemBytes() int64 {
 	if p.famBuilt.Load() {
 		return p.fam.MemBytes()

@@ -61,8 +61,8 @@ func (s *Session) Size() int64 {
 // MemBytes returns the bytes held by the session's cached pool, the
 // per-chunk tables kept for regrowth and repair — offsets, draw indices
 // and touch masks (chunk arenas alias the pool arena and are not
-// double-counted) — and the coverage indexes of cached prefix views. It is the sizing input for memory-budgeted eviction of cold
-// sessions.
+// double-counted) — and the set-cover families of cached prefix views.
+// It is the sizing input for memory-budgeted eviction of cold sessions.
 func (s *Session) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -74,7 +74,7 @@ func (s *Session) MemBytes() int64 {
 		b += s.pool.MemBytes()
 	}
 	for _, v := range s.views {
-		b += v.IndexMemBytes() + v.FamilyMemBytes()
+		b += v.FamilyMemBytes()
 	}
 	return b
 }
@@ -83,8 +83,8 @@ func (s *Session) MemBytes() int64 {
 // the cache is missing: when the cached pool is larger, the returned
 // pool is the zero-copy prefix view of its first l draws (identical to
 // a one-shot pool of size l); when smaller, the cache grows first.
-// Views are cached per draw count so repeated queries at one size share
-// a coverage index.
+// Views are cached per draw count so repeated solves at one size share
+// a set-cover family.
 func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 	if err := checkDraws(l); err != nil {
 		return nil, err
@@ -162,10 +162,10 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 }
 
 // ReleaseDerived drops what the session derived from its pool — the
-// cached coverage index, the set-cover family and the prefix views —
-// keeping the sampled state itself, so MemBytes afterwards counts the
-// pool and its regrow tables only. Holders of an earlier Pool keep it
-// intact; later calls rebuild the derived state on demand.
+// set-cover family and the prefix views — keeping the sampled state
+// itself, so MemBytes afterwards counts the pool and its regrow tables
+// only. Holders of an earlier Pool keep it intact; later calls rebuild
+// the derived state on demand.
 func (s *Session) ReleaseDerived() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,9 +177,9 @@ func (s *Session) ReleaseDerived() {
 }
 
 // maxCachedViews bounds the per-session view cache: each cached view can
-// lazily build its own coverage index (comparable in size to the pool's),
+// lazily fold its own set-cover family (comparable in size to the pool's),
 // so a workload sweeping many distinct draw counts must not accumulate
-// one index per count. Views are cheap to re-derive, so overflow just
+// one family per count. Views are cheap to re-derive, so overflow just
 // resets the cache.
 const maxCachedViews = 8
 
@@ -202,7 +202,7 @@ func (s *Session) viewLocked(l int64) *Pool {
 
 // EstimateF estimates f(invited) from the session's cached pool, growing
 // it to at least trials draws first. Repeated estimates against the same
-// session share both the draws and the pool's coverage index.
+// session share the draws; each one scans the pool's paths.
 func (s *Session) EstimateF(ctx context.Context, invited *graph.NodeSet, trials int64) (float64, error) {
 	p, err := s.Pool(ctx, trials)
 	if err != nil {
@@ -213,10 +213,9 @@ func (s *Session) EstimateF(ctx context.Context, invited *graph.NodeSet, trials 
 	return p.EstimateF(invited), nil
 }
 
-// EstimateFMany estimates f for every invitation set in one batched
-// coverage query against the session's cached pool (grown to at least
-// trials draws first): the pool's postings are traversed once for the
-// whole batch instead of once per set.
+// EstimateFMany estimates f for every invitation set against the
+// session's cached pool (grown to at least trials draws first), one scan
+// of the pool's paths per set (Pool.EstimateFMany).
 func (s *Session) EstimateFMany(ctx context.Context, invited []*graph.NodeSet, trials int64) ([]float64, error) {
 	p, err := s.Pool(ctx, trials)
 	if err != nil {

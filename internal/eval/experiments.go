@@ -144,8 +144,8 @@ func (ps *pairSession) measureF(ctx context.Context, invited *graph.NodeSet) (fl
 }
 
 // measureFMany estimates f for several invitation sets in one batched
-// coverage query against the pair's evaluation pool: the pool's postings
-// are traversed once for the whole batch instead of once per set.
+// coverage query against the pair's evaluation pool: the pool's paths
+// are scanned once for the whole batch instead of once per set.
 func (ps *pairSession) measureFMany(ctx context.Context, invited []*graph.NodeSet) ([]float64, error) {
 	return ps.sess.Eval().EstimateFMany(ctx, invited, ps.trials)
 }
@@ -209,7 +209,7 @@ func BasicExperiment(ctx context.Context, cfg Config, alphas []float64) ([]Fig3R
 				}
 				k := res.Invited.Len()
 				// One batched coverage query measures RAF and both size-
-				// matched baselines in a single postings traversal.
+				// matched baselines.
 				fs, err := ps.measureFMany(ctx, []*graph.NodeSet{
 					res.Invited,
 					baselines.PrefixSet(c.Graph.NumNodes(), hdOrder, k),
@@ -485,7 +485,7 @@ func RealizationSweep(ctx context.Context, cfg Config, ls []int64) ([]SweepPoint
 	// Solve every grid point first (each pool is the previous point's pool
 	// grown in place), then measure all invitation sets in one batched
 	// coverage query against the evaluation pool — the sweep table costs a
-	// single postings traversal instead of one per grid point.
+	// single scan of the paths instead of one per grid point.
 	out := make([]SweepPoint, 0, len(sorted))
 	var sets []*graph.NodeSet
 	var measured []int // out indexes awaiting a measurement

@@ -111,3 +111,7 @@ func (s *NodeSet) Fill() {
 		s.Add(Node(v))
 	}
 }
+
+// Words returns the set's bitmap: member v is bit v%64 of word v/64.
+// The slice aliases the set and must not be modified.
+func (s *NodeSet) Words() []uint64 { return s.words }

@@ -75,9 +75,9 @@ func SolveMaxOn(ctx context.Context, sess *core.Session, budget int, realization
 
 // SolveMaxBudgetsOn is SolveMaxOn for a whole budget sweep: the greedy
 // runs once per budget against sess's pool (folded once), and the
-// decorrelated estimates come from one batched coverage query — one
-// postings traversal of the evaluation pool for the entire sweep.
-// Results are identical to calling SolveMaxOn per budget.
+// decorrelated estimates come from one batched coverage query on the
+// evaluation pool. Results are identical to calling SolveMaxOn per
+// budget.
 func SolveMaxBudgetsOn(ctx context.Context, sess *core.Session, budgets []int, realizations int64) ([]*Result, []float64, error) {
 	l := Realizations(realizations)
 	pool, err := sess.Pool(ctx, l)

@@ -226,7 +226,7 @@ func TestSolveBudgetsFromPoolParity(t *testing.T) {
 
 // TestSweepCoveredMatchesPoolCoverage: the sweep's in-pool fraction is
 // the greedy's Covered tally, and re-measuring each chosen set against
-// the pool's inverted index in one batched query counts the same draws.
+// the pool's paths counts the same draws.
 func TestSweepCoveredMatchesPoolCoverage(t *testing.T) {
 	in := mustInstance(t, randomConnected(4, 40, 60), 0, 39)
 	pool, err := engine.New(in).SamplePool(context.Background(), 12000, 0, 11)
@@ -252,9 +252,10 @@ func TestSweepCoveredMatchesPoolCoverage(t *testing.T) {
 		covered[i] = sol.Covered
 		sets[i] = graph.NewNodeSetOf(in.Graph().NumNodes(), sol.Union...)
 	}
-	for i, c := range pool.Index().CoverageCounts(sets) {
+	for i, set := range sets {
+		c := pool.CoverageCount(set)
 		if c != int64(covered[i]) {
-			t.Errorf("budget %d: index counts %d covered draws, greedy tallied %d", budgets[i], c, covered[i])
+			t.Errorf("budget %d: pool counts %d covered draws, greedy tallied %d", budgets[i], c, covered[i])
 		}
 		if want := float64(c) / float64(pool.Total()); sweep[i].CoveredFraction != want {
 			t.Errorf("budget %d: sweep fraction %v, pool measures %v", budgets[i], sweep[i].CoveredFraction, want)

@@ -32,7 +32,7 @@ const (
 	StageFamilyFold
 	// StageSolve is the greedy set-cover solve.
 	StageSolve
-	// StageMeasure is a coverage measurement against a pool's index.
+	// StageMeasure is a coverage measurement: a scan of a pool's paths.
 	StageMeasure
 	// StagePmax is Algorithm 2 stopping-rule chunk sampling.
 	StagePmax

@@ -48,9 +48,9 @@ type DeltaResult struct {
 // re-drawn under their original streams, leaving the pair
 // byte-identical to one built cold at the new epoch (see
 // engine.Session.RepairTo). A stale pair's derived caches (set-cover
-// family, coverage indexes, prefix views) are released here, since
-// repair rebuilds the pools without them, and it is charged only its
-// pools until its repair.
+// family, prefix views) are released here, since repair rebuilds the
+// pools without them, and it is charged only its pools until its
+// repair.
 //
 // At most two epochs are ever live: a pair still stale from an earlier
 // delta is repaired inside the call, up to Config.Workers at once.

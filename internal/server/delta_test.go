@@ -365,6 +365,59 @@ func TestApplyDeltaContainsMigrationPanic(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaNodeAddingAcceptance: an acceptance query whose set was
+// built before a delta that adds a node (the protocol builds it from the
+// graph current before admission) is measured after the delta against
+// the repaired evaluation pool, some of whose paths reach the new node.
+// Those paths are not covered: the answer equals a cold server's at the
+// new epoch for the same members, and nothing panics.
+func TestApplyDeltaNodeAddingAcceptance(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(64, 80)
+	const s, tt, trials = 0, 63, 2000
+	if g.HasEdge(s, tt) {
+		t.Fatal("test pair is adjacent")
+	}
+	old := graph.NewNodeSet(g.NumNodes())
+	old.Fill()
+	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 2})
+	if _, err := sv.EstimateF(ctx, s, tt, old, trials); err != nil {
+		t.Fatal(err)
+	}
+	d := &graph.Delta{Add: []graph.Edge{{U: 1, V: 64}, {U: 64, V: tt}}}
+	if _, err := sv.ApplyDelta(ctx, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sv.EstimateF(ctx, s, tt, old, trials)
+	if err != nil {
+		t.Fatalf("measuring a pre-delta set after the delta: %v", err)
+	}
+
+	g2 := sv.Graph()
+	cold := New(g2, weights.NewDegree(g2), Config{Seed: 7, Workers: 2})
+	same := graph.NewNodeSet(g2.NumNodes())
+	all := graph.NewNodeSet(g2.NumNodes())
+	all.Fill()
+	old.Range(func(v graph.Node) bool { same.Add(v); return true })
+	want, err := cold.EstimateF(ctx, s, tt, same, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withNew, err := cold.EstimateF(ctx, s, tt, all, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withNew == want {
+		t.Fatalf("no sampled path reaches the added node (f = %v either way); the test exercises nothing", want)
+	}
+	if got != want {
+		t.Errorf("pre-delta set measures %v after the delta, a cold server at the new epoch %v", got, want)
+	}
+	if p := sv.Stats().Panics; p != 0 {
+		t.Errorf("Stats.Panics = %d, want 0", p)
+	}
+}
+
 // TestApplyDeltaWorkerIdentity: neither the delta's walk nor the repairs
 // on first touch depend on how many workers run them. For every worker
 // count the same warmed server, including a spilled pair the delta

@@ -83,7 +83,7 @@ const DefaultShards = 16
 // Config parameterizes a Server.
 type Config struct {
 	// MaxPoolBytes bounds the total bytes of cached pair state (pool
-	// arenas, offset tables, coverage indexes) as measured by
+	// arenas, offset tables, set-cover families) as measured by
 	// engine MemBytes accounting. When a completed query pushes the total
 	// over the budget, least-recently-used pairs are evicted until it
 	// fits. 0 disables eviction.

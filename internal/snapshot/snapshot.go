@@ -362,9 +362,11 @@ func decodeInt64s(data []byte, off, n int64) []int64 {
 }
 
 // validate checks the semantic invariants the engine relies on, so a
-// snapshot that passes can be handed to coverage-index construction and
-// set-cover folding without further bounds checks — including that every
-// path is strictly ascending, the form the fold hashes without copying.
+// snapshot that passes can be handed to the coverage scan and set-cover
+// folding without further bounds checks. Every path is strictly
+// ascending with every node inside the universe: the fold hashes that
+// form without copying, and the scan takes a path's last node as its
+// largest, so its length and universe filters are sound.
 func (p *Pool) validate() error {
 	n := p.NumPaths()
 	if p.Offsets[0] != 0 {

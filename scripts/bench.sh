@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_new.json}"
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-5}"
-pattern='FamilyFold|RepeatedSolves|SolveMaxBudgetSweep|CoverageBatch|CoverageScan|CoverageIndexed|SetcoverGreedy|SamplePool|Snapshot|Spill|Pmax|Delta|TopK|Obs|Proto|Admission|Vmax|ServerManyPairs'
+pattern='FamilyFold|RepeatedSolves|SolveMaxBudgetSweep|CoverageSweep|CoverageScan|SetcoverGreedy|SamplePool|Snapshot|Spill|Pmax|Delta|TopK|Obs|Proto|Admission|Vmax|ServerManyPairs'
 
 raw="$(mktemp)"
 samples="$(mktemp)"
