@@ -34,6 +34,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/setcover"
+	"repro/internal/snapshot"
 	"repro/internal/weights"
 )
 
@@ -386,24 +387,56 @@ func BenchmarkRAFSolve(b *testing.B) {
 }
 
 // BenchmarkSamplePool measures parallel pool generation (Alg. 3 line 2)
-// through the engine: chunked, worker-count-independent, CSR-pooled.
+// through the engine: chunked, worker-count-independent, CSR-pooled,
+// with every draw's touch list recorded. touch_B/draw is what those
+// lists cost a session to hold: their bytes and offsets per draw, read
+// from the session's TOUCH section.
 func BenchmarkSamplePool(b *testing.B) {
 	in := benchInstance(b)
 	eng := engine.New(in)
+	touch := touchBytesPerDraw(b, eng, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.SamplePool(context.Background(), 20000, 0, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(touch, "touch_B/draw")
+}
+
+// touchBytesPerDraw samples an l-draw session on eng and returns the
+// bytes its touch lists and their offsets hold per draw.
+func touchBytesPerDraw(b *testing.B, eng *engine.Engine, l int64) float64 {
+	b.Helper()
+	sess := eng.NewSession(1, 0)
+	if _, err := sess.Pool(context.Background(), l); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sess.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if _, err := snapshot.Read(r); err != nil {
+		b.Fatal(err)
+	}
+	ts, err := snapshot.ReadTouch(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var held int
+	for _, c := range ts.Chunks {
+		held += len(c.Data) + 4*len(c.Offsets)
+	}
+	return float64(held) / float64(l)
 }
 
 // BenchmarkSamplePoolSparse is BenchmarkSamplePool on the Youtube analog
-// at scale 0.1 (~113K nodes), where every chunk touches under half the
-// graph and keeps the sparse touch form: sealing a chunk must cost what
-// it touched, not the graph's size, even for a 100-draw pool. The
-// session sub-bench reports the bytes a 2000-draw session holds, touch
-// words included (B_held).
+// at scale 0.1 (~113K nodes, a 1,773-word touch bitmap): each touch
+// group's seal scans the bitmap, so its cost grows with the graph, not
+// with what the group touched, even for a 100-draw pool. The session
+// sub-bench reports the bytes a 2000-draw session holds, touch lists
+// included (B_held).
 func BenchmarkSamplePoolSparse(b *testing.B) {
 	d, err := gen.DatasetByName("Youtube")
 	if err != nil {
@@ -916,10 +949,10 @@ func BenchmarkPmaxRefine(b *testing.B) {
 // benchDeltaSetup builds a sparse instance with a warm 20k-draw session
 // and two one-edge deltas. The first adds an edge between the two
 // lowest-degree non-adjacent nodes; on a sparse graph such endpoints are
-// consulted by no draw group at all, so repair adopts everything. The
+// consulted by no touch group at all, so repair adopts everything. The
 // second adds an edge at the least-used node on the pool's paths, so
 // repair must re-draw the groups that walked through it and adopt the
-// rest — the regime per-group repair is for.
+// rest — the regime per-touch-group repair is for.
 func benchDeltaSetup(b *testing.B) (sess *engine.Session, in *ltm.Instance, offPath, onPath graph.Edge) {
 	b.Helper()
 	g, err := gen.ErdosRenyi(3000, 4500, rand.New(rand.NewSource(17)))
@@ -980,11 +1013,11 @@ func benchDeltaSetup(b *testing.B) (sess *engine.Session, in *ltm.Instance, offP
 	return sess, in, graph.Edge{U: u, V: v}, graph.Edge{U: p, V: q}
 }
 
-// benchApplyEdge returns the instance after adding edge e, with the
+// benchApplyEdge returns the instance after adding the edges, with the
 // delta's dirty nodes.
-func benchApplyEdge(b *testing.B, in *ltm.Instance, e graph.Edge) (*ltm.Instance, []graph.Node) {
+func benchApplyEdge(b *testing.B, in *ltm.Instance, e ...graph.Edge) (*ltm.Instance, []graph.Node) {
 	b.Helper()
-	g2, dirty, err := (&graph.Delta{Add: []graph.Edge{e}}).Apply(in.Graph())
+	g2, dirty, err := (&graph.Delta{Add: e}).Apply(in.Graph())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -997,12 +1030,47 @@ func benchApplyEdge(b *testing.B, in *ltm.Instance, e graph.Edge) (*ltm.Instance
 
 // BenchmarkDeltaRepairVsResample times repairing the 20k-draw pool
 // across each delta against discarding and resampling it. draws/op is
-// the re-draw bill and saved_frac the share of draws adopted; every
-// repair must beat discard-and-resample.
+// the re-draw bill, saved_frac the share of draws adopted and
+// redrawn_frac the share re-drawn; every repair must beat
+// discard-and-resample. repair-1edge and repair-2edge cycle through 8
+// deltas of uniformly random non-edges each — a pair's damage after one
+// graph delta and after two — and report the mean redrawn_frac.
 func BenchmarkDeltaRepairVsResample(b *testing.B) {
 	ctx := context.Background()
 	sess, in, offPath, onPath := benchDeltaSetup(b)
 	const l = 20000
+	r := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 2} {
+		type delta struct {
+			in    *ltm.Instance
+			dirty []graph.Node
+		}
+		deltas := make([]delta, 8)
+		for j := range deltas {
+			var edges []graph.Edge
+			for len(edges) < k {
+				g, n := in.Graph(), in.Graph().NumNodes()
+				e := graph.Edge{U: graph.Node(r.Intn(n)), V: graph.Node(r.Intn(n))}
+				if e.U != e.V && !g.HasEdge(e.U, e.V) && !(e.U == in.S() && e.V == in.T()) && !(e.U == in.T() && e.V == in.S()) {
+					edges = append(edges, e)
+				}
+			}
+			deltas[j].in, deltas[j].dirty = benchApplyEdge(b, in, edges...)
+		}
+		b.Run(fmt.Sprintf("repair-%dedge", k), func(b *testing.B) {
+			b.ReportAllocs()
+			var redrawn int64
+			for i := 0; i < b.N; i++ {
+				d := deltas[i%len(deltas)]
+				_, rst, err := sess.RepairTo(ctx, engine.New(d.in), d.dirty)
+				if err != nil {
+					b.Fatal(err)
+				}
+				redrawn += rst.DrawsResampled
+			}
+			b.ReportMetric(float64(redrawn)/float64(b.N)/l, "redrawn_frac")
+		})
+	}
 	for _, c := range []struct {
 		name string
 		edge graph.Edge
@@ -1029,6 +1097,7 @@ func BenchmarkDeltaRepairVsResample(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.DrawsResampled), "draws/op")
 			b.ReportMetric(float64(st.DrawsSaved)/l, "saved_frac")
+			b.ReportMetric(float64(st.DrawsResampled)/l, "redrawn_frac")
 		})
 	}
 	in2, _ := benchApplyEdge(b, in, onPath)

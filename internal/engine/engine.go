@@ -8,10 +8,15 @@
 //   - Pools are stored in a compact CSR layout (one flat path arena plus
 //     offsets) handed zero-copy to the set-cover solver and scanned
 //     directly by coverage queries.
-//   - Sampling is partitioned into fixed-size chunks whose random streams
-//     derive from the chunk (and draw-group) index, namespaced per call
-//     site, so pool contents and estimates are pure functions of
-//     (seed, l) — identical for any worker count.
+//   - Sampling is partitioned into fixed-size chunks, and every draw of
+//     a pool or p_max ledger chunk reads its own random stream, derived
+//     from its draw index and namespaced per call site, so pool contents
+//     and estimates are pure functions of (seed, l) — identical for any
+//     worker count — and no draw's randomness depends on another's.
+//   - Each such chunk records, per GroupSize-draw touch group, the sorted
+//     nodes its draws touched, so a graph delta re-draws only the groups
+//     whose draws consulted a changed node (repair.go) and the repaired
+//     state equals a cold sample at the new epoch.
 //   - Per-worker Samplers are recycled through a sync.Pool, and a Session
 //     caches a growable pool so repeated solves (e.g. an α-sweep) sample
 //     each realization exactly once.
@@ -33,20 +38,29 @@ import (
 	"sync"
 )
 
-// ChunkSize is the number of realization draws per sampling chunk. It is
-// part of the determinism contract: pool contents depend on how draws are
-// grouped into chunks (and chunks into GroupSize groups, see touch.go),
-// so changing it changes pools for a fixed seed.
-const ChunkSize = 2048
+// ChunkSize is the number of realization draws per sampling chunk, the
+// unit that pool and p_max ledger sampling and repair hand to one
+// worker. Draw i of chunk c reads the stream (seed, ns, c·ChunkSize + i)
+// — the stream of its index in the whole sequence — so pools and ledgers
+// do not depend on it: it sets only how finely sampling spreads over
+// workers (a 2,000-draw pool splits into four chunks) and how many
+// chunks a touch section describes.
+const ChunkSize = 512
+
+// estimateChunk is the number of draws per one-shot estimation chunk,
+// each reading one stream (seed, nsEstimate, c). Unlike ChunkSize it is
+// part of the determinism contract: changing it changes EstimateF for a
+// fixed seed.
+const estimateChunk = 2048
 
 // Stream namespaces (see rng.DeriveStream): every sampling call site gets
 // its own family of indexed streams so phases sharing one root seed never
 // consume identical randomness. The p_max stopping-rule namespace nsPmax
 // lives in pmax.go next to the estimator; its draws follow the same
-// fixed layout as pools (group g of chunk c reads stream (seed, ns,
-// c·groupsPerChunk + g) from its start), so every stream family shares
-// one determinism story. One-shot estimation (EstimateF) records no
-// touches and keeps one stream per chunk: (seed, nsEstimate, c).
+// fixed layout as pools (draw i of chunk c reads stream (seed, ns,
+// c·ChunkSize + i)), so every stream family shares one determinism
+// story. One-shot estimation (EstimateF) records no touches and keeps
+// one stream per estimateChunk draws: (seed, nsEstimate, c).
 const (
 	nsPool     uint64 = 0x506F6F4C // solve pools ("PooL")
 	nsEstimate uint64 = 0x45737446 // one-shot reverse f-estimation ("EstF")
@@ -210,11 +224,11 @@ type chunkPaths struct {
 	arena   []graph.Node
 	offsets []int32
 	drawIdx []int32
-	// touch records which of the chunk's draw groups consulted each node
-	// (see touchMask) — the delta-repair damage test: a group whose draws
+	// touch lists, per touch group, the nodes its draws consulted (see
+	// touchList) — the delta-repair damage test: a group whose draws
 	// consulted no dirty node replays byte-identically on the post-delta
 	// graph.
-	touch touchMask
+	touch touchList
 }
 
 // chunkBuf carries the backing arrays a sampled chunk appends into.
@@ -230,10 +244,11 @@ type chunkBuf struct {
 	arena   []graph.Node
 	offsets []int32
 	drawIdx []int32
-	// nodes and masks receive a sealed touch mask's sparse form (see
-	// sealTouch).
-	nodes []graph.Node
-	masks []uint32
+	// touchOff and touchData receive the chunk's touch lists (see
+	// drawGroups); a chunk that is kept takes an exact-size copy
+	// (detachTouch).
+	touchOff  []uint32
+	touchData []byte
 }
 
 var chunkBufs = sync.Pool{New: func() any { return new(chunkBuf) }}
@@ -242,26 +257,28 @@ var chunkBufs = sync.Pool{New: func() any { return new(chunkBuf) }}
 func (e *Engine) getChunkBuf() *chunkBuf { return chunkBufs.Get().(*chunkBuf) }
 
 // putChunkBuf returns cp's backing arrays to the pool through b (the
-// buffer cp was sampled into). keepTables leaves offsets, drawIdx and
-// the touch mask with the caller — Session retains them for regrowth
-// and repair and recycles only the arena, whose contents it re-aliases
-// into the assembled pool.
-func (e *Engine) putChunkBuf(b *chunkBuf, cp chunkPaths, keepTables bool) {
+// buffer cp was sampled into). keepTables leaves offsets and drawIdx
+// with the caller and gives cp an exact-size copy of its touch lists —
+// Session retains them for regrowth and repair and recycles only the
+// arena, whose contents it re-aliases into the assembled pool, and the
+// touch arrays.
+func (e *Engine) putChunkBuf(b *chunkBuf, cp *chunkPaths, keepTables bool) {
 	b.arena = cp.arena[:0]
 	if keepTables {
 		b.offsets, b.drawIdx = nil, nil
+		cp.touch = b.detachTouch(cp.touch)
 	} else {
 		b.offsets = cp.offsets[:0]
 		b.drawIdx = cp.drawIdx[:0]
-		b.reclaimTouch(cp.touch)
+		b.touchOff, b.touchData = cp.touch.Offsets[:0], cp.touch.Data[:0]
 	}
 	chunkBufs.Put(b)
 }
 
 // sampleChunk draws chunk number chunk, n realizations, into b's
 // chunk-local arena — no per-path allocation, and none at all once b's
-// arrays are warm. Group g of the chunk reads the stream (seed, ns,
-// chunk·groupsPerChunk + g), so a chunk's result depends only on
+// arrays are warm. Draw i of the chunk reads the stream (seed, ns,
+// chunk·ChunkSize + i), so a chunk's result depends only on
 // (seed, ns, chunk, n), and a shorter chunk's paths are a prefix of a
 // longer one's, which is what lets Session grow a partial trailing chunk
 // consistently.
@@ -271,26 +288,27 @@ func (e *Engine) putChunkBuf(b *chunkBuf, cp chunkPaths, keepTables bool) {
 // (re-deriving its already-counted prefix) can charge only the net-new
 // draws and keep PoolDraws equal to the pool size.
 func (e *Engine) sampleChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf) chunkPaths {
-	return e.drawChunk(seed, ns, chunk, n, b, nil, groupBits(n))
+	all := groupsFrom(0, n)
+	return e.drawChunk(seed, ns, chunk, n, b, nil, &all)
 }
 
-// drawChunk builds chunk number chunk, n draws, into b. Groups set in
-// redraw are drawn from their own streams; every other group is copied
+// drawChunk builds chunk number chunk, n draws, into b. Groups in redraw
+// are drawn, each draw from its own stream; every other group is copied
 // from old, the same chunk as sampled before — at an earlier graph epoch
 // (repair, where the damage test guarantees those groups replay
 // identically) or at a smaller size (growth, where old holds them
-// complete). The touch words of copied groups carry over from old, so
-// the result, touch mask included, is exactly what sampling the chunk
+// complete). The touch lists of copied groups carry over from old, so
+// the result, touch lists included, is exactly what sampling the chunk
 // from scratch would produce. old may be nil only when redraw holds
 // every group.
-func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old *chunkPaths, redraw uint32) chunkPaths {
+func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old *chunkPaths, redraw *groupSet) chunkPaths {
 	cp := chunkPaths{
 		draws:   n,
 		arena:   b.arena[:0],
 		offsets: append(b.offsets[:0], 0),
 		drawIdx: b.drawIdx[:0],
 	}
-	var oldTouch touchMask
+	var oldTouch touchList
 	var from int // old's first path not yet copied or skipped
 	if old != nil {
 		oldTouch = old.touch
@@ -305,21 +323,16 @@ func (e *Engine) drawChunk(seed int64, ns uint64, chunk, n int64, b *chunkBuf, o
 		}
 		cp.appendPaths(old, from, to)
 		from = to
-	}, func(sp *realization.Sampler, st rng.Stream, lo, hi int64) {
-		arena, offsets, drawIdx := cp.arena, cp.offsets, cp.drawIdx // kept in registers
-		for i := lo; i < hi; i++ {
-			tg := sp.SampleTGView(&st)
-			if tg.Outcome == realization.Type1 {
-				// Stored ascending: only the path's node set matters
-				// (Lemma 2), and the set-cover fold reads it sorted.
-				start := len(arena)
-				arena = append(arena, tg.Path...)
-				sortPath(arena[start:])
-				offsets = append(offsets, int32(len(arena)))
-				drawIdx = append(drawIdx, int32(i))
-			}
+	}, func(i int64, tg realization.TG) {
+		if tg.Outcome == realization.Type1 {
+			// Stored ascending: only the path's node set matters
+			// (Lemma 2), and the set-cover fold reads it sorted.
+			start := len(cp.arena)
+			cp.arena = append(cp.arena, tg.Path...)
+			sortPath(cp.arena[start:])
+			cp.offsets = append(cp.offsets, int32(len(cp.arena)))
+			cp.drawIdx = append(cp.drawIdx, int32(i))
 		}
-		cp.arena, cp.offsets, cp.drawIdx = arena, offsets, drawIdx
 	})
 	return cp
 }
@@ -341,31 +354,39 @@ func sortPath(p []graph.Node) {
 	}
 }
 
-// drawGroups runs the group loop both touch-recording kernels share,
-// over the groups of an n-draw chunk in order. A group set in redraw is
-// drawn by draw from its own stream (seed, ns, chunk·groupsPerChunk + g)
-// while the sampler records its touches under the group's bit; any
-// other group is handed to keep, which copies its results from the old
-// chunk, whose touch words old supplies for it. It returns the chunk's
-// sealed touch mask. draw takes its stream by value: a pointer passed
-// through the func value would move every group's stream to the heap.
-func (e *Engine) drawGroups(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old touchMask, redraw uint32,
-	keep func(lo, hi int64), draw func(sp *realization.Sampler, st rng.Stream, lo, hi int64)) touchMask {
-	log := getTouchLog(e.in.Graph().NumNodes())
-	old.orInto(log, ^redraw)
+// drawGroups runs the draw loop both touch-recording kernels share,
+// over the touch groups of an n-draw chunk in order. A group in redraw
+// is drawn: draw i reads its own stream (seed, ns, chunk·ChunkSize + i)
+// and its outcome goes to draw, while the sampler records the group's
+// touches, sealed into the group's list at its end. Any other group is
+// handed to keep, which copies its results from the old chunk, and its
+// list is copied from old. It returns the chunk's touch lists, built in
+// b's touch arrays.
+func (e *Engine) drawGroups(seed int64, ns uint64, chunk, n int64, b *chunkBuf, old touchList, redraw *groupSet,
+	keep func(lo, hi int64), draw func(i int64, tg realization.TG)) touchList {
+	t := touchList{Offsets: append(b.touchOff[:0], 0), Data: b.touchData[:0]}
+	rec := getTouchRecord(e.in.Graph().NumNodes())
 	sp := e.samplers.Get().(*realization.Sampler)
+	sp.RecordTouches(&rec.TouchLog)
+	fam, base := rng.NewFamily(seed, ns), uint64(chunk)*ChunkSize
 	for g := int64(0); g*GroupSize < n; g++ {
 		lo, hi := g*GroupSize, min(g*GroupSize+GroupSize, n)
-		if bit := uint32(1) << g; redraw&bit == 0 {
-			keep(lo, hi)
+		if redraw.has(g) {
+			for i := lo; i < hi; i++ {
+				st := fam.Stream(base + uint64(i))
+				draw(i, sp.SampleTGView(&st))
+			}
+			t.Data = rec.seal(t.Data)
 		} else {
-			sp.RecordTouches(log, bit)
-			draw(sp, rng.DerivedStream(seed, ns, groupStream(chunk, g)), lo, hi)
+			keep(lo, hi)
+			t.Data = append(t.Data, old.list(g)...)
 		}
+		t.Offsets = append(t.Offsets, uint32(len(t.Data)))
 	}
-	sp.RecordTouches(nil, 0)
+	sp.RecordTouches(nil)
 	e.samplers.Put(sp)
-	return b.sealTouch(log)
+	touchRecords.Put(rec)
+	return t
 }
 
 // appendPaths copies src's paths [from, to) onto the end of cp.
@@ -382,14 +403,15 @@ func (cp *chunkPaths) appendPaths(src *chunkPaths, from, to int) {
 }
 
 // regrowGroups returns the groups to draw when a chunk of oldDraws draws
-// with touch mask t grows to n draws: every group, except the complete
-// groups the old chunk already holds — those are prefix-stable and keep
-// their bytes, provided their touch words are known.
-func regrowGroups(t touchMask, oldDraws, n int64) uint32 {
+// with touch lists t grows to n draws: the trailing partial group onward
+// (its at most GroupSize−1 old draws are re-drawn, from their own
+// streams, to re-seal its list), or every group when t is unknown — the
+// complete groups the old chunk holds keep their paths and lists.
+func regrowGroups(t touchList, oldDraws, n int64) groupSet {
 	if !t.known() {
-		return groupBits(n)
+		return groupsFrom(0, n)
 	}
-	return groupBits(n) &^ groupBits(oldDraws/GroupSize*GroupSize)
+	return groupsFrom(oldDraws/GroupSize, n)
 }
 
 // addPoolDraws charges n pool draws to the engine's ledger.
@@ -437,7 +459,7 @@ func assemblePool(chunks []chunkPaths, universe int) (*Pool, error) {
 // request beyond it — e.g. an Unbounded solve whose theoretical l* is
 // astronomical — is a configuration error and gets a clean error instead
 // of a fatal allocation).
-const maxPoolChunks = 1 << 22
+const maxPoolChunks = 1 << 24
 
 // checkDraws validates a requested draw count against the chunk-table cap.
 func checkDraws(l int64) error {
@@ -479,7 +501,7 @@ func (e *Engine) samplePoolNS(ctx context.Context, l int64, workers int, seed in
 	}
 	// Assembly copied everything out; the chunk arrays go back to the pool.
 	for c := range chunks {
-		e.putChunkBuf(bufs[c], chunks[c], false)
+		e.putChunkBuf(bufs[c], &chunks[c], false)
 	}
 	return pool, nil
 }
@@ -492,8 +514,8 @@ func (e *Engine) EstimateF(ctx context.Context, invited *graph.NodeSet, trials i
 	if err := checkDraws(trials); err != nil {
 		return 0, err
 	}
-	hits := make([]int64, (trials+ChunkSize-1)/ChunkSize)
-	err := parallel.ForChunks(ctx, trials, ChunkSize, workers, func(c int, _, n int64) {
+	hits := make([]int64, (trials+estimateChunk-1)/estimateChunk)
+	err := parallel.ForChunks(ctx, trials, estimateChunk, workers, func(c int, _, n int64) {
 		st := rng.DerivedStream(seed, nsEstimate, uint64(c))
 		sp := e.samplers.Get().(*realization.Sampler)
 		var h int64

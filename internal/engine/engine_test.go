@@ -131,25 +131,17 @@ func TestPoolWorkerCountIndependence(t *testing.T) {
 
 // perPathPool rebuilds the pre-engine representation — one freshly
 // allocated []graph.Node per type-1 path — from the documented stream
-// layout: group g (GroupSize draws) of chunk c reads the stream
-// (seed, nsPool, c·ChunkSize/GroupSize + g) from its start. Each path
-// is the sorted walk: pools store a path's node set ascending.
+// layout: draw i of the pool reads the stream (seed, nsPool, i) from its
+// start (chunk c's draw j is pool draw c·ChunkSize + j). Each path is the
+// sorted walk: pools store a path's node set ascending.
 func perPathPool(in *ltm.Instance, l, seed int64) [][]graph.Node {
 	var paths [][]graph.Node
 	sp := realization.NewSampler(in)
-	for chunk := int64(0); chunk*ChunkSize < l; chunk++ {
-		for g := int64(0); g < ChunkSize/GroupSize; g++ {
-			lo := chunk*ChunkSize + g*GroupSize
-			if lo >= l {
-				break
-			}
-			st := rng.DerivedStream(seed, nsPool, uint64(chunk*(ChunkSize/GroupSize)+g))
-			for i := lo; i < min(lo+GroupSize, l); i++ {
-				if tg := sp.SampleTG(&st); tg.Outcome == realization.Type1 {
-					slices.Sort(tg.Path)
-					paths = append(paths, tg.Path)
-				}
-			}
+	for i := int64(0); i < l; i++ {
+		st := rng.DerivedStream(seed, nsPool, uint64(i))
+		if tg := sp.SampleTG(&st); tg.Outcome == realization.Type1 {
+			slices.Sort(tg.Path)
+			paths = append(paths, tg.Path)
 		}
 	}
 	return paths

@@ -115,7 +115,7 @@ func TestSampleChunkZeroAlloc(t *testing.T) {
 		b := e.getChunkBuf()
 		cp := e.sampleChunk(7, nsPool, 0, ChunkSize, b)
 		sink += int64(len(cp.offsets))
-		e.putChunkBuf(b, cp, false)
+		e.putChunkBuf(b, &cp, false)
 	}
 	run() // warm the sampler and size the chunk arrays
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
@@ -124,9 +124,9 @@ func TestSampleChunkZeroAlloc(t *testing.T) {
 }
 
 // TestGroupRepairZeroAlloc pins the repair kernel: once warm, rebuilding
-// a chunk — adopting some groups from the old chunk and re-drawing the
-// others under their own streams — allocates nothing. On the same
-// instance the rebuilt chunk must equal the old one exactly.
+// a chunk — adopting some touch groups from the old chunk and re-drawing
+// the others, each draw from its own stream — allocates nothing. On the
+// same instance the rebuilt chunk must equal the old one exactly.
 func TestGroupRepairZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -134,19 +134,22 @@ func TestGroupRepairZeroAlloc(t *testing.T) {
 	in := testInstance(t)
 	e := New(in)
 	old := e.sampleChunk(7, nsPool, 0, ChunkSize, e.getChunkBuf()) // its buffer stays with old
-	const redraw = 1<<31 | 1<<17 | 1<<16 | 1
+	var redraw groupSet
+	for _, g := range []int64{0, 16, 17, 40, groupsPerChunk - 1} {
+		redraw.add(g)
+	}
 	check := e.getChunkBuf()
-	cp := e.drawChunk(7, nsPool, 0, ChunkSize, check, &old, redraw)
+	cp := e.drawChunk(7, nsPool, 0, ChunkSize, check, &old, &redraw)
 	if !slices.Equal(cp.arena, old.arena) || !slices.Equal(cp.offsets, old.offsets) ||
 		!slices.Equal(cp.drawIdx, old.drawIdx) || !touchEqual(cp.touch, old.touch) {
 		t.Fatal("re-drawing groups on an unchanged instance changed the chunk")
 	}
-	e.putChunkBuf(check, cp, false)
+	e.putChunkBuf(check, &cp, false)
 	run := func() {
 		b := e.getChunkBuf()
-		cp := e.drawChunk(7, nsPool, 0, ChunkSize, b, &old, redraw)
+		cp := e.drawChunk(7, nsPool, 0, ChunkSize, b, &old, &redraw)
 		sink += int64(len(cp.offsets))
-		e.putChunkBuf(b, cp, false)
+		e.putChunkBuf(b, &cp, false)
 	}
 	run() // warm the sampler and size the chunk arrays
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {

@@ -21,49 +21,56 @@ import (
 // for a shared root seed.
 //
 // Draw-stream layout: exactly like pool sampling, the Bernoulli type-1
-// draws are partitioned into fixed ChunkSize chunks of GroupSize groups,
-// and group g of chunk c consumes the stream rng.DeriveStream(seed,
-// nsPmax, c·groupsPerChunk + g) from its start. A shorter chunk's draws
-// are therefore a prefix of the regrown chunk's, and the whole draw
-// sequence — hence every estimate computed from it — is a pure function
-// of the seed, for any worker count and any growth schedule.
+// draws are partitioned into fixed ChunkSize chunks, and draw i of chunk
+// c consumes the stream rng.DeriveStream(seed, nsPmax, c·ChunkSize + i)
+// from its start. A shorter chunk's draws are therefore a prefix of the
+// regrown chunk's, and the whole draw sequence — hence every estimate
+// computed from it — is a pure function of the seed, for any worker
+// count and any growth schedule.
 //
-// Epoch semantics: a group stream names a draw *schedule*, not a
+// Epoch semantics: a draw's stream names a draw *schedule*, not a
 // result — what each draw produces also depends on the graph epoch the
 // engine is bound to. A graph delta advances the epoch (engine.Lineage)
-// and RepairTo replays exactly the damaged groups' streams from their
-// start against the new epoch, so a group's draws at epoch N+1 are what
-// a cold epoch-N+1 engine would have produced under the same stream;
-// undamaged groups' outputs are epoch-invariant by the touch-mask damage
-// test and are adopted verbatim. Estimates
+// and RepairTo replays exactly the damaged touch groups' draws against
+// the new epoch, so a draw at epoch N+1 is what a cold epoch-N+1 engine
+// would have produced under the same stream; undamaged groups' outputs
+// are epoch-invariant by the touch-list damage test and are adopted
+// verbatim. Estimates
 // recomputed after a repair are therefore pure functions of
 // (seed, epoch), still for any worker count.
 const nsPmax uint64 = 0x506D6178 // "Pmax"
 
+// pmaxRung is the step of the p_max growth ladder: every rung is a
+// multiple of it. It is part of the determinism contract — the stopping
+// rule is checked at the rungs, so changing it changes estimates — and
+// is independent of ChunkSize, which only partitions the draws between
+// workers.
+const pmaxRung = 2048
+
 // pmaxInitialDraws is the first growth target of a cold estimator. Growth
-// then follows pmaxNextTarget's fixed chunk-aligned ladder, so the
+// then follows pmaxNextTarget's fixed rung-aligned ladder, so the
 // sampled total always lands on the same rung sequence (until a budget
 // clamps it) regardless of which requests drove the growth — which is
 // what makes a staged refinement sample no more than the equivalent cold
 // estimate: both walk the identical ladder and stop at the identical
 // rung.
-const pmaxInitialDraws = ChunkSize
+const pmaxInitialDraws = pmaxRung
 
 // pmaxNextTarget is the growth ladder: from a ledger of draws samples,
 // the next rung. It is a pure function of the ledger size — never of the
 // request that triggered growth — so staged and cold estimators land on
-// byte-identical ledgers. The rung starts one chunk up and grows by a
-// capped ~1.25× ratio (chunk-aligned) rather than doubling: Estimate
+// byte-identical ledgers. The rung starts one step up and grows by a
+// capped ~1.25× ratio (pmaxRung-aligned) rather than doubling: Estimate
 // re-runs the prefix scan at every rung, so finer rungs stop sampling at
 // the first one whose scan already converged, and the worst-case
 // oversample past the stopping draw shrinks from ~2× to ~1.25× while the
 // rung count to any total stays logarithmic.
 func pmaxNextTarget(draws int64) int64 {
 	next := draws + draws/4
-	if c := next % ChunkSize; c != 0 {
-		next += ChunkSize - c
+	if c := next % pmaxRung; c != 0 {
+		next += pmaxRung - c
 	}
-	return max(next, draws+ChunkSize, pmaxInitialDraws)
+	return max(next, draws+pmaxRung, pmaxInitialDraws)
 }
 
 // pmaxChunk is one sampled chunk of the estimator's ledger: draws
@@ -74,9 +81,9 @@ type pmaxChunk struct {
 	succ  []int32
 	// touch is the chunk's delta-repair damage-test input (see
 	// chunkPaths.touch); unknown for snapshot-restored ledgers — touch
-	// masks are not persisted for p_max, so ancestor-epoch ledgers reset
+	// lists are not persisted for p_max, so ancestor-epoch ledgers reset
 	// to a full re-draw, which is answer-identical.
-	touch touchMask
+	touch touchList
 }
 
 // PmaxEstimator is the chunked, resumable form of the paper's Algorithm 2
@@ -282,9 +289,9 @@ func (pe *PmaxEstimator) successesWithinLocked(d int64) int64 {
 
 // growLocked extends the ledger to l draws, sampling the missing chunks
 // in parallel. Like pool growth, full chunks are kept and a trailing
-// partial chunk is rebuilt at its grown size, keeping its complete groups
-// — group streams restart, so the draws it already contributed are
-// reproduced as a prefix, and only the net growth is charged to the
+// partial chunk is rebuilt at its grown size, keeping its complete touch
+// groups — per-draw streams restart, so any draw it re-draws reproduces
+// its earlier outcome, and only the net growth is charged to the
 // engine's draw ledger. Caller holds pe.mu.
 func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 	if err := checkDraws(l); err != nil {
@@ -308,12 +315,12 @@ func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 		if start := int64(c) * ChunkSize; start+n > l {
 			n = l - start
 		}
+		redraw := groupsFrom(0, n)
+		var old *pmaxChunk
 		if i == 0 && partial != nil {
-			chunks[c] = pe.eng.drawPmaxChunk(pe.seed, int64(c), n, partial,
-				regrowGroups(partial.touch, partial.draws, n))
-		} else {
-			chunks[c] = pe.eng.drawPmaxChunk(pe.seed, int64(c), n, nil, groupBits(n))
+			old, redraw = partial, regrowGroups(partial.touch, partial.draws, n)
 		}
+		chunks[c] = pe.eng.drawPmaxChunk(pe.seed, int64(c), n, old, &redraw)
 	})
 	if err != nil {
 		return err
@@ -330,21 +337,21 @@ func (pe *PmaxEstimator) growLocked(ctx context.Context, l int64) error {
 
 // drawPmaxChunk builds ledger chunk number chunk, n Bernoulli type-1
 // draws, recording the chunk-local indices of the successes. As in
-// drawChunk, groups set in redraw are drawn from their own streams
-// (seed, nsPmax, chunk·groupsPerChunk + g) and every other group's
-// successes and touch words are copied from old. Like sampleChunk, it
+// drawChunk, groups in redraw are drawn, draw i from its own stream
+// (seed, nsPmax, chunk·ChunkSize + i), and every other group's
+// successes and touch list are copied from old. Like sampleChunk, it
 // does not touch the draw ledger — the caller charges the net-new draws
 // it is responsible for.
-func (e *Engine) drawPmaxChunk(seed int64, chunk, n int64, old *pmaxChunk, redraw uint32) pmaxChunk {
+func (e *Engine) drawPmaxChunk(seed int64, chunk, n int64, old *pmaxChunk, redraw *groupSet) pmaxChunk {
 	c := pmaxChunk{draws: n}
-	var oldTouch touchMask
+	var oldTouch touchList
 	var from int // old's first success not yet copied or skipped
 	if old != nil {
 		oldTouch = old.touch
 		c.succ = make([]int32, 0, len(old.succ))
 	}
 	b := e.getChunkBuf()
-	c.touch = e.drawGroups(seed, nsPmax, chunk, n, b, oldTouch, redraw, func(lo, hi int64) {
+	touch := e.drawGroups(seed, nsPmax, chunk, n, b, oldTouch, redraw, func(lo, hi int64) {
 		for from < len(old.succ) && int64(old.succ[from]) < lo {
 			from++
 		}
@@ -354,13 +361,12 @@ func (e *Engine) drawPmaxChunk(seed int64, chunk, n int64, old *pmaxChunk, redra
 		}
 		c.succ = append(c.succ, old.succ[from:to]...)
 		from = to
-	}, func(sp *realization.Sampler, st rng.Stream, lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			if sp.SampleTGView(&st).Outcome == realization.Type1 {
-				c.succ = append(c.succ, int32(i))
-			}
+	}, func(i int64, tg realization.TG) {
+		if tg.Outcome == realization.Type1 {
+			c.succ = append(c.succ, int32(i))
 		}
 	})
+	c.touch = b.detachTouch(touch)
 	chunkBufs.Put(b)
 	return c
 }
@@ -418,7 +424,7 @@ func (pe *PmaxEstimator) Restore(r io.Reader) error {
 		return fmt.Errorf("%w: pmax snapshot stream (seed %d, ns %#x) does not match estimator (seed %d, ns %#x)",
 			ErrStreamMismatch, st.Seed, st.NS, pe.seed, nsPmax)
 	}
-	// Unlike pools, ancestor-epoch ledgers are not adopted: touch masks
+	// Unlike pools, ancestor-epoch ledgers are not adopted: touch lists
 	// are not persisted for p_max, so every group would fail the damage
 	// test anyway — resetting cold re-draws the same groups,
 	// answer-identically.

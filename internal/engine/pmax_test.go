@@ -17,29 +17,26 @@ import (
 
 // TestPmaxEstimatorMatchesSequentialRule: for a request that converges
 // within the first chunk, the chunked estimator must agree exactly with
-// the sequential mc.StoppingRule over the same streams — group g of
-// chunk 0 (GroupSize draws) reads the stream (seed, nsPmax, g), which is
-// precisely what a sequential estimator drawing one by one, switching
-// streams at every group boundary, would consume.
+// the sequential mc.StoppingRule over the same streams — draw i of chunk
+// 0 reads the stream (seed, nsPmax, i), which is precisely what a
+// sequential estimator drawing one by one, each draw from its own
+// stream, would consume.
 func TestPmaxEstimatorMatchesSequentialRule(t *testing.T) {
 	in := mustInstance(t, line(4), 0, 3) // p_max = 1/2
 	const eps, n, seed = 0.2, 10.0, 7
 
 	sp := realization.NewSampler(in)
-	var st rng.Stream
 	var drawn uint64
 	want, wantDraws, truncated, err := mc.StoppingRule(context.Background(), eps, n, 0, func() bool {
-		if drawn%GroupSize == 0 {
-			st = rng.DerivedStream(seed, nsPmax, drawn/GroupSize)
-		}
+		st := rng.DerivedStream(seed, nsPmax, drawn)
 		drawn++
 		return sp.SampleTG(&st).Outcome == realization.Type1
 	})
 	if err != nil || truncated {
 		t.Fatalf("sequential reference: %v (truncated %v)", err, truncated)
 	}
-	if wantDraws >= ChunkSize {
-		t.Fatalf("reference needs %d draws; test requires convergence inside chunk 0", wantDraws)
+	if wantDraws >= pmaxRung {
+		t.Fatalf("reference needs %d draws; test requires convergence inside the first rung", wantDraws)
 	}
 
 	res, err := New(in).NewPmaxEstimator(seed, 4).Estimate(context.Background(), eps, n, 0)
@@ -371,7 +368,7 @@ func disconnectedInstance(t *testing.T) *ltm.Instance {
 
 // TestPmaxGrowthLadder pins the growth schedule's contract: rungs are a
 // pure function of ledger size (request-independent — this is what keeps
-// staged and cold ledgers byte-identical), chunk-aligned, strictly
+// staged and cold ledgers byte-identical), rung-aligned, strictly
 // increasing, and capped near 1.25× so the oversample past the stopping
 // draw stays small.
 func TestPmaxGrowthLadder(t *testing.T) {
@@ -381,13 +378,13 @@ func TestPmaxGrowthLadder(t *testing.T) {
 	draws := int64(0)
 	for rung := 0; rung < 60; rung++ {
 		next := pmaxNextTarget(draws)
-		if next%ChunkSize != 0 {
-			t.Fatalf("rung %d: target %d not chunk-aligned", rung, next)
+		if next%pmaxRung != 0 {
+			t.Fatalf("rung %d: target %d not rung-aligned", rung, next)
 		}
 		if next <= draws {
 			t.Fatalf("rung %d: target %d does not grow past %d", rung, next, draws)
 		}
-		if draws >= 8*ChunkSize {
+		if draws >= 8*pmaxRung {
 			if ratio := float64(next) / float64(draws); ratio > 1.5 {
 				t.Fatalf("rung %d: growth ratio %.2f too aggressive (%d -> %d)", rung, ratio, draws, next)
 			}

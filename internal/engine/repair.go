@@ -10,27 +10,27 @@ import (
 )
 
 // This file is the engine half of delta repair. A graph delta dirties a
-// set of nodes (the endpoints of changed edges). Every
-// sampled chunk — pool chunks and p_max ledger chunks alike — is split
-// into GroupSize-draw groups with their own streams, and records per node
-// which groups' draws consulted it (chunkPaths.touch). A group is
-// *damaged* iff its draws consulted a dirty node; undamaged groups replay
-// byte-identically on the post-delta graph. Repair ORs the dirty nodes'
-// touch words to find a chunk's damaged groups, re-draws only those under
-// their own (seed, ns, chunk·groupsPerChunk + group) streams, and splices
-// them by draw index between the adopted groups' paths (drawChunk); a
-// chunk with no damaged group is adopted whole, its touch mask re-sealed
-// for the new universe when the delta added nodes. A repaired pool is
-// therefore byte-identical, touch masks included, to a cold pool sampled
-// at the new epoch, at a fraction of the draw bill: on the Wiki analog a
-// one-edge delta re-draws about 30% of a pool's draws, where whole-chunk
-// repair re-drew ~99%.
+// set of nodes (the endpoints of changed edges). Every draw of a pool
+// chunk or p_max ledger chunk reads its own stream, and every chunk keeps,
+// per GroupSize-draw touch group, the sorted nodes its draws consulted
+// (chunkPaths.touch). A group is *damaged* iff its list names a dirty
+// node (or is malformed where the test read it); undamaged groups replay
+// byte-identically on the post-delta graph. Repair re-draws only the
+// damaged groups, each draw from its own (seed, ns, chunk·ChunkSize +
+// draw) stream, and splices them by draw index between the adopted
+// groups' paths and lists (drawChunk); a chunk with no damaged group is
+// adopted whole, its lists unchanged even when the delta added nodes. A
+// repaired pool is therefore byte-identical, touch lists included, to a
+// cold pool sampled at the new epoch, at a fraction of the draw bill: on
+// the Wiki analog a one-edge delta re-draws about 5% of a pool's draws
+// (0.6% of its draws touched a dirty node), where 64-draw stream groups
+// re-drew 30%.
 
 // RepairStats accounts one repair pass.
 type RepairStats struct {
 	// Chunks is the number of chunks examined; Resampled of them had at
-	// least one damaged group (or carried no touch information) and were
-	// rebuilt.
+	// least one damaged touch group (or carried no touch information) and
+	// were rebuilt.
 	Chunks    int
 	Resampled int
 	// DrawsResampled is the draw bill of the re-drawn groups; DrawsSaved
@@ -48,19 +48,20 @@ func (r *RepairStats) Add(o RepairStats) {
 	r.DrawsSaved += o.DrawsSaved
 }
 
-// damagedGroups returns, for n chunks whose draw counts and touch masks
+// damagedGroups returns, for n chunks whose draw counts and touch lists
 // chunk reports, the groups of each that a delta with the given dirty
 // nodes damaged, the indices of the chunks with any damaged group, and
-// the pass's stats.
-func damagedGroups(n int, chunk func(int) (int64, touchMask), dirty []graph.Node) ([]uint32, []int, RepairStats) {
-	redraw := make([]uint32, n)
+// the pass's stats. universe is the post-delta node count.
+func damagedGroups(n int, chunk func(int) (int64, touchList), dirty []graph.Node, universe int) ([]groupSet, []int, RepairStats) {
+	dirty = slices.Compact(slices.Sorted(slices.Values(dirty)))
+	redraw := make([]groupSet, n)
 	var damaged []int
 	st := RepairStats{Chunks: n}
 	for i := range redraw {
 		draws, touch := chunk(i)
-		redraw[i] = touch.damaged(dirty) & groupBits(draws)
-		d := groupDraws(redraw[i], draws)
-		if redraw[i] != 0 {
+		redraw[i] = touch.damaged(dirty, draws, int64(universe))
+		d := redraw[i].draws(draws)
+		if !redraw[i].empty() {
 			damaged = append(damaged, i)
 		}
 		st.DrawsResampled += d
@@ -87,20 +88,15 @@ func (e *Engine) chargeRepair(st RepairStats) {
 // replaces them wholesale). Rebuilt chunks' buffers are returned in bufs
 // (nil for adopted chunks) for recycling after pool assembly.
 func repairChunks(ctx context.Context, e *Engine, seed int64, ns uint64, old []chunkPaths, dirty []graph.Node, workers int) ([]chunkPaths, []*chunkBuf, RepairStats, error) {
-	redraw, damaged, st := damagedGroups(len(old), func(i int) (int64, touchMask) {
+	redraw, damaged, st := damagedGroups(len(old), func(i int) (int64, touchList) {
 		return old[i].draws, old[i].touch
-	}, dirty)
+	}, dirty, e.in.Graph().NumNodes())
 	chunks := slices.Clone(old)
-	for i := range chunks {
-		if redraw[i] == 0 {
-			chunks[i].touch = chunks[i].touch.widen(e.in.Graph().NumNodes())
-		}
-	}
 	bufs := make([]*chunkBuf, len(old))
 	err := parallel.For(ctx, len(damaged), workers, func(j int) {
 		i := damaged[j]
 		bufs[i] = e.getChunkBuf()
-		chunks[i] = e.drawChunk(seed, ns, int64(i), old[i].draws, bufs[i], &old[i], redraw[i])
+		chunks[i] = e.drawChunk(seed, ns, int64(i), old[i].draws, bufs[i], &old[i], &redraw[i])
 	})
 	if err != nil {
 		return nil, nil, RepairStats{}, err
@@ -142,7 +138,7 @@ func (s *Session) RepairTo(ctx context.Context, ne *Engine, dirty []graph.Node) 
 	for c := range chunks {
 		n := int32(len(chunks[c].arena))
 		if bufs[c] != nil {
-			ne.putChunkBuf(bufs[c], chunks[c], true)
+			ne.putChunkBuf(bufs[c], &chunks[c], true)
 		}
 		chunks[c].arena = pool.arena[base : base+n]
 		base += n
@@ -158,7 +154,7 @@ func (s *Session) RepairTo(ctx context.Context, ne *Engine, dirty []graph.Node) 
 // a cold estimator's ledger at the same size on the post-delta instance,
 // so every stopping-rule answer is preserved or correctly revised.
 // Chunks restored from a snapshot carry no touch information and are
-// conservatively re-drawn (touch masks are not persisted for the p_max
+// conservatively re-drawn (touch lists are not persisted for the p_max
 // ledger).
 func (pe *PmaxEstimator) RepairTo(ctx context.Context, ne *Engine, dirty []graph.Node) (*PmaxEstimator, RepairStats, error) {
 	sp := obs.TraceFrom(ctx).StartSpan(obs.StageRepair)
@@ -170,18 +166,13 @@ func (pe *PmaxEstimator) RepairTo(ctx context.Context, ne *Engine, dirty []graph
 	if len(old) == 0 {
 		return out, RepairStats{}, nil
 	}
-	redraw, damaged, st := damagedGroups(len(old), func(i int) (int64, touchMask) {
+	redraw, damaged, st := damagedGroups(len(old), func(i int) (int64, touchList) {
 		return old[i].draws, old[i].touch
-	}, dirty)
+	}, dirty, ne.in.Graph().NumNodes())
 	chunks := slices.Clone(old)
-	for i := range chunks {
-		if redraw[i] == 0 {
-			chunks[i].touch = chunks[i].touch.widen(ne.in.Graph().NumNodes())
-		}
-	}
 	err := parallel.For(ctx, len(damaged), pe.workers, func(j int) {
 		i := damaged[j]
-		chunks[i] = ne.drawPmaxChunk(pe.seed, int64(i), old[i].draws, &old[i], redraw[i])
+		chunks[i] = ne.drawPmaxChunk(pe.seed, int64(i), old[i].draws, &old[i], &redraw[i])
 	})
 	if err != nil {
 		return nil, RepairStats{}, err

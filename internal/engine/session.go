@@ -12,10 +12,11 @@ import (
 // Session caches a growable realization pool across solves. Repeated
 // Pool(l) calls with l at or below the cached size are served without any
 // sampling; a larger l grows the pool incrementally, drawing only the new
-// chunks and the trailing partial chunk's incomplete group onward (its
-// complete groups' streams are prefix-stable, so their paths are kept).
-// Because group streams are indexed, a grown pool is byte-identical to
-// one sampled at the final size in a single shot — for any worker count.
+// draws and re-drawing at most the GroupSize−1 draws of the trailing
+// partial touch group, to re-seal its list (every other group's paths
+// and lists are kept). Because every draw's stream is indexed, a grown
+// pool is byte-identical to one sampled at the final size in a single
+// shot — for any worker count.
 //
 // Pool(l) always returns the pool of EXACTLY l draws — a truncated
 // prefix view when the cache has grown beyond l — so every result
@@ -60,7 +61,7 @@ func (s *Session) Size() int64 {
 
 // MemBytes returns the bytes held by the session's cached pool, the
 // per-chunk tables kept for regrowth and repair — offsets, draw indices
-// and touch masks (chunk arenas alias the pool arena and are not
+// and touch lists (chunk arenas alias the pool arena and are not
 // double-counted) — and the set-cover families of cached prefix views.
 // It is the sizing input for memory-budgeted eviction of cold sessions.
 func (s *Session) MemBytes() int64 {
@@ -98,9 +99,9 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 	defer sp.End()
 
 	// Keep full chunks; the trailing partial chunk (if any) is rebuilt
-	// at its grown size, keeping its complete groups and drawing the
-	// rest — group streams restart, so the draws it already contributed
-	// are reproduced as a prefix.
+	// at its grown size, keeping its complete touch groups and drawing
+	// the rest — per-draw streams restart, so a draw it re-draws
+	// reproduces its earlier path.
 	keep := len(s.chunks)
 	var partial *chunkPaths
 	if keep > 0 && s.chunks[keep-1].draws < ChunkSize {
@@ -120,8 +121,8 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 		}
 		bufs[i] = s.eng.getChunkBuf()
 		if i == 0 && partial != nil {
-			chunks[c] = s.eng.drawChunk(s.seed, s.ns, int64(c), n, bufs[i], partial,
-				regrowGroups(partial.touch, partial.draws, n))
+			redraw := regrowGroups(partial.touch, partial.draws, n)
+			chunks[c] = s.eng.drawChunk(s.seed, s.ns, int64(c), n, bufs[i], partial, &redraw)
 		} else {
 			chunks[c] = s.eng.sampleChunk(s.seed, s.ns, int64(c), n, bufs[i])
 		}
@@ -146,7 +147,7 @@ func (s *Session) Pool(ctx context.Context, l int64) (*Pool, error) {
 	for c := range chunks {
 		n := int32(len(chunks[c].arena))
 		if c >= keep {
-			s.eng.putChunkBuf(bufs[c-keep], chunks[c], true)
+			s.eng.putChunkBuf(bufs[c-keep], &chunks[c], true)
 		}
 		chunks[c].arena = pool.arena[base : base+n]
 		base += n

@@ -32,12 +32,12 @@ var (
 // to disk is a latency decision, never a correctness one. A session that
 // has not sampled yet writes a valid empty snapshot.
 // When every cached chunk carries touch information, the pool blob is
-// followed by a touch section (snapshot.TouchSet) recording the per-chunk
-// group touch masks, so a later process can adopt-and-repair the blob
-// across graph deltas, re-drawing only damaged groups, instead of
-// resampling it wholesale. The section is
-// optional on read; a session restored without one still answers
-// identically, it just repairs more conservatively.
+// followed by a touch section (snapshot.TouchSet, TOUCH v3) holding the
+// chunks' touch lists as they are, so a later process can
+// adopt-and-repair the blob across graph deltas, re-drawing only damaged
+// groups, instead of resampling it wholesale. The section is optional on
+// read; a session restored without one still answers identically, it
+// just repairs more conservatively.
 func (s *Session) Snapshot(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -65,13 +65,13 @@ func (s *Session) Snapshot(w io.Writer) error {
 	return snapshot.WriteTouch(w, ts)
 }
 
-// touchSetLocked flattens the per-chunk touch masks into a serializable
-// TouchSet, or nil when the session has no chunks or any chunk lacks
-// touch information (all-or-nothing: a partially-informed section could
-// not distinguish "untouched" from "unknown"). Caller holds s.mu.
+// touchSetLocked gathers the chunks' touch lists into a serializable
+// TouchSet that aliases them, or nil when the session has no chunks or
+// any chunk lacks touch information (all-or-nothing: a partially-informed
+// section could not distinguish "untouched" from "unknown"). Caller holds
+// s.mu.
 func (s *Session) touchSetLocked() *snapshot.TouchSet {
-	nodes, masks, ok := s.touchLensLocked()
-	if !ok {
+	if !s.touchKnownLocked() {
 		return nil
 	}
 	ts := &snapshot.TouchSet{
@@ -80,32 +80,23 @@ func (s *Session) touchSetLocked() *snapshot.TouchSet {
 		Total:       s.draws,
 		ChunkSize:   ChunkSize,
 		GroupSize:   GroupSize,
-		NodeOffsets: make([]int32, 1, len(s.chunks)+1),
-		MaskOffsets: make([]int32, 1, len(s.chunks)+1),
-		Nodes:       make([]int32, 0, nodes),
-		Masks:       make([]uint32, 0, masks),
+		Chunks:      make([]snapshot.TouchChunk, len(s.chunks)),
 	}
-	for _, c := range s.chunks {
-		ts.Nodes = append(ts.Nodes, c.touch.nodes...)
-		ts.Masks = append(ts.Masks, c.touch.masks...)
-		ts.NodeOffsets = append(ts.NodeOffsets, int32(len(ts.Nodes)))
-		ts.MaskOffsets = append(ts.MaskOffsets, int32(len(ts.Masks)))
+	for c, ch := range s.chunks {
+		ts.Chunks[c] = snapshot.TouchChunk(ch.touch)
 	}
 	return ts
 }
 
-// touchLensLocked returns the total touched-node and mask-word counts
-// over the session's chunks, and whether every chunk carries touch
-// information (false for a session with no chunks). Caller holds s.mu.
-func (s *Session) touchLensLocked() (nodes, masks int64, ok bool) {
+// touchKnownLocked reports whether the session has chunks and every one
+// carries touch information. Caller holds s.mu.
+func (s *Session) touchKnownLocked() bool {
 	for _, c := range s.chunks {
 		if !c.touch.known() {
-			return 0, 0, false
+			return false
 		}
-		nodes += int64(len(c.touch.nodes))
-		masks += int64(len(c.touch.masks))
 	}
-	return nodes, masks, len(s.chunks) > 0
+	return len(s.chunks) > 0
 }
 
 // SnapshotSize returns the exact byte size Snapshot would write now.
@@ -119,8 +110,13 @@ func (s *Session) SnapshotSize() int64 {
 		Offsets: s.pool.offsets,
 		Arena:   s.pool.arena[:s.pool.offsets[s.pool.NumType1()]],
 	})
-	if nodes, masks, ok := s.touchLensLocked(); ok {
-		sz += snapshot.EncodedSizeTouchFor(int64(len(s.chunks)), nodes, masks)
+	if s.touchKnownLocked() {
+		var offsets, data int64
+		for _, c := range s.chunks {
+			offsets += int64(len(c.touch.Offsets))
+			data += int64(len(c.touch.Data))
+		}
+		sz += snapshot.EncodedSizeTouchFor(offsets, data)
 	}
 	return sz
 }
@@ -140,11 +136,22 @@ type peeker interface {
 // lookahead needs a reader that can un-consume 8 bytes — Peek (e.g. a
 // *bufio.Reader) or Seek (bytes.Reader, *os.File); any other reader
 // leaves a touch section unread, which is harmless: repair then treats
-// every chunk as damaged.
+// every chunk as damaged. A pool blob from another stream epoch is
+// rejected before its touch section is read, so a file written under an
+// earlier draw protocol fails as a stream mismatch whatever touch format
+// it carries.
 func readSnapshotAndTouch(r io.Reader) (*snapshot.Pool, *snapshot.TouchSet, error) {
 	sp, err := snapshot.Read(r)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The stream epoch is part of the pool's identity: bytes sampled
+	// under another draw protocol are correct for that protocol only, so
+	// adopting them would silently mix generations. Rejecting sends every
+	// caller down its resample fallback, which is answer-identical.
+	if sp.StreamEpoch != rng.StreamEpoch {
+		return nil, nil, fmt.Errorf("%w: snapshot stream epoch %d does not match the current epoch %d (resample required)",
+			ErrStreamMismatch, sp.StreamEpoch, rng.StreamEpoch)
 	}
 	hasTouch := false
 	switch rr := r.(type) {
@@ -223,21 +230,20 @@ func (s *Session) Restore(r io.Reader) error {
 	return s.adoptSnapshotLocked(sp, ts)
 }
 
-// attachTouch hands each rebuilt chunk its persisted touch masks when the
+// attachTouch hands each rebuilt chunk its persisted touch lists when the
 // touch section matches the pool's stream epoch and geometry and the
-// engine's chunk and group sizes; on any mismatch the masks stay unknown
+// engine's chunk and group sizes; on any mismatch the lists stay unknown
 // and a later repair degrades to re-drawing every group (correct, just
-// slower). The masks alias the section's storage.
+// slower). The lists alias the section's storage and are not decoded
+// here: repair reads a list where it tests it, and a malformed one
+// counts as damaged.
 func attachTouch(chunks []chunkPaths, ts *snapshot.TouchSet, sp *snapshot.Pool) {
 	if ts == nil || ts.StreamEpoch != sp.StreamEpoch || ts.Universe != sp.Universe || ts.Total != sp.Total ||
 		ts.ChunkSize != ChunkSize || ts.GroupSize != GroupSize || ts.NumChunks() != len(chunks) {
 		return
 	}
 	for c := range chunks {
-		chunks[c].touch = touchMask{
-			nodes: ts.Nodes[ts.NodeOffsets[c]:ts.NodeOffsets[c+1]],
-			masks: ts.Masks[ts.MaskOffsets[c]:ts.MaskOffsets[c+1]],
-		}
+		chunks[c].touch = touchList(ts.Chunks[c])
 	}
 }
 
@@ -249,19 +255,12 @@ func attachTouch(chunks []chunkPaths, ts *snapshot.TouchSet, sp *snapshot.Pool) 
 //
 // A fingerprint (or universe) mismatch is terminal unless the engine's
 // bound lineage resolves the snapshot's fingerprint to an ancestor epoch
-// of this same instance; then the blob is adopted and repaired — draw
+// of this same instance; then the blob is adopted and repaired — touch
 // groups untouched by the epochs' accumulated dirty set keep their bytes,
 // damaged groups are re-drawn — leaving the session byte-identical to
-// one sampled cold at the current epoch.
+// one sampled cold at the current epoch. The blob's stream epoch was
+// checked on read (readSnapshotAndTouch).
 func (s *Session) adoptSnapshotLocked(sp *snapshot.Pool, ts *snapshot.TouchSet) error {
-	// The stream epoch is part of the pool's identity: bytes sampled
-	// under another draw protocol are correct for that protocol only, so
-	// adopting them would silently mix generations. Rejecting here sends
-	// every caller down its resample fallback, which is answer-identical.
-	if sp.StreamEpoch != rng.StreamEpoch {
-		return fmt.Errorf("%w: snapshot stream epoch %d does not match the current epoch %d (resample required)",
-			ErrStreamMismatch, sp.StreamEpoch, rng.StreamEpoch)
-	}
 	n := int64(s.eng.in.Graph().NumNodes())
 	var repairDirty []graph.Node
 	repair := false
@@ -306,7 +305,7 @@ func (s *Session) adoptSnapshotLocked(sp *snapshot.Pool, ts *snapshot.TouchSet) 
 		for c := range rchunks {
 			cn := int32(len(rchunks[c].arena))
 			if bufs[c] != nil {
-				s.eng.putChunkBuf(bufs[c], rchunks[c], true)
+				s.eng.putChunkBuf(bufs[c], &rchunks[c], true)
 			}
 			rchunks[c].arena = rpool.arena[base : base+cn]
 			base += cn

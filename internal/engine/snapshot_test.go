@@ -120,7 +120,7 @@ func TestSessionSnapshotGrowthAfterLoad(t *testing.T) {
 func TestTruncateOverLoadedPool(t *testing.T) {
 	ctx := context.Background()
 	in := testInstance(t)
-	const full = 2*ChunkSize + 512
+	const full = 2*ChunkSize + ChunkSize/4
 
 	fresh := New(in).NewSession(13, 2)
 	if _, err := fresh.Pool(ctx, full); err != nil {

@@ -7,212 +7,192 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/realization"
+	"repro/internal/snapshot"
 )
 
-// GroupSize is the number of draws per stream group. The touch-recording
+// GroupSize is the number of draws per touch group: the touch-recording
 // kernels (pool chunks and p_max ledger chunks) split each chunk into
-// groupsPerChunk groups, and group g of chunk c reads its own stream
-// (seed, ns, c·groupsPerChunk + g) from the start. Like ChunkSize it is
-// part of the determinism contract; it is also the unit of delta repair:
-// a delta re-draws exactly the groups whose draws consulted a dirty node.
-const GroupSize = 64
+// groupsPerChunk groups and record, per group, the sorted union of the
+// nodes its draws touched (touchList). A group is the unit of delta
+// repair: a delta re-draws exactly the groups whose lists name a dirty
+// node. It is a storage constant, not a stream unit — draw i of chunk c
+// reads its own stream (seed, ns, c·ChunkSize + i) — so it fixes the
+// touch bytes and the repair bill, never a sampled path. Eight draws per
+// group keep the lists at ~23 B per draw on the Wiki analog while a
+// one-edge delta re-draws ~5% of a pool's draws.
+const GroupSize = 8
 
-// groupsPerChunk is the number of groups in a full chunk — one bit each
-// in a touch mask word.
+// groupsPerChunk is the number of groups in a full chunk.
 const groupsPerChunk = ChunkSize / GroupSize
 
-// A chunk's groups must fit one uint32 mask word: this constant
-// overflows, failing the build, if they do not.
-const _ = uint32(1 << (groupsPerChunk - 1))
+// groupSet is a set of a chunk's groups, bit g for group g.
+type groupSet [groupsPerChunk / 64]uint64
 
-// groupStream returns the stream index of group g of chunk c.
-func groupStream(chunk, g int64) uint64 { return uint64(chunk)*groupsPerChunk + uint64(g) }
+func (s *groupSet) add(g int64)      { s[g>>6] |= 1 << (g & 63) }
+func (s *groupSet) has(g int64) bool { return s[g>>6]>>(g&63)&1 != 0 }
 
-// groupBits returns the mask of every group a chunk of n draws holds
+// empty reports whether s holds no group.
+func (s *groupSet) empty() bool { return *s == groupSet{} }
+
+// groupsFrom returns the groups first and onward of a chunk of n draws
 // (the last one possibly partial).
-func groupBits(n int64) uint32 {
-	return uint32(uint64(1)<<((n+GroupSize-1)/GroupSize) - 1)
+func groupsFrom(first, n int64) groupSet {
+	var s groupSet
+	for g := first; g*GroupSize < n; g++ {
+		s.add(g)
+	}
+	return s
 }
 
-// groupDraws returns how many of a chunk's n draws lie in the groups set
-// in mask.
-func groupDraws(mask uint32, n int64) int64 {
-	mask &= groupBits(n)
-	d := int64(bits.OnesCount32(mask)) * GroupSize
-	if last := (n - 1) / GroupSize; mask&(1<<last) != 0 {
+// draws returns how many of a chunk's n draws lie in the groups of s.
+func (s *groupSet) draws(n int64) int64 {
+	var d int64
+	for _, word := range s {
+		d += int64(bits.OnesCount64(word)) * GroupSize
+	}
+	if last := (n - 1) / GroupSize; s.has(last) {
 		d -= (last+1)*GroupSize - n
 	}
 	return d
 }
 
-// touchMask is a chunk's delta-repair damage-test input: for every node,
-// the set of the chunk's draw groups that consulted it (bit g set iff a
-// draw of group g touched the node — see realization.Sampler.
-// RecordTouches). A chunk that touched more than half the graph keeps
-// the dense form, one word per node (nodes empty); otherwise it keeps the
-// sparse form, the touched nodes in ascending order with their words in
-// masks. An empty masks means unknown (e.g. a chunk restored from a
-// snapshot without a touch section), which repair treats as every group
-// damaged — always correct, just slower.
-type touchMask struct {
-	nodes []graph.Node
-	masks []uint32
-}
+// touchList is a chunk's delta-repair damage-test input: for each of its
+// groups, the sorted union of the nodes its draws touched (see
+// realization.Sampler.RecordTouches), encoded as a snapshot touch list —
+// group g's list is Data[Offsets[g]:Offsets[g+1]]. It is the TOUCH
+// section's chunk form, so a session serializes it without a copy. A
+// list names node ids only, so a delta that adds nodes leaves it valid
+// as it is. A nil Offsets means unknown (a chunk restored without a
+// touch section, or a restored p_max ledger), which repair treats as
+// every group damaged — always correct, just slower.
+type touchList snapshot.TouchChunk
 
 // known reports whether the chunk carries touch information.
-func (t touchMask) known() bool { return len(t.masks) > 0 }
-
-// dense reports whether t is in the one-word-per-node form.
-func (t touchMask) dense() bool { return len(t.nodes) == 0 }
+func (t touchList) known() bool { return t.Offsets != nil }
 
 // memBytes returns the bytes t holds.
-func (t touchMask) memBytes() int64 { return int64(cap(t.nodes))*4 + int64(cap(t.masks))*4 }
+func (t touchList) memBytes() int64 { return int64(cap(t.Offsets))*4 + int64(cap(t.Data)) }
 
-// damaged returns the groups whose draws consulted any dirty node — all
-// groups when t is unknown. Dirty nodes beyond the chunk's universe (a
-// delta that grew the graph) were never consulted.
-func (t touchMask) damaged(dirty []graph.Node) uint32 {
+// list returns group g's encoded list.
+func (t touchList) list(g int64) []byte { return t.Data[t.Offsets[g]:t.Offsets[g+1]] }
+
+// damaged returns the groups of an n-draw chunk whose lists name a node
+// of dirty (ascending) — every group when t is unknown, and every group
+// whose list is malformed where the test read it. universe bounds the
+// nodes a well-formed list can name.
+func (t touchList) damaged(dirty []graph.Node, n, universe int64) groupSet {
 	if !t.known() {
-		return ^uint32(0)
+		return groupsFrom(0, n)
 	}
-	var m uint32
-	for _, v := range dirty {
-		if t.dense() {
-			if int(v) < len(t.masks) {
-				m |= t.masks[v]
-			}
-		} else if i, ok := slices.BinarySearch(t.nodes, v); ok {
-			m |= t.masks[i]
+	var s groupSet
+	for g := int64(0); g*GroupSize < n; g++ {
+		if meets, ok := snapshot.TouchListMeets(t.list(g), dirty, universe); meets || !ok {
+			s.add(g)
 		}
 	}
-	return m
+	return s
 }
 
-// orInto records the bits of t selected by keep into log, which must be
-// empty.
-func (t touchMask) orInto(log *realization.TouchLog, keep uint32) {
-	if keep == 0 {
-		return
+// touchRecord is the record a chunk's groups are drawn into: the
+// sampler's touch log plus the scratch a bitmap scan writes the sorted
+// nodes to.
+type touchRecord struct {
+	realization.TouchLog
+	// sorted receives a scan's nodes. A scan writes at most two slots
+	// past the nodes it finds, so it needs the node count plus two: the
+	// list's length when the record keeps one, else a slot per bit.
+	sorted []graph.Node
+}
+
+// scanMaxWords is the largest bitmap, in words, that a group's seal
+// always scans (about 65K nodes). Scanning costs a few instructions per
+// word; sorting a group's list costs about 2·t·log₂(t) word tests for t
+// distinct nodes, ~2,700 at the ~170 an 8-draw group touches on the Wiki
+// analog. Up to this size a scan is cheaper for any group worth sorting,
+// so the record keeps no first-touch list and recording is one OR per
+// touch; beyond it the record keeps the list and each seal picks
+// (sortCheaper).
+const scanMaxWords = 1024
+
+// touchRecords recycles the touch records chunks are drawn into, one per
+// chunk being drawn at a time; a pooled record's bitmap is all zero and
+// its node list empty.
+var touchRecords = sync.Pool{New: func() any { return new(touchRecord) }}
+
+// getTouchRecord returns a pooled touch record for a universe of n nodes.
+func getTouchRecord(n int) *touchRecord {
+	r := touchRecords.Get().(*touchRecord)
+	words := (n + 63) / 64
+	if cap(r.Seen) < words {
+		r.Seen = make([]uint64, words)
 	}
-	if t.dense() {
-		// Copy the words in one branch-free pass, counting the non-zero
-		// ones; the node list is needed only when they are at most half.
-		words := t.masks[:min(len(t.masks), len(log.Mask))]
-		touched := 0
-		for v, m := range words {
-			m &= keep
-			log.Mask[v] = m
-			touched += int((m | -m) >> 31)
+	r.Seen, r.List = r.Seen[:words], words > scanMaxWords
+	return r
+}
+
+// seal appends the touch list of the nodes r recorded to dst and empties
+// r for the next group. The ascending order comes from a scan of the
+// bitmap or from sorting the first-touch list, whichever is cheaper, and
+// either way the consumed bits are cleared.
+func (r *touchRecord) seal(dst []byte) []byte {
+	nodes := r.Nodes
+	if r.List && sortCheaper(len(nodes), len(r.Seen)) {
+		slices.Sort(nodes)
+		for _, v := range nodes {
+			r.Seen[v>>6] = 0
 		}
-		if log.Full = 2*touched > len(log.Mask); !log.Full {
-			for v, m := range log.Mask[:len(words)] {
-				if m != 0 {
-					log.Nodes = append(log.Nodes, graph.Node(v))
-				}
-			}
-		}
-		return
-	}
-	for i, v := range t.nodes {
-		if m := t.masks[i] & keep; m != 0 {
-			log.Touch(v, m)
-		}
-	}
-}
-
-// widen returns t as a chunk that touched the same nodes seals it in a
-// universe of n nodes — how a chunk adopted whole across a delta that
-// added nodes must carry its mask. A dense mask of fewer than n words
-// gains zero words, or turns sparse once its touched nodes no longer
-// exceed half the universe; any other mask carries over as it is. A
-// dense t is copied, never extended in place: the pre-delta chunk may
-// still be read.
-func (t touchMask) widen(n int) touchMask {
-	if !t.known() || !t.dense() || len(t.masks) >= n {
-		return t
-	}
-	log := getTouchLog(n)
-	t.orInto(log, ^uint32(0))
-	var b chunkBuf
-	return b.sealTouch(log)
-}
-
-// touchLogs recycles the touch records chunks are drawn into, one per
-// chunk being drawn at a time; a pooled record's Mask is all zero.
-var touchLogs = sync.Pool{New: func() any { return new(realization.TouchLog) }}
-
-// getTouchLog returns a pooled touch record for a universe of n nodes.
-func getTouchLog(n int) *realization.TouchLog {
-	log := touchLogs.Get().(*realization.TouchLog)
-	if cap(log.Mask) < n {
-		log.Mask = make([]uint32, n)
-	}
-	log.Mask, log.Nodes, log.Full = log.Mask[:n], log.Nodes[:0], false
-	return log
-}
-
-// sealTouch turns a filled touch record into the chunk's touchMask and
-// returns the record to its pool. When more than half the nodes were
-// touched the record's Mask itself becomes the dense form; otherwise the
-// touched nodes in ascending order and their words become the sparse
-// form, in arrays detached from b, and the words are re-zeroed. The
-// ascending order comes from sorting the record's node list or from a
-// scan of its words, whichever is cheaper (sortCheaper), so the cost is
-// the lesser of the two.
-func (b *chunkBuf) sealTouch(log *realization.TouchLog) touchMask {
-	defer touchLogs.Put(log)
-	touched := log.Nodes
-	if log.Full {
-		dense := log.Mask
-		log.Mask = nil
-		return touchMask{masks: dense}
-	}
-	nodes, masks := b.nodes[:0], b.masks[:0]
-	if cap(nodes) < len(touched) {
-		nodes = make([]graph.Node, 0, len(touched))
-	}
-	if cap(masks) < len(touched) {
-		masks = make([]uint32, 0, len(touched))
-	}
-	if sortCheaper(len(touched), len(log.Mask)) {
-		slices.Sort(touched)
-		nodes = append(nodes, touched...)
 	} else {
-		for v, m := range log.Mask {
-			if m != 0 {
-				nodes = append(nodes, graph.Node(v))
+		nodes = r.scan()
+	}
+	r.Nodes = r.Nodes[:0]
+	return snapshot.AppendTouchList(dst, nodes)
+}
+
+// scan returns the nodes set in the bitmap, ascending, and clears it.
+// Each word's first two nodes are written unconditionally (a spent word
+// yields junk that later writes cover) and the count advances by the
+// word's population, so only a word holding three or more nodes — rare
+// at the densities touch groups reach — branches on where its bits lie.
+func (r *touchRecord) scan() []graph.Node {
+	need := 64*len(r.Seen) + 2
+	if r.List {
+		need = len(r.Nodes) + 2
+	}
+	if len(r.sorted) < need {
+		r.sorted = make([]graph.Node, need)
+	}
+	out, k := r.sorted, 0
+	for w, word := range r.Seen {
+		base := graph.Node(w << 6)
+		c := bits.OnesCount64(word)
+		out[k] = base + graph.Node(bits.TrailingZeros64(word))
+		word &= word - 1
+		out[k+1] = base + graph.Node(bits.TrailingZeros64(word))
+		if c > 2 {
+			for j := k + 2; j < k+c; j++ {
+				word &= word - 1
+				out[j] = base + graph.Node(bits.TrailingZeros64(word))
 			}
 		}
+		k += c
 	}
-	for _, v := range nodes {
-		masks = append(masks, log.Mask[v])
-		log.Mask[v] = 0
-	}
-	b.nodes, b.masks = nil, nil
-	return touchMask{nodes: nodes, masks: masks}
+	clear(r.Seen)
+	return out[:k]
 }
 
 // sortCheaper reports whether sorting a list of t touched nodes costs
-// less than scanning the n words of the record for them: about
-// t·log₂(t) comparisons against n sequential word tests. A comparison
-// costs about two word tests once the scan's eviction of the graph from
-// the cache is counted (measured on the Youtube analog: a full chunk at
-// scale 0.1 scans, and one at scale 1 sorts).
-func sortCheaper(t, n int) bool { return 2*t*bits.Len(uint(t)) < n }
+// less than scanning the w words of the record's bitmap for them: about
+// t·log₂(t) comparisons against w word tests, a comparison counted as
+// two word tests.
+func sortCheaper(t, w int) bool { return 2*t*bits.Len(uint(t)) < w }
 
-// reclaimTouch hands a dropped chunk's touch arrays back for reuse: the
-// sparse form's to b, the dense words, zeroed, to a pooled touch record.
-func (b *chunkBuf) reclaimTouch(t touchMask) {
-	switch {
-	case !t.known():
-	case t.dense():
-		clear(t.masks)
-		log := touchLogs.Get().(*realization.TouchLog)
-		if cap(log.Mask) < len(t.masks) {
-			log.Mask = t.masks
-		}
-		touchLogs.Put(log)
-	default:
-		b.nodes, b.masks = t.nodes[:0], t.masks[:0]
+// detachTouch returns t, which was built in b's touch arrays, copied
+// into arrays of its exact size, leaving b's arrays for the next chunk:
+// a chunk that is kept holds only the bytes its lists need.
+func (b *chunkBuf) detachTouch(t touchList) touchList {
+	b.touchOff, b.touchData = t.Offsets[:0], t.Data[:0]
+	return touchList{
+		Offsets: append(make([]uint32, 0, len(t.Offsets)), t.Offsets...),
+		Data:    append(make([]byte, 0, len(t.Data)), t.Data...),
 	}
 }

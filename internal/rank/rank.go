@@ -33,9 +33,9 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMinEffort is the smallest rung a plan starts candidates at, one
-// sampling chunk (engine.ChunkSize): below that, pool growth cannot get
-// cheaper, so finer rungs would only add scheduling rounds.
+// DefaultMinEffort is the smallest rung a plan starts candidates at,
+// 2048 draws (four engine sampling chunks): finer rungs would mostly add
+// scheduling rounds.
 const DefaultMinEffort = 2048
 
 // Config describes one batched ranking request.

@@ -57,33 +57,30 @@ type Sampler struct {
 	buf          []graph.Node
 
 	// Touch recording (RecordTouches): while touches is non-nil, every
-	// node a draw touches gets touchBit ORed into its word there.
-	touches  *TouchLog
-	touchBit uint32
+	// node a draw touches is added to it.
+	touches *TouchLog
 }
 
-// TouchLog is where touch recording writes. Mask holds one word per node
-// of the instance. Nodes lists, in first-touch order, every node whose
-// word recording turned non-zero, so a reader can visit (and re-zero) the
-// touched words without scanning all of Mask — until more than half the
-// nodes are touched. Then Full is set and Nodes stops growing: a reader
-// that keeps a sparse form only while at most half the nodes are touched
-// (the engine) needs the list only below that mark, and recording past it
-// costs no more than ORing the words.
+// TouchLog is where touch recording writes: the set of nodes the
+// recorded draws touched, as a bitmap over the instance's nodes (Seen,
+// bit v of word v/64) and, when List is set, as a list of its members in
+// first-touch order (Nodes). A reader that needs the set sorted scans
+// Seen or sorts Nodes, whichever costs less, and clears the bits before
+// the next use; a reader that will always scan leaves List unset, and
+// recording then costs one OR per touch.
 type TouchLog struct {
-	Mask  []uint32
+	Seen  []uint64
 	Nodes []graph.Node
-	Full  bool
+	List  bool
 }
 
-// Touch ORs bits, which must be non-zero, into v's word, listing v if
-// its word was zero and the log is not Full.
-func (l *TouchLog) Touch(v graph.Node, bits uint32) {
-	if !l.Full && l.Mask[v] == 0 {
+// Touch adds v to the set.
+func (l *TouchLog) Touch(v graph.Node) {
+	w, b := uint32(v)>>6, uint64(1)<<(uint32(v)&63)
+	if l.List && l.Seen[w]&b == 0 {
 		l.Nodes = append(l.Nodes, v)
-		l.Full = 2*len(l.Nodes) > len(l.Mask)
 	}
-	l.Mask[v] |= bits
+	l.Seen[w] |= b
 }
 
 // NewSampler returns a sampler for the instance. Influencer draws go
@@ -97,20 +94,18 @@ func NewSampler(in *ltm.Instance) *Sampler {
 	}
 }
 
-// RecordTouches makes the following draws record the nodes they touch:
-// for every touched node v, log.Touch(v, bit). A draw "touches" every node
-// whose influencer selection it reads — each path node starting with
-// t — plus the node the selection returned (including the N_s member that
-// ends a Type1 walk, which is not part of t(g)). Together these are
-// exactly the nodes whose adjacency row, incoming weights, or N_s
-// membership the draw's outcome depends on: a graph delta that dirties
-// none of them replays the draw byte-identically, which is the
-// delta-repair damage test. Callers give each group of draws its own bit,
-// so one word per node says which groups consulted it. log.Mask must
-// hold a word for every node of the instance; RecordTouches(nil, 0)
-// stops recording.
-func (sp *Sampler) RecordTouches(log *TouchLog, bit uint32) {
-	sp.touches, sp.touchBit = log, bit
+// RecordTouches makes the following draws record the nodes they touch
+// into log. A draw "touches" every node whose influencer selection it
+// reads — each path node starting with t — plus the node the selection
+// returned (including the N_s member that ends a Type1 walk, which is
+// not part of t(g)). Together these are exactly the nodes whose
+// adjacency row, incoming weights, or N_s membership the draw's outcome
+// depends on: a graph delta that dirties none of them replays the draw
+// byte-identically, which is the delta-repair damage test. log.Seen must
+// hold a bit for every node of the instance; RecordTouches(nil) stops
+// recording.
+func (sp *Sampler) RecordTouches(log *TouchLog) {
+	sp.touches = log
 }
 
 // SampleTG draws one realization lazily (only nodes on the backward walk
@@ -180,21 +175,21 @@ func (sp *Sampler) SampleTGView(st *rng.Stream) TG {
 // recordTouches records the finished draw's touches: the walk's nodes,
 // which are in sp.buf, and last, the node the final selection returned,
 // when it returned one. Recording after the walk keeps the walk loop
-// free of it, and once the log is Full the words are ORed with no
-// first-touch test, whose branch would mispredict.
+// free of it, and a log without a list is filled with plain ORs.
 func (sp *Sampler) recordTouches(last graph.Node, selected bool) {
-	log, bit := sp.touches, sp.touchBit
+	log := sp.touches
 	if selected {
-		log.Touch(last, bit)
+		log.Touch(last)
 	}
-	if log.Full {
+	if log.List {
 		for _, v := range sp.buf {
-			log.Mask[v] |= bit
+			log.Touch(v)
 		}
 		return
 	}
+	seen := log.Seen
 	for _, v := range sp.buf {
-		log.Touch(v, bit)
+		seen[uint32(v)>>6] |= 1 << (uint32(v) & 63)
 	}
 }
 

@@ -6,12 +6,15 @@
 // Two kinds of source coexist:
 //
 //   - Stream, a value-type xoshiro256++ generator used by every sampling
-//     hot path (chunk kernels, threshold draws). Streams are derived per
-//     (seed, namespace, chunk index) via DerivedStream, so results are
-//     pure functions of the seed regardless of worker count.
-//   - *math/rand.Rand wrappers (DeriveRand, DeriveStreamRand, NextRand)
-//     for cold paths — generators, experiment pair selection — where the
-//     heavyweight seeding cost is irrelevant.
+//     hot path. Streams are derived per (seed, namespace, index) via
+//     DerivedStream, so results are pure functions of the seed regardless
+//     of worker count. The touch-recording kernels (pool and p_max ledger
+//     chunks) give every draw its own stream, index chunk·ChunkSize +
+//     draw; one-shot estimation reads one stream per chunk (see
+//     StreamEpoch).
+//   - *math/rand.Rand from DeriveRand, for cold paths — generators,
+//     experiment pair selection — where the heavyweight seeding cost is
+//     irrelevant.
 //
 // The exact draw protocol of Stream is versioned by StreamEpoch (see
 // stream.go): artifacts whose bytes depend on stream contents — pool and
@@ -35,32 +38,6 @@ func splitmix64(state uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Seeder deterministically derives child seeds from a root seed. The
-// zero value is a valid seeder rooted at 0.
-type Seeder struct {
-	root uint64
-	ctr  uint64
-}
-
-// NewSeeder returns a Seeder rooted at seed.
-func NewSeeder(seed int64) *Seeder {
-	return &Seeder{root: uint64(seed)}
-}
-
-// Next returns the next derived child seed. Successive calls yield
-// well-decorrelated values even for adjacent roots.
-func (s *Seeder) Next() int64 {
-	s.ctr++
-	return int64(splitmix64(s.root ^ splitmix64(s.ctr)))
-}
-
-// NextRand returns a *rand.Rand seeded with the next derived seed.
-// The returned Rand is NOT safe for concurrent use; derive one per
-// goroutine.
-func (s *Seeder) NextRand() *rand.Rand {
-	return rand.New(rand.NewSource(s.Next()))
-}
-
 // Derive returns a deterministic child seed for (seed, stream) without
 // mutating any state; use it when streams are indexed rather than
 // sequential (e.g. one stream per worker id).
@@ -80,10 +57,4 @@ func DeriveRand(seed int64, stream uint64) *rand.Rand {
 // alone would hand two phases of one run identical streams.
 func DeriveStream(seed int64, namespace, index uint64) int64 {
 	return Derive(Derive(seed, namespace), index)
-}
-
-// DeriveStreamRand returns a *rand.Rand for (seed, namespace, index); see
-// DeriveStream.
-func DeriveStreamRand(seed int64, namespace, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveStream(seed, namespace, index)))
 }

@@ -5,42 +5,6 @@ import (
 	"testing"
 )
 
-func TestSeederDeterministic(t *testing.T) {
-	a, b := NewSeeder(42), NewSeeder(42)
-	for i := 0; i < 100; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("same root seeders diverged")
-		}
-	}
-}
-
-func TestSeederStreamsDiffer(t *testing.T) {
-	s := NewSeeder(42)
-	seen := map[int64]bool{}
-	for i := 0; i < 1000; i++ {
-		v := s.Next()
-		if seen[v] {
-			t.Fatalf("duplicate child seed %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSeederRootsDecorrelated(t *testing.T) {
-	// Adjacent roots must produce different first children.
-	if NewSeeder(1).Next() == NewSeeder(2).Next() {
-		t.Error("adjacent roots collide")
-	}
-}
-
-func TestNextRandUsable(t *testing.T) {
-	r := NewSeeder(7).NextRand()
-	v := r.Float64()
-	if v < 0 || v >= 1 {
-		t.Errorf("Float64 = %v", v)
-	}
-}
-
 func TestDerive(t *testing.T) {
 	if Derive(5, 1) == Derive(5, 2) {
 		t.Error("streams collide")

@@ -16,11 +16,18 @@ import "math/bits"
 //	0 — math/rand (Go 1 LCG-based source) streams; retired.
 //	1 — xoshiro256++ value streams, one stream per 2048-draw chunk;
 //	    retired.
-//	2 — xoshiro256++ value streams; the touch-recording kernels (pool
-//	    chunks and p_max ledger chunks) read one stream per 64-draw
-//	    group, index chunk·32 + group, so a graph delta re-draws single
-//	    groups instead of whole chunks (current).
-const StreamEpoch uint32 = 2
+//	2 — one stream per 64-draw group of a touch-recording chunk, index
+//	    chunk·32 + group; retired: repairing one damaged draw re-drew its
+//	    whole group.
+//	3 — xoshiro256++ value streams; the touch-recording kernels (pool
+//	    chunks and p_max ledger chunks) give every draw its own stream,
+//	    indexed by its position in the whole draw sequence, so no
+//	    draw's randomness depends on another's, a graph delta re-draws
+//	    only the draws it damaged (at the granularity the engine records
+//	    touches at), and the chunking is free to follow the workers.
+//	    One-shot estimation keeps one stream per 2048-draw chunk
+//	    (current).
+const StreamEpoch uint32 = 3
 
 // Stream is a value-type xoshiro256++ generator: 4 words of state, no
 // heap allocation, methods cheap enough to inline into sampling loops.
@@ -56,13 +63,23 @@ func NewStream(seed int64) Stream {
 	return st
 }
 
-// DerivedStream returns the stream for (seed, namespace, index): the
-// Stream equivalent of DeriveStreamRand, using the same DeriveStream
-// child-seed derivation so stream families from distinct call sites stay
-// decorrelated.
+// DerivedStream returns the stream for (seed, namespace, index), seeded
+// with the DeriveStream child seed so stream families from distinct call
+// sites stay decorrelated.
 func DerivedStream(seed int64, namespace, index uint64) Stream {
-	return NewStream(DeriveStream(seed, namespace, index))
+	return NewFamily(seed, namespace).Stream(index)
 }
+
+// Family is one (seed, namespace) family of indexed streams with its
+// first derivation done: f.Stream(i) is DerivedStream(seed, namespace,
+// i). A kernel that derives one stream per draw makes the family once.
+type Family int64
+
+// NewFamily returns the stream family (seed, namespace).
+func NewFamily(seed int64, namespace uint64) Family { return Family(Derive(seed, namespace)) }
+
+// Stream returns the family's stream number index.
+func (f Family) Stream(index uint64) Stream { return NewStream(Derive(int64(f), index)) }
 
 // Uint64 returns the next 64 uniform bits (xoshiro256++).
 func (st *Stream) Uint64() uint64 {

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 	"repro/internal/weights"
 )
@@ -362,8 +363,9 @@ func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 
 // restampSpill rewrites every section of a spill file — pool blobs,
 // their touch sections and the p_max ledger — as if written under the
-// given stream epoch, with valid checksums.
-func restampSpill(t *testing.T, path string, epoch uint32) {
+// given stream epoch, with valid checksums; each touch section's header
+// names touch format touchVersion.
+func restampSpill(t *testing.T, path string, epoch, touchVersion uint32) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -380,7 +382,14 @@ func restampSpill(t *testing.T, path string, epoch uint32) {
 				t.Fatal(err)
 			}
 			ts.StreamEpoch = epoch
-			err = snapshot.WriteTouch(&out, ts)
+			var blob bytes.Buffer
+			if err = snapshot.WriteTouch(&blob, ts); err != nil {
+				break
+			}
+			b := blob.Bytes()
+			binary.LittleEndian.PutUint32(b[8:], touchVersion)
+			binary.LittleEndian.PutUint32(b[len(b)-8:], crc32.Checksum(b[:len(b)-8], crc32.MakeTable(crc32.Castagnoli)))
+			out.Write(b)
 		case snapshot.IsPmax(head):
 			st, err := snapshot.ReadPmax(r)
 			if err != nil {
@@ -406,9 +415,10 @@ func restampSpill(t *testing.T, path string, epoch uint32) {
 }
 
 // TestSpillStaleStreamEpochAnswersCold: spill files written under stream
-// epoch 1 (one stream per 2048-draw chunk, before per-group streams) are
-// rejected on load as stream mismatches, and the pairs then answer
-// exactly like a cold server's.
+// epoch 2 (one stream per 64-draw group, TOUCH v2 sections) are rejected
+// on load as stream mismatches — the pool blob's epoch is checked before
+// its touch section is read — and the pairs then answer exactly like a
+// cold server's.
 func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
 	g := testGraph(40, 60)
 	pairs := validPairs(g, 3)
@@ -419,13 +429,13 @@ func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pk := range pairs {
-		restampSpill(t, writer.spillPath(pk), 1)
+		restampSpill(t, writer.spillPath(pk), rng.StreamEpoch-1, snapshot.TouchVersion-1)
 	}
 	stale := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
 	got := queryAll(t, stale, pairs, 1)
 	want := queryAll(t, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1}), pairs, 1)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pairs restored from epoch-1 spill files answer differently from a cold server:\n got %v\nwant %v", got, want)
+		t.Fatalf("pairs restored from epoch-2 spill files answer differently from a cold server:\n got %v\nwant %v", got, want)
 	}
 	st := stale.Stats()
 	if st.SpillLoadErrStream != int64(len(pairs)) || st.SpillLoadErrors != st.SpillLoadErrStream || st.SpillLoads != 0 {

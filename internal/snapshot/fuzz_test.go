@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -78,13 +79,17 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadTouch throws arbitrary bytes at the TOUCH v2 decoder. Whatever
-// the input it must return a touch set or an error, never panic; a set
-// it accepts must keep the invariants repair relies on — in particular
-// no word naming a group beyond its chunk's group count — and re-encode
-// to the exact bytes it was decoded from. The seeds are valid dense and
-// sparse sections, checksum-valid sections whose words name groups past
-// the chunk's draws, and targeted corruptions.
+// FuzzReadTouch throws arbitrary bytes at the TOUCH v3 decoder and at
+// the list reader repair uses. Whatever the input, decoding must return
+// a touch set or an error, never panic; a set it accepts must keep the
+// framing repair relies on — each chunk one offset per group plus its
+// end, rising from 0 within its own lists — and re-encode to the exact
+// bytes it was decoded from. Reading any accepted list against any dirty
+// set must not panic either, and a list read as well formed names only
+// nodes below the universe. The seeds are valid sections, checksum-valid
+// sections with v3 edge cases (an empty group, a node at or beyond the
+// universe, a zero gap, a truncated varint, offsets past the section,
+// more groups than a chunk's draws) and targeted corruptions.
 func FuzzReadTouch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(touchMagic[:])
@@ -95,20 +100,34 @@ func FuzzReadTouch(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	beyondPartial, beyondFull := testTouchSet(), testTouchSet()
-	beyondPartial.Masks[14] = 2 // the 44-draw trailing chunk holds one group
-	beyondFull.Masks[2] = 4     // a 128-draw chunk holds two groups
-	for _, ts := range []*TouchSet{
-		testTouchSet(),
-		{Universe: 10, ChunkSize: 128, GroupSize: 64, NodeOffsets: []int32{0}, MaskOffsets: []int32{0}},
-		{StreamEpoch: 2, Universe: 3, Total: 2000, ChunkSize: 2048, GroupSize: 64,
-			NodeOffsets: []int32{0, 0}, MaskOffsets: []int32{0, 3}, Masks: []uint32{1<<32 - 1, 0, 1 << 31}},
-		beyondPartial,
-		beyondFull,
+	// withList returns the test section with chunk 1's second list
+	// replaced by raw bytes.
+	withList := func(list []byte) *TouchSet {
+		ts := testTouchSet()
+		ch := &ts.Chunks[1]
+		ch.Data = append(ch.Data[:ch.Offsets[1]:ch.Offsets[1]], list...)
+		ch.Offsets[2] = uint32(len(ch.Data))
+		return ts
+	}
+	valid := encode(testTouchSet())
+	pastSection := bytes.Clone(valid)
+	putU32(pastSection[touchHeaderSize+7*4:], 1000) // chunk 2's end offset
+	moreGroups := bytes.Clone(valid)
+	putU64(moreGroups[48:], 9) // offsetsLen for 9 groups' worth
+	for _, data := range [][]byte{
+		valid,
+		encode(&TouchSet{Universe: 10, ChunkSize: 16, GroupSize: 8}),
+		encode(&TouchSet{StreamEpoch: 3, Universe: 3, Total: 2000, ChunkSize: 2048, GroupSize: 8,
+			Chunks: []TouchChunk{{Offsets: make([]uint32, 251), Data: nil}}}), // every group empty
+		encode(withList(nil)),                               // an empty group
+		encode(withList(AppendTouchList(nil, []int32{10}))), // a node at the universe
+		encode(withList([]byte{2, 0, 3})),                   // a zero gap
+		encode(withList([]byte{2, 0x80})),                   // a truncated varint
+		resum(pastSection),
+		resum(moreGroups),
 	} {
-		data := encode(ts)
 		f.Add(data)
-		for _, off := range []int{0, 8, 12, 16, 24, 40, 48, 56, 64, touchHeaderSize, len(data) - 1} {
+		for _, off := range []int{0, 8, 12, 16, 24, 32, 40, 48, 56, touchHeaderSize, len(data) - 9, len(data) - 1} {
 			if off < len(data) {
 				mut := bytes.Clone(data)
 				mut[off] ^= 0x80
@@ -122,12 +141,30 @@ func FuzzReadTouch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for c := 0; c < ts.NumChunks(); c++ {
-			draws := min(ts.ChunkSize, ts.Total-int64(c)*ts.ChunkSize)
-			groups := (draws + ts.GroupSize - 1) / ts.GroupSize
-			for _, m := range ts.Masks[ts.MaskOffsets[c]:ts.MaskOffsets[c+1]] {
-				if uint64(m)>>groups != 0 {
-					t.Fatalf("chunk %d of %d draws accepted word %#x naming a group past %d", c, draws, m, groups)
+		for c, ch := range ts.Chunks {
+			groups := touchGroups(ts.Total, ts.ChunkSize, ts.GroupSize, c)
+			if int64(len(ch.Offsets)) != groups+1 || ch.Offsets[0] != 0 || int(ch.Offsets[groups]) != len(ch.Data) {
+				t.Fatalf("chunk %d accepted with %d offsets for %d groups over %d bytes", c, len(ch.Offsets), groups, len(ch.Data))
+			}
+			for g := int64(0); g < groups; g++ {
+				if ch.Offsets[g] > ch.Offsets[g+1] {
+					t.Fatalf("chunk %d accepted descending offsets at group %d", c, g)
+				}
+				list := ch.Data[ch.Offsets[g]:ch.Offsets[g+1]]
+				for _, dirty := range [][]int32{{0}, {1, 5, 9}, {int32(ts.Universe) - 1}, {1 << 30}} {
+					TouchListMeets(list, dirty, ts.Universe)
+				}
+				if _, ok := TouchListMeets(list, []int32{1<<31 - 1}, ts.Universe); ok {
+					// Read to the end without a hit: every node is below the universe.
+					prev := int64(-1)
+					for rest := list; len(rest) > 0; {
+						gap, k := binary.Uvarint(rest)
+						prev += int64(gap)
+						rest = rest[k:]
+					}
+					if prev >= ts.Universe {
+						t.Fatalf("list %x read as well formed names node %d of a %d-node universe", list, prev, ts.Universe)
+					}
 				}
 			}
 		}
@@ -135,8 +172,10 @@ func FuzzReadTouch(f *testing.F) {
 		if err := WriteTouch(&buf, ts); err != nil {
 			t.Fatalf("re-encoding a decoded touch set: %v", err)
 		}
-		if int64(buf.Len()) != n {
-			t.Fatalf("re-encoded %d bytes, decoded %d", buf.Len(), n)
+		// The footer's last 4 bytes lie outside the checksum, as in every
+		// section, so only the checksummed bytes and the CRC must match.
+		if int64(buf.Len()) != n || !bytes.Equal(buf.Bytes()[:n-4], data[:n-4]) {
+			t.Fatal("re-encoded touch set differs from the bytes it was decoded from")
 		}
 		again, err := ReadTouch(bytes.NewReader(buf.Bytes()))
 		if err != nil {

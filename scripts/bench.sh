@@ -14,6 +14,9 @@
 # and the medians of any custom b.ReportMetric units (draws/op,
 # saved_frac, ...). scripts/benchcmp.sh diffs two such points and calls
 # a change a regression only when the min–max ranges do not overlap.
+# Delta repair's saving and its byte cost are tracked this way:
+# BenchmarkDeltaRepairVsResample's redrawn_frac (1- and 2-edge random
+# deltas) and BenchmarkSamplePool's touch_B/draw.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
