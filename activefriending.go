@@ -136,10 +136,10 @@
 // re-running the rule, and the ledger is persisted alongside the pools.
 //
 // Give a Server a ServerConfig.SpillDir and eviction under MaxPoolBytes
-// writes the victim's pools to disk instead of discarding them, with
-// re-admission restoring from bytes; Server.SpillAll flushes every live
-// pair (graceful shutdown) and Server.Warm preloads every spill file
-// (restart). ServerStats ledgers the spills, loads, bytes and draws
+// appends the victim's pools to a log on disk instead of discarding
+// them, with re-admission restoring from bytes; Server.SpillAll flushes
+// every live pair (graceful shutdown) and Server.Warm preloads every
+// pair the log holds (restart). ServerStats ledgers the spills, loads, bytes and draws
 // saved. afserve wires this up end to end:
 //
 //	afserve -file graph.txt -seed 1 -maxbytes 268435456 -spill-dir /var/tmp/af
@@ -540,14 +540,16 @@ type ServerConfig struct {
 	Seed    int64
 	Workers int
 	// SpillDir, when non-empty, gives eviction a disk tier: instead of
-	// discarding an evicted pair's pools, the server snapshots them to
-	// one checksummed file in this directory (which must exist), and the
-	// pair's next query restores the pools from bytes instead of
-	// resampling draw by draw. Snapshots carry their stream identity
-	// (seed and namespace); files that fail validation — corruption,
-	// format-version skew, or a different Seed — are ignored and the
-	// pair resamples, with byte-identical answers either way. See also
-	// Server.SpillAll (shutdown flush) and Server.Warm (startup preload).
+	// discarding an evicted pair's pools, the server snapshots them as
+	// one checksummed record appended to a segment log in this directory
+	// (which must exist), and the pair's next query restores the pools
+	// from bytes instead of resampling draw by draw. Snapshots carry
+	// their stream identity (seed and namespace); records that fail
+	// validation — corruption, format-version skew, or a different Seed
+	// — are ignored and the pair resamples, with byte-identical answers
+	// either way. Files of the earlier one-file-per-pair format are not
+	// read, and are removed when the log opens. See also Server.SpillAll
+	// (shutdown flush) and Server.Warm (startup preload).
 	SpillDir string
 	// Metrics enables the observability layer: per-kind request latency
 	// histograms, per-stage query tracing, and scrape-time series of
@@ -563,11 +565,11 @@ type ServerConfig struct {
 	// SlowQueryLog (default os.Stderr). 0 disables slow-query logging.
 	SlowQueryThreshold time.Duration
 	SlowQueryLog       io.Writer
-	// SpillTTL, when positive, expires spill files: a snapshot not
-	// rewritten within the TTL is deleted (swept at Warm and
-	// periodically while serving), bounding the spill directory. An
-	// expired pair resamples on its next query — a latency cost, never
-	// a correctness one.
+	// SpillTTL, when positive, expires spill records: a pair not spilled
+	// again within the TTL loses its record (at Warm, after ApplyDelta
+	// and periodically while serving), and the log's compaction reclaims
+	// its bytes, bounding the spill directory. An expired pair resamples
+	// on its next query — a latency cost, never a correctness one.
 	SpillTTL time.Duration
 	// MaxInflight, when positive, enables admission control: at most
 	// MaxInflight queries execute at once, at most MaxQueue more wait
@@ -709,9 +711,10 @@ func (sv *Server) WriteStatusz(w io.Writer) { sv.sv.WriteStatusz(w) }
 // via Warm). A no-op when no SpillDir is configured.
 func (sv *Server) SpillAll() error { return sv.sv.SpillAll() }
 
-// Warm admits every pair with a spill file in ServerConfig.SpillDir and
-// returns the number of pairs whose pools were actually restored from
-// disk. Files that fail validation still admit their pair — cold, and
+// Warm admits every pair with a record in the spill log in
+// ServerConfig.SpillDir and returns the number of pairs whose pools
+// were actually restored from disk. Records that fail validation still
+// admit their pair — cold, and
 // ledgered in ServerStats.SpillLoadErrors — but are not counted.
 // Admission runs through the normal cache path, so the memory budget is
 // enforced and ServerStats ledgers the loads. A no-op without a
@@ -863,7 +866,7 @@ type DeltaSummary = proto.DeltaSummary
 // PairsStale counts the pairs still waiting); one still waiting when
 // the next delta lands is repaired inside that call, up to
 // ServerConfig.Workers at once, and only that repair is reported in the
-// result. Pairs whose (s, t) become adjacent are dropped; spill files
+// result. Pairs whose (s, t) become adjacent are dropped; spill records
 // from earlier epochs are adopted and repaired when loaded. In-flight
 // queries finish at the epoch they started on; queries issued after
 // ApplyDelta returns see the new epoch. A context cancelled before the

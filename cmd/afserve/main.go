@@ -57,17 +57,21 @@
 // sampled — and the ledger survives restarts via -spill-dir.
 //
 // -spill-dir makes pool state survive both eviction and restarts:
-// evicted pairs are snapshotted to disk and restored from bytes on
-// their next query, and when stdin closes (or on SIGINT/SIGTERM) every
-// live pair is flushed — after in-flight queries on both transports
-// drain, so shutdown never tears an answer. A restarted server with the
-// same -seed picks the snapshots up lazily, or eagerly with -warm;
-// snapshots are checksummed and carry their stream identity, so a
-// damaged or mismatched file just means that pair resamples — answers
-// are byte-identical either way. -spill-ttl expires snapshot files not
-// rewritten within the TTL (swept at -warm and periodically while
-// serving), bounding the directory; an expired pair resamples, which
-// changes no answer.
+// evicted pairs are snapshotted, each as one record appended to a
+// segment log in the directory (spill-NNNNNN.afseg files), and restored
+// from bytes on their next query; when stdin closes (or on
+// SIGINT/SIGTERM) every live pair is flushed and the log synced — after
+// in-flight queries on both transports drain, so shutdown never tears
+// an answer. A restarted server with the same -seed picks the records
+// up lazily, or eagerly with -warm; records are checksummed and carry
+// their stream identity, so a damaged or mismatched record just means
+// that pair resamples — answers are byte-identical either way. Files of
+// the earlier one-file-per-pair format (pair-S-T.afsnap) are not read
+// and are removed when the log opens. -spill-ttl expires the records of
+// pairs not spilled again within the TTL (at -warm and periodically
+// while serving), and the log's compaction reclaims their bytes,
+// bounding the directory; an expired pair resamples, which changes no
+// answer.
 //
 // Each response is one JSON line {"id":…,"ok":true,"result":…} (or
 // "error" when ok is false). Concurrency is one shared budget across
@@ -150,9 +154,9 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	workers := fs.Int("workers", 0, "sampling workers per query, and pairs migrated at once by a delta (0 = CPUs)")
 	shards := fs.Int("shards", 0, "pair-map lock shards (0 = default)")
 	maxBytes := fs.Int64("maxbytes", 0, "pool memory budget in bytes (0 = unlimited)")
-	spillDir := fs.String("spill-dir", "", "spill evicted pools to snapshots in this directory and flush all pools on shutdown")
-	spillTTL := fs.Duration("spill-ttl", 0, "expire spill files not rewritten within this TTL (0 = keep forever)")
-	warm := fs.Bool("warm", false, "preload every snapshot in -spill-dir before serving")
+	spillDir := fs.String("spill-dir", "", "append evicted pools to a spill log in this directory and flush all pools on shutdown")
+	spillTTL := fs.Duration("spill-ttl", 0, "expire the spill records of pairs not spilled again within this TTL (0 = keep forever)")
+	warm := fs.Bool("warm", false, "preload every pair in the -spill-dir log before serving")
 	jobs := fs.Int("j", 1, "max in-flight queries across both transports (the admission limit); >1 answers the pipe out of order")
 	queue := fs.Int("queue", 16, "queries that may wait for an in-flight slot before the server fast-rejects with an overload error")
 	obsCLI := httpserve.AddFlags(fs)

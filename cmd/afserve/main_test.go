@@ -156,9 +156,9 @@ func TestServeSpillWarmRestart(t *testing.T) {
 	path := graphFile(t)
 	dir := filepath.Join(t.TempDir(), "spill")
 	first := runServe(t, []string{"-file", path, "-seed", "7", "-spill-dir", dir}, queries)
-	files, err := filepath.Glob(filepath.Join(dir, "pair-*.afsnap"))
+	files, err := filepath.Glob(filepath.Join(dir, "spill-*.afseg"))
 	if err != nil || len(files) == 0 {
-		t.Fatalf("shutdown flush wrote no snapshots (err %v)", err)
+		t.Fatalf("shutdown flush wrote no spill segment (err %v)", err)
 	}
 
 	second := runServe(t, []string{"-file", path, "-seed", "7", "-spill-dir", dir, "-warm"}, queries)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ltm"
 	"repro/internal/mc"
+	"repro/internal/rng"
 	"repro/internal/setcover"
 	"repro/internal/snapshot"
 )
@@ -27,8 +28,10 @@ import (
 // through a Session samples the pool exactly once and the p_max stream
 // at most up to the tightest ε₀ requested. V_max is one O(V+E) DFS over
 // the whole graph (see Vmax), which is not cheap: on the 7,115-node Wiki
-// analog it costs ~0.7 ms on a 2-vCPU Xeon, a large share of a restored
-// pair's first solve.
+// analog it costs ~0.7 ms on a 2-vCPU Xeon. RAF at α < 1 needs only
+// |V_max|, so the session caches the count apart from the set: only
+// α = 1 builds the set, and Snapshot persists the count, so a restored
+// pair's solves run no DFS at all.
 //
 // The session's seed and worker count govern every solve; Config.Seed and
 // Config.Workers are ignored by Session.RAF. Safe for concurrent use.
@@ -41,8 +44,9 @@ type Session struct {
 	seed    int64
 	workers int
 
-	mu   sync.Mutex
-	vmax *graph.NodeSet // cached V_max; nil until first computed
+	mu      sync.Mutex
+	vmax    *graph.NodeSet // cached V_max; nil until Vmax builds it
+	vmaxLen int            // cached |V_max|; -1 until known
 }
 
 // NewSession returns a session for the instance. Seed fixes all
@@ -58,6 +62,7 @@ func NewSession(in *ltm.Instance, seed int64, workers int) *Session {
 		pmax:    eng.NewPmaxEstimator(seed, workers),
 		seed:    seed,
 		workers: workers,
+		vmaxLen: -1,
 	}
 }
 
@@ -74,8 +79,9 @@ func (s *Session) Engine() *engine.Engine { return s.eng }
 // of the draw bill (see engine.Session.RepairTo). The new session's engine is bound to lin and
 // graphFP (both may be zero when the caller keeps no lineage), so stale
 // spill blobs restored into it later are adopted and repaired too. The
-// receiver is not mutated; the cached V_max is dropped — the delta may
-// have changed it, and recomputing it is one O(V+E) DFS.
+// receiver is not mutated; the cached V_max and its count are dropped —
+// the delta may have changed them, and recomputing them is one O(V+E)
+// DFS.
 func (s *Session) RepairTo(ctx context.Context, in2 *ltm.Instance, lin *engine.Lineage, graphFP uint64, dirty []graph.Node) (*Session, engine.RepairStats, error) {
 	ne := engine.New(in2)
 	if lin != nil {
@@ -103,6 +109,7 @@ func (s *Session) RepairTo(ctx context.Context, in2 *ltm.Instance, lin *engine.L
 		pmax:    pmax,
 		seed:    s.seed,
 		workers: s.workers,
+		vmaxLen: -1,
 	}, st, nil
 }
 
@@ -153,10 +160,10 @@ func (s *Session) Pool(ctx context.Context, l int64) (*engine.Pool, error) {
 // draw ledger and the evaluation pool, in that order (see
 // engine.Session.Snapshot and engine.PmaxEstimator.Snapshot), so a
 // restored session reuses every pooled and stopping-rule draw instead
-// of resampling it. The cached V_max is not written: it is deterministic
-// in the instance and recomputed on demand, by one O(V+E) DFS over the
-// whole graph, with identical results. A restored session therefore
-// pays that DFS again on its first solve.
+// of resampling it. When |V_max| is known, a VMAX section carrying it
+// and the instance fingerprint follows, so a restored session's α < 1
+// solves skip the DFS; the set itself is not written (only α = 1 needs
+// it, and rebuilds it with identical results).
 func (s *Session) Snapshot(w io.Writer) error {
 	if err := s.pools.Snapshot(w); err != nil {
 		return err
@@ -164,26 +171,39 @@ func (s *Session) Snapshot(w io.Writer) error {
 	if err := s.pmax.Snapshot(w); err != nil {
 		return err
 	}
-	return s.eval.Snapshot(w)
+	if err := s.eval.Snapshot(w); err != nil {
+		return err
+	}
+	n := s.knownVmaxLen()
+	if n < 0 {
+		return nil
+	}
+	return snapshot.WriteVmax(w, &snapshot.VmaxState{StreamEpoch: rng.StreamEpoch, Fingerprint: s.eng.Fingerprint(), Count: int64(n)})
 }
 
 // peeker is the subset of bufio.Reader Restore uses to detect an
-// optional p_max section without consuming stream bytes.
+// optional section without consuming stream bytes.
 type peeker interface {
 	Peek(int) ([]byte, error)
 }
 
 // Restore loads a Snapshot into a freshly created session, consuming
-// the solve pool, the p_max section when one follows, and the
-// evaluation pool from r. Each section's stream identity must match the
-// session's seed. A pool that fails to load — corrupt, truncated or
-// mismatched — returns an error, and the session may then hold part of
-// the snapshot: the caller discards it for a fresh session, which
-// resamples lazily with byte-identical results, since pools and the
-// estimator ledger are pure functions of (seed, draws). The p_max
+// from r the solve pool, the p_max section when one follows, the
+// evaluation pool, and the VMAX section when one follows. Each
+// section's stream identity must match the session's seed. A pool that
+// fails to load — corrupt, truncated or mismatched — returns an error,
+// and the session may then hold part of the snapshot: the caller
+// discards it for a fresh session, which resamples lazily with
+// byte-identical results, since pools and the estimator ledger are pure
+// functions of (seed, draws). The p_max
 // section is optional and best-effort: when r supports Peek (e.g. a
 // *bufio.Reader) a missing section is skipped cleanly, and an unreadable
-// or mismatched one leaves only the estimator cold.
+// or mismatched one leaves only the estimator cold. The VMAX section is
+// optional in the same way; its count is adopted only when its
+// fingerprint is this session's instance, so a blob adopted from an
+// ancestor epoch (which a delta may have changed V_max since) leaves the
+// count unknown. Without Peek, a reader positioned after the evaluation
+// pool must hold a VMAX section or nothing.
 func (s *Session) Restore(r io.Reader) error {
 	if err := s.pools.Restore(r); err != nil {
 		return err
@@ -203,13 +223,27 @@ func (s *Session) Restore(r io.Reader) error {
 	if err := s.eval.Restore(r); err != nil {
 		return fmt.Errorf("core: evaluation pool: %w", err)
 	}
+	if p, ok := r.(peeker); ok {
+		if b, err := p.Peek(8); err != nil || !snapshot.IsVmax(b) {
+			return nil
+		}
+	}
+	// Best-effort like the p_max section: a count that fails to load is
+	// recomputed, identically, on the next solve.
+	st, err := snapshot.ReadVmax(r)
+	if err == nil && st.Fingerprint == s.eng.Fingerprint() && st.Count <= int64(s.in.Graph().NumNodes()) {
+		s.mu.Lock()
+		s.vmaxLen = int(st.Count)
+		s.mu.Unlock()
+	}
 	return nil
 }
 
 // PoolSize returns the cached pool size (0 before the first solve).
 func (s *Session) PoolSize() int64 { return s.pools.Size() }
 
-// Vmax returns the cached exact V_max (Lemma 7) of the instance.
+// Vmax returns the cached exact V_max (Lemma 7) of the instance,
+// building it on first use.
 func (s *Session) Vmax() (*graph.NodeSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,8 +253,34 @@ func (s *Session) Vmax() (*graph.NodeSet, error) {
 			return nil, err
 		}
 		s.vmax = vm
+		s.vmaxLen = vm.Len()
 	}
 	return s.vmax, nil
+}
+
+// VmaxLen returns |V_max|, running the DFS only when the count is
+// unknown — neither computed before nor restored from a snapshot. It
+// caches the count, not the set.
+func (s *Session) VmaxLen() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.vmaxLen < 0 {
+		vm, err := Vmax(s.in)
+		if err != nil {
+			return 0, err
+		}
+		s.vmaxLen = vm.Len()
+	}
+	return s.vmaxLen, nil
+}
+
+// VmaxKnown reports whether |V_max| is cached, so Snapshot writes it.
+func (s *Session) VmaxKnown() bool { return s.knownVmaxLen() >= 0 }
+
+func (s *Session) knownVmaxLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.vmaxLen
 }
 
 // EstimatePmax returns the Algorithm 2 estimate at accuracy eps0 and
@@ -295,11 +355,11 @@ func (s *Session) RAF(ctx context.Context, cfg Config) (*Result, error) {
 	// reduction is disabled.
 	dim := s.in.Graph().NumNodes()
 	if !cfg.DisableVmaxReduction {
-		vm, err := s.Vmax()
+		n, err := s.VmaxLen()
 		if err != nil {
 			return nil, err
 		}
-		res.VmaxSize = vm.Len()
+		res.VmaxSize = n
 		if res.VmaxSize == 0 {
 			return nil, fmt.Errorf("%w: V_max is empty", ErrTargetUnreachable)
 		}

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ltm"
 	"repro/internal/mc"
@@ -381,10 +383,15 @@ func TestSessionSnapshotCarriesEvalPool(t *testing.T) {
 		}
 	}
 
-	// The evaluation section is last: corrupting its final bytes (the
-	// checksum footer) or cutting it off fails the whole restore.
+	// The evaluation section is the last pool: corrupting its checksum
+	// footer, which ends just before the 40-byte VMAX section the RAF
+	// above made the snapshot carry, or cutting the section off fails the
+	// whole restore.
+	if !writer.VmaxKnown() {
+		t.Fatal("RAF at α < 1 left |V_max| unknown")
+	}
 	corrupt := bytes.Clone(data)
-	corrupt[len(corrupt)-8] ^= 0xff
+	corrupt[len(corrupt)-40-8] ^= 0xff
 	if err := NewSession(in, 7, 2).Restore(bufio.NewReader(bytes.NewReader(corrupt))); !errors.Is(err, snapshot.ErrChecksum) {
 		t.Errorf("corrupt eval section: err = %v, want ErrChecksum", err)
 	}
@@ -487,5 +494,194 @@ func TestPoolSizeFromTheory(t *testing.T) {
 	}
 	if got := poolSizeFromTheory(lTheory); got != clamp {
 		t.Errorf("poolSizeFromTheory(%v) = %d, want clamp %d", lTheory, got, clamp)
+	}
+}
+
+// snapshotBytes returns the session's snapshot.
+func snapshotBytes(t *testing.T, s *Session) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoredVmaxCountSkipsDFS: a snapshot taken after an α < 1 solve
+// carries |V_max|, and a session restored from it answers the same
+// solves byte-identically to a cold session without building the V_max
+// set, so no DFS runs. α = 1 still builds and returns the set.
+func TestRestoredVmaxCountSkipsDFS(t *testing.T) {
+	in := sessionTestInstance(t)
+	ctx := context.Background()
+	cfgs := []Config{
+		{Alpha: 0.3, Eps: 0.05, N: 100, OverrideL: 2000, MaxPmaxDraws: 500000},
+		{Alpha: 0.6, Eps: 0.1, N: 100, OverrideL: 1500, MaxPmaxDraws: 500000},
+	}
+	writer := NewSession(in, 7, 2)
+	if writer.VmaxKnown() {
+		t.Fatal("a fresh session knows |V_max|")
+	}
+	if _, err := writer.RAF(ctx, cfgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if writer.vmax != nil || !writer.VmaxKnown() {
+		t.Fatal("an α < 1 solve must cache the count and not the set")
+	}
+	data := snapshotBytes(t, writer)
+
+	loaded := NewSession(in, 7, 2)
+	if err := loaded.Restore(bufio.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.VmaxKnown() {
+		t.Fatal("restored session did not adopt |V_max|")
+	}
+	cold := NewSession(in, 7, 2)
+	for _, cfg := range cfgs {
+		got, err := loaded.RAF(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.RAF(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// PmaxReused is provenance: the restored ledger is reused.
+		g, w := *got, *want
+		g.Invited, w.Invited, g.PmaxReused, w.PmaxReused = nil, nil, 0, 0
+		if g != w || !slices.Equal(got.Invited.Members(), want.Invited.Members()) {
+			t.Errorf("α=%v: restored session answers\n%+v %v\ncold session\n%+v %v", cfg.Alpha, g, got.Invited.Members(), w, want.Invited.Members())
+		}
+	}
+	if loaded.vmax != nil {
+		t.Error("α < 1 solves on a restored session built the V_max set")
+	}
+	vm, err := Vmax(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := loaded.VmaxLen(); n != vm.Len() {
+		t.Errorf("restored |V_max| = %d, want %d", n, vm.Len())
+	}
+
+	// α = 1 returns V_max itself.
+	res, err := loaded.RAF(ctx, Config{Alpha: 1, Eps: 0.5, N: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Invited.Members(), vm.Members()) || res.VmaxSize != vm.Len() || loaded.vmax == nil {
+		t.Errorf("α = 1 answered %v (size %d), want V_max %v", res.Invited.Members(), res.VmaxSize, vm.Members())
+	}
+
+	// A count stamped with another instance's fingerprint is ignored.
+	var other *ltm.Instance
+	for v := graph.Node(22); other == nil; v-- {
+		if !in.Graph().HasEdge(0, v) {
+			other = mustInstance(t, in.Graph(), 0, v)
+		}
+	}
+	stranger := NewSession(other, 7, 2)
+	if _, err := stranger.VmaxLen(); err != nil {
+		t.Fatal(err)
+	}
+	var foreign bytes.Buffer
+	foreign.Write(data[:len(data)-40])
+	tail := snapshotBytes(t, stranger)
+	foreign.Write(tail[len(tail)-40:])
+	mixed := NewSession(in, 7, 2)
+	if err := mixed.Restore(bufio.NewReader(&foreign)); err != nil {
+		t.Fatal(err)
+	}
+	if mixed.VmaxKnown() {
+		t.Error("a session adopted |V_max| written for another instance")
+	}
+}
+
+// TestAncestorBlobDropsVmaxCount: after a delta that changes |V_max|, a
+// blob written at the ancestor epoch is adopted and repaired, but its
+// count is not: the restored session recomputes a count equal to a cold
+// session's on the new graph.
+func TestAncestorBlobDropsVmaxCount(t *testing.T) {
+	g := randomConnected(1, 24, 30)
+	in := mustInstance(t, g, 0, 23)
+	before, err := Vmax(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first edge whose addition changes |V_max| and keeps (0, 23)
+	// apart.
+	var (
+		g2    *graph.Graph
+		dirty []graph.Node
+		in2   *ltm.Instance
+	)
+	for u := graph.Node(0); u < 24 && in2 == nil; u++ {
+		for v := u + 1; v < 24 && in2 == nil; v++ {
+			if g.HasEdge(u, v) || (u == 0 && v == 23) {
+				continue
+			}
+			cand, d, err := (&graph.Delta{Add: []graph.Edge{{U: u, V: v}}}).Apply(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cin := mustInstance(t, cand, 0, 23)
+			if after, err := Vmax(cin); err == nil && after.Len() != before.Len() {
+				g2, dirty, in2 = cand, d, cin
+			}
+		}
+	}
+	if in2 == nil {
+		t.Fatal("no one-edge delta changes |V_max| on the fixture")
+	}
+
+	ctx := context.Background()
+	cfg := Config{Alpha: 0.3, Eps: 0.05, N: 100, OverrideL: 1000, MaxPmaxDraws: 500000}
+	gfp := engine.GraphFingerprint(g, in.Weights())
+	lin := engine.NewLineage(gfp)
+	writer := NewSession(in, 7, 2)
+	writer.Engine().Bind(lin, gfp)
+	if _, err := writer.RAF(ctx, cfg); err != nil {
+		t.Fatal(err)
+	}
+	data := snapshotBytes(t, writer)
+
+	gfp2 := engine.GraphFingerprint(g2, in2.Weights())
+	lin.Advance(gfp2, dirty)
+	adopted := NewSession(in2, 7, 2)
+	adopted.Engine().Bind(lin, gfp2)
+	if err := adopted.Restore(bufio.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatalf("ancestor blob not adopted: %v", err)
+	}
+	if adopted.VmaxKnown() {
+		t.Fatal("an ancestor-epoch blob's |V_max| was adopted")
+	}
+	cold := NewSession(in2, 7, 2)
+	want, err := cold.Vmax()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := adopted.VmaxLen(); err != nil || n != want.Len() {
+		t.Fatalf("recomputed |V_max| = %d (err %v), want %d", n, err, want.Len())
+	}
+	got, err := adopted.RAF(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cold.RAF(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.VmaxSize != ref.VmaxSize || !slices.Equal(got.Invited.Members(), ref.Invited.Members()) {
+		t.Errorf("adopted session answers |V_max| %d, %v; cold %d, %v", got.VmaxSize, got.Invited.Members(), ref.VmaxSize, ref.Invited.Members())
+	}
+
+	// RepairTo drops the count as it drops the set.
+	repaired, _, err := writer.RepairTo(ctx, in2, lin, gfp2, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired.VmaxKnown() {
+		t.Error("RepairTo kept |V_max| across a delta")
 	}
 }

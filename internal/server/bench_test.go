@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/weights"
 )
@@ -138,4 +140,52 @@ func BenchmarkAdmissionReject(b *testing.B) {
 			b.Fatalf("admit under saturation: %v", err)
 		}
 	}
+}
+
+// BenchmarkSpillRoundTrip measures one pair's trip through the spill
+// tier on the Wiki analog at scale 1 (7,115 nodes, the graph afbench
+// serves): each op restores the pair from its latest spill record
+// through the server, then evicts it, writing it back. The pair holds
+// what a cold-churn pair holds after a solve — solve and evaluation
+// pools of 2,000 draws, a p_max ledger and its V_max — and clearing the
+// entry's loaded mark makes every eviction write the pair, as it does
+// after a query grew it. Reports the bytes each spill writes.
+func BenchmarkSpillRoundTrip(b *testing.B) {
+	d, err := gen.DatasetByName("Wiki")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Generate(1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Every release evicts, so each pair lives for exactly one op.
+	sv := New(g, weights.NewDegree(g), Config{Seed: 1, Workers: 1, MaxPoolBytes: 1, SpillDir: b.TempDir()})
+	ctx := context.Background()
+	s, t := graph.Node(17), graph.Node(4211)
+	if _, err := sv.Solve(ctx, s, t, core.Config{Alpha: 0.2, Eps: 0.05, N: 100000, OverrideL: 2000, MaxPmaxDraws: 1 << 20}); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := sv.SolveMax(ctx, s, t, 4, 2000); err != nil {
+		b.Fatal(err)
+	}
+	spills, bytes := sv.Stats().Spills, sv.Stats().SpillBytes
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := sv.Pair(s, t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !h.e.loaded {
+			b.Fatal("pair was not restored from the spill tier")
+		}
+		h.e.loaded = false
+		h.Done()
+	}
+	b.StopTimer()
+	st := sv.Stats()
+	if st.Spills-spills != int64(b.N) || st.SpillLoadErrors != 0 {
+		b.Fatalf("%d spills and %d load errors in %d ops", st.Spills-spills, st.SpillLoadErrors, b.N)
+	}
+	b.ReportMetric(float64(st.SpillBytes-bytes)/float64(b.N), "spill_B/op")
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -55,7 +53,7 @@ type DeltaResult struct {
 // At most two epochs are ever live: a pair still stale from an earlier
 // delta is repaired inside the call, up to Config.Workers at once.
 // Pairs whose (s,t) the delta makes adjacent are dissolved and dropped,
-// as are their spill files; spill files of other pairs, stale ones
+// as are their spill records; spill records of other pairs, stale ones
 // evicted before their repair included, are left in place and
 // adopted-and-repaired through the lineage on their next load. The
 // result, the Stats ledger and the LRU order do not depend on the
@@ -161,8 +159,8 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 		}
 		res.Repair.Add(st)
 	}
-	sv.sweepDissolvedSpills(g2, res)
-	sv.sweepExpiredSpillsLocked()
+	sv.dropDissolvedSpills(g2, res)
+	sv.expireSpills()
 
 	// Stale pairs shrank and repaired ones were re-measured; settle the
 	// budget once for the whole walk.
@@ -237,7 +235,7 @@ func (sv *Server) current(ctx context.Context, e *entry, at *generation, st *eng
 // and neither the order in which pairs are touched nor the walk's map
 // order may decide the eviction order. If e left the map meanwhile
 // (evicted), the repaired entry serves its touchers uncached. Dissolved
-// pairs are dropped with their spill files; a pair whose repair fails or
+// pairs are dropped with their spill records; a pair whose repair fails or
 // panics is dropped too, so its next acquire recreates it cold, with
 // identical answers, and the panic is counted in Stats.Panics. A
 // cancelled repair changes nothing.
@@ -326,11 +324,11 @@ func (sv *Server) noteRepair(st engine.RepairStats) {
 }
 
 // dissolve drops a pair whose (s,t) a delta made adjacent — its
-// friending problem is solved — together with its spill file, and
+// friending problem is solved — together with its spill record, and
 // reports whether the pair was still cached (and so newly dropped).
 func (sv *Server) dissolve(e *entry) bool {
-	if sv.cfg.SpillDir != "" {
-		os.Remove(sv.spillPath(e.key))
+	if sv.spill != nil {
+		sv.spill.drop(e.key)
 	}
 	if !sv.dropEntry(e) {
 		return false
@@ -358,30 +356,18 @@ func (sv *Server) dropEntry(e *entry) bool {
 	return cached
 }
 
-// sweepDissolvedSpills deletes spill files of pairs the new graph
-// dissolves (s and t adjacent). Live dissolved pairs already removed
-// their files in dissolve, so everything swept here is a spill-only
-// pair. Files whose names don't parse are left alone.
-func (sv *Server) sweepDissolvedSpills(g2 *graph.Graph, res *DeltaResult) {
-	if sv.cfg.SpillDir == "" {
+// dropDissolvedSpills deletes the spill records of pairs the new graph
+// dissolves (s and t adjacent). Live dissolved pairs already dropped
+// their records in dissolve, so everything dropped here is a spill-only
+// pair.
+func (sv *Server) dropDissolvedSpills(g2 *graph.Graph, res *DeltaResult) {
+	if sv.spill == nil {
 		return
 	}
-	des, err := os.ReadDir(sv.cfg.SpillDir)
-	if err != nil {
-		return
-	}
-	for _, de := range des {
-		var s, t graph.Node
-		if c, err := fmt.Sscanf(de.Name(), spillPattern, &s, &t); err != nil || c != 2 ||
-			de.Name() != fmt.Sprintf(spillPattern, s, t) {
-			continue
-		}
-		if int(s) >= g2.NumNodes() || int(t) >= g2.NumNodes() || !g2.HasEdge(s, t) {
-			continue
-		}
-		if os.Remove(filepath.Join(sv.cfg.SpillDir, de.Name())) == nil {
-			sv.ledger[ctrPairsDropped].Add(1)
-			res.PairsDropped++
-		}
-	}
+	n := g2.NumNodes()
+	dropped := sv.spill.dropWhere(func(k pairKey, _ spillLoc) bool {
+		return int(k.s) < n && int(k.t) < n && g2.HasEdge(k.s, k.t)
+	})
+	sv.ledger[ctrPairsDropped].Add(int64(dropped))
+	res.PairsDropped += dropped
 }

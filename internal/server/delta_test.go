@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -693,9 +692,8 @@ func TestApplyDeltaDissolvesPair(t *testing.T) {
 	if err := sv.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
-	spill := sv.spillPath(victim)
-	if _, err := os.Stat(spill); err != nil {
-		t.Fatalf("victim pair has no spill file: %v", err)
+	if !hasSpill(sv, victim) {
+		t.Fatal("victim pair has no spill record")
 	}
 
 	res, err := sv.ApplyDelta(ctx, &graph.Delta{Add: []graph.Edge{{U: victim.s, V: victim.t}}}, nil)
@@ -705,8 +703,8 @@ func TestApplyDeltaDissolvesPair(t *testing.T) {
 	if res.PairsDropped == 0 {
 		t.Fatalf("dissolved pair not dropped: %+v", res)
 	}
-	if _, err := os.Stat(spill); !os.IsNotExist(err) {
-		t.Fatalf("dissolved pair's spill file survived: %v", err)
+	if hasSpill(sv, victim) {
+		t.Fatal("dissolved pair's spill record survived")
 	}
 	if _, err := sv.Pair(victim.s, victim.t); err == nil {
 		t.Fatal("dissolved pair still acquirable")
@@ -819,8 +817,8 @@ func TestSpillLoadErrorKinds(t *testing.T) {
 	}
 	pk := pairs[0]
 
-	// Seed a valid spill file.
-	write := func(dir string) string {
+	// Seed a valid spill record.
+	write := func(dir string) {
 		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
 		if _, err := sv.Pmax(ctx, pk.s, pk.t, 3000); err != nil {
 			t.Fatal(err)
@@ -828,7 +826,6 @@ func TestSpillLoadErrorKinds(t *testing.T) {
 		if err := sv.SpillAll(); err != nil {
 			t.Fatal(err)
 		}
-		return sv.spillPath(pk)
 	}
 
 	load := func(dir string, sv *Server) Stats {
@@ -840,15 +837,11 @@ func TestSpillLoadErrorKinds(t *testing.T) {
 
 	t.Run("checksum", func(t *testing.T) {
 		dir := t.TempDir()
-		path := write(dir)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		write(dir)
+		rewriteSpill(t, dir, pk, func(data []byte) []byte {
+			data[len(data)/2] ^= 0x40
+			return data
+		})
 		st := load(dir, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir}))
 		if st.SpillLoadErrChecksum != 1 || st.SpillLoadErrors != 1 {
 			t.Fatalf("stats %+v, want one checksum error", st)
@@ -857,15 +850,11 @@ func TestSpillLoadErrorKinds(t *testing.T) {
 
 	t.Run("version", func(t *testing.T) {
 		dir := t.TempDir()
-		path := write(dir)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[8]++ // version u32 follows the 8-byte magic; checked before the CRC
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		write(dir)
+		rewriteSpill(t, dir, pk, func(data []byte) []byte {
+			data[8]++ // version u32 follows the 8-byte magic; checked before the CRC
+			return data
+		})
 		st := load(dir, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir}))
 		if st.SpillLoadErrVersion != 1 || st.SpillLoadErrors != 1 {
 			t.Fatalf("stats %+v, want one version error", st)
@@ -895,14 +884,10 @@ func TestSpillLoadErrorKinds(t *testing.T) {
 
 	t.Run("other", func(t *testing.T) {
 		dir := t.TempDir()
-		path := write(dir)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:40], 0o644); err != nil { // truncated mid-header
-			t.Fatal(err)
-		}
+		write(dir)
+		rewriteSpill(t, dir, pk, func(data []byte) []byte {
+			return data[:40] // truncated mid-header
+		})
 		st := load(dir, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir}))
 		if st.SpillLoadErrOther != 1 || st.SpillLoadErrors != 1 {
 			t.Fatalf("stats %+v, want one other error", st)

@@ -33,15 +33,16 @@ type Stats struct {
 	SessionsCreated int64
 	SessionsEvicted int64
 	BytesHeld       int64
-	// Spills counts evictions (and SpillAll flushes) that wrote a pair's
-	// pools to Config.SpillDir, totalling SpillBytes; SpillLoads counts
-	// re-admissions restored from a spill file (SpillLoadBytes read), and
-	// SpillDrawsSaved the pool draws those loads did not resample.
-	// SpillLoadErrors sums the files rejected or unreadable, by cause:
+	// Spills counts evictions (and SpillAll flushes) that appended a
+	// pair's record to the spill log in Config.SpillDir, totalling
+	// SpillBytes (record headers included); SpillLoads counts
+	// re-admissions restored from a spill record (SpillLoadBytes read),
+	// and SpillDrawsSaved the pool draws those loads did not resample.
+	// SpillLoadErrors sums the records rejected or unreadable, by cause:
 	// checksum, format version, stream identity (wrong seed), instance
 	// (a graph the epoch lineage does not know), and other.
-	// SpillWriteErrors counts failed writes (the previous file survives),
-	// SpillFilesExpired files deleted by the Config.SpillTTL sweep. An
+	// SpillWriteErrors counts failed appends (the previous record still
+	// serves), SpillFilesExpired the records Config.SpillTTL expired. An
 	// affected pair resamples, which changes no answer.
 	Spills               int64
 	SpillBytes           int64
@@ -158,10 +159,10 @@ var ledgerRows = append([]ledgerRow{
 	{field: "SessionsCreated", name: "af_sessions_created_total", help: "pair sessions created (recreation after eviction included)", group: "sessions", slot: ctrSessionsCreated},
 	{field: "SessionsEvicted", name: "af_sessions_evicted_total", help: "pair sessions evicted", group: "sessions", slot: ctrSessionsEvicted},
 	{field: "BytesHeld", name: "af_bytes_held", help: "accounted bytes of cached pair state", gauge: true, group: "sessions", slot: ctrBytesHeld},
-	{field: "Spills", name: "af_spills_total", help: "evictions and flushes that wrote a spill file", group: "spill", slot: ctrSpills},
-	{field: "SpillBytes", name: "af_spill_bytes_total", help: "bytes written to spill files", group: "spill", slot: ctrSpillBytes},
-	{field: "SpillLoads", name: "af_spill_loads_total", help: "pair admissions restored from a spill file", group: "spill", slot: ctrSpillLoads},
-	{field: "SpillLoadBytes", name: "af_spill_load_bytes_total", help: "bytes read from spill files", group: "spill", slot: ctrSpillLoadBytes},
+	{field: "Spills", name: "af_spills_total", help: "evictions and flushes that wrote a spill record", group: "spill", slot: ctrSpills},
+	{field: "SpillBytes", name: "af_spill_bytes_total", help: "bytes appended to the spill log", group: "spill", slot: ctrSpillBytes},
+	{field: "SpillLoads", name: "af_spill_loads_total", help: "pair admissions restored from a spill record", group: "spill", slot: ctrSpillLoads},
+	{field: "SpillLoadBytes", name: "af_spill_load_bytes_total", help: "bytes read from spill records", group: "spill", slot: ctrSpillLoadBytes},
 	{field: "SpillDrawsSaved", name: "af_spill_draws_saved_total", help: "pool draws spill restores avoided", group: "spill", slot: ctrSpillDrawsSaved},
 	{field: "SpillLoadErrors", read: func(sv *Server) (n int64) {
 		for c := ctrSpillLoadErrChecksum; c <= ctrSpillLoadErrOther; c++ {
@@ -175,7 +176,7 @@ var ledgerRows = append([]ledgerRow{
 	{field: "SpillLoadErrInstance", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "instance"}, group: "spill", slot: ctrSpillLoadErrInstance},
 	{field: "SpillLoadErrOther", name: "af_spill_load_errors_total", help: loadErrHelp, labels: []string{"cause", "other"}, group: "spill", slot: ctrSpillLoadErrOther},
 	{field: "SpillWriteErrors", name: "af_spill_write_errors_total", help: "failed spill snapshot writes", group: "spill", slot: ctrSpillWriteErrors},
-	{field: "SpillFilesExpired", name: "af_spill_files_expired_total", help: "spill files removed by TTL GC", group: "spill", slot: ctrSpillFilesExpired},
+	{field: "SpillFilesExpired", name: "af_spill_files_expired_total", help: "spill records expired by the TTL", group: "spill", slot: ctrSpillFilesExpired},
 	{field: "DeltasApplied", name: "af_deltas_applied_total", help: "graph deltas that changed the graph or weights", group: "deltas", slot: ctrDeltasApplied},
 	{field: "PairsDropped", name: "af_pairs_dropped_total", help: "pairs dissolved by a delta", group: "deltas", slot: ctrPairsDropped},
 	{field: "PairsStale", name: "af_pairs_stale", help: "cached pairs not at the current epoch, repaired on first touch", gauge: true, group: "deltas", slot: ctrPairsStale},
@@ -194,7 +195,7 @@ var ledgerRows = append([]ledgerRow{
 	{field: "Panics", name: "af_panics_total", help: "query executions that panicked (answered with ErrInternal)", group: "faults", slot: ctrPanics},
 }, kindRows()...)
 
-const loadErrHelp = "spill files rejected or unreadable, by cause"
+const loadErrHelp = "spill records rejected or unreadable, by cause"
 
 // kindRows declares every kind's hit and miss rows.
 func kindRows() (rows []ledgerRow) {

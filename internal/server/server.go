@@ -18,16 +18,17 @@
 // eviction schedule equals the never-evicted answer.
 //
 // With Config.SpillDir set, eviction gains a second tier: instead of
-// discarding a victim's pools, the server snapshots them to disk
-// (internal/snapshot; atomic write-temp + rename) — together with the
-// pair's Algorithm 2 p_max estimator ledger — and a later query for
-// the pair restores the state from bytes instead of resampling it.
-// Snapshots are checksummed and carry their stream identity, so a
-// corrupted, truncated or configuration-skewed file is rejected and the
-// pair silently falls back to resampling — with identical answers, by
-// the same purity argument. SpillAll flushes every live pair at
-// shutdown; Warm preloads every spill file at startup, so a restarted
-// server answers its first queries from disk-warm pools.
+// discarding a victim's pools, the server snapshots them (internal/
+// snapshot) — together with the pair's Algorithm 2 p_max estimator
+// ledger and |V_max| — as one record appended to a segment log in the
+// directory (see spillstore.go), and a later query for the pair restores
+// the state from bytes instead of resampling it. Snapshots are
+// checksummed and carry their stream identity, so a corrupted, truncated
+// or configuration-skewed record is rejected and the pair silently
+// falls back to resampling — with identical answers, by the same purity
+// argument. SpillAll flushes every live pair at shutdown; Warm preloads
+// every pair the log holds at startup, so a restarted server answers its
+// first queries from disk-warm pools.
 //
 // The graph itself may mutate: ApplyDelta applies a batch of edge
 // additions and removals, producing the next epoch's graph and its
@@ -41,7 +42,7 @@
 // union, in that query's own request, so a delta costs about what its
 // graph rebuild costs. A pair no query touched before the next delta is
 // repaired inside that delta, so at most two epochs are ever live. The
-// server keeps the epoch lineage (engine.Lineage), so spill files
+// server keeps the epoch lineage (engine.Lineage), so spill records
 // written at an earlier epoch, stale pairs' included, are adopted and
 // repaired on load rather than rejected. A query is answered at the
 // epoch current when it was admitted or a later one; queries that begin
@@ -50,14 +51,13 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,21 +99,23 @@ type Config struct {
 	Seed    int64
 	Workers int
 	// SpillDir, when non-empty, turns eviction into a spill: a victim
-	// pair's pools are snapshotted to one file in this directory before
-	// the memory is released, and the pair's next query restores them
-	// from bytes instead of resampling. The directory must exist. Spill
-	// files from a previous process with the same Seed are picked up
-	// transparently (or eagerly via Warm); files that fail checksum,
-	// version or stream-identity validation are ignored and the pair
-	// resamples — answers are identical either way.
+	// pair's pools are snapshotted as one record appended to a segment
+	// log in this directory (spill-NNNNNN.afseg files) before the memory
+	// is released, and the pair's next query restores them from bytes
+	// instead of resampling. The directory must exist; the log opens on
+	// first use. Segments from a previous process with the same Seed are
+	// picked up transparently (or eagerly via Warm); records that fail
+	// checksum, version or stream-identity validation are ignored and
+	// the pair resamples — answers are identical either way. Spill files
+	// of the earlier one-file-per-pair format are not read, and are
+	// removed when the log opens.
 	SpillDir string
-	// SpillTTL, when positive, expires spill files: a snapshot not
-	// rewritten within the TTL is deleted — at Warm, and periodically
-	// (under the delta mutex, so sweeps never race a migration's own
-	// spill-file maintenance) as spills are written. An expired pair
-	// simply resamples on its next query, which changes no answer; the
-	// sweep is ledgered in Stats.SpillFilesExpired. 0 keeps files
-	// forever.
+	// SpillTTL, when positive, expires spill records: a pair not spilled
+	// again within the TTL loses its record — at Warm, after ApplyDelta,
+	// and periodically as spills are written — and its bytes go with its
+	// segment's compaction. An expired pair simply resamples on its next
+	// query, which changes no answer; expiry is ledgered in
+	// Stats.SpillFilesExpired. 0 keeps records forever.
 	SpillTTL time.Duration
 	// MaxInflight bounds the number of queries executing at once; 0
 	// disables admission control. MaxQueue bounds the queries allowed to
@@ -184,8 +186,9 @@ type entry struct {
 	gen  *generation // the epoch the session was built (or migrated) for
 
 	restoreOnce sync.Once
-	loaded      bool  // restored from a spill file; written inside restoreOnce
+	loaded      bool  // restored from a spill record; written inside restoreOnce
 	loadedDraws int64 // HeldDraws at restore time (-1 after a repaired load); written inside restoreOnce
+	loadedVmax  bool  // |V_max| known at restore time; written inside restoreOnce
 
 	elem    *list.Element // position in the LRU list; nil when not listed
 	bytes   int64         // bytes currently charged against the budget
@@ -239,12 +242,15 @@ type Server struct {
 	ledger ledger
 
 	// slots and maxQueue are the admission gate (slots nil with
-	// MaxInflight ≤ 0; see admit); lastSweep is the unix-nano time of
-	// the last spill TTL sweep, CAS-guarded so at most one goroutine
-	// pays for a sweep per interval.
-	slots     chan struct{}
-	maxQueue  int64
-	lastSweep atomic.Int64
+	// MaxInflight ≤ 0; see admit).
+	slots    chan struct{}
+	maxQueue int64
+
+	// spill is the spill tier, nil without a SpillDir; lastExpiry is the
+	// unix-nano time of the last TTL expiry pass, CAS-guarded so at most
+	// one goroutine runs a pass per interval.
+	spill      *spillStore
+	lastExpiry atomic.Int64
 
 	// Open flights of each coalesced query kind; see run. EstimateF is
 	// never coalesced and has no table.
@@ -275,6 +281,9 @@ func New(g *graph.Graph, scheme weights.Scheme, cfg Config) *Server {
 		cfg.Shards = DefaultShards
 	}
 	sv := &Server{cfg: cfg, shards: make([]shard, cfg.Shards), lru: list.New()}
+	if cfg.SpillDir != "" {
+		sv.spill = newSpillStore(cfg.SpillDir)
+	}
 	if cfg.MaxInflight > 0 {
 		sv.slots = make(chan struct{}, cfg.MaxInflight)
 		sv.maxQueue = max(int64(cfg.MaxQueue), 0)
@@ -456,7 +465,7 @@ func (sv *Server) evictLocked() []*entry {
 			sv.ledger[ctrSessionsEvicted].Add(1)
 		}
 		sh.mu.Unlock()
-		if sv.cfg.SpillDir != "" {
+		if sv.spill != nil {
 			victims = append(victims, victim)
 		}
 	}
@@ -490,49 +499,71 @@ func (sv *Server) uncacheLocked(e *entry) {
 // so nobody can observe the session while a failed restore's reset is
 // replacing it. A no-op once done, or without a spill directory.
 func (sv *Server) ensureRestored(e *entry) {
-	if sv.cfg.SpillDir != "" {
+	if sv.spill != nil {
 		e.restoreOnce.Do(func() { sv.restoreSpill(e) })
 	}
 }
 
-// spillPattern names a pair's spill file within SpillDir.
-const spillPattern = "pair-%d-%d.afsnap"
-
-func (sv *Server) spillPath(k pairKey) string {
-	return filepath.Join(sv.cfg.SpillDir, fmt.Sprintf(spillPattern, k.s, k.t))
-}
-
-// writeSpill snapshots the entry's session into the pair's spill file
-// via snapshot.WriteFileFunc (write-temp + fsync + rename, so a reader —
-// or a crash — never observes a torn file).
-// Spilling is best-effort on the eviction path — on error the previous
-// file is left untouched, the eviction degrades to a plain discard, and
-// the failure is ledgered in SpillWriteErrors — but the error is
-// returned so SpillAll can surface it.
+// writeSpill appends the entry's session to the spill log as the
+// pair's latest record. Spilling is best-effort on the eviction path —
+// on error the pair's previous record still serves, the eviction
+// degrades to a plain discard, and the failure is ledgered in
+// SpillWriteErrors — but the error is returned so SpillAll can surface
+// it.
 func (sv *Server) writeSpill(e *entry) error {
 	sv.ensureRestored(e)
-	// A pair restored from disk and never grown since would rewrite a
-	// byte-identical file (pools and the p_max ledger are pure functions
-	// of (seed, draws)): skip the redundant write — warming a spill dir
-	// larger than the byte budget would otherwise rewrite every
-	// over-budget file it just read.
-	if e.loaded && e.sess.HeldDraws() == e.loadedDraws {
+	// A pair restored from disk and neither grown nor given its |V_max|
+	// since would rewrite a byte-identical record (pools and the p_max
+	// ledger are pure functions of (seed, draws)): skip the redundant
+	// write — warming a spill log larger than the byte budget would
+	// otherwise rewrite every over-budget record it just read.
+	if e.loaded && e.sess.HeldDraws() == e.loadedDraws && e.sess.VmaxKnown() == e.loadedVmax {
 		return nil
 	}
-	n, err := snapshot.WriteFileFunc(sv.spillPath(e.key), e.sess.Snapshot)
+	n, err := sv.spill.put(e.key, e.sess.Snapshot)
 	if err != nil {
 		sv.ledger[ctrSpillWriteErrors].Add(1)
 		return err
 	}
 	sv.ledger[ctrSpills].Add(1)
 	sv.ledger[ctrSpillBytes].Add(n)
-	// A write is the natural periodic hook for TTL'd GC: the spill dir
-	// only grows when something is written to it.
-	sv.maybeSweepExpiredSpills()
+	sv.maybeExpireSpills()
 	return nil
 }
 
-// noteLoadError ledgers one rejected or unreadable spill file, split by
+// expireSpills deletes the spill records older than Config.SpillTTL and
+// ledgers them in SpillFilesExpired. Removing the record of a pair that
+// is still live (or about to be queried) is answer-invariant: pools are
+// pure functions of (Seed, s, t), so the pair merely resamples instead
+// of restoring. A no-op when SpillTTL ≤ 0 or there is no SpillDir.
+func (sv *Server) expireSpills() {
+	if sv.spill == nil || sv.cfg.SpillTTL <= 0 {
+		return
+	}
+	if n := sv.spill.expire(sv.cfg.SpillTTL); n > 0 {
+		sv.ledger[ctrSpillFilesExpired].Add(int64(n))
+	}
+}
+
+// maybeExpireSpills is the periodic entry point, hung off the spill
+// write path (the log only grows when something is written to it): at
+// most one pass per TTL/4, floored at a second, claimed by CAS on
+// lastExpiry so concurrent evictions never pile up on the index walk.
+func (sv *Server) maybeExpireSpills() {
+	ttl := sv.cfg.SpillTTL
+	if ttl <= 0 {
+		return
+	}
+	interval := max(ttl/4, time.Second)
+	now := time.Now().UnixNano()
+	last := sv.lastExpiry.Load()
+	if now-last < int64(interval) || !sv.lastExpiry.CompareAndSwap(last, now) {
+		return
+	}
+	sv.expireSpills()
+}
+
+// noteLoadError ledgers one rejected or unreadable spill record, split by
 // cause so operators can tell disk rot (checksum) from rollout skew
 // (version), misconfiguration (stream identity: wrong seed or
 // namespace), and topology drift past the lineage's memory (instance).
@@ -548,25 +579,28 @@ func (sv *Server) noteLoadError(err error) {
 	sv.ledger[cause].Add(1)
 }
 
-// restoreSpill loads the pair's spill file, if any, into its freshly
-// created session. Every failure mode — missing file aside — counts as
-// one load error (split by cause, see noteLoadError) and leaves the pair
-// wholly cold (a failed restore's session is replaced by a fresh one,
-// so the ledger matches reality exactly); the pair then resamples lazily
-// with byte-identical pools. Restore validates the checksum, format
-// version and stream identity (seed and namespace) before adopting any
-// bytes; a blob written at an ancestor epoch is adopted and repaired
-// through the engine's bound lineage, and the repair bill is ledgered
-// here. Runs inside the entry's restoreOnce.
+// loadReaders recycles the buffered readers spill loads read records
+// through: 128 KiB reads a typical record (~105 KB for a Wiki-analog
+// pair at 2,000 draws) in one positioned read, without allocating a
+// buffer on every load.
+var loadReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 128<<10) }}
+
+// restoreSpill loads the pair's latest spill record, if any, into its
+// freshly created session. Every failure mode counts as one load error
+// (split by cause, see noteLoadError) and leaves the pair wholly cold (a
+// failed restore's session is replaced by a fresh one, so the ledger
+// matches reality exactly); the pair then resamples lazily with
+// byte-identical pools. Restore validates the checksum, format version
+// and stream identity (seed and namespace) before adopting any bytes; a
+// blob written at an ancestor epoch is adopted and repaired through the
+// engine's bound lineage, and the repair bill is ledgered here. Runs
+// inside the entry's restoreOnce.
 func (sv *Server) restoreSpill(e *entry) {
-	f, err := os.Open(sv.spillPath(e.key))
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			sv.noteLoadError(err)
-		}
+	loc, ok := sv.spill.pin(e.key)
+	if !ok {
 		return
 	}
-	defer f.Close()
+	defer sv.spill.unpin(loc)
 	// Restore runs once per entry and has no request context (SpillAll
 	// and Warm reach it too), so the load is timed straight into the
 	// stage histogram rather than as a span.
@@ -575,16 +609,16 @@ func (sv *Server) restoreSpill(e *entry) {
 			so.stage[obs.StageSpillLoad].Observe(time.Since(start).Nanoseconds())
 		}(time.Now())
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		sv.noteLoadError(err)
-		return
-	}
-	// A buffer sized to the file (capped at 1 MiB) reads a small spill in
-	// one call without paying for a large buffer on every load.
-	br := bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))
+	// Restore copies what it keeps out of the reader, so its buffer goes
+	// back to the pool when the load is done.
+	br := loadReaders.Get().(*bufio.Reader)
+	br.Reset(io.NewSectionReader(loc.seg.f, loc.off, loc.n))
+	defer func() {
+		br.Reset(nil)
+		loadReaders.Put(br)
+	}()
 	if err := e.sess.Restore(br); err != nil {
-		// Drop whatever part of the file did load (a fresh session is
+		// Drop whatever part of the record did load (a fresh session is
 		// cheap and answer-invariant), so SpillLoads/SpillDrawsSaved
 		// count exactly the pairs that really came from disk.
 		e.sess = sv.newSession(e.key, e.sess.Instance(), e.gen)
@@ -593,8 +627,9 @@ func (sv *Server) restoreSpill(e *entry) {
 	}
 	e.loaded = true
 	e.loadedDraws = e.sess.HeldDraws()
+	e.loadedVmax = e.sess.VmaxKnown()
 	sv.ledger[ctrSpillLoads].Add(1)
-	sv.ledger[ctrSpillLoadBytes].Add(fi.Size())
+	sv.ledger[ctrSpillLoadBytes].Add(loc.n)
 	sv.ledger[ctrSpillDrawsSaved].Add(e.loadedDraws)
 	// An ancestor-epoch blob was adopted and repaired on the way in; the
 	// session's engine is fresh (created with the entry), so its repair
@@ -604,7 +639,7 @@ func (sv *Server) restoreSpill(e *entry) {
 		sv.noteRepair(engine.RepairStats{Resampled: int(eng.RepairChunksResampled()), DrawsResampled: rd, DrawsSaved: rs})
 		// Draws a repair re-made did not come from disk.
 		sv.ledger[ctrSpillDrawsSaved].Add(-rd)
-		// The file is at an ancestor epoch: the pair's next spill must
+		// The record is at an ancestor epoch: the pair's next spill must
 		// rewrite it, or every later load would repair it again.
 		e.loadedDraws = -1
 	}
@@ -616,15 +651,15 @@ func (sv *Server) restoreSpill(e *entry) {
 // successor knows the current graph but not this process's epoch
 // lineage, so a pair a delta left stale is repaired to the current
 // epoch before it is written (a pair whose repair fails is dropped, not
-// written). A no-op without a SpillDir. Returns the first write error;
-// pairs after an error are still attempted.
+// written). The log is synced once, at the end. A no-op without a
+// SpillDir. Returns the first write or sync error; pairs after an error
+// are still attempted.
 func (sv *Server) SpillAll() error {
-	if sv.cfg.SpillDir == "" {
+	if sv.spill == nil {
 		return nil
 	}
-	if _, err := os.Stat(sv.cfg.SpillDir); err != nil {
-		return err
-	}
+	// A log that cannot open fails every write below, each ledgered.
+	openErr := sv.spill.open()
 	var firstErr error
 	for i := range sv.shards {
 		sh := &sv.shards[i]
@@ -645,47 +680,34 @@ func (sv *Server) SpillAll() error {
 			}
 		}
 	}
+	if openErr != nil {
+		return cmp.Or(firstErr, openErr)
+	}
+	if err := sv.spill.sync(); err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("syncing the spill log: %w", err)
+	}
 	return firstErr
 }
 
-// Warm admits every pair with a spill file in SpillDir and returns the
-// number of pairs whose pools were actually restored from disk (files
-// that fail validation admit a cold pair, ledgered in SpillLoadErrors,
-// and are not counted). Admission runs through the normal cache path,
-// so the byte budget is enforced (warming more state than fits simply
-// re-spills the coldest pairs) and Stats ledgers the loads. A no-op
-// without a SpillDir.
+// Warm admits every pair with a record in the spill log, in (s, t)
+// order, and returns the number of pairs whose pools were actually
+// restored from disk (records that fail validation admit a cold pair,
+// ledgered in SpillLoadErrors, and are not counted). Records past
+// Config.SpillTTL expire first. Admission runs through the normal cache
+// path, so the byte budget is enforced (warming more state than fits
+// simply re-spills the coldest pairs) and Stats ledgers the loads. A
+// no-op without a SpillDir.
 func (sv *Server) Warm() (int, error) {
-	if sv.cfg.SpillDir == "" {
+	if sv.spill == nil {
 		return 0, nil
 	}
-	// Sweep temp debris a crash mid-spill may have orphaned; a live
-	// concurrent write losing its temp file just degrades to a plain
-	// discard (ledgered), so the sweep is safe.
-	if orphans, err := filepath.Glob(filepath.Join(sv.cfg.SpillDir, "*.afsnap.tmp*")); err == nil {
-		for _, o := range orphans {
-			os.Remove(o)
-		}
-	}
-	// Expire stale blobs before admitting anything: a snapshot past its
-	// TTL must not warm a pair only to be GC'd moments later.
-	sv.deltaMu.Lock()
-	sv.sweepExpiredSpillsLocked()
-	sv.deltaMu.Unlock()
-	des, err := os.ReadDir(sv.cfg.SpillDir)
-	if err != nil {
+	if err := sv.spill.open(); err != nil {
 		return 0, err
 	}
+	sv.expireSpills()
 	n := 0
-	for _, de := range des {
-		var s, t graph.Node
-		// Sscanf tolerates trailing input, so require an exact re-render
-		// match too — orphaned *.tmp* debris must not admit a pair twice.
-		if c, err := fmt.Sscanf(de.Name(), spillPattern, &s, &t); err != nil || c != 2 ||
-			de.Name() != fmt.Sprintf(spillPattern, s, t) {
-			continue
-		}
-		h, err := sv.Pair(s, t)
+	for _, k := range sv.spill.keys() {
+		h, err := sv.Pair(k.s, k.t)
 		if err != nil {
 			continue
 		}

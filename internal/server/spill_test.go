@@ -65,14 +65,13 @@ func TestSpillReloadDeterminism(t *testing.T) {
 	if st.SpillLoadErrors != 0 {
 		t.Fatalf("unexpected load errors: %+v", st)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "pair-*.afsnap"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no spill files on disk (err %v)", err)
+	if len(spillPairs(t, dir)) == 0 {
+		t.Fatal("no spill records on disk")
 	}
 }
 
-// TestSpillCorruptionFallsBackToResample: a damaged spill file must be
-// rejected (ledgered as a load error) and the pair resampled, with
+// TestSpillCorruptionFallsBackToResample: a damaged spill record must
+// be rejected (ledgered as a load error) and the pair resampled, with
 // byte-identical answers.
 func TestSpillCorruptionFallsBackToResample(t *testing.T) {
 	g := testGraph(40, 60)
@@ -86,37 +85,29 @@ func TestSpillCorruptionFallsBackToResample(t *testing.T) {
 	if err := sv.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "pair-*.afsnap"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("SpillAll wrote nothing (err %v)", err)
+	files := spillPairs(t, dir)
+	if len(files) == 0 {
+		t.Fatal("SpillAll wrote nothing")
 	}
-	// Corrupt one file, truncate another mid-header, and cut a third
-	// exactly after its first snapshot — the partial-restore path, where
-	// the solve pool loads but the eval pool cannot: the pair must be
-	// reset to wholly cold so the load ledger stays exact.
-	raw, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/3] ^= 1
-	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt one record's blob, truncate another's mid-header, and cut
+	// a third's exactly after its first snapshot — the partial-restore
+	// path, where the solve pool loads but the eval pool cannot: the pair
+	// must be reset to wholly cold so the load ledger stays exact.
+	rewriteSpill(t, dir, files[0], func(raw []byte) []byte {
+		raw[len(raw)/3] ^= 1
+		return raw
+	})
 	if len(files) > 1 {
-		if err := os.Truncate(files[1], 40); err != nil {
-			t.Fatal(err)
-		}
+		rewriteSpill(t, dir, files[1], func(raw []byte) []byte { return raw[:40] })
 	}
 	if len(files) > 2 {
-		whole, err := os.ReadFile(files[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, first, err := snapshot.DecodeNext(whole); err != nil {
-			t.Fatal(err)
-		} else if err := os.Truncate(files[2], first); err != nil {
-			t.Fatal(err)
-		}
+		rewriteSpill(t, dir, files[2], func(raw []byte) []byte {
+			_, first, err := snapshot.DecodeNext(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw[:first]
+		})
 	}
 
 	fresh := newSpillServer(t, dir, 0)
@@ -129,7 +120,7 @@ func TestSpillCorruptionFallsBackToResample(t *testing.T) {
 		t.Fatalf("SpillLoadErrors = %d, want %d: %+v", st.SpillLoadErrors, want, st)
 	}
 	if st.SpillLoads != int64(len(files))-st.SpillLoadErrors {
-		t.Fatalf("SpillLoads = %d with %d files and %d errors", st.SpillLoads, len(files), st.SpillLoadErrors)
+		t.Fatalf("SpillLoads = %d with %d records and %d errors", st.SpillLoads, len(files), st.SpillLoadErrors)
 	}
 }
 
@@ -323,9 +314,10 @@ func TestPmaxEstimatorSpillCarry(t *testing.T) {
 	}
 }
 
-// TestRestoreSpillSmallFileAllocs: restoring a small spill file sizes
-// its read buffer to the file rather than allocating a fixed 1 MiB
-// buffer per load (cold-churn workloads restore on nearly every query).
+// TestRestoreSpillSmallFileAllocs: restoring a small spill record
+// allocates well under 1 MiB: loads read through a pooled 128 KiB
+// buffer, not a large buffer per load (cold-churn workloads restore on
+// nearly every query).
 func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations skew TotalAlloc")
@@ -339,10 +331,7 @@ func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 	if err := sv.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(sv.spillPath(p))
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := len(spillBlob(t, sv.spill, p))
 
 	warm := newSpillServer(t, dir, 0)
 	var before, after runtime.MemStats
@@ -354,31 +343,33 @@ func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 	}
 	h.Done()
 	if !h.e.loaded {
-		t.Fatal("pair was not restored from its spill file")
+		t.Fatal("pair was not restored from its spill record")
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
-		t.Errorf("restoring a %d-byte spill file allocated %d bytes, want well under 1 MiB", fi.Size(), got)
+		t.Errorf("restoring a %d-byte spill record allocated %d bytes, want well under 1 MiB", size, got)
 	}
 }
 
-// restampSpill rewrites every section of a spill file — pool blobs,
-// their touch sections and the p_max ledger — as if written under the
-// given stream epoch, with valid checksums; each touch section's header
-// names touch format touchVersion.
-func restampSpill(t *testing.T, path string, epoch, touchVersion uint32) {
+// restampSpill rewrites every section of the pair's spill record — pool
+// blobs, their touch sections, the p_max ledger and the VMAX section —
+// as if written under the given stream epoch, with valid checksums; each
+// touch section's header names touch format touchVersion.
+func restampSpill(t *testing.T, dir string, pk pairKey, epoch, touchVersion uint32) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rewriteSpill(t, dir, pk, func(data []byte) []byte { return restampBlob(t, data, epoch, touchVersion) })
+}
+
+func restampBlob(t *testing.T, data []byte, epoch, touchVersion uint32) []byte {
+	t.Helper()
+	var err error
 	r := bytes.NewReader(data)
 	var out bytes.Buffer
 	for r.Len() > 0 {
 		head := data[len(data)-r.Len():]
 		switch {
 		case snapshot.IsTouch(head):
-			ts, err := snapshot.ReadTouch(r)
-			if err != nil {
+			var ts *snapshot.TouchSet
+			if ts, err = snapshot.ReadTouch(r); err != nil {
 				t.Fatal(err)
 			}
 			ts.StreamEpoch = epoch
@@ -391,15 +382,22 @@ func restampSpill(t *testing.T, path string, epoch, touchVersion uint32) {
 			binary.LittleEndian.PutUint32(b[len(b)-8:], crc32.Checksum(b[:len(b)-8], crc32.MakeTable(crc32.Castagnoli)))
 			out.Write(b)
 		case snapshot.IsPmax(head):
-			st, err := snapshot.ReadPmax(r)
-			if err != nil {
+			var st *snapshot.PmaxState
+			if st, err = snapshot.ReadPmax(r); err != nil {
 				t.Fatal(err)
 			}
 			st.StreamEpoch = epoch
 			err = snapshot.WritePmax(&out, st)
+		case snapshot.IsVmax(head):
+			var st *snapshot.VmaxState
+			if st, err = snapshot.ReadVmax(r); err != nil {
+				t.Fatal(err)
+			}
+			st.StreamEpoch = epoch
+			err = snapshot.WriteVmax(&out, st)
 		default:
-			p, err := snapshot.Read(r)
-			if err != nil {
+			var p *snapshot.Pool
+			if p, err = snapshot.Read(r); err != nil {
 				t.Fatal(err)
 			}
 			p.StreamEpoch = epoch
@@ -409,12 +407,10 @@ func restampSpill(t *testing.T, path string, epoch, touchVersion uint32) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return out.Bytes()
 }
 
-// TestSpillStaleStreamEpochAnswersCold: spill files written under stream
+// TestSpillStaleStreamEpochAnswersCold: spill records written under stream
 // epoch 2 (one stream per 64-draw group, TOUCH v2 sections) are rejected
 // on load as stream mismatches — the pool blob's epoch is checked before
 // its touch section is read — and the pairs then answer exactly like a
@@ -429,13 +425,13 @@ func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pk := range pairs {
-		restampSpill(t, writer.spillPath(pk), rng.StreamEpoch-1, snapshot.TouchVersion-1)
+		restampSpill(t, dir, pk, rng.StreamEpoch-1, snapshot.TouchVersion-1)
 	}
 	stale := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
 	got := queryAll(t, stale, pairs, 1)
 	want := queryAll(t, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1}), pairs, 1)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pairs restored from epoch-2 spill files answer differently from a cold server:\n got %v\nwant %v", got, want)
+		t.Fatalf("pairs restored from epoch-2 spill records answer differently from a cold server:\n got %v\nwant %v", got, want)
 	}
 	st := stale.Stats()
 	if st.SpillLoadErrStream != int64(len(pairs)) || st.SpillLoadErrors != st.SpillLoadErrStream || st.SpillLoads != 0 {
@@ -443,17 +439,18 @@ func TestSpillStaleStreamEpochAnswersCold(t *testing.T) {
 	}
 }
 
-// downgradeSpill rewrites every pool blob of a spill file as format
-// version 1 wrote it — each path in walk order (here: descending), a
-// version 1 header and a valid checksum — and keeps the touch and p_max
-// sections as they are.
-func downgradeSpill(t *testing.T, path string) {
+// downgradeSpill rewrites every pool blob of the pair's spill record as
+// format version 1 wrote it — each path in walk order (here:
+// descending), a version 1 header and a valid checksum — and keeps the
+// touch, p_max and VMAX sections as they are.
+func downgradeSpill(t *testing.T, dir string, pk pairKey) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	rewriteSpill(t, dir, pk, func(data []byte) []byte { return downgradeBlob(t, data) })
+}
+
+func downgradeBlob(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var err error
 	r := bytes.NewReader(data)
 	var out bytes.Buffer
 	for r.Len() > 0 {
@@ -463,6 +460,8 @@ func downgradeSpill(t *testing.T, path string) {
 			_, err = snapshot.ReadTouch(r)
 		case snapshot.IsPmax(head):
 			_, err = snapshot.ReadPmax(r)
+		case snapshot.IsVmax(head):
+			_, err = snapshot.ReadVmax(r)
 		default:
 			var p *snapshot.Pool
 			if p, err = snapshot.Read(r); err != nil {
@@ -486,12 +485,10 @@ func downgradeSpill(t *testing.T, path string) {
 		}
 		out.Write(data[start : len(data)-r.Len()])
 	}
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return out.Bytes()
 }
 
-// TestSpillVersion1AnswersCold: spill files whose pools were written by
+// TestSpillVersion1AnswersCold: spill records whose pools were written by
 // format version 1, paths in walk order, are rejected on load as
 // version errors, and the pairs then answer exactly like a cold
 // server's.
@@ -505,13 +502,13 @@ func TestSpillVersion1AnswersCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pk := range pairs {
-		downgradeSpill(t, writer.spillPath(pk))
+		downgradeSpill(t, dir, pk)
 	}
 	old := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
 	got := queryAll(t, old, pairs, 1)
 	want := queryAll(t, New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1}), pairs, 1)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pairs restored from version 1 spill files answer differently from a cold server:\n got %v\nwant %v", got, want)
+		t.Fatalf("pairs restored from version 1 spill records answer differently from a cold server:\n got %v\nwant %v", got, want)
 	}
 	st := old.Stats()
 	if st.SpillLoadErrVersion != int64(len(pairs)) || st.SpillLoadErrors != st.SpillLoadErrVersion || st.SpillLoads != 0 {
@@ -519,9 +516,9 @@ func TestSpillVersion1AnswersCold(t *testing.T) {
 	}
 }
 
-// TestSpillCorruptEvalSectionAnswersCold: a spill file whose evaluation
-// pool — the last pool blob, after the solve pool and the p_max ledger —
-// is corrupt fails the pair's restore as a whole. The server counts one
+// TestSpillCorruptEvalSectionAnswersCold: a spill record whose
+// evaluation pool — the last pool blob, after the solve pool and the
+// p_max ledger — is corrupt fails the pair's restore as a whole. The server counts one
 // checksum load error, no load and no saved draws, and the pair answers
 // like a cold server's, resampling everything it holds.
 func TestSpillCorruptEvalSectionAnswersCold(t *testing.T) {
@@ -533,39 +530,35 @@ func TestSpillCorruptEvalSectionAnswersCold(t *testing.T) {
 	if err := writer.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
-	path := writer.spillPath(pairs[0])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Walk the sections to the second pool blob and flip its last body
-	// byte, so only its checksum fails.
-	r := bytes.NewReader(data)
-	pools, evalEnd := 0, int64(-1)
-	for r.Len() > 0 && evalEnd < 0 {
-		head := data[len(data)-r.Len():]
-		switch {
-		case snapshot.IsTouch(head):
-			_, err = snapshot.ReadTouch(r)
-		case snapshot.IsPmax(head):
-			_, err = snapshot.ReadPmax(r)
-		default:
-			_, err = snapshot.Read(r)
-			if pools++; pools == 2 {
-				evalEnd = int64(len(data) - r.Len())
+	rewriteSpill(t, dir, pairs[0], func(data []byte) []byte {
+		// Walk the sections to the second pool blob and flip its last
+		// body byte, so only its checksum fails.
+		var err error
+		r := bytes.NewReader(data)
+		pools, evalEnd := 0, int64(-1)
+		for r.Len() > 0 && evalEnd < 0 {
+			head := data[len(data)-r.Len():]
+			switch {
+			case snapshot.IsTouch(head):
+				_, err = snapshot.ReadTouch(r)
+			case snapshot.IsPmax(head):
+				_, err = snapshot.ReadPmax(r)
+			default:
+				_, err = snapshot.Read(r)
+				if pools++; pools == 2 {
+					evalEnd = int64(len(data) - r.Len())
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err != nil {
-			t.Fatal(err)
+		if evalEnd < 0 {
+			t.Fatal("spill record holds no evaluation pool")
 		}
-	}
-	if evalEnd < 0 {
-		t.Fatal("spill file holds no evaluation pool")
-	}
-	data[evalEnd-9] ^= 0xff // the byte before the 8-byte footer
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		data[evalEnd-9] ^= 0xff // the byte before the 8-byte footer
+		return data
+	})
 
 	sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1, SpillDir: dir})
 	cold := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1})
@@ -588,6 +581,6 @@ func TestSpillCorruptEvalSectionAnswersCold(t *testing.T) {
 	}
 	defer hc.Done()
 	if got, want := h.Core().Engine().PoolDraws(), hc.Core().Engine().PoolDraws(); got != want {
-		t.Errorf("pair sampled %d pool draws, a cold pair %d: part of the spill file was kept", got, want)
+		t.Errorf("pair sampled %d pool draws, a cold pair %d: part of the spill record was kept", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 )
@@ -24,7 +23,7 @@ import (
 //	footer (8 B): CRC-32C of everything before it, then 4 zero bytes
 //
 // Like pool blobs, the total size is a multiple of 8, so pool and p_max
-// sections concatenate freely in one spill file. The distinct magic is
+// sections concatenate freely in one spill record. The distinct magic is
 // what lets a reader peek whether an optional p_max section follows the
 // pools (see IsPmax).
 const (
@@ -69,7 +68,7 @@ func encodedSizePmax(numSucc int64) int64 {
 
 // IsPmax reports whether b begins with the PmaxState magic — the peek a
 // stream reader uses to decide whether an optional p_max section follows
-// the pool sections in a spill file.
+// the pool sections in a spill record.
 func IsPmax(b []byte) bool { return pmaxSection.is(b) }
 
 // WritePmax serializes st to w in the snapshot format.
@@ -89,10 +88,7 @@ func WritePmax(w io.Writer, st *PmaxState) error {
 	if err := writeInt64s(cw, st.Successes); err != nil {
 		return err
 	}
-	var foot [footerSize]byte
-	putU32(foot[:], cw.crc)
-	_, err := w.Write(foot[:])
-	return err
+	return writeFooter(w, cw)
 }
 
 // parsePmaxHeader validates the fixed-size prefix; the success count must
@@ -133,9 +129,8 @@ func DecodePmax(data []byte) (*PmaxState, error) {
 	if size != int64(len(data)) {
 		return nil, fmt.Errorf("%w: pmax header claims %d bytes, have %d", ErrFormat, size, len(data))
 	}
-	body := data[:size-footerSize]
-	if crc32.Checksum(body, crcTable) != getU32(data[size-footerSize:]) {
-		return nil, fmt.Errorf("%w", ErrChecksum)
+	if err := checkFooter(data, size); err != nil {
+		return nil, err
 	}
 	st.Successes = decodeInt64s(data, pmaxHeaderSize, numSucc)
 	if err := st.validate(); err != nil {

@@ -1,20 +1,24 @@
 package snapshot
 
-import "fmt"
+import (
+	"fmt"
+	"hash/crc32"
+	"io"
+)
 
-// Every blob type in the snapshot format — pool, p_max state, touch set —
-// shares one fixed-size header shape: an 8-byte magic, a u32 format
-// version, a u32 stream epoch, then a type-specific run of u64 words.
-// sectionDesc captures the per-type constants and factors the encode and
-// decode of that shared prefix, so adding a section type means declaring
-// a descriptor and its words instead of a third hand-rolled putU64/getU64
-// block.
+// Every blob type in the snapshot format — pool, p_max state, touch
+// set, V_max count — shares one fixed-size header shape: an 8-byte
+// magic, a u32 format version, a u32 stream epoch, then a type-specific
+// run of u64 words. sectionDesc captures the per-type constants and
+// factors the encode and decode of that shared prefix, so adding a
+// section type means declaring a descriptor and its words instead of
+// another hand-rolled putU64/getU64 block.
 type sectionDesc struct {
 	magic   [8]byte
 	version uint32
 	// name labels the section in error messages ("pool", "pmax",
-	// "touch"), so a load failure names which blob of a concatenated
-	// spill file was bad.
+	// "touch", "vmax"), so a load failure names which blob of a concatenated
+	// spill record was bad.
 	name string
 }
 
@@ -59,4 +63,28 @@ func (sd *sectionDesc) parse(b []byte, words []uint64) (uint32, error) {
 		words[i] = getU64(b[16+8*i:])
 	}
 	return getU32(b[12:]), nil
+}
+
+// Every section ends in the same 8-byte footer: the CRC-32C of every
+// byte before it, then 4 zero pad bytes that keep the section's size a
+// multiple of 8.
+
+// writeFooter writes the footer closing a section whose bytes went
+// through cw.
+func writeFooter(w io.Writer, cw *crcWriter) error {
+	var foot [footerSize]byte
+	putU32(foot[:], cw.crc)
+	_, err := w.Write(foot[:])
+	return err
+}
+
+// checkFooter verifies the footer of the size-byte section at the start
+// of data, which holds at least size bytes: the CRC must match and the
+// pad must be zero, so no byte of a section escapes the check.
+func checkFooter(data []byte, size int64) error {
+	foot := data[size-footerSize : size]
+	if crc32.Checksum(data[:size-footerSize], crcTable) != getU32(foot) || getU32(foot[4:]) != 0 {
+		return fmt.Errorf("%w", ErrChecksum)
+	}
+	return nil
 }

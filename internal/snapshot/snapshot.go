@@ -193,10 +193,7 @@ func Write(w io.Writer, p *Pool) error {
 	if err := writeInt32s(cw, p.Arena, true); err != nil {
 		return err
 	}
-	var foot [footerSize]byte
-	putU32(foot[:], cw.crc)
-	_, err := w.Write(foot[:])
-	return err
+	return writeFooter(w, cw)
 }
 
 func writeInt32s(cw *crcWriter, s []int32, pad bool) error {
@@ -300,7 +297,7 @@ func aligned(b []byte, off int64, width int64) bool {
 
 // DecodeNext parses the snapshot at the start of data and returns it
 // together with its encoded size, so consecutive snapshots in one buffer
-// (e.g. a spill file holding a solve pool and an evaluation pool) can be
+// (e.g. a spill record holding a solve pool and an evaluation pool) can be
 // decoded in sequence. Sizes claimed by the header are validated against
 // len(data) before any slice is materialized: corrupted or adversarial
 // bytes produce an error, never a panic or an over-allocation. On
@@ -316,9 +313,8 @@ func DecodeNext(data []byte) (*Pool, int64, error) {
 	if size > int64(len(data)) {
 		return nil, 0, fmt.Errorf("%w: header claims %d bytes, have %d", ErrFormat, size, len(data))
 	}
-	body := data[:size-footerSize]
-	if crc32.Checksum(body, crcTable) != getU32(data[size-footerSize:]) {
-		return nil, 0, fmt.Errorf("%w", ErrChecksum)
+	if err := checkFooter(data, size); err != nil {
+		return nil, 0, err
 	}
 	p := &Pool{Seed: h.seed, NS: h.ns, Fingerprint: h.fingerprint, StreamEpoch: h.streamEpoch, Universe: h.universe, Total: h.total}
 	off := int64(headerSize)

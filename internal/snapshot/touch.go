@@ -3,7 +3,6 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -230,10 +229,7 @@ func WriteTouch(w io.Writer, ts *TouchSet) error {
 	if _, err := cw.Write(zeroPad[:pad8(dataLen)-dataLen]); err != nil {
 		return err
 	}
-	var foot [footerSize]byte
-	putU32(foot[:], cw.crc)
-	_, err := w.Write(foot[:])
-	return err
+	return writeFooter(w, cw)
 }
 
 // parseTouchHeader validates the fixed-size prefix; geometry limits bound
@@ -283,9 +279,8 @@ func DecodeTouchNext(data []byte) (*TouchSet, int64, error) {
 	if size > int64(len(data)) {
 		return nil, 0, fmt.Errorf("%w: touch header claims %d bytes, have %d", ErrFormat, size, len(data))
 	}
-	body := data[:size-footerSize]
-	if crc32.Checksum(body, crcTable) != getU32(data[size-footerSize:]) {
-		return nil, 0, fmt.Errorf("%w", ErrChecksum)
+	if err := checkFooter(data, size); err != nil {
+		return nil, 0, err
 	}
 	o := decodeInt32s(data, touchHeaderSize, offsetsLen)
 	offsets := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(o))), len(o))

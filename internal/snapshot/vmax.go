@@ -1,0 +1,81 @@
+package snapshot
+
+import (
+	"fmt"
+	"io"
+	"math"
+)
+
+// This file adds the VMAX section: the size of a pair's exact V_max
+// (Lemma 7). RAF at α < 1 needs V_max only as a count, the union-bound
+// dimension of the equation system and of Eq. 16, and the count is a
+// pure function of the instance, so a spill blob carries it and a
+// restored pair skips the whole-graph DFS.
+//
+// Layout (all fixed-width fields little-endian):
+//
+//	header (32 B): magic [8]B, version u32, streamEpoch u32,
+//	               fingerprint u64, count i64
+//	footer (8 B): CRC-32C of everything before it, then 4 zero bytes
+const (
+	// VmaxVersion is bumped on any incompatible VMAX layout change.
+	VmaxVersion    = 1
+	vmaxHeaderSize = 32
+	vmaxSize       = vmaxHeaderSize + footerSize
+)
+
+var vmaxMagic = [8]byte{0x89, 'A', 'F', 'V', 'M', 'A', 'X', '\n'}
+
+// vmaxSection describes the VMAX blob's shared header prefix; its two
+// type-specific words are fingerprint and count
+// (vmaxHeaderSize == sectionHeaderSize(2)).
+var vmaxSection = sectionDesc{magic: vmaxMagic, version: VmaxVersion, name: "vmax"}
+
+// VmaxState is the serialized |V_max| of one problem instance.
+// Fingerprint names the instance (engine.Engine.Fingerprint), so a
+// loader adopts the count only for the instance it was computed on.
+type VmaxState struct {
+	StreamEpoch uint32
+	Fingerprint uint64
+	Count       int64
+}
+
+// IsVmax reports whether b begins with the VMAX magic — the peek a
+// stream reader uses to decide whether the optional section follows.
+func IsVmax(b []byte) bool { return vmaxSection.is(b) }
+
+// WriteVmax serializes st to w in the snapshot format.
+func WriteVmax(w io.Writer, st *VmaxState) error {
+	if st.Count < 0 || st.Count >= math.MaxInt32 {
+		return fmt.Errorf("snapshot: malformed vmax count %d", st.Count)
+	}
+	cw := &crcWriter{w: w}
+	var hdr [vmaxHeaderSize]byte
+	vmaxSection.put(hdr[:], st.StreamEpoch, []uint64{st.Fingerprint, uint64(st.Count)})
+	if _, err := cw.Write(hdr[:]); err != nil {
+		return err
+	}
+	return writeFooter(w, cw)
+}
+
+// ReadVmax reads exactly one VMAX section from r, leaving any following
+// bytes unread.
+func ReadVmax(r io.Reader) (*VmaxState, error) {
+	var buf [vmaxSize]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return nil, fmt.Errorf("%w: reading vmax section: %v", ErrFormat, err)
+	}
+	var words [2]uint64
+	se, err := vmaxSection.parse(buf[:], words[:])
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFooter(buf[:], vmaxSize); err != nil {
+		return nil, err
+	}
+	st := &VmaxState{StreamEpoch: se, Fingerprint: words[0], Count: int64(words[1])}
+	if st.Count < 0 || st.Count >= math.MaxInt32 {
+		return nil, fmt.Errorf("%w: vmax count %d", ErrFormat, st.Count)
+	}
+	return st, nil
+}

@@ -16,7 +16,10 @@
 # a change a regression only when the min–max ranges do not overlap.
 # Delta repair's saving and its byte cost are tracked this way:
 # BenchmarkDeltaRepairVsResample's redrawn_frac (1- and 2-edge random
-# deltas) and BenchmarkSamplePool's touch_B/draw.
+# deltas) and BenchmarkSamplePool's touch_B/draw. "Spill" matches the
+# root BenchmarkSpillReload and the server's BenchmarkSpillRoundTrip (one
+# Wiki-analog pair restored from and evicted to the spill log per op;
+# spill_B/op).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +33,7 @@ samples="$(mktemp)"
 trap 'rm -f "$raw" "$samples"' EXIT
 
 # The root package carries the paper-artifact and protocol benches; the
-# admission-gate benches live with the server they gate.
+# admission-gate and spill round-trip benches live with the server.
 go test -run 'xxx' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" . ./internal/server | tee "$raw" >&2
 
 # One "name unit value" line per measurement, sorted so each
