@@ -416,11 +416,11 @@ func touchBytesPerDraw(b *testing.B, eng *engine.Engine, l int64) float64 {
 	if err := sess.Snapshot(&buf); err != nil {
 		b.Fatal(err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	if _, err := snapshot.Read(r); err != nil {
+	_, n, err := snapshot.DecodeNext(buf.Bytes())
+	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := snapshot.ReadTouch(r)
+	ts, _, err := snapshot.DecodeTouchNext(buf.Bytes()[n:])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -752,7 +752,9 @@ func BenchmarkRepeatedSolvesRebuild(b *testing.B) {
 // BenchmarkFamilyFold measures the set-cover fold a cold pair pays
 // after a spill restore: setcover.NewFamily over a 2,000-draw solve pool
 // of one Wiki scale-1 pair (the afbench graph and pool size), restored
-// from its snapshot bytes. One op is one fold and index build.
+// from its snapshot bytes. One op is one fold and index build: of every
+// path (full, what RAF's demand solve needs) or of the paths of at most
+// 4 nodes (budget4, what a SolveMax at budget 4 needs).
 func BenchmarkFamilyFold(b *testing.B) {
 	g := wikiScale1(b)
 	w := weights.NewDegree(g)
@@ -780,14 +782,23 @@ func BenchmarkFamilyFold(b *testing.B) {
 		}
 	}
 	inst := pool.SetcoverInstance()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := setcover.NewFamily(inst); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		maxSize int
+	}{{"full", setcover.Unbounded}, {"budget4", 4}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var fam *setcover.Family
+			for i := 0; i < b.N; i++ {
+				var err error
+				if fam, err = setcover.NewFamily(inst, bc.maxSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pool.NumType1()), "paths")
+			b.ReportMetric(float64(fam.NumFolded()), "folded")
+		})
 	}
-	b.ReportMetric(float64(pool.NumType1()), "paths")
 }
 
 // --- PR 4: pool persistence benchmarks ---------------------------------------

@@ -108,9 +108,10 @@ type Result struct {
 
 // FrameworkFromPool runs the solve half of Algorithm 3 on an existing
 // realization pool: solve the MSC instance (V, {t(g₁), …}, ⌈β·|B_l¹|⌉)
-// with the greedy Chlamtáč-style solver against the pool's cached
-// set-cover family, so repeated solves on one pool (α/β sweeps, server
-// traffic) fold and index the paths exactly once and run rebuild-free.
+// with the greedy Chlamtáč-style solver against the pool's cached full
+// set-cover family (a demand solve may need every path), so repeated
+// solves on one pool (α/β sweeps, server traffic) fold and index the
+// paths exactly once and run rebuild-free.
 // The demand is computed here once and surfaced as Solution.Demand. A
 // trace on ctx gets family_fold (when this call folds) and solve spans.
 func FrameworkFromPool(ctx context.Context, in *ltm.Instance, beta float64, pool *engine.Pool) (*graph.NodeSet, *setcover.Solution, error) {
@@ -124,7 +125,7 @@ func FrameworkFromPool(ctx context.Context, in *ltm.Instance, beta float64, pool
 	if demand < 1 {
 		demand = 1
 	}
-	fam, err := pool.FamilyCtx(ctx)
+	fam, err := pool.FamilyCtx(ctx, setcover.Unbounded)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: MSC family: %w", err)
 	}

@@ -47,6 +47,7 @@ type Session struct {
 	mu      sync.Mutex
 	vmax    *graph.NodeSet // cached V_max; nil until Vmax builds it
 	vmaxLen int            // cached |V_max|; -1 until known
+	rec     []byte         // the snapshot the pools were restored from; their sections alias it
 }
 
 // NewSession returns a session for the instance. Seed fixes all
@@ -110,6 +111,7 @@ func (s *Session) RepairTo(ctx context.Context, in2 *ltm.Instance, lin *engine.L
 		seed:    s.seed,
 		workers: s.workers,
 		vmaxLen: -1,
+		rec:     s.record(), // adopted groups' touch lists still alias it
 	}, st, nil
 }
 
@@ -129,9 +131,25 @@ func (s *Session) Instance() *ltm.Instance { return s.in }
 // MemBytes returns the bytes held by the session's cached pools (solve
 // and evaluation) and their regrow tables plus the p_max estimator's
 // draw ledger — the sizing input for memory-budgeted eviction of cold
-// sessions.
+// sessions. A restored session's pools alias the snapshot buffer they
+// were decoded from (RestoreBytes), which stays alive whole — its p_max
+// and VMAX bytes too — while any section still points into it: MemBytes
+// then counts the buffer once instead of the aliasing sections.
 func (s *Session) MemBytes() int64 {
-	return s.pools.MemBytes() + s.eval.MemBytes() + s.pmax.MemBytes()
+	rec := s.record()
+	pools, a := s.pools.MemBytesOutside(rec)
+	eval, b := s.eval.MemBytesOutside(rec)
+	held := pools + eval + s.pmax.MemBytes()
+	if a || b {
+		held += int64(cap(rec))
+	}
+	return held
+}
+
+func (s *Session) record() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rec
 }
 
 // ReleaseDerived drops the derived state of the solve and evaluation
@@ -181,56 +199,61 @@ func (s *Session) Snapshot(w io.Writer) error {
 	return snapshot.WriteVmax(w, &snapshot.VmaxState{StreamEpoch: rng.StreamEpoch, Fingerprint: s.eng.Fingerprint(), Count: int64(n)})
 }
 
-// peeker is the subset of bufio.Reader Restore uses to detect an
-// optional section without consuming stream bytes.
-type peeker interface {
-	Peek(int) ([]byte, error)
+// Restore is RestoreBytes over a stream: it reads r to its end into one
+// buffer, which the session then owns.
+func (s *Session) Restore(r io.Reader) error {
+	data, err := snapshot.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return s.RestoreBytes(data)
 }
 
-// Restore loads a Snapshot into a freshly created session, consuming
-// from r the solve pool, the p_max section when one follows, the
-// evaluation pool, and the VMAX section when one follows. Each
+// RestoreBytes loads a Snapshot into a freshly created session, decoding
+// in place from data the solve pool, the p_max section when one follows,
+// the evaluation pool, and the VMAX section when one follows; bytes
+// after them are ignored. The pools alias data, so the session keeps it
+// (and MemBytes counts it): data must not be modified afterwards. Each
 // section's stream identity must match the session's seed. A pool that
 // fails to load — corrupt, truncated or mismatched — returns an error,
 // and the session may then hold part of the snapshot: the caller
 // discards it for a fresh session, which resamples lazily with
 // byte-identical results, since pools and the estimator ledger are pure
-// functions of (seed, draws). The p_max
-// section is optional and best-effort: when r supports Peek (e.g. a
-// *bufio.Reader) a missing section is skipped cleanly, and an unreadable
-// or mismatched one leaves only the estimator cold. The VMAX section is
+// functions of (seed, draws). The p_max section is optional and
+// best-effort: one that is framed but unreadable or mismatched is
+// skipped and leaves only the estimator cold. The VMAX section is
 // optional in the same way; its count is adopted only when its
 // fingerprint is this session's instance, so a blob adopted from an
 // ancestor epoch (which a delta may have changed V_max since) leaves the
-// count unknown. Without Peek, a reader positioned after the evaluation
-// pool must hold a VMAX section or nothing.
-func (s *Session) Restore(r io.Reader) error {
-	if err := s.pools.Restore(r); err != nil {
+// count unknown.
+func (s *Session) RestoreBytes(data []byte) error {
+	s.mu.Lock()
+	s.rec = data
+	s.mu.Unlock()
+	n, err := s.pools.RestoreBytes(data)
+	if err != nil {
 		return err
 	}
-	hasPmax := true
-	if p, ok := r.(peeker); ok {
-		b, err := p.Peek(8)
-		hasPmax = err == nil && snapshot.IsPmax(b)
-	}
-	if hasPmax {
-		if err := s.pmax.Restore(r); err != nil {
+	rest := data[n:]
+	if snapshot.IsPmax(rest) {
+		n, err := s.pmax.RestoreBytes(rest)
+		if err != nil {
 			// The stopping-rule draws are resampled on the next solve —
 			// identically, so the fallback changes no answer.
 			s.pmax = s.eng.NewPmaxEstimator(s.seed, s.workers)
 		}
+		rest = rest[n:]
 	}
-	if err := s.eval.Restore(r); err != nil {
+	if n, err = s.eval.RestoreBytes(rest); err != nil {
 		return fmt.Errorf("core: evaluation pool: %w", err)
 	}
-	if p, ok := r.(peeker); ok {
-		if b, err := p.Peek(8); err != nil || !snapshot.IsVmax(b) {
-			return nil
-		}
+	rest = rest[n:]
+	if !snapshot.IsVmax(rest) {
+		return nil
 	}
 	// Best-effort like the p_max section: a count that fails to load is
 	// recomputed, identically, on the next solve.
-	st, err := snapshot.ReadVmax(r)
+	st, _, err := snapshot.DecodeVmaxNext(rest)
 	if err == nil && st.Fingerprint == s.eng.Fingerprint() && st.Count <= int64(s.in.Graph().NumNodes()) {
 		s.mu.Lock()
 		s.vmaxLen = int(st.Count)

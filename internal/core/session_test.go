@@ -685,3 +685,62 @@ func TestAncestorBlobDropsVmaxCount(t *testing.T) {
 		t.Error("RepairTo kept |V_max| across a delta")
 	}
 }
+
+// TestRestoredMemBytesCountsRecord: a session restored from one record
+// buffer decodes its pools and touch lists in place, so the buffer — its
+// p_max and VMAX bytes included — stays alive whole. MemBytes counts it
+// once, plus what the restore allocated (the chunk tables and the p_max
+// ledger), and keeps counting it after the solve pool grows past its
+// restored size, since the kept chunks' touch lists and the evaluation
+// pool still alias it.
+func TestRestoredMemBytesCountsRecord(t *testing.T) {
+	in := sessionTestInstance(t)
+	ctx := context.Background()
+	const l = 3000
+	writer := NewSession(in, 7, 2)
+	if _, err := writer.RAF(ctx, Config{Alpha: 0.3, Eps: 0.05, N: 100, OverrideL: l, MaxPmaxDraws: 500000}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Eval().Pool(ctx, l); err != nil {
+		t.Fatal(err)
+	}
+	data := snapshotBytes(t, writer)
+	rec := make([]byte, len(data))
+	copy(rec, data)
+	loaded := NewSession(in, 7, 2)
+	if err := loaded.RestoreBytes(rec); err != nil {
+		t.Fatal(err)
+	}
+	// A restored chunk keeps an offset per path plus one and a draw index
+	// per path; everything else of a pool aliases the record.
+	tables := func(p *engine.Pool) int64 {
+		return 4 * (2*int64(p.NumType1()) + (p.Total()+engine.ChunkSize-1)/engine.ChunkSize)
+	}
+	solve, err := loaded.Pool(ctx, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := loaded.Eval().Pool(ctx, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Engine().Draws() != 0 {
+		t.Fatal("the restored session sampled")
+	}
+	want := int64(len(rec)) + tables(solve) + tables(eval) + loaded.PmaxEstimator().MemBytes()
+	if got := loaded.MemBytes(); got != want {
+		t.Errorf("restored MemBytes = %d, want the %d-byte record plus %d restored tables = %d", got, len(rec), want-int64(len(rec)), want)
+	}
+
+	grown, err := loaded.Pool(ctx, 2*l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, aliased := loaded.pools.MemBytesOutside(rec); !aliased {
+		t.Fatal("no section of the grown solve pool aliases the record: the kept chunks' touch lists should")
+	}
+	floor := int64(len(rec)) + grown.MemBytes() + tables(grown) + tables(eval) + loaded.PmaxEstimator().MemBytes()
+	if got := loaded.MemBytes(); got < floor {
+		t.Errorf("MemBytes after growth = %d, want at least the record plus the grown pool and tables, %d", got, floor)
+	}
+}

@@ -372,3 +372,111 @@ func TestTruncatedViewFamilyIndependent(t *testing.T) {
 		t.Errorf("view FamilyMemBytes = %d, want %d", view.FamilyMemBytes(), vf.MemBytes())
 	}
 }
+
+// TestPoolFamilyBoundGrows: one pool serves budgeted solves at budgets
+// 1, 2, 4 and 8 (each folding only the paths that fit), then a demand
+// solve (the full family), then the budgets again, from several
+// goroutines at once — so the race lane covers the cache replacement.
+// Every answer equals a fresh pool's full family's, the cache only
+// grows, and MemBytes counts exactly the one family the pool holds.
+func TestPoolFamilyBoundGrows(t *testing.T) {
+	ctx := context.Background()
+	pool := coverageBatchPool(t)
+	ref := coverageBatchPool(t)
+	full, err := ref.Family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []int{1, 2, 4, 8}
+	want := make(map[int]*setcover.Solution)
+	for _, b := range budgets {
+		if want[b], err = full.SolveBudget(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	demand := max(pool.NumType1()/2, 1)
+	wantDemand, err := full.Solve(demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := pool.MemBytes()
+
+	check := func(got *setcover.Solution, want *setcover.Solution, what string) error {
+		if !slices.Equal(got.Union, want.Union) || got.Covered != want.Covered || got.Picked != want.Picked {
+			return fmt.Errorf("%s: %+v, fresh full family %+v", what, got, want)
+		}
+		return nil
+	}
+	solveMax := func(b int) error {
+		fam, err := pool.FamilyCtx(ctx, b)
+		if err != nil {
+			return err
+		}
+		if fam.Bound() < b {
+			return fmt.Errorf("budget %d served by a family bounded at %d", b, fam.Bound())
+		}
+		got, err := fam.SolveBudget(b)
+		if err != nil {
+			return err
+		}
+		return check(got, want[b], fmt.Sprintf("budget %d", b))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range budgets {
+				if err := solveMax(b); err != nil {
+					errs <- err
+					return
+				}
+			}
+			fam, err := pool.FamilyCtx(ctx, setcover.Unbounded)
+			if err != nil {
+				errs <- err
+				return
+			}
+			got, err := fam.Solve(demand)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if err := check(got, wantDemand, "demand"); err != nil {
+				errs <- err
+				return
+			}
+			for _, b := range budgets {
+				if err := solveMax(b); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	fam, err := pool.Family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fam.Bound() != setcover.Unbounded || fam.NumFolded() != full.NumFolded() {
+		t.Fatalf("cached family bound %d with %d folded sets after a demand solve, want the full %d", fam.Bound(), fam.NumFolded(), full.NumFolded())
+	}
+	if got, want := pool.MemBytes(), base+fam.MemBytes(); got != want {
+		t.Errorf("MemBytes %d, want %d: the pool and exactly one family", got, want)
+	}
+	// A fresh pool's budget-1 fold leaves the longer paths out.
+	small, err := ref.Truncate(ref.Total()-1).FamilyCtx(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Bound() != 1 || small.MemBytes() >= full.MemBytes() {
+		t.Errorf("budget-1 family: bound %d, %d bytes against the full family's %d", small.Bound(), small.MemBytes(), full.MemBytes())
+	}
+}

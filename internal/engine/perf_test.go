@@ -30,7 +30,7 @@ func TestStaleStreamEpochPoolSnapshotRejected(t *testing.T) {
 	if err := s.Snapshot(&want); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := snapshot.Read(bytes.NewReader(want.Bytes()))
+	sp, _, err := snapshot.DecodeNext(want.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestStaleStreamEpochPmaxSnapshotRejected(t *testing.T) {
 	if err := pe.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	st, err := snapshot.ReadPmax(bytes.NewReader(buf.Bytes()))
+	st, _, err := snapshot.DecodePmaxNext(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,14 @@ import (
 const nsPmax uint64 = 0x506D6178 // "Pmax"
 
 // pmaxRung is the step of the p_max growth ladder: every rung is a
-// multiple of it. It is part of the determinism contract — the stopping
-// rule is checked at the rungs, so changing it changes estimates — and
-// is independent of ChunkSize, which only partitions the draws between
-// workers.
+// multiple of it. It changes no estimate: the estimate is Υ/d at the
+// exact draw d where the prefix scan first reaches Υ successes, which
+// the per-draw streams fix whatever the ledger's size. What it pins is
+// the ledger size — how far past d a cold estimator samples — and so
+// the estimator's cost fields (PmaxResult.Sampled and Reused, the
+// pmaxest reply's "sampled"/"reused") and the bytes a spilled ledger
+// holds. It is independent of ChunkSize, which only partitions the
+// draws between workers.
 const pmaxRung = 2048
 
 // pmaxInitialDraws is the first growth target of a cold estimator. Growth
@@ -399,18 +403,37 @@ func (pe *PmaxEstimator) Snapshot(w io.Writer) error {
 	return snapshot.WritePmax(w, st)
 }
 
-// Restore loads a Snapshot into a freshly created (never-sampled)
-// estimator, consuming exactly one PmaxState from r. The snapshot's
-// stream identity (seed and namespace) and instance fingerprint must
-// match the estimator's own; on mismatch an error is returned and the
-// estimator is left cold — it resamples lazily with byte-identical
-// results, so the fallback never changes an answer. Loading charges
-// nothing to the engine's draw ledger.
+// Restore is RestoreBytes over a stream: it reads r to its end into one
+// buffer and decodes the PmaxState at its start.
 func (pe *PmaxEstimator) Restore(r io.Reader) error {
-	st, err := snapshot.ReadPmax(r)
+	data, err := snapshot.ReadAll(r)
 	if err != nil {
 		return err
 	}
+	_, err = pe.RestoreBytes(data)
+	return err
+}
+
+// RestoreBytes loads the PmaxState at the start of data into a freshly
+// created (never-sampled) estimator and returns the bytes the section
+// spans; the ledger is copied out, so data is not retained. The
+// snapshot's stream identity (seed and namespace) and instance
+// fingerprint must match the estimator's own; on mismatch an error is
+// returned and the estimator is left cold — it resamples lazily with
+// byte-identical results, so the fallback never changes an answer. The
+// size comes back with an error too whenever the section's framing was
+// readable (snapshot.DecodePmaxNext), so a caller can skip a rejected
+// section. Loading charges nothing to the engine's draw ledger.
+func (pe *PmaxEstimator) RestoreBytes(data []byte) (int64, error) {
+	st, n, err := snapshot.DecodePmaxNext(data)
+	if err != nil {
+		return n, err
+	}
+	return n, pe.adopt(st)
+}
+
+// adopt installs a decoded ledger; see RestoreBytes.
+func (pe *PmaxEstimator) adopt(st *snapshot.PmaxState) error {
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
 	if pe.draws != 0 {
@@ -440,15 +463,20 @@ func (pe *PmaxEstimator) Restore(r io.Reader) error {
 	// Rebuild the per-chunk ledger by splitting the global success
 	// indices at ChunkSize boundaries — the exact inverse of Snapshot, so
 	// growth past the snapshotted size behaves identically to the writer.
+	// The chunks' success lists share one exactly-sized array.
 	nchunks := int((st.Draws + ChunkSize - 1) / ChunkSize)
 	chunks := make([]pmaxChunk, nchunks)
+	all := make([]int32, len(st.Successes))
+	lo := 0
 	for c := range chunks {
 		start := int64(c) * ChunkSize
 		chunks[c].draws = min(int64(ChunkSize), st.Draws-start)
-	}
-	for _, d := range st.Successes {
-		c := d / ChunkSize
-		chunks[c].succ = append(chunks[c].succ, int32(d%ChunkSize))
+		hi := lo
+		for ; hi < len(all) && st.Successes[hi] < start+chunks[c].draws; hi++ {
+			all[hi] = int32(st.Successes[hi] - start)
+		}
+		chunks[c].succ = all[lo:hi:hi]
+		lo = hi
 	}
 	pe.chunks, pe.draws, pe.succ = chunks, st.Draws, int64(len(st.Successes))
 	return nil

@@ -33,10 +33,8 @@ type Pool struct {
 	total    int64
 	universe int
 
-	famOnce  sync.Once
-	fam      *setcover.Family
-	famErr   error
-	famBuilt atomic.Bool // set after fam is fully constructed
+	famMu sync.Mutex                      // serializes folds
+	fam   atomic.Pointer[setcover.Family] // the cached family; nil until the first fold
 }
 
 // Truncate returns the prefix view of the pool's first l draws: exactly
@@ -166,47 +164,64 @@ func (q *scanSet) inner(path []graph.Node) int64 {
 // eviction. Truncated views share their parent's tables; account them
 // with FamilyMemBytes instead.
 func (p *Pool) MemBytes() int64 {
-	return int64(cap(p.arena))*4 + int64(cap(p.offsets))*4 + int64(cap(p.pathDraw))*8 +
-		p.FamilyMemBytes()
+	m := memTally{}
+	p.tally(&m)
+	return m.bytes
+}
+
+// tally adds the pool's tables and cached family to m.
+func (p *Pool) tally(m *memTally) {
+	tallySlice(m, p.arena)
+	tallySlice(m, p.offsets)
+	tallySlice(m, p.pathDraw)
+	m.bytes += p.FamilyMemBytes()
 }
 
 // FamilyMemBytes returns the resident size of the pool's cached set-cover
-// family (0 until it is built): all the storage a truncated view owns.
+// family (0 until one is built): all the storage a truncated view owns.
 func (p *Pool) FamilyMemBytes() int64 {
-	if p.famBuilt.Load() {
-		return p.fam.MemBytes()
+	if f := p.fam.Load(); f != nil {
+		return f.MemBytes()
 	}
 	return 0
 }
 
-// Family returns the pool's set-cover family — the immutable fold
-// (distinct paths with multiplicities plus the element → sets index) every
-// MSC solve against this pool shares — built lazily on first use from the
-// CSR arena and cached. Repeated solves at new demands or budgets (α/β
-// sweeps, SolveMax budget searches, server traffic) then skip the
-// per-query rebuild entirely: they borrow a pooled Solver holding only
-// mutable scratch. Safe for concurrent use.
+// Family returns the pool's full set-cover family — the immutable fold
+// (distinct paths with multiplicities plus the element → sets index) of
+// every path; see FamilyCtx.
 func (p *Pool) Family() (*setcover.Family, error) {
-	p.famOnce.Do(func() {
-		p.fam, p.famErr = setcover.NewFamily(p.SetcoverInstance())
-		if p.famErr == nil {
-			p.famBuilt.Store(true)
-		}
-	})
-	return p.fam, p.famErr
+	return p.FamilyCtx(context.Background(), setcover.Unbounded)
 }
 
-// FamilyCtx is Family with stage tracing: when the call is the one that
-// actually folds the family (not a cache hit), the fold is recorded as a
-// family_fold span on the context's trace. The built fast path skips the
-// span entirely, so cached folds cost one atomic load over Family.
-func (p *Pool) FamilyCtx(ctx context.Context) (*setcover.Family, error) {
-	if p.famBuilt.Load() {
-		return p.fam, nil
+// FamilyCtx returns a set-cover family holding every path of at most
+// maxSize nodes (setcover.NewFamily): maxSize setcover.Unbounded asks for
+// the full family, which a demand solve needs, while a budgeted solve
+// needs only the paths that fit its largest budget (Lemma 2: a
+// realization counts for I only if t(g) ⊆ I). The pool caches one
+// family: a request it holds is served from the cache with one atomic
+// load; a larger bound folds again and replaces it, so repeated solves
+// fold at most once per growth of the bound, and a fold at or past the
+// longest path is the full family and serves every later request.
+// Holders of a replaced family keep it intact. When the call folds, the
+// fold is recorded as a family_fold span on the context's trace. Safe
+// for concurrent use.
+func (p *Pool) FamilyCtx(ctx context.Context, maxSize int) (*setcover.Family, error) {
+	if f := p.fam.Load(); f != nil && f.Bound() >= maxSize {
+		return f, nil
+	}
+	p.famMu.Lock()
+	defer p.famMu.Unlock()
+	if f := p.fam.Load(); f != nil && f.Bound() >= maxSize {
+		return f, nil
 	}
 	sp := obs.TraceFrom(ctx).StartSpan(obs.StageFamilyFold)
 	defer sp.End()
-	return p.Family()
+	f, err := setcover.NewFamily(p.SetcoverInstance(), maxSize)
+	if err != nil {
+		return nil, err
+	}
+	p.fam.Store(f)
+	return f, nil
 }
 
 // SetcoverInstance hands the pool to the MSC solver zero-copy: the arena

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -65,19 +66,57 @@ func (s *Session) Size() int64 {
 // double-counted) — and the set-cover families of cached prefix views.
 // It is the sizing input for memory-budgeted eviction of cold sessions.
 func (s *Session) MemBytes() int64 {
+	b, _ := s.MemBytesOutside(nil)
+	return b
+}
+
+// MemBytesOutside is MemBytes without the arrays that lie inside rec, a
+// buffer the session was restored from (RestoreBytes): aliased reports
+// whether any does, so rec's owner, which may have handed one buffer to
+// several sessions, accounts for it once and for as long as it is kept
+// alive.
+func (s *Session) MemBytesOutside(rec []byte) (held int64, aliased bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var b int64
+	m := memTally{rec: rec}
 	for _, c := range s.chunks {
-		b += int64(cap(c.offsets))*4 + int64(cap(c.drawIdx))*4 + c.touch.memBytes()
+		tallySlice(&m, c.offsets)
+		tallySlice(&m, c.drawIdx)
+		tallySlice(&m, c.touch.Offsets)
+		tallySlice(&m, c.touch.Data)
 	}
 	if s.pool != nil {
-		b += s.pool.MemBytes()
+		s.pool.tally(&m)
 	}
 	for _, v := range s.views {
-		b += v.FamilyMemBytes()
+		m.bytes += v.FamilyMemBytes()
 	}
-	return b
+	return m.bytes, m.aliased
+}
+
+// memTally sums the sizes of backing arrays, leaving out those inside
+// rec and noting that one was seen.
+type memTally struct {
+	rec     []byte
+	bytes   int64
+	aliased bool
+}
+
+// tallySlice adds the backing array of s — cap(s) elements — to m.
+func tallySlice[T any](m *memTally, s []T) {
+	var zero T
+	n := int64(cap(s)) * int64(unsafe.Sizeof(zero))
+	if n == 0 {
+		return
+	}
+	// The heap does not move objects, so an address compares stably.
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(m.rec)))
+	if len(m.rec) > 0 && p >= lo && p < lo+uintptr(len(m.rec)) {
+		m.aliased = true
+		return
+	}
+	m.bytes += n
 }
 
 // Pool returns the pool of exactly l realizations, sampling only what

@@ -124,70 +124,48 @@ func (s *Session) SnapshotSize() int64 {
 // Seed returns the seed the session's streams derive from.
 func (s *Session) Seed() int64 { return s.seed }
 
-// peeker is the subset of bufio.Reader used to detect an optional touch
-// section without consuming stream bytes.
-type peeker interface {
-	io.Reader
-	Peek(int) ([]byte, error)
-}
-
-// readSnapshotAndTouch reads one pool blob from r plus, when the next
-// bytes carry the touch magic, the touch section that follows it. The
-// lookahead needs a reader that can un-consume 8 bytes — Peek (e.g. a
-// *bufio.Reader) or Seek (bytes.Reader, *os.File); any other reader
-// leaves a touch section unread, which is harmless: repair then treats
-// every chunk as damaged. A pool blob from another stream epoch is
-// rejected before its touch section is read, so a file written under an
-// earlier draw protocol fails as a stream mismatch whatever touch format
-// it carries.
-func readSnapshotAndTouch(r io.Reader) (*snapshot.Pool, *snapshot.TouchSet, error) {
-	sp, err := snapshot.Read(r)
+// decodeSnapshotAndTouch decodes one pool blob at the start of data
+// plus, when the next bytes carry the touch magic, the touch section that
+// follows it, and returns the bytes both span. The sections alias data.
+// A pool blob from another stream epoch is rejected before its touch
+// section is decoded, so a record written under an earlier draw
+// protocol fails as a stream mismatch whatever touch format it carries.
+func decodeSnapshotAndTouch(data []byte) (*snapshot.Pool, *snapshot.TouchSet, int64, error) {
+	sp, n, err := snapshot.DecodeNext(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	// The stream epoch is part of the pool's identity: bytes sampled
 	// under another draw protocol are correct for that protocol only, so
 	// adopting them would silently mix generations. Rejecting sends every
 	// caller down its resample fallback, which is answer-identical.
 	if sp.StreamEpoch != rng.StreamEpoch {
-		return nil, nil, fmt.Errorf("%w: snapshot stream epoch %d does not match the current epoch %d (resample required)",
+		return nil, nil, 0, fmt.Errorf("%w: snapshot stream epoch %d does not match the current epoch %d (resample required)",
 			ErrStreamMismatch, sp.StreamEpoch, rng.StreamEpoch)
 	}
-	hasTouch := false
-	switch rr := r.(type) {
-	case peeker:
-		b, err := rr.Peek(8)
-		hasTouch = err == nil && snapshot.IsTouch(b)
-	case io.ReadSeeker:
-		var hdr [8]byte
-		n, err := io.ReadFull(rr, hdr[:])
-		if n > 0 {
-			if _, serr := rr.Seek(int64(-n), io.SeekCurrent); serr != nil {
-				return nil, nil, serr
-			}
-		}
-		hasTouch = err == nil && snapshot.IsTouch(hdr[:])
+	if !snapshot.IsTouch(data[n:]) {
+		return sp, nil, n, nil
 	}
-	if !hasTouch {
-		return sp, nil, nil
-	}
-	ts, err := snapshot.ReadTouch(r)
+	ts, m, err := snapshot.DecodeTouchNext(data[n:])
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return sp, ts, nil
+	return sp, ts, n + m, nil
 }
 
 // OpenSession loads a session from a snapshot written by Snapshot: the
 // pool, its per-chunk regrow tables, and the (seed, namespace) identity
 // all come from the snapshot, so the loaded session behaves exactly like
 // the one that wrote it — including growth past the snapshotted size,
-// which resamples only the missing chunks. Reading consumes the pool
-// blob plus its touch section when one follows — r should support Peek
-// (e.g. a *bufio.Reader; a plain reader loads the pool but leaves the
-// touch bytes unread).
+// which resamples only the missing chunks. It reads r to its end into
+// one buffer and decodes the pool blob, plus its touch section when one
+// follows, in place; bytes after them are ignored.
 func OpenSession(e *Engine, r io.Reader, workers int) (*Session, error) {
-	sp, ts, err := readSnapshotAndTouch(r)
+	data, err := snapshot.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	sp, ts, _, err := decodeSnapshotAndTouch(data)
 	if err != nil {
 		return nil, err
 	}
@@ -204,30 +182,49 @@ func sessionFromSnapshot(e *Engine, sp *snapshot.Pool, ts *snapshot.TouchSet, wo
 	return s, nil
 }
 
-// Restore loads a snapshot into a freshly created (never-sampled)
-// session. Unlike OpenSession it validates that the snapshot's stream
-// identity matches the session's own (seed and namespace), so a serving
-// layer restoring spilled pair state cannot adopt bytes sampled under a
+// Restore is RestoreBytes over a stream: it reads r to its end into one
+// buffer, which the session then owns; bytes after the pool's sections
+// are ignored.
+func (s *Session) Restore(r io.Reader) error {
+	data, err := snapshot.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	_, err = s.RestoreBytes(data)
+	return err
+}
+
+// RestoreBytes loads the snapshot at the start of data — a pool blob and
+// its touch section when one follows — into a freshly created
+// (never-sampled) session and returns the bytes it spans. The pool and
+// touch lists alias data, which must stay unmodified for the session's
+// life; MemBytesOutside lets the buffer's owner account for it once.
+// Unlike OpenSession it validates that the snapshot's stream identity
+// matches the session's own (seed and namespace), so a serving layer
+// restoring spilled pair state cannot adopt bytes sampled under a
 // different configuration — a mismatch returns an error (wrapping
 // ErrStreamMismatch or ErrInstanceMismatch) and the caller falls back to
 // resampling, which yields the same answers. When the engine is bound to
 // a lineage, a snapshot from an ancestor graph epoch is adopted and
 // repaired instead of rejected (see adoptSnapshotLocked).
-func (s *Session) Restore(r io.Reader) error {
-	sp, ts, err := readSnapshotAndTouch(r)
+func (s *Session) RestoreBytes(data []byte) (int64, error) {
+	sp, ts, n, err := decodeSnapshotAndTouch(data)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draws != 0 {
-		return fmt.Errorf("engine: restore into a session holding %d draws", s.draws)
+		return 0, fmt.Errorf("engine: restore into a session holding %d draws", s.draws)
 	}
 	if sp.Seed != s.seed || sp.NS != s.ns {
-		return fmt.Errorf("%w: snapshot stream (seed %d, ns %#x) does not match session (seed %d, ns %#x)",
+		return 0, fmt.Errorf("%w: snapshot stream (seed %d, ns %#x) does not match session (seed %d, ns %#x)",
 			ErrStreamMismatch, sp.Seed, sp.NS, s.seed, s.ns)
 	}
-	return s.adoptSnapshotLocked(sp, ts)
+	if err := s.adoptSnapshotLocked(sp, ts); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // attachTouch hands each rebuilt chunk its persisted touch lists when the
@@ -259,7 +256,7 @@ func attachTouch(chunks []chunkPaths, ts *snapshot.TouchSet, sp *snapshot.Pool) 
 // groups untouched by the epochs' accumulated dirty set keep their bytes,
 // damaged groups are re-drawn — leaving the session byte-identical to
 // one sampled cold at the current epoch. The blob's stream epoch was
-// checked on read (readSnapshotAndTouch).
+// checked on decode (decodeSnapshotAndTouch).
 func (s *Session) adoptSnapshotLocked(sp *snapshot.Pool, ts *snapshot.TouchSet) error {
 	n := int64(s.eng.in.Graph().NumNodes())
 	var repairDirty []graph.Node

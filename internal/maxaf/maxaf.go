@@ -14,6 +14,7 @@ package maxaf
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -112,8 +113,9 @@ func SolveFromPool(ctx context.Context, in *ltm.Instance, budget int, pool *engi
 // SolveBudgetsFromPool runs the budgeted greedy for every budget against
 // one pool, through the pool's cached set-cover family: repeated budget
 // solves on one pool (budget sweeps, server traffic) fold and index the
-// paths exactly once, and one borrowed Solver's scratch serves the whole
-// sweep. Each in-pool covered fraction is the greedy's own Covered tally.
+// paths once, and one borrowed Solver's scratch serves the whole sweep.
+// The family needs only the paths of at most max(budgets) nodes: a
+// longer one can never be covered within the budget (engine.Pool.FamilyCtx). Each in-pool covered fraction is the greedy's own Covered tally.
 // A trace on ctx (obs.WithTrace) gets family_fold and solve stage spans;
 // tracing off costs nothing.
 func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, pool *engine.Pool) ([]*Result, error) {
@@ -128,7 +130,7 @@ func SolveBudgetsFromPool(ctx context.Context, in *ltm.Instance, budgets []int, 
 	if pool.NumType1() == 0 {
 		return nil, fmt.Errorf("%w: no type-1 realization in %d draws", core.ErrTargetUnreachable, pool.Total())
 	}
-	fam, err := pool.FamilyCtx(ctx)
+	fam, err := pool.FamilyCtx(ctx, slices.Max(budgets))
 	if err != nil {
 		return nil, fmt.Errorf("maxaf: set family: %w", err)
 	}

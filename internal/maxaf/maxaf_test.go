@@ -3,7 +3,10 @@ package maxaf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/baselines"
@@ -321,5 +324,79 @@ func TestRealizationsDefault(t *testing.T) {
 		if got := Realizations(tc.in); got != tc.want {
 			t.Errorf("Realizations(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestSolveMaxRAFSolveMaxLikeFresh: one pair session answers SolveMax
+// at budgets 1, 2, 4 and 8 (a family bounded at 8), then RAF (which
+// replaces it with the full family), then SolveMax again, from several
+// goroutines at once. Every answer equals a fresh session's, and the
+// session holds exactly one family: MemBytes exceeds the sampled state's
+// by the full family's bytes.
+func TestSolveMaxRAFSolveMaxLikeFresh(t *testing.T) {
+	ctx := context.Background()
+	in := mustInstance(t, randomConnected(17, 60, 90), 0, 59)
+	const l = 4000
+	budgets := []int{1, 2, 4, 8}
+	cfg := core.Config{Alpha: 0.3, Eps: 0.1, N: 100, OverrideL: l}
+	fresh := func() ([]*Result, *core.Result) {
+		res, _, err := SolveMaxBudgetsOn(ctx, core.NewSession(in, 3, 1), budgets, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raf, err := core.NewSession(in, 3, 1).RAF(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, raf
+	}
+	wantMax, wantRAF := fresh()
+	same := func(got []*Result) bool {
+		for i, r := range got {
+			if !slices.Equal(r.Invited.Members(), wantMax[i].Invited.Members()) || r.CoveredFraction != wantMax[i].CoveredFraction {
+				return false
+			}
+		}
+		return true
+	}
+
+	sess := core.NewSession(in, 3, 1)
+	pool, err := sess.Pool(ctx, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				got, _, err := SolveMaxBudgetsOn(ctx, sess, budgets, l)
+				if err != nil || !same(got) {
+					errs <- fmt.Sprintf("SolveMax pass %d differs from a fresh session's (err %v)", pass, err)
+				}
+				if pass == 0 {
+					raf, err := sess.RAF(ctx, cfg)
+					if err != nil || !slices.Equal(raf.Invited.Members(), wantRAF.Invited.Members()) || raf.Covered != wantRAF.Covered {
+						errs <- fmt.Sprintf("RAF differs from a fresh session's (err %v)", err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	fam, err := pool.Family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := sess.MemBytes()
+	sess.ReleaseDerived()
+	if want := sess.MemBytes() + fam.MemBytes(); held != want {
+		t.Errorf("MemBytes %d, want %d: the sampled state and exactly one family", held, want)
 	}
 }

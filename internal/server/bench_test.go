@@ -189,3 +189,57 @@ func BenchmarkSpillRoundTrip(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.SpillBytes-bytes)/float64(b.N), "spill_B/op")
 }
+
+// BenchmarkSpillLoad measures cold-churn's miss path alone on the Wiki
+// analog at scale 1: each op restores one pair from its spill record —
+// solve and evaluation pools of 2,000 draws, a p_max ledger and its
+// V_max — and answers SolveMax at budget 4 on it, as a cold-churn
+// request does; the pair is then dropped from the cache without a
+// spill write.
+func BenchmarkSpillLoad(b *testing.B) {
+	d, err := gen.DatasetByName("Wiki")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Generate(1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sv := New(g, weights.NewDegree(g), Config{Seed: 1, Workers: 1, SpillDir: b.TempDir()})
+	ctx := context.Background()
+	k := pairKey{17, 4211}
+	if _, err := sv.Solve(ctx, k.s, k.t, core.Config{Alpha: 0.2, Eps: 0.05, N: 100000, OverrideL: 2000, MaxPmaxDraws: 1 << 20}); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := sv.SolveMax(ctx, k.s, k.t, 4, 2000); err != nil {
+		b.Fatal(err)
+	}
+	if err := sv.SpillAll(); err != nil {
+		b.Fatal(err)
+	}
+	forget := func() {
+		sh := sv.shardFor(k)
+		sh.mu.Lock()
+		e := sh.m[k]
+		delete(sh.m, k)
+		sh.mu.Unlock()
+		sv.lruMu.Lock()
+		sv.uncacheLocked(e)
+		sv.lruMu.Unlock()
+	}
+	forget()
+	loads := sv.Stats().SpillLoads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sv.SolveMax(ctx, k.s, k.t, 4, 2000); err != nil {
+			b.Fatal(err)
+		}
+		forget()
+	}
+	b.StopTimer()
+	st := sv.Stats()
+	if st.SpillLoads-loads != int64(b.N) || st.SpillLoadErrors != 0 || st.Spills != 1 {
+		b.Fatalf("%d loads, %d load errors, %d spills in %d ops", st.SpillLoads-loads, st.SpillLoadErrors, st.Spills, b.N)
+	}
+}

@@ -50,13 +50,11 @@
 package server
 
 import (
-	"bufio"
 	"cmp"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -579,12 +577,6 @@ func (sv *Server) noteLoadError(err error) {
 	sv.ledger[cause].Add(1)
 }
 
-// loadReaders recycles the buffered readers spill loads read records
-// through: 128 KiB reads a typical record (~105 KB for a Wiki-analog
-// pair at 2,000 draws) in one positioned read, without allocating a
-// buffer on every load.
-var loadReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 128<<10) }}
-
 // restoreSpill loads the pair's latest spill record, if any, into its
 // freshly created session. Every failure mode counts as one load error
 // (split by cause, see noteLoadError) and leaves the pair wholly cold (a
@@ -609,15 +601,14 @@ func (sv *Server) restoreSpill(e *entry) {
 			so.stage[obs.StageSpillLoad].Observe(time.Since(start).Nanoseconds())
 		}(time.Now())
 	}
-	// Restore copies what it keeps out of the reader, so its buffer goes
-	// back to the pool when the load is done.
-	br := loadReaders.Get().(*bufio.Reader)
-	br.Reset(io.NewSectionReader(loc.seg.f, loc.off, loc.n))
-	defer func() {
-		br.Reset(nil)
-		loadReaders.Put(br)
-	}()
-	if err := e.sess.Restore(br); err != nil {
+	// One positioned read into an exactly-sized buffer; the session
+	// decodes every section in place and keeps the buffer.
+	buf := make([]byte, loc.n)
+	_, err := loc.seg.f.ReadAt(buf, loc.off)
+	if err == nil {
+		err = e.sess.RestoreBytes(buf)
+	}
+	if err != nil {
 		// Drop whatever part of the record did load (a fresh session is
 		// cheap and answer-invariant), so SpillLoads/SpillDrawsSaved
 		// count exactly the pairs that really came from disk.

@@ -315,9 +315,10 @@ func TestPmaxEstimatorSpillCarry(t *testing.T) {
 }
 
 // TestRestoreSpillSmallFileAllocs: restoring a small spill record
-// allocates well under 1 MiB: loads read through a pooled 128 KiB
-// buffer, not a large buffer per load (cold-churn workloads restore on
-// nearly every query).
+// allocates the record once — one exactly-sized buffer that every
+// section decodes in place — plus a fixed slack, not a large buffer or
+// a copy per section (cold-churn workloads restore on nearly every
+// query).
 func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations skew TotalAlloc")
@@ -345,8 +346,12 @@ func TestRestoreSpillSmallFileAllocs(t *testing.T) {
 	if !h.e.loaded {
 		t.Fatal("pair was not restored from its spill record")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
-		t.Errorf("restoring a %d-byte spill record allocated %d bytes, want well under 1 MiB", size, got)
+	// The slack covers opening the log (directory listing, segment scan,
+	// index), the pair's instance and session, and the restored chunk
+	// tables: 13.2–21.5 KB over 20 runs on a 26,216-byte record.
+	const slack = 32 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(size)+slack {
+		t.Errorf("restoring a %d-byte spill record allocated %d bytes, want at most the record plus %d", size, got, slack)
 	}
 }
 
@@ -361,53 +366,68 @@ func restampSpill(t *testing.T, dir string, pk pairKey, epoch, touchVersion uint
 
 func restampBlob(t *testing.T, data []byte, epoch, touchVersion uint32) []byte {
 	t.Helper()
-	var err error
-	r := bytes.NewReader(data)
 	var out bytes.Buffer
-	for r.Len() > 0 {
-		head := data[len(data)-r.Len():]
+	for len(data) > 0 {
+		sec := nextSection(t, data)
+		data = data[sec.n:]
+		var err error
 		switch {
-		case snapshot.IsTouch(head):
-			var ts *snapshot.TouchSet
-			if ts, err = snapshot.ReadTouch(r); err != nil {
-				t.Fatal(err)
-			}
-			ts.StreamEpoch = epoch
+		case sec.touch != nil:
+			sec.touch.StreamEpoch = epoch
 			var blob bytes.Buffer
-			if err = snapshot.WriteTouch(&blob, ts); err != nil {
+			if err = snapshot.WriteTouch(&blob, sec.touch); err != nil {
 				break
 			}
 			b := blob.Bytes()
 			binary.LittleEndian.PutUint32(b[8:], touchVersion)
 			binary.LittleEndian.PutUint32(b[len(b)-8:], crc32.Checksum(b[:len(b)-8], crc32.MakeTable(crc32.Castagnoli)))
 			out.Write(b)
-		case snapshot.IsPmax(head):
-			var st *snapshot.PmaxState
-			if st, err = snapshot.ReadPmax(r); err != nil {
-				t.Fatal(err)
-			}
-			st.StreamEpoch = epoch
-			err = snapshot.WritePmax(&out, st)
-		case snapshot.IsVmax(head):
-			var st *snapshot.VmaxState
-			if st, err = snapshot.ReadVmax(r); err != nil {
-				t.Fatal(err)
-			}
-			st.StreamEpoch = epoch
-			err = snapshot.WriteVmax(&out, st)
+		case sec.pmax != nil:
+			sec.pmax.StreamEpoch = epoch
+			err = snapshot.WritePmax(&out, sec.pmax)
+		case sec.vmax != nil:
+			sec.vmax.StreamEpoch = epoch
+			err = snapshot.WriteVmax(&out, sec.vmax)
 		default:
-			var p *snapshot.Pool
-			if p, err = snapshot.Read(r); err != nil {
-				t.Fatal(err)
-			}
-			p.StreamEpoch = epoch
-			err = snapshot.Write(&out, p)
+			sec.pool.StreamEpoch = epoch
+			err = snapshot.Write(&out, sec.pool)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	return out.Bytes()
+}
+
+// spillSection is one decoded section of a spill record's blob: exactly
+// one of its forms is set, and n is its length.
+type spillSection struct {
+	pool  *snapshot.Pool
+	touch *snapshot.TouchSet
+	pmax  *snapshot.PmaxState
+	vmax  *snapshot.VmaxState
+	n     int64
+}
+
+// nextSection decodes the section at the start of data, by its magic.
+func nextSection(t *testing.T, data []byte) spillSection {
+	t.Helper()
+	var sec spillSection
+	var err error
+	switch {
+	case snapshot.IsTouch(data):
+		sec.touch, sec.n, err = snapshot.DecodeTouchNext(data)
+	case snapshot.IsPmax(data):
+		sec.pmax, sec.n, err = snapshot.DecodePmaxNext(data)
+	case snapshot.IsVmax(data):
+		sec.vmax, sec.n, err = snapshot.DecodeVmaxNext(data)
+	default:
+		sec.pool, sec.n, err = snapshot.DecodeNext(data)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sec
 }
 
 // TestSpillStaleStreamEpochAnswersCold: spill records written under stream
@@ -450,40 +470,26 @@ func downgradeSpill(t *testing.T, dir string, pk pairKey) {
 
 func downgradeBlob(t *testing.T, data []byte) []byte {
 	t.Helper()
-	var err error
-	r := bytes.NewReader(data)
 	var out bytes.Buffer
-	for r.Len() > 0 {
-		start := len(data) - r.Len()
-		switch head := data[start:]; {
-		case snapshot.IsTouch(head):
-			_, err = snapshot.ReadTouch(r)
-		case snapshot.IsPmax(head):
-			_, err = snapshot.ReadPmax(r)
-		case snapshot.IsVmax(head):
-			_, err = snapshot.ReadVmax(r)
-		default:
-			var p *snapshot.Pool
-			if p, err = snapshot.Read(r); err != nil {
-				break
-			}
+	for len(data) > 0 {
+		sec := nextSection(t, data)
+		if p := sec.pool; p != nil {
+			p.Arena = slices.Clone(p.Arena) // the decoded pool aliases data
 			for i := 0; i < p.NumPaths(); i++ {
 				slices.Reverse(p.Arena[p.Offsets[i]:p.Offsets[i+1]])
 			}
 			var blob bytes.Buffer
-			if err = snapshot.Write(&blob, p); err != nil {
-				break
+			if err := snapshot.Write(&blob, p); err != nil {
+				t.Fatal(err)
 			}
 			b := blob.Bytes()
 			binary.LittleEndian.PutUint32(b[8:], 1)
 			binary.LittleEndian.PutUint32(b[len(b)-8:], crc32.Checksum(b[:len(b)-8], castagnoli))
 			out.Write(b)
-			continue
+		} else {
+			out.Write(data[:sec.n])
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(data[start : len(data)-r.Len()])
+		data = data[sec.n:]
 	}
 	return out.Bytes()
 }
@@ -533,24 +539,13 @@ func TestSpillCorruptEvalSectionAnswersCold(t *testing.T) {
 	rewriteSpill(t, dir, pairs[0], func(data []byte) []byte {
 		// Walk the sections to the second pool blob and flip its last
 		// body byte, so only its checksum fails.
-		var err error
-		r := bytes.NewReader(data)
 		pools, evalEnd := 0, int64(-1)
-		for r.Len() > 0 && evalEnd < 0 {
-			head := data[len(data)-r.Len():]
-			switch {
-			case snapshot.IsTouch(head):
-				_, err = snapshot.ReadTouch(r)
-			case snapshot.IsPmax(head):
-				_, err = snapshot.ReadPmax(r)
-			default:
-				_, err = snapshot.Read(r)
+		for at := int64(0); at < int64(len(data)) && evalEnd < 0; {
+			sec := nextSection(t, data[at:])
+			if at += sec.n; sec.pool != nil {
 				if pools++; pools == 2 {
-					evalEnd = int64(len(data) - r.Len())
+					evalEnd = at
 				}
-			}
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
 		if evalEnd < 0 {

@@ -17,14 +17,14 @@ import "fmt"
 // Marginals only shrink as the union grows, so a decrement re-files a set
 // in its new, lower bucket and the stale entry is skipped when it surfaces.
 //
-// This is the one-shot convenience wrapper: it folds the instance into a
-// Family and solves once. For repeated solves on one family, build the
+// This is the one-shot convenience wrapper: it folds the sets that fit
+// the budget into a Family and solves once. For repeated solves on one family, build the
 // Family once and use Solver.SolveBudget (or Family.SolveBudget).
 func GreedyBudget(inst *Instance, budget int) (*Solution, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("%w: budget %d must be positive", ErrBadInstance, budget)
 	}
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, budget)
 	if err != nil {
 		return nil, err
 	}

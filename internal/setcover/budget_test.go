@@ -198,7 +198,7 @@ func TestSolveBudgetParityEdges(t *testing.T) {
 		if seed%4 == 0 {
 			inst = realizationInstance(rng, 100+rng.Intn(400))
 		}
-		fam, err := NewFamily(inst)
+		fam, err := NewFamily(inst, Unbounded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestSolveBudgetRebindAcrossMaxSize(t *testing.T) {
 			}
 			inst.Sets = append(inst.Sets, long, long, long)
 		}
-		fam, err := NewFamily(inst)
+		fam, err := NewFamily(inst, Unbounded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestSolveBudgetAllocs(t *testing.T) {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
 	inst := realizationInstance(rand.New(rand.NewSource(11)), 5000)
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package setcover
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -35,12 +37,17 @@ var hashElems = func(elems []int32) uint64 {
 // on every call; afterwards any number of solves at any demand or budget
 // run against it rebuild-free.
 //
+// A family may be bounded by a maximum set size (see NewFamily): it then
+// holds only the sets with at most that many elements, which is all a
+// budgeted solve within the bound can use.
+//
 // A Family is safe for concurrent use: any number of Solvers (each owning
 // its own mutable scratch) may solve against one Family from different
 // goroutines. The realization engine caches one Family per pool.
 type Family struct {
 	universe int
 	numSets  int // |U|: original set count = total multiplicity
+	bound    int // every set of at most bound elements is held; Unbounded when none was left out
 
 	elems   []int32 // folded-set elements, one CSR arena
 	off     []int32 // folded set j is elems[off[j]:off[j+1]]; len NumFolded+1
@@ -51,32 +58,74 @@ type Family struct {
 	idxIDs []int32
 }
 
-// NewFamily folds and indexes the instance. The input is validated exactly
-// as Greedy validates it: malformed CSR offsets, double encodings and
-// out-of-universe elements all return ErrBadInstance.
+// Unbounded is the maximum set size that keeps every set: NewFamily with
+// it builds the full family.
+const Unbounded = math.MaxInt
+
+// ErrBounded reports a solve that needs sets a size-bounded family left
+// out: any demand solve, or a budget past the bound.
+var ErrBounded = errors.New("setcover: solve needs sets the size-bounded family left out")
+
+// NewFamily folds and indexes the sets of the instance with at most
+// maxSize distinct elements; maxSize Unbounded (or at least the longest
+// set's size) keeps them all. The input is validated exactly as Greedy
+// validates it, left-out sets included: malformed CSR offsets, double
+// encodings and out-of-universe elements all return ErrBadInstance.
+//
+// A bounded family answers SolveBudget(b) for every b ≤ maxSize exactly
+// as the full family does. A set is filed there only while its marginal
+// fits the remaining budget, so only when |S| ≤ b, and it counts as
+// covered only inside a union of at most b elements, which again needs
+// |S| ≤ b. The kept sets keep their first-appearance order, so heap ties
+// break the same way.
 //
 // The fold is one pass over the sets. A set that is already strictly
 // ascending — every realization-pool path, which the engine stores
 // sorted — is hashed and compared in place; only a set that is not is
 // copied, sorted and de-duplicated first. Distinct sets are found through
-// a map from hash to the newest folded id with that hash plus a chain of
-// older ids, so folding a new distinct set allocates nothing.
-func NewFamily(inst *Instance) (*Family, error) {
+// an open-addressed table of folded ids keyed by hash, so folding a new
+// distinct set allocates nothing until the table grows.
+func NewFamily(inst *Instance, maxSize int) (*Family, error) {
 	if err := inst.validate(); err != nil {
 		return nil, err
 	}
 	nsets := inst.NumSets()
+	// Size the tables for the sets that can be kept: a set's stored length
+	// bounds its distinct elements.
+	kept := 0
+	for i := 0; i < nsets; i++ {
+		if len(inst.set(i)) <= maxSize {
+			kept++
+		}
+	}
 	// reps[j] is folded set j's canonical elements: an input set itself,
 	// or a range of fixed, which holds sorted copies of the input sets
-	// that were not. chain[j] is the next-older folded id with reps[j]'s
-	// hash, -1 at the end; first maps a hash to the newest. Hash
-	// collisions cost a comparison, never correctness.
-	reps := make([][]int32, 0, nsets)
-	mult := make([]int32, 0, nsets)
-	chain := make([]int32, 0, nsets)
-	first := make(map[uint64]int32, nsets)
+	// that were not; hashes[j] is its hash. slots is an open-addressed
+	// table of folded ids plus one (0 = empty), probed linearly from a
+	// hash's top bits and kept at most half full. Hash collisions cost a
+	// comparison, never correctness.
+	reps := make([][]int32, 0, kept)
+	mult := make([]int32, 0, kept)
+	hashes := make([]uint64, 0, kept)
+	var slots []int32
+	var shift uint
+	grow := func(n int) {
+		size, bits := 1, uint(0)
+		for size < 2*n {
+			size, bits = size<<1, bits+1
+		}
+		slots, shift = make([]int32, size), 64-bits
+		for j, h := range hashes {
+			i := slotOf(h, shift)
+			for slots[i] != 0 {
+				i = (i + 1) & (size - 1)
+			}
+			slots[i] = int32(j) + 1
+		}
+	}
+	grow(max(kept, 4))
 	var fixed []int32
-	total, maxSize := 0, 0
+	total, longest, bound := 0, 0, Unbounded
 probe:
 	for i := 0; i < nsets; i++ {
 		set := inst.set(i)
@@ -94,32 +143,38 @@ probe:
 			}
 			return nil, fmt.Errorf("%w: element %d outside universe [0,%d)", ErrBadInstance, e, inst.UniverseSize)
 		}
-		h := hashElems(set)
-		head, ok := first[h]
-		if !ok {
-			head = -1
+		if len(set) > maxSize {
+			bound = maxSize
+			fixed = fixed[:mark]
+			continue
 		}
-		for j := head; j >= 0; j = chain[j] {
-			if slices.Equal(reps[j], set) {
+		h := hashElems(set)
+		s := slotOf(h, shift)
+		for ; slots[s] != 0; s = (s + 1) & (len(slots) - 1) {
+			if j := slots[s] - 1; hashes[j] == h && slices.Equal(reps[j], set) {
 				mult[j]++
 				fixed = fixed[:mark] // a duplicate keeps no copy
 				continue probe
 			}
 		}
-		first[h] = int32(len(reps))
+		slots[s] = int32(len(reps)) + 1
 		reps = append(reps, set)
 		mult = append(mult, 1)
-		chain = append(chain, head)
+		hashes = append(hashes, h)
 		total += len(set)
-		maxSize = max(maxSize, len(set))
+		longest = max(longest, len(set))
+		if 2*len(reps) > len(slots) {
+			grow(len(reps))
+		}
 	}
 	f := &Family{
 		universe: inst.UniverseSize,
 		numSets:  nsets,
+		bound:    bound,
 		elems:    make([]int32, 0, total),
 		off:      make([]int32, 1, len(reps)+1),
 		mult:     make([]int32, len(mult)),
-		maxSize:  maxSize,
+		maxSize:  longest,
 	}
 	copy(f.mult, mult)
 	for _, set := range reps {
@@ -128,6 +183,12 @@ probe:
 	}
 	f.buildIndex()
 	return f, nil
+}
+
+// slotOf returns the fold table slot a hash probes first: its top bits
+// after a Fibonacci multiply, which mixes every bit of the hash in.
+func slotOf(h uint64, shift uint) int {
+	return int(h * 0x9E3779B97F4A7C15 >> shift)
 }
 
 // strictlyAscending reports whether set is sorted with no repeats — the
@@ -174,8 +235,14 @@ func (f *Family) setSize(j int) int32 { return f.off[j+1] - f.off[j] }
 // containing returns the folded-set ids containing element e.
 func (f *Family) containing(e int32) []int32 { return f.idxIDs[f.idxOff[e]:f.idxOff[e+1]] }
 
-// NumSets returns |U|, the original (unfolded) set count.
+// NumSets returns |U|, the original (unfolded) set count, left-out sets
+// included.
 func (f *Family) NumSets() int { return f.numSets }
+
+// Bound returns the largest set size up to which the family holds every
+// set: the maxSize it was built with, or Unbounded when it left no set
+// out.
+func (f *Family) Bound() int { return f.bound }
 
 // NumFolded returns the number of distinct folded sets.
 func (f *Family) NumFolded() int { return len(f.mult) }
@@ -327,6 +394,9 @@ func (s *Solver) reset() {
 // ErrInfeasible when p exceeds |U| and ErrBadInstance for p ≤ 0.
 func (s *Solver) Solve(p int) (*Solution, error) {
 	f := s.f
+	if f.bound != Unbounded {
+		return nil, fmt.Errorf("%w: demand p=%d on a family bounded at %d elements per set", ErrBounded, p, f.bound)
+	}
 	if p <= 0 {
 		return nil, fmt.Errorf("%w: demand p=%d must be positive", ErrBadInstance, p)
 	}
@@ -434,6 +504,9 @@ func (s *Solver) SolveBudget(budget int) (*Solution, error) {
 	f := s.f
 	if budget <= 0 {
 		return nil, fmt.Errorf("%w: budget %d must be positive", ErrBadInstance, budget)
+	}
+	if budget > f.bound {
+		return nil, fmt.Errorf("%w: budget %d past the family's bound %d", ErrBounded, budget, f.bound)
 	}
 	sp := s.tr.StartSpan(obs.StageSolve)
 	defer sp.End()

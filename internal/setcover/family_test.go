@@ -283,6 +283,7 @@ func referenceNewFamily(inst *Instance) (*Family, error) {
 	f := &Family{
 		universe: inst.UniverseSize,
 		numSets:  nsets,
+		bound:    Unbounded,
 		off:      make([]int32, 1, nsets+1),
 	}
 	buckets := make(map[uint64][]int32, nsets)
@@ -354,7 +355,7 @@ func canonicalInstance(inst *Instance) *Instance {
 func checkFamilyParity(t *testing.T, label string, inst *Instance) {
 	t.Helper()
 	want, wantErr := referenceNewFamily(inst)
-	got, err := NewFamily(inst)
+	got, err := NewFamily(inst, Unbounded)
 	if wantErr != nil || err != nil {
 		if !errors.Is(err, ErrBadInstance) || !errors.Is(wantErr, ErrBadInstance) {
 			t.Fatalf("%s: NewFamily err = %v, reference err = %v", label, err, wantErr)
@@ -463,7 +464,7 @@ func TestFamilySolverParityGreedy(t *testing.T) {
 			inst = randomInstance(rng)
 		}
 		for _, enc := range []*Instance{inst, toCSR(inst)} {
-			fam, err := NewFamily(enc)
+			fam, err := NewFamily(enc, Unbounded)
 			if err != nil {
 				t.Fatalf("seed %d: NewFamily: %v", seed, err)
 			}
@@ -509,7 +510,7 @@ func TestFamilySolverParityBudget(t *testing.T) {
 			inst = randomInstance(rng)
 		}
 		for _, enc := range []*Instance{inst, toCSR(inst)} {
-			fam, err := NewFamily(enc)
+			fam, err := NewFamily(enc, Unbounded)
 			if err != nil {
 				t.Fatalf("seed %d: NewFamily: %v", seed, err)
 			}
@@ -554,7 +555,7 @@ func TestSolverRebindParity(t *testing.T) {
 		default:
 			inst = toCSR(randomInstance(rng))
 		}
-		fam, err := NewFamily(inst)
+		fam, err := NewFamily(inst, Unbounded)
 		if err != nil {
 			t.Fatalf("round %d: NewFamily: %v", round, err)
 		}
@@ -602,7 +603,7 @@ func TestSolverRebindParity(t *testing.T) {
 func TestSolverInterleavedKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	inst := realizationInstance(rng, 500)
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +649,7 @@ func TestFoldCollision(t *testing.T) {
 		UniverseSize: 10,
 		Sets:         [][]int32{{0, 1}, {1, 2}, {0, 1}, {3}, {2, 3, 4}, {3}, {3}},
 	}
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +685,7 @@ func TestBorrowReleaseUnbinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for round := 0; round < 20; round++ {
 		inst := realizationInstance(rng, 50+rng.Intn(800))
-		fam, err := NewFamily(inst)
+		fam, err := NewFamily(inst, Unbounded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -715,7 +716,7 @@ func TestBorrowReleaseUnbinds(t *testing.T) {
 func TestFamilyConcurrentSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	inst := realizationInstance(rng, 2000)
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +767,7 @@ func TestFamilyConcurrentSolvers(t *testing.T) {
 func TestFamilyMemBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	inst := realizationInstance(rng, 300)
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,7 +784,7 @@ func TestFamilyMemBytes(t *testing.T) {
 func TestSolverAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	inst := realizationInstance(rng, 5000)
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -801,5 +802,82 @@ func TestSolverAllocFree(t *testing.T) {
 	// path allocated the whole fold + index every call (thousands).
 	if allocs > 10 {
 		t.Fatalf("Solver.Solve allocates %.0f/op, want ≤ 10", allocs)
+	}
+}
+
+// TestBoundedFamilyMatchesFull: a family bounded at B answers
+// SolveBudget(b) for every b ≤ B exactly as the full family does —
+// union, covered count and picks — on random pool-shaped instances with
+// duplicates, empty sets, unsorted sets with repeats and sets longer
+// than B, in both encodings, for B below, at and past the longest set.
+// A budget past the bound and any demand solve fail with ErrBounded,
+// unless the bound left nothing out.
+func TestBoundedFamilyMatchesFull(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed ^ 0xb0d))
+		universe := 20 + rng.Intn(60)
+		distinct := make([][]int32, 5+rng.Intn(40))
+		for i := range distinct {
+			s := make([]int32, rng.Intn(13)) // 0..12 elements, repeats possible
+			for j := range s {
+				s[j] = int32(rng.Intn(universe))
+			}
+			distinct[i] = s
+		}
+		inst := &Instance{UniverseSize: universe}
+		for i := 0; i < 50+rng.Intn(400); i++ {
+			inst.Sets = append(inst.Sets, distinct[rng.Intn(len(distinct))])
+		}
+		longest := 0
+		for _, s := range inst.Sets {
+			longest = max(longest, len(slices.Compact(slices.Sorted(slices.Values(s)))))
+		}
+		for _, enc := range []*Instance{inst, toCSR(inst), canonicalInstance(inst)} {
+			full, err := NewFamily(enc, Unbounded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, B := range []int{1, 2, 3, 5, longest - 1, longest, longest + 3, Unbounded} {
+				if B < 1 {
+					continue
+				}
+				fam, err := NewFamily(enc, B)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("seed %d bound %d (longest %d)", seed, B, longest)
+				if whole := B >= longest; whole != (fam.Bound() == Unbounded) || !whole && fam.Bound() != B {
+					t.Fatalf("%s: Bound() = %d", label, fam.Bound())
+				}
+				if fam.NumSets() != full.NumSets() {
+					t.Fatalf("%s: NumSets %d, full %d", label, fam.NumSets(), full.NumSets())
+				}
+				for b := 1; b <= min(B, longest+2); b++ {
+					want, err := full.SolveBudget(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := fam.SolveBudget(b)
+					if err != nil {
+						t.Fatalf("%s b=%d: %v", label, b, err)
+					}
+					if !solutionsEqual(got, want) {
+						t.Fatalf("%s b=%d: bounded %+v != full %+v", label, b, got, want)
+					}
+				}
+				if fam.Bound() == Unbounded {
+					if _, err := fam.Solve(1); err != nil {
+						t.Fatalf("%s: demand solve on a family that left nothing out: %v", label, err)
+					}
+					continue
+				}
+				if _, err := fam.SolveBudget(B + 1); !errors.Is(err, ErrBounded) {
+					t.Fatalf("%s: SolveBudget past the bound: err = %v, want ErrBounded", label, err)
+				}
+				if _, err := fam.Solve(1); !errors.Is(err, ErrBounded) {
+					t.Fatalf("%s: demand solve: err = %v, want ErrBounded", label, err)
+				}
+			}
+		}
 	}
 }

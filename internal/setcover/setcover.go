@@ -119,7 +119,7 @@ func Greedy(inst *Instance, p int) (*Solution, error) {
 	if p > inst.NumSets() {
 		return nil, fmt.Errorf("%w: p=%d > |U|=%d", ErrInfeasible, p, inst.NumSets())
 	}
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func Exact(inst *Instance, p int) (*Solution, error) {
 	if p > inst.NumSets() {
 		return nil, fmt.Errorf("%w: p=%d > |U|=%d", ErrInfeasible, p, inst.NumSets())
 	}
-	fam, err := NewFamily(inst)
+	fam, err := NewFamily(inst, Unbounded)
 	if err != nil {
 		return nil, err
 	}

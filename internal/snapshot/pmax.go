@@ -67,8 +67,8 @@ func encodedSizePmax(numSucc int64) int64 {
 }
 
 // IsPmax reports whether b begins with the PmaxState magic — the peek a
-// stream reader uses to decide whether an optional p_max section follows
-// the pool sections in a spill record.
+// decoder uses to decide whether an optional p_max section follows the
+// pool sections in a spill record.
 func IsPmax(b []byte) bool { return pmaxSection.is(b) }
 
 // WritePmax serializes st to w in the snapshot format.
@@ -116,52 +116,32 @@ func parsePmaxHeader(b []byte) (PmaxState, int64, error) {
 	return st, numSucc, nil
 }
 
-// DecodePmax parses one PmaxState at the start of data, which must
-// contain exactly one blob. On little-endian hosts the returned Successes
-// slice aliases data (keep it immutable and alive); on other hosts or
-// misaligned input it is copied.
-func DecodePmax(data []byte) (*PmaxState, error) {
+// DecodePmaxNext parses the PmaxState at the start of data and returns
+// it with its encoded size, leaving trailing bytes (the rest of a spill
+// record) for the caller. When the header frames a section that data
+// holds but its contents fail the checksum or validation, the error comes
+// with the section's size, so a caller treating the section as
+// best-effort can skip it; the size is 0 when the framing itself is bad.
+// On little-endian hosts the returned Successes slice aliases data (keep
+// it immutable and alive); on other hosts or misaligned input it is
+// copied.
+func DecodePmaxNext(data []byte) (*PmaxState, int64, error) {
 	st, numSucc, err := parsePmaxHeader(data)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	size := encodedSizePmax(numSucc)
-	if size != int64(len(data)) {
-		return nil, fmt.Errorf("%w: pmax header claims %d bytes, have %d", ErrFormat, size, len(data))
+	if size > int64(len(data)) {
+		return nil, 0, fmt.Errorf("%w: pmax header claims %d bytes, have %d", ErrFormat, size, len(data))
 	}
 	if err := checkFooter(data, size); err != nil {
-		return nil, err
+		return nil, size, err
 	}
 	st.Successes = decodeInt64s(data, pmaxHeaderSize, numSucc)
 	if err := st.validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		return nil, size, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	return &st, nil
-}
-
-// ReadPmax reads exactly one PmaxState from r (leaving any following
-// bytes unread) and returns state owning freshly allocated sections.
-// Allocation is incremental and capped by the bytes actually read.
-func ReadPmax(r io.Reader) (*PmaxState, error) {
-	buf := make([]byte, pmaxHeaderSize)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: reading pmax header: %v", ErrFormat, err)
-	}
-	_, numSucc, err := parsePmaxHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	size := encodedSizePmax(numSucc)
-	for int64(len(buf)) < size {
-		n := min(size-int64(len(buf)), maxReadChunk)
-		chunk := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[chunk:]); err != nil {
-			return nil, fmt.Errorf("%w: reading %d-byte pmax payload: %v", ErrFormat, size, err)
-		}
-	}
-	// buf is function-local, so aliasing is ownership; nothing to copy.
-	return DecodePmax(buf)
+	return &st, size, nil
 }
 
 // validate checks the semantic invariant the estimator relies on: success

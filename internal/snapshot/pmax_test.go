@@ -36,9 +36,12 @@ func TestPmaxRoundTrip(t *testing.T) {
 		if !IsPmax(buf.Bytes()) {
 			t.Error("IsPmax false on a pmax blob")
 		}
-		got, err := ReadPmax(bytes.NewReader(buf.Bytes()))
+		got, n, err := DecodePmaxNext(buf.Bytes())
 		if err != nil {
-			t.Fatalf("read: %v", err)
+			t.Fatalf("decode: %v", err)
+		}
+		if n != int64(buf.Len()) {
+			t.Errorf("decoded size %d, want %d", n, buf.Len())
 		}
 		want := *st
 		if want.Successes == nil {
@@ -47,14 +50,6 @@ func TestPmaxRoundTrip(t *testing.T) {
 		if got.Seed != want.Seed || got.NS != want.NS || got.Fingerprint != want.Fingerprint ||
 			got.Draws != want.Draws || !reflect.DeepEqual(got.Successes, want.Successes) {
 			t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
-		}
-		// Decode over the raw bytes agrees.
-		dec, err := DecodePmax(buf.Bytes())
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(dec.Successes, got.Successes) || dec.Draws != got.Draws {
-			t.Errorf("decode diverged from read: %+v vs %+v", dec, got)
 		}
 	}
 }
@@ -72,19 +67,20 @@ func TestPmaxConcatenatesAfterPool(t *testing.T) {
 	if err := WritePmax(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	if _, err := Read(r); err != nil {
-		t.Fatalf("pool read: %v", err)
-	}
-	got, err := ReadPmax(r)
+	data := buf.Bytes()
+	_, n, err := DecodeNext(data)
 	if err != nil {
-		t.Fatalf("pmax read: %v", err)
+		t.Fatalf("pool decode: %v", err)
+	}
+	got, m, err := DecodePmaxNext(data[n:])
+	if err != nil {
+		t.Fatalf("pmax decode: %v", err)
 	}
 	if got.Draws != st.Draws || !reflect.DeepEqual(got.Successes, st.Successes) {
 		t.Errorf("pmax after pool: %+v, want %+v", got, st)
 	}
-	if r.Len() != 0 {
-		t.Errorf("%d bytes left unread", r.Len())
+	if n+m != int64(len(data)) {
+		t.Errorf("decoded %d+%d of %d bytes", n, m, len(data))
 	}
 	// IsPmax distinguishes the sections: a pool blob is not a pmax blob.
 	if IsPmax(buf.Bytes()) {
@@ -99,36 +95,37 @@ func TestPmaxRejectsCorruption(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	// Flip one payload byte: checksum must catch it.
+	// Flip one payload byte: checksum must catch it, and the section's
+	// size still comes back so a best-effort reader can skip it.
 	bad := append([]byte(nil), blob...)
 	bad[pmaxHeaderSize+3] ^= 0x40
-	if _, err := DecodePmax(bad); !errors.Is(err, ErrChecksum) {
-		t.Errorf("payload corruption: err = %v, want ErrChecksum", err)
+	if _, n, err := DecodePmaxNext(bad); !errors.Is(err, ErrChecksum) || n != int64(len(blob)) {
+		t.Errorf("payload corruption: size %d, err = %v, want %d and ErrChecksum", n, err, len(blob))
 	}
 
 	// Version skew.
 	bad = append([]byte(nil), blob...)
 	putU32(bad[8:], PmaxVersion+1)
-	if _, err := DecodePmax(bad); !errors.Is(err, ErrVersion) {
+	if _, _, err := DecodePmaxNext(bad); !errors.Is(err, ErrVersion) {
 		t.Errorf("version skew: err = %v, want ErrVersion", err)
 	}
 
 	// Bad magic.
 	bad = append([]byte(nil), blob...)
 	bad[0] = 'x'
-	if _, err := DecodePmax(bad); !errors.Is(err, ErrFormat) {
+	if _, _, err := DecodePmaxNext(bad); !errors.Is(err, ErrFormat) {
 		t.Errorf("bad magic: err = %v, want ErrFormat", err)
 	}
 
-	// Truncated stream.
-	if _, err := ReadPmax(bytes.NewReader(blob[:len(blob)-4])); !errors.Is(err, ErrFormat) {
+	// Truncated section.
+	if _, n, err := DecodePmaxNext(blob[:len(blob)-4]); !errors.Is(err, ErrFormat) || n != 0 {
 		t.Errorf("truncated: err = %v, want ErrFormat", err)
 	}
 
 	// Header claiming more successes than draws.
 	bad = append([]byte(nil), blob...)
 	putU64(bad[48:], uint64(1<<40))
-	if _, err := ReadPmax(bytes.NewReader(bad)); !errors.Is(err, ErrFormat) {
+	if _, _, err := DecodePmaxNext(bad); !errors.Is(err, ErrFormat) {
 		t.Errorf("impossible success count: err = %v, want ErrFormat", err)
 	}
 }

@@ -2,9 +2,10 @@
 // realization pool (the flat path arena, int32 offsets, per-path draw
 // indices, universe and total draw count, plus the seed and stream
 // namespace that produced it) to a versioned, checksummed, little-endian
-// binary blob, and loads it back from a stream (Read). DecodeNext parses
-// a blob in a byte slice, zero-copy where the host and alignment allow,
-// and reports its size so concatenated blobs decode in sequence.
+// binary blob, and decodes it back in place: DecodeNext parses a blob in
+// a byte slice, zero-copy where the host and alignment allow, and reports
+// its size so the concatenated sections of a spill record decode in
+// sequence from one buffer (ReadAll fills one from a stream).
 //
 // Because pool contents are a pure function of (seed, namespace, total)
 // — the engine's chunked-sampling determinism contract — a loaded pool
@@ -44,7 +45,7 @@ import (
 )
 
 // Format constants. Version is bumped on any incompatible change to the
-// layout or its meaning; Read/DecodeNext reject other versions with
+// layout or its meaning; DecodeNext rejects other versions with
 // ErrVersion so callers fall back to resampling instead of misreading
 // bytes. Version history: 1 stored each path in walk order; 2 stores it
 // ascending.
@@ -410,37 +411,21 @@ func (p *Pool) validate() error {
 	return nil
 }
 
-// maxReadChunk bounds how much Read allocates ahead of bytes actually
-// arriving, so a header claiming a huge payload on a short stream costs
-// at most one chunk before hitting the truncation error.
-const maxReadChunk = 4 << 20
-
-// Read reads exactly one snapshot from r (leaving any following bytes,
-// e.g. a second snapshot in the same file, unread) and returns a pool
-// owning freshly allocated sections. Allocation is incremental and
-// capped by the bytes actually read, never by header claims alone.
-func Read(r io.Reader) (*Pool, error) {
-	buf := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrFormat, err)
+// ReadAll reads r to its end into one buffer for the Decode functions,
+// sized exactly when r reports the length it holds (bytes.Reader,
+// bytes.Buffer), so a stream entry point costs one allocation and no
+// copy beyond the read. A read error wraps ErrFormat.
+func ReadAll(r io.Reader) ([]byte, error) {
+	var buf []byte
+	var err error
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf = make([]byte, l.Len())
+		_, err = io.ReadFull(r, buf)
+	} else {
+		buf, err = io.ReadAll(r)
 	}
-	h, err := parseHeader(buf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: reading: %v", ErrFormat, err)
 	}
-	size := encodedSize(h.numPaths, h.arenaLen)
-	for int64(len(buf)) < size {
-		n := min(size-int64(len(buf)), maxReadChunk)
-		chunk := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[chunk:]); err != nil {
-			return nil, fmt.Errorf("%w: reading %d-byte payload: %v", ErrFormat, size, err)
-		}
-	}
-	p, _, err := DecodeNext(buf)
-	if err != nil {
-		return nil, err
-	}
-	// buf is function-local, so aliasing is ownership; nothing to copy.
-	return p, nil
+	return buf, nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // testPool builds a deterministic well-formed pool with paths of varying
@@ -67,11 +68,6 @@ func TestRoundTrip(t *testing.T) {
 		{Seed: 3, NS: 9, Universe: 5, Total: 0, Offsets: []int32{0}, PathDraw: []int64{}, Arena: []int32{}}, // empty pool
 	} {
 		data := encode(t, p)
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkEqual(t, got, p)
 		got2, n, err := DecodeNext(data)
 		if err != nil {
 			t.Fatal(err)
@@ -83,6 +79,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadLeavesTrailingBytes: ReadAll reads a stream of two blobs
+// whole, through a reader that does not report its length, and the
+// blobs decode in sequence from its one buffer.
 func TestReadLeavesTrailingBytes(t *testing.T) {
 	a, b := testPool(1, 300, 20), testPool(2, 200, 20)
 	var buf bytes.Buffer
@@ -92,19 +91,22 @@ func TestReadLeavesTrailingBytes(t *testing.T) {
 	if err := Write(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	gotA, err := Read(r)
+	data, err := ReadAll(iotest.OneByteReader(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, err := Read(r)
+	gotA, n, err := DecodeNext(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, m, err := DecodeNext(data[n:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEqual(t, gotA, a)
 	checkEqual(t, gotB, b)
-	if r.Len() != 0 {
-		t.Fatalf("%d bytes left unread", r.Len())
+	if n+m != int64(len(data)) || len(data) != buf.Len() {
+		t.Fatalf("decoded %d+%d bytes of %d read, %d written", n, m, len(data), buf.Len())
 	}
 }
 
@@ -160,9 +162,6 @@ func TestCorruption(t *testing.T) {
 			if _, _, err := DecodeNext(good[:n]); err == nil {
 				t.Errorf("truncation to %d bytes decoded", n)
 			}
-			if _, err := Read(bytes.NewReader(good[:n])); err == nil {
-				t.Errorf("truncation to %d bytes read", n)
-			}
 		}
 	})
 	t.Run("huge-claimed-sizes", func(t *testing.T) {
@@ -172,9 +171,6 @@ func TestCorruption(t *testing.T) {
 		putU64(data[56:], 1<<40) // numPaths
 		putU64(data[48:], 1<<41) // total, so numPaths ≤ total passes
 		putU64(data[64:], 1<<40) // arenaLen
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Error("huge header read succeeded")
-		}
 		if _, _, err := DecodeNext(data); err == nil {
 			t.Error("huge header decoded")
 		}
@@ -253,9 +249,6 @@ func TestVersion1Rejected(t *testing.T) {
 	data = resum(data)
 	if _, _, err := DecodeNext(data); !errors.Is(err, ErrVersion) {
 		t.Fatalf("DecodeNext: err = %v, want ErrVersion", err)
-	}
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Read: err = %v, want ErrVersion", err)
 	}
 }
 

@@ -44,7 +44,7 @@ import (
 // many groups each chunk holds, hence offsetsLen. Decoding validates the
 // framing — the offsets count, each chunk's offsets rising from 0, the
 // chunks' lists exactly filling the data — but not the lists themselves.
-// The section is optional on read: a reader peeks for the magic
+// The section is optional on read: a decoder peeks for the magic
 // (IsTouch) and, when absent, treats every group as damaged under a
 // delta, which is always correct, just slower.
 //
@@ -114,8 +114,8 @@ func EncodedSizeTouchFor(offsetsLen, dataLen int64) int64 {
 }
 
 // IsTouch reports whether b begins with the TouchSet magic — the peek a
-// stream reader uses to decide whether an optional touch section follows
-// a pool blob.
+// decoder uses to decide whether an optional touch section follows a
+// pool blob.
 func IsTouch(b []byte) bool { return touchSection.is(b) }
 
 // u32AsI32 reinterprets offsets as int32s for the shared i32 writer.
@@ -310,32 +310,4 @@ func DecodeTouchNext(data []byte) (*TouchSet, int64, error) {
 		return nil, 0, fmt.Errorf("%w: touch lists fill %d of %d bytes", ErrFormat, start, dataLen)
 	}
 	return &ts, size, nil
-}
-
-// ReadTouch reads exactly one TouchSet from r (leaving any following
-// bytes unread) and returns a set owning freshly allocated sections.
-func ReadTouch(r io.Reader) (*TouchSet, error) {
-	buf := make([]byte, touchHeaderSize)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: reading touch header: %v", ErrFormat, err)
-	}
-	_, _, offsetsLen, dataLen, err := parseTouchHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	size := EncodedSizeTouchFor(offsetsLen, dataLen)
-	for int64(len(buf)) < size {
-		n := min(size-int64(len(buf)), maxReadChunk)
-		chunk := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[chunk:]); err != nil {
-			return nil, fmt.Errorf("%w: reading %d-byte touch payload: %v", ErrFormat, size, err)
-		}
-	}
-	ts, _, err := DecodeTouchNext(buf)
-	if err != nil {
-		return nil, err
-	}
-	// buf is function-local, so aliasing is ownership; nothing to copy.
-	return ts, nil
 }

@@ -61,14 +61,6 @@ func TestTouchRoundTrip(t *testing.T) {
 		t.Fatal("IsPmax accepts a touch blob")
 	}
 
-	got, err := ReadTouch(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ts) {
-		t.Errorf("round trip: %+v, want %+v", got, ts)
-	}
-
 	// Decode with trailing bytes reports the exact blob size.
 	withTail := append(bytes.Clone(data), 0xAB, 0xCD)
 	dec, n, err := DecodeTouchNext(withTail)
@@ -79,13 +71,13 @@ func TestTouchRoundTrip(t *testing.T) {
 		t.Errorf("DecodeTouchNext size %d, want %d", n, len(data))
 	}
 	if !reflect.DeepEqual(dec, ts) {
-		t.Errorf("decoded payload mismatch")
+		t.Errorf("round trip: %+v, want %+v", dec, ts)
 	}
 }
 
 func TestTouchEmptyChunks(t *testing.T) {
 	ts := &TouchSet{Universe: 10, ChunkSize: 16, GroupSize: 8, Chunks: []TouchChunk{}}
-	got, err := ReadTouch(bytes.NewReader(encodeTouch(t, ts)))
+	got, _, err := DecodeTouchNext(encodeTouch(t, ts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +102,17 @@ func TestTouchCorruption(t *testing.T) {
 
 	badMagic := bytes.Clone(good)
 	badMagic[0] = 0
-	if _, err := ReadTouch(bytes.NewReader(badMagic)); !errors.Is(err, ErrFormat) {
+	if _, _, err := DecodeTouchNext(badMagic); !errors.Is(err, ErrFormat) {
 		t.Errorf("bad magic: err = %v, want ErrFormat", err)
 	}
 
 	badVer := bytes.Clone(good)
 	putU32(badVer[8:], TouchVersion-1)
-	if _, err := ReadTouch(bytes.NewReader(badVer)); !errors.Is(err, ErrVersion) {
+	if _, _, err := DecodeTouchNext(badVer); !errors.Is(err, ErrVersion) {
 		t.Errorf("TOUCH v2 header: err = %v, want ErrVersion", err)
 	}
 
-	if _, err := ReadTouch(bytes.NewReader(good[:len(good)-4])); !errors.Is(err, ErrFormat) {
+	if _, _, err := DecodeTouchNext(good[:len(good)-4]); !errors.Is(err, ErrFormat) {
 		t.Errorf("truncated: err = %v, want ErrFormat", err)
 	}
 

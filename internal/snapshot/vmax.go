@@ -41,7 +41,7 @@ type VmaxState struct {
 }
 
 // IsVmax reports whether b begins with the VMAX magic — the peek a
-// stream reader uses to decide whether the optional section follows.
+// decoder uses to decide whether the optional section follows.
 func IsVmax(b []byte) bool { return vmaxSection.is(b) }
 
 // WriteVmax serializes st to w in the snapshot format.
@@ -58,24 +58,24 @@ func WriteVmax(w io.Writer, st *VmaxState) error {
 	return writeFooter(w, cw)
 }
 
-// ReadVmax reads exactly one VMAX section from r, leaving any following
-// bytes unread.
-func ReadVmax(r io.Reader) (*VmaxState, error) {
-	var buf [vmaxSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading vmax section: %v", ErrFormat, err)
-	}
+// DecodeVmaxNext parses the VMAX section at the start of data and
+// returns it with its encoded size, leaving trailing bytes for the
+// caller.
+func DecodeVmaxNext(data []byte) (*VmaxState, int64, error) {
 	var words [2]uint64
-	se, err := vmaxSection.parse(buf[:], words[:])
+	se, err := vmaxSection.parse(data, words[:])
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := checkFooter(buf[:], vmaxSize); err != nil {
-		return nil, err
+	if len(data) < vmaxSize {
+		return nil, 0, fmt.Errorf("%w: vmax section of %d bytes, have %d", ErrFormat, vmaxSize, len(data))
+	}
+	if err := checkFooter(data, vmaxSize); err != nil {
+		return nil, 0, err
 	}
 	st := &VmaxState{StreamEpoch: se, Fingerprint: words[0], Count: int64(words[1])}
 	if st.Count < 0 || st.Count >= math.MaxInt32 {
-		return nil, fmt.Errorf("%w: vmax count %d", ErrFormat, st.Count)
+		return nil, 0, fmt.Errorf("%w: vmax count %d", ErrFormat, st.Count)
 	}
-	return st, nil
+	return st, vmaxSize, nil
 }

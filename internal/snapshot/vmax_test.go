@@ -22,16 +22,15 @@ func TestVmaxRoundTrip(t *testing.T) {
 			t.Fatal("VMAX magic not told apart from the other sections")
 		}
 		buf.WriteString("trailing")
-		r := bytes.NewReader(buf.Bytes())
-		got, err := ReadVmax(r)
+		got, n, err := DecodeVmaxNext(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *got != st {
 			t.Errorf("round trip: got %+v, want %+v", *got, st)
 		}
-		if r.Len() != len("trailing") {
-			t.Errorf("ReadVmax left %d bytes, want the 8 trailing ones", r.Len())
+		if n != vmaxSize {
+			t.Errorf("DecodeVmaxNext spans %d bytes, want %d before the trailing ones", n, vmaxSize)
 		}
 	}
 	if err := WriteVmax(&bytes.Buffer{}, &VmaxState{Count: -1}); err == nil {
@@ -56,7 +55,7 @@ func TestVmaxRejectsCorruption(t *testing.T) {
 		"truncated": {func(b []byte) []byte { return b[:vmaxSize-1] }, ErrFormat},
 		"negative":  {func(b []byte) []byte { putU64(b[24:], 1<<63); return resum(b) }, ErrFormat},
 	} {
-		if _, err := ReadVmax(bytes.NewReader(tc.mut(bytes.Clone(blob)))); !errors.Is(err, tc.want) {
+		if _, _, err := DecodeVmaxNext(tc.mut(bytes.Clone(blob))); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
 		}
 	}
@@ -83,10 +82,10 @@ func TestFooterPadChecked(t *testing.T) {
 		blob   []byte
 		decode func([]byte) error
 	}{
-		"pool":  {pool.Bytes(), func(b []byte) error { _, err := Read(bytes.NewReader(b)); return err }},
-		"pmax":  {pmax.Bytes(), func(b []byte) error { _, err := DecodePmax(b); return err }},
+		"pool":  {pool.Bytes(), func(b []byte) error { _, _, err := DecodeNext(b); return err }},
+		"pmax":  {pmax.Bytes(), func(b []byte) error { _, _, err := DecodePmaxNext(b); return err }},
 		"touch": {touch.Bytes(), func(b []byte) error { _, _, err := DecodeTouchNext(b); return err }},
-		"vmax":  {vmax.Bytes(), func(b []byte) error { _, err := ReadVmax(bytes.NewReader(b)); return err }},
+		"vmax":  {vmax.Bytes(), func(b []byte) error { _, _, err := DecodeVmaxNext(b); return err }},
 	} {
 		if err := tc.decode(tc.blob); err != nil {
 			t.Fatalf("%s: valid section rejected: %v", name, err)

@@ -19,7 +19,9 @@
 # deltas) and BenchmarkSamplePool's touch_B/draw. "Spill" matches the
 # root BenchmarkSpillReload and the server's BenchmarkSpillRoundTrip (one
 # Wiki-analog pair restored from and evicted to the spill log per op;
-# spill_B/op).
+# spill_B/op) and BenchmarkSpillLoad (cold-churn's miss path: a restore
+# and a SolveMax at budget 4, no write). BenchmarkFamilyFold records
+# /full and /budget4 (the fold a SolveMax at budget 4 pays) separately.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
